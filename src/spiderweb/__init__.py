@@ -15,7 +15,6 @@ from .model import (
 )
 from .power import InterconnectGrid, PowerReport, SignalParams, total_power
 from .schedule import (
-    PatchRect,
     StepTable,
     TimingParams,
     cycle_time,
@@ -34,7 +33,6 @@ __all__ = [
     "GeometrySummary",
     "InterconnectGrid",
     "LineCount",
-    "PatchRect",
     "PowerReport",
     "SignalParams",
     "StepTable",

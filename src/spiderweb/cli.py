@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: ``report`` (full design report), ``sweep`` (one parameter over a
-value list), ``verify`` (gate-algebra and schedule verification), and
-``simulate`` (cycle simulation with event-trace export).
+value list), ``verify`` (gate-algebra and schedule verification),
+``simulate`` (cycle simulation with event-trace export), and ``dump-unitary``
+(one gate matrix as JSON).
 
 Exit codes: 0 success, 1 config error, 2 verification failure.
 """
@@ -109,8 +110,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     config, _ = _load(args)
-    if args.dump_unitary:
-        return _dump_unitary(args, args.dump_unitary, ())
     checks: list[dict[str, object]] = []
 
     for check in qgates.verify_identities(corrupt=args.corrupt):
@@ -204,20 +203,17 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _dump_unitary(args, name: str, params: tuple[float, ...]) -> int:
-    matrix = qgates.gate(name, *params)
+def _cmd_dump_unitary(args) -> int:
+    params = [float(p) for p in args.params]
+    matrix = qgates.gate(args.gate, *params)
     doc = {
-        "gate": name,
-        "params": list(params),
+        "gate": args.gate,
+        "params": params,
         "dim": matrix.shape[0],
         "matrix": [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in matrix],
     }
     _emit(args, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
-
-
-def _cmd_dump_unitary(args) -> int:
-    return _dump_unitary(args, args.gate, tuple(float(p) for p in args.params))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="negative-control hook: inject a known fault")
     p_verify.add_argument("--json", dest="format", action="store_const", const="json",
                           help="shorthand for --format json")
-    p_verify.add_argument("--dump-unitary", metavar="GATE", default=None,
-                          help="emit the named gate matrix as JSON instead of running checks")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sim = sub.add_parser("simulate", help="simulate one unit-cell cycle")

@@ -169,14 +169,18 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
-def _apply(entries: dict[tuple[str, str], tuple[str, int]]) -> ToolConfig:
+def _apply(entries: dict[tuple[str, str], tuple[str, int | str]]) -> ToolConfig:
+    """Parse every value; an entry's origin is its file line or its override text."""
     updates: dict[str, dict[str, object]] = {s: {} for s in SECTIONS}
-    for (section, key), (raw, line_no) in entries.items():
+    for (section, key), (raw, origin) in entries.items():
         attr, parser = _KEYMAP[(section, key)]
         try:
             updates[section][attr] = parser(raw)
         except ValueError as exc:
-            raise ConfigParseError(f"bad value for {section}.{key}: {exc}", line_no) from exc
+            message = f"bad value for {section}.{key}: {exc}"
+            if isinstance(origin, str):
+                raise ConfigParseError(f"override {origin!r}: {message}") from exc
+            raise ConfigParseError(message, origin) from exc
     return ToolConfig(
         array=ArrayConfig(**updates["array"]),
         electronics=ElectronicsParams(**updates["electronics"]),
@@ -193,7 +197,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     exists but cannot be parsed is an error.  Overrides are applied after
     the file, last one wins.
     """
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    entries: dict[tuple[str, str], tuple[str, int | str]] = {}
     if path is not None and os.path.exists(path):
         try:
             with open(path, encoding="utf-8") as fh:
@@ -213,5 +217,5 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
             resolved = _resolve(section, bare)
         else:
             resolved = _resolve(None, key)
-        entries[resolved] = (value, 0)
+        entries[resolved] = (value, override)
     return _apply(entries)

@@ -17,7 +17,7 @@ from math import sqrt
 from scipy.constants import e as ELECTRON_CHARGE
 from scipy.constants import k as BOLTZMANN
 
-from .model import ArrayConfig, GateInventory
+from .model import ArrayConfig, GateInventory, default_gate_inventory
 
 __all__ = [
     "ElectronicsParams",
@@ -27,6 +27,9 @@ __all__ = [
     "min_hold_capacitance",
     "refresh_rate",
 ]
+
+# DC-biased (fine + coarse) gates of the unit cell, each on a hold capacitor.
+_HELD_GATES = default_gate_inventory().dc_biased_total
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ def demux_clock(cfg: ArrayConfig, refresh_hz: float) -> float:
     """
     if refresh_hz <= 0:
         raise ValueError("refresh rate must be positive")
-    return 64.0 * cfg.bias_module_edge**2 * refresh_hz
+    return _HELD_GATES * cfg.bias_module_edge**2 * refresh_hz
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,3 @@ class ScheduleConflictError(SpiderwebError):
             f"step {step}: resource {resource!r} holds {len(occupants)} electrons "
             f"({', '.join(occupants)}), capacity {capacity}"
         )
-
-
-class PatchError(SpiderwebError):
-    """A crossbar patch request cannot be honoured."""

@@ -58,14 +58,6 @@ class ArrayConfig:
         return self.qubit_pitch_nm * 1e-9
 
     @property
-    def gate_pitch_m(self) -> float:
-        return self.gate_pitch_nm * 1e-9
-
-    @property
-    def interconnect_pitch_m(self) -> float:
-        return self.interconnect_pitch_nm * 1e-9
-
-    @property
     def plane_edge_cells(self) -> int:
         """Unit cells along one side of the quantum plane."""
         return self.bias_module_edge * self.bias_grid_edge

@@ -129,34 +129,12 @@ def expand(matrix: np.ndarray, n_qubits: int, targets: tuple[int, ...]) -> np.nd
         if not 1 <= t <= n_qubits:
             raise ValueError(f"target {t} out of range 1..{n_qubits}")
     dim = 1 << n_qubits
-    # bit position (from the least significant bit) of each target qubit
-    positions = [n_qubits - t for t in targets]
-    target_mask = 0
-    for p in positions:
-        target_mask |= 1 << p
-    rest_mask = (dim - 1) ^ target_mask
-
-    def gather(index: int) -> int:
-        sub = 0
-        for p in positions:
-            sub = (sub << 1) | ((index >> p) & 1)
-        return sub
-
-    def scatter(sub: int) -> int:
-        index = 0
-        for j, p in enumerate(positions):
-            index |= ((sub >> (k - 1 - j)) & 1) << p
-        return index
-
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        rest = col & rest_mask
-        sub_col = gather(col)
-        for sub_row in range(1 << k):
-            amp = matrix[sub_row, sub_col]
-            if amp != 0:
-                out[rest | scatter(sub_row), col] = amp
-    return out
+    # Contract the gate's input axes with the target qubits' row axes of the
+    # identity, then put the gate's output axes back at the target positions.
+    axes = [t - 1 for t in targets]
+    identity = np.eye(dim, dtype=complex).reshape((2,) * n_qubits + (dim,))
+    out = np.tensordot(matrix.reshape((2,) * (2 * k)), identity, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(out, range(k), axes).reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -220,20 +198,10 @@ def compose(circuit: Circuit) -> np.ndarray:
 
 
 def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff u = e^{i phi} v for some phase, within tol in max-norm.
-
-    The candidate phase is read off the largest-magnitude entry of v^dag u,
-    which is proportional to the identity when the matrices match.
-    """
+    """True iff u = e^{i phi} v for some phase, within tol in max-norm."""
     if u.shape != v.shape:
         raise ValueError("matrices must have the same shape")
-    overlap = v.conj().T @ u
-    idx = np.unravel_index(np.argmax(np.abs(overlap)), overlap.shape)
-    pivot = overlap[idx]
-    if abs(pivot) < tol:
-        return False
-    phase = pivot / abs(pivot)
-    return float(np.max(np.abs(u - phase * v))) < tol
+    return _phase_residual(u, v) < tol
 
 
 def concurrence(state: np.ndarray) -> float:
@@ -261,6 +229,11 @@ def _residual(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _phase_residual(u: np.ndarray, v: np.ndarray) -> float:
+    """Max-norm distance from u to e^{i phi} v for the best-matching phase.
+
+    The candidate phase is read off the largest-magnitude entry of v^dag u,
+    which is proportional to the identity when the matrices match.
+    """
     overlap = v.conj().T @ u
     idx = np.unravel_index(np.argmax(np.abs(overlap)), overlap.shape)
     pivot = overlap[idx]

@@ -1,5 +1,5 @@
-"""Discrete-event model of the unit-cell error-correction cycle, cycle-time
-evaluation, the array initialization sequence, and crossbar patch addressing.
+"""Discrete-event model of the unit-cell error-correction cycle and cycle-time
+evaluation.
 
 Every unit cell executes the same broadcast program in lock step, so the
 cycle is modelled as a sequence of *windows*: a shuttle window is one round
@@ -23,20 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .errors import PatchError, ScheduleConflictError
+from .errors import ScheduleConflictError
 from .model import ArrayConfig, validate_config
 
 __all__ = [
     "CYCLE_EXCHANGES",
     "CYCLE_ONE_QUBIT_GATES",
     "CYCLE_SHUTTLES",
-    "CrossbarAssignment",
     "CycleTime",
     "Event",
     "EventTrace",
     "HOME_QUBITS",
     "PairGate",
-    "PatchRect",
     "READOUT_MODES",
     "SoloGate",
     "Step",
@@ -44,9 +42,7 @@ __all__ = [
     "TimingParams",
     "cycle_time",
     "default_step_table",
-    "initialization_schedule",
     "load_step_table",
-    "patches_to_crossbars",
     "simulate_cycle",
     "step_table_from_text",
     "step_table_to_text",
@@ -165,7 +161,6 @@ class EventTrace:
     counters: dict[str, int]
     makespan_s: float
     annotations: tuple[str, ...] = ()
-    suspended: bool = False
 
     def to_csv(self) -> str:
         lines = ["time_s,step,qubit,op,resource"]
@@ -278,33 +273,12 @@ class _Simulator:
         self.parked.clear()
 
 
-def simulate_cycle(
-    table: StepTable,
-    timing: TimingParams,
-    cell: tuple[int, int] | None = None,
-    patches: tuple["PatchRect", ...] = (),
-    cfg: ArrayConfig | None = None,
-) -> EventTrace:
+def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     """Execute the step table, checking resource capacities window by window.
 
     A capacity violation raises :class:`ScheduleConflictError` naming the
-    step and resource.  When ``cell`` and ``patches`` are given and the cell
-    lies inside a disabled patch, the cycle is suspended for that cell: the
-    trace carries the annotation and no qubit ever touches a channel.
+    step and resource.
     """
-    if cell is not None and patches:
-        bounds = cfg.plane_edge_cells if cfg is not None else None
-        for patch in patches:
-            patch.validate(bounds)
-            if patch.contains(cell):
-                return EventTrace(
-                    events=(),
-                    counters={k: 0 for k in StepTable(()).census()},
-                    makespan_s=0.0,
-                    annotations=(f"cycle suspended: cell {cell} disabled by crossbar {patch.crossbar}",),
-                    suspended=True,
-                )
-
     sim = _Simulator(timing)
     for step in table.steps:
         sim.run_step(step)
@@ -442,110 +416,3 @@ def default_step_table() -> StepTable:
     """The shipped unit-cell cycle program (see module docstring)."""
     text = resources.files("spiderweb.data").joinpath("unit_cell_cycle.steps").read_text("utf-8")
     return step_table_from_text(text)
-
-
-# ---------------------------------------------------------------------------
-# Array initialization
-
-def initialization_schedule(cfg: ArrayConfig) -> EventTrace:
-    """Two-phase electron loading of a unit cell.
-
-    Each full operation region first initializes a data qubit (shuttled to
-    its idle vertex), then the cycle ancilla (shuttled likewise) and finally
-    the readout ancilla, which stays resident at the region's sensing dot.
-    Every idle vertex is populated exactly once.
-    """
-    validate_config(cfg).raise_if_invalid()
-    plan = (("op1", "D1", "A1", "RO1"), ("op2", "D2", "A2", "RO2"))
-    events: list[Event] = []
-    # Phase 1: data qubits, all regions in parallel.
-    for region, data, _anc, _ro in plan:
-        events.append(Event(0.0, 1, data, "load", region))
-        events.append(Event(1.0, 1, data, "shuttle_back", _channel(data, region)))
-    # Phase 2: cycle ancillas, then the resident readout ancillas.
-    for region, _data, anc, ro in plan:
-        events.append(Event(2.0, 2, anc, "load", region))
-        events.append(Event(3.0, 2, anc, "shuttle_back", _channel(anc, region)))
-        events.append(Event(4.0, 2, ro, "load", region))
-    counters = {
-        "qubit_loads": 4,
-        "readout_ancilla_loads": len(plan),
-        "idle_regions_populated": 4,
-    }
-    return EventTrace(tuple(events), counters, makespan_s=4.0)
-
-
-# ---------------------------------------------------------------------------
-# Crossbar patch addressing
-
-@dataclass(frozen=True)
-class PatchRect:
-    """A rectangle of unit cells disabled through one crossbar.
-
-    Row/column ranges are half-open, in unit-cell coordinates.
-    """
-
-    row_start: int
-    row_stop: int
-    col_start: int
-    col_stop: int
-    crossbar: int
-
-    def validate(self, plane_edge_cells: int | None = None) -> None:
-        if self.row_start >= self.row_stop or self.col_start >= self.col_stop:
-            raise PatchError(f"empty patch rectangle {self}")
-        if self.row_start < 0 or self.col_start < 0:
-            raise PatchError(f"patch rectangle {self} has negative coordinates")
-        if plane_edge_cells is not None and (
-            self.row_stop > plane_edge_cells or self.col_stop > plane_edge_cells
-        ):
-            raise PatchError(
-                f"patch rectangle {self} exceeds the {plane_edge_cells}-cell plane edge"
-            )
-
-    def contains(self, cell: tuple[int, int]) -> bool:
-        row, col = cell
-        return self.row_start <= row < self.row_stop and self.col_start <= col < self.col_stop
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return tuple(range(self.row_start, self.row_stop))
-
-    @property
-    def cols(self) -> tuple[int, ...]:
-        return tuple(range(self.col_start, self.col_stop))
-
-
-@dataclass(frozen=True)
-class CrossbarAssignment:
-    active_rows: dict[int, tuple[int, ...]]   # crossbar -> row lines driven
-    active_cols: dict[int, tuple[int, ...]]   # crossbar -> column lines driven
-    disabled_cells: frozenset[tuple[int, int]]
-
-
-def patches_to_crossbars(patches: tuple[PatchRect, ...] | list[PatchRect], cfg: ArrayConfig) -> CrossbarAssignment:
-    """Map patch rectangles onto crossbar row/column lines.
-
-    With no patches nothing is disabled and the error-correction cycle runs
-    on the whole array.  At most ``cfg.crossbars`` patches may be active at
-    once, each on its own crossbar.
-    """
-    validate_config(cfg).raise_if_invalid()
-    if len(patches) > cfg.crossbars:
-        raise PatchError(
-            f"{len(patches)} patches requested but only {cfg.crossbars} crossbar(s) available"
-        )
-    edge = cfg.plane_edge_cells
-    rows: dict[int, tuple[int, ...]] = {}
-    cols: dict[int, tuple[int, ...]] = {}
-    disabled: set[tuple[int, int]] = set()
-    for patch in patches:
-        patch.validate(edge)
-        if not 0 <= patch.crossbar < cfg.crossbars:
-            raise PatchError(f"crossbar index {patch.crossbar} out of range 0..{cfg.crossbars - 1}")
-        if patch.crossbar in rows:
-            raise PatchError(f"crossbar {patch.crossbar} assigned to more than one patch")
-        rows[patch.crossbar] = patch.rows
-        cols[patch.crossbar] = patch.cols
-        disabled.update((r, c) for r in patch.rows for c in patch.cols)
-    return CrossbarAssignment(rows, cols, frozenset(disabled))

@@ -62,12 +62,14 @@ def parse_quantity(text: str) -> float:
         raise ValueError(f"cannot parse quantity {text!r}")
     number, suffix = m.groups()
     value = float(number)
-    if not suffix:
-        return value
-    key = _normalize_suffix(suffix)
-    if key not in _SUFFIXES:
-        raise ValueError(f"unknown unit suffix {suffix!r} in {text!r}")
-    return value * _SUFFIXES[key]
+    if suffix:
+        key = _normalize_suffix(suffix)
+        if key not in _SUFFIXES:
+            raise ValueError(f"unknown unit suffix {suffix!r} in {text!r}")
+        value *= _SUFFIXES[key]
+    if not math.isfinite(value):
+        raise ValueError(f"quantity {text!r} is out of range")
+    return value
 
 
 def parse_int(text: str) -> int:

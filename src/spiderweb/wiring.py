@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfigError
-from .model import ArrayConfig, derive_geometry, validate_config
+from .model import ArrayConfig, default_gate_inventory, derive_geometry, validate_config
 
 __all__ = [
     "LEVELS",
@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 LEVELS = ("unit_cell", "module", "quantum_plane")
+
+# Every pulsed gate of the unit cell has its own globally shared signal line.
+_PULSED_LINES = default_gate_inventory().pulsed_total
 
 
 @dataclass(frozen=True)
@@ -88,15 +91,15 @@ def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
     x = cfg.crossbars
 
     if level == "unit_cell":
-        return LineCount("unit_cell", 9, 4, 58, 4 * x, 3)
+        return LineCount("unit_cell", 9, 4, _PULSED_LINES, 4 * x, 3)
     if level == "module":
         return LineCount(
-            "module", 4 * n_b + 5, 4, 58, 4 * n_b * x,
+            "module", 4 * n_b + 5, 4, _PULSED_LINES, 4 * n_b * x,
             2 * log2_nr - log2_r + 1,
         )
     if level == "quantum_plane":
         return LineCount(
-            "quantum_plane", m_b**2 + 4 * n_b + 4, 4, 58, 4 * n_b * m_b * x,
+            "quantum_plane", m_b**2 + 4 * n_b + 4, 4, _PULSED_LINES, 4 * n_b * m_b * x,
             m_r**2 + 2 * log2_nr - log2_r,
         )
     raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")

@@ -87,6 +87,15 @@ class TestReport:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("override", ["x=1e400", "d=1e400m", "w=1e400"])
+    def test_out_of_range_value_exits_1(self, capsys, override):
+        code, out, err = run(capsys, "report", "--set", override)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "report", "--format", "json", "--out", str(target))
@@ -158,13 +167,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--corrupt", "sp-sign")
         assert code == 2
         assert "FAIL" in out
-
-    def test_dump_unitary_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "--dump-unitary", "sqrt_swap")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["gate"] == "sqrt_swap"
-        assert doc["matrix"][1][1] == [0.5, 0.5]
 
     def test_json_residual_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--json")

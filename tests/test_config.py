@@ -161,6 +161,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigParseError, match="array.qubit_pitch"):
             load_config(overrides=["d=quick"])
 
+    def test_bad_value_names_override_or_file_line(self, tmp_path):
+        with pytest.raises(ConfigParseError) as err:
+            load_config(overrides=["w=abc"])
+        assert str(err.value).startswith("override 'w=abc': bad value for interconnect.line_width")
+        assert err.value.line is None
+        path = tmp_path / "design.cfg"
+        path.write_text("[interconnect]\nw = abc\n")
+        with pytest.raises(ConfigParseError) as err:
+            load_config(str(path))
+        assert str(err.value).startswith("line 2: bad value for interconnect.line_width")
+        assert err.value.line == 2
+
     def test_fractional_nanometre_rejected(self):
         with pytest.raises(ConfigParseError, match="nanometre"):
             load_config(overrides=["gate_pitch=0.5nm"])

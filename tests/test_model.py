@@ -1,5 +1,6 @@
 import pytest
 
+from spiderweb.electronics import demux_clock
 from spiderweb.errors import InvalidConfigError
 from spiderweb.model import (
     ArrayConfig,
@@ -9,6 +10,7 @@ from spiderweb.model import (
     derive_geometry,
     validate_config,
 )
+from spiderweb.wiring import LEVELS, lines_at
 
 REFERENCE = ArrayConfig()
 
@@ -129,6 +131,12 @@ class TestGateInventory:
         assert inv.fine_total == sum(r.regions_per_unit_cell * r.fine_gates for r in inv.rows)
         assert inv.coarse_total == sum(r.regions_per_unit_cell * r.coarse_gates for r in inv.rows)
         assert inv.pulsed_total == sum(r.regions_per_unit_cell * r.pulsed_gates for r in inv.rows)
+
+    def test_line_and_clock_counts_follow_inventory(self):
+        inv = default_gate_inventory()
+        for level in LEVELS:
+            assert lines_at(level, REFERENCE).pulsed_mw == inv.pulsed_total
+        assert demux_clock(REFERENCE, 1.0) == inv.dc_biased_total * REFERENCE.bias_module_edge**2
 
     def test_alternate_inventory_is_recomputed(self):
         inv = GateInventory((RegionGates("custom", 3, 2, 1, 5),))

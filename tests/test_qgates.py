@@ -95,7 +95,7 @@ class TestExpand:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_kron_permutation_oracle(self, n):
-        # independent construction: act on the two leading qubits, then
+        # independent construction: act on the k leading qubits, then
         # conjugate with the bit-permutation matrix
         def perm_matrix(order):
             dim = 1 << n
@@ -108,11 +108,20 @@ class TestExpand:
                 p[new, b] = 1.0
             return p
 
-        for u in (gate("sqrt_swap"), gate("cnot")):
-            for targets in itertools.permutations(range(1, n + 1), 2):
+        def random_unitary(k):
+            dim = 1 << k
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            return q
+
+        rng = np.random.default_rng(20261017 + n)
+        gates = (gate("h"), random_unitary(1), gate("sqrt_swap"), gate("cnot"),
+                 random_unitary(2), random_unitary(3))
+        for u in gates:
+            k = u.shape[0].bit_length() - 1
+            for targets in itertools.permutations(range(1, n + 1), k):
                 rest = [q for q in range(n) if q + 1 not in targets]
-                p = perm_matrix([targets[0] - 1, targets[1] - 1] + rest)
-                reference = p.T @ np.kron(u, np.eye(1 << (n - 2))) @ p
+                p = perm_matrix([t - 1 for t in targets] + rest)
+                reference = p.T @ np.kron(u, np.eye(1 << (n - k))) @ p
                 assert np.max(np.abs(expand(u, n, targets) - reference)) < 1e-14
 
 

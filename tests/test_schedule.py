@@ -2,22 +2,19 @@ import random
 
 import pytest
 
-from spiderweb.errors import PatchError, ScheduleConflictError
+from spiderweb.errors import ScheduleConflictError
 from spiderweb.model import ArrayConfig
 from spiderweb.schedule import (
     CYCLE_EXCHANGES,
     CYCLE_ONE_QUBIT_GATES,
     CYCLE_SHUTTLES,
     HOME_QUBITS,
-    PatchRect,
     SoloGate,
     Step,
     StepTable,
     TimingParams,
     cycle_time,
     default_step_table,
-    initialization_schedule,
-    patches_to_crossbars,
     simulate_cycle,
     step_table_from_text,
     step_table_to_text,
@@ -107,7 +104,6 @@ class TestSimulation:
     def test_conflict_free_and_exact_makespan(self):
         trace = simulate_cycle(default_step_table(), TIMING)
         assert trace.makespan_s == cycle_time(TIMING, REFERENCE, "parallel").total_s
-        assert not trace.suspended
 
     def test_makespan_matches_formula_for_random_timings(self):
         rng = random.Random(42)
@@ -173,98 +169,6 @@ class TestSimulation:
         assert lines[0] == "time_s,step,qubit,op,resource"
         assert len(lines) == len(trace.events) + 1
         assert all(line.count(",") == 4 for line in lines)
-
-
-class TestInitialization:
-    def test_loads_and_population(self):
-        trace = initialization_schedule(REFERENCE)
-        assert trace.counters["qubit_loads"] == 4
-        assert trace.counters["readout_ancilla_loads"] == 2
-        assert trace.counters["idle_regions_populated"] == 4
-
-    def test_data_loaded_before_ancillas_per_region(self):
-        trace = initialization_schedule(REFERENCE)
-        loads: dict[str, list[tuple[str, float]]] = {}
-        for event in trace.events:
-            if event.op == "load":
-                loads.setdefault(event.resource, []).append((event.qubit, event.time_s))
-        for region, entries in loads.items():
-            data_times = [t for q, t in entries if q.startswith("D")]
-            ancilla_times = [t for q, t in entries if not q.startswith("D")]
-            assert data_times and ancilla_times
-            assert max(data_times) < min(ancilla_times), region
-
-    def test_each_home_qubit_loaded_once(self):
-        trace = initialization_schedule(REFERENCE)
-        loaded = [e.qubit for e in trace.events if e.op == "load" and e.qubit in HOME_QUBITS]
-        assert sorted(loaded) == sorted(HOME_QUBITS)
-
-
-class TestPatches:
-    def test_single_rectangle(self):
-        cfg = REFERENCE.with_updates(crossbars=1)
-        assignment = patches_to_crossbars([PatchRect(0, 2, 4, 7, 0)], cfg)
-        assert assignment.active_rows[0] == (0, 1)
-        assert assignment.active_cols[0] == (4, 5, 6)
-        assert len(assignment.disabled_cells) == 6
-
-    def test_zero_patches_disable_nothing(self):
-        assignment = patches_to_crossbars([], REFERENCE)
-        assert assignment.disabled_cells == frozenset()
-        assert assignment.active_rows == {}
-
-    def test_more_patches_than_crossbars_rejected(self):
-        cfg = REFERENCE.with_updates(crossbars=1)
-        patches = [PatchRect(0, 1, 0, 1, 0), PatchRect(2, 3, 2, 3, 1)]
-        with pytest.raises(PatchError, match="1 crossbar"):
-            patches_to_crossbars(patches, cfg)
-
-    def test_out_of_bounds_rejected(self):
-        cfg = REFERENCE.with_updates(crossbars=1)
-        with pytest.raises(PatchError, match="plane edge"):
-            patches_to_crossbars([PatchRect(0, 1, 0, 10_000, 0)], cfg)
-
-    def test_duplicate_crossbar_rejected(self):
-        cfg = REFERENCE.with_updates(crossbars=2)
-        patches = [PatchRect(0, 1, 0, 1, 0), PatchRect(2, 3, 2, 3, 0)]
-        with pytest.raises(PatchError, match="more than one patch"):
-            patches_to_crossbars(patches, cfg)
-
-    def test_overlapping_patches_union(self):
-        cfg = REFERENCE.with_updates(crossbars=2)
-        assignment = patches_to_crossbars(
-            [PatchRect(0, 2, 0, 2, 0), PatchRect(1, 3, 1, 3, 1)], cfg
-        )
-        assert len(assignment.disabled_cells) == 7  # 4 + 4 - 1 overlap
-
-    def test_disabled_cell_cycle_is_suspended(self):
-        cfg = REFERENCE.with_updates(crossbars=1)
-        patches = (PatchRect(0, 2, 4, 7, 0),)
-        trace = simulate_cycle(default_step_table(), TIMING, cell=(1, 5), patches=patches, cfg=cfg)
-        assert trace.suspended
-        assert trace.events == ()
-        assert any("disabled by crossbar 0" in a for a in trace.annotations)
-
-    def test_enabled_cell_cycle_runs_normally(self):
-        cfg = REFERENCE.with_updates(crossbars=1)
-        patches = (PatchRect(0, 2, 4, 7, 0),)
-        trace = simulate_cycle(default_step_table(), TIMING, cell=(9, 9), patches=patches, cfg=cfg)
-        assert not trace.suspended
-        assert trace.counters == default_step_table().census()
-
-    def test_no_disabled_channel_touched_over_random_patches(self):
-        rng = random.Random(99)
-        cfg = REFERENCE.with_updates(crossbars=4)
-        table = default_step_table()
-        for _ in range(25):
-            r0, c0 = rng.randrange(0, 500), rng.randrange(0, 500)
-            patch = PatchRect(r0, r0 + rng.randrange(1, 8), c0, c0 + rng.randrange(1, 8), 0)
-            inside = (patch.row_start, patch.col_start)
-            outside = (patch.row_stop + 1, patch.col_stop + 1)
-            suspended = simulate_cycle(table, TIMING, cell=inside, patches=(patch,), cfg=cfg)
-            assert suspended.suspended and suspended.events == ()
-            running = simulate_cycle(table, TIMING, cell=outside, patches=(patch,), cfg=cfg)
-            assert not running.suspended
 
 
 class TestStepTableFormat:
