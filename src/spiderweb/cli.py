@@ -5,21 +5,20 @@ value list), ``verify`` (gate-algebra and schedule verification),
 ``simulate`` (cycle simulation with event-trace export), and ``dump-unitary``
 (one gate matrix as JSON).
 
-Exit codes: 0 success, 1 config error, 2 verification failure.
+Exit codes: 0 success, 1 config or usage error, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
 import sys
 
-import numpy as np
-
-from . import qgates, schedule
+from . import schedule
 from .config import KNOWN_KEYS, ToolConfig, load_config
 from .errors import ScheduleConflictError, SpiderwebError
 from .report import SWEEP_FIELDS, build_report, render_text, sweep_record
@@ -28,6 +27,25 @@ from .units import parse_quantity, si_format
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
+
+
+def _lazy_import(name: str):
+    """Register module ``name`` in ``sys.modules`` now, but execute it only on
+    first attribute access."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# The gate algebra needs numpy; only ``verify`` and ``dump-unitary`` load it.
+qgates = _lazy_import(f"{__package__}.qgates")
 
 
 def _common_options(parser: argparse.ArgumentParser) -> None:
@@ -64,7 +82,7 @@ def _cmd_report(args) -> int:
     config, pinned = _load(args)
     doc = build_report(config, pinned_parasitic_f=pinned)
     if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -97,7 +115,7 @@ def _cmd_sweep(args) -> int:
         pinned = parse_quantity(args.pin_cp) if args.pin_cp else None
         records.append(sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned))
     if args.format == "json":
-        _emit(args, json.dumps(records, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(records, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SWEEP_FIELDS)
@@ -155,7 +173,8 @@ def _cmd_verify(args) -> int:
 
     all_ok = all(c["passed"] for c in checks)
     if args.format == "json":
-        _emit(args, json.dumps({"passed": all_ok, "checks": checks}, indent=2, sort_keys=True) + "\n")
+        doc = {"passed": all_ok, "checks": checks}
+        _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         width = max(len(str(c["check"])) for c in checks)
         lines = []
@@ -188,7 +207,7 @@ def _cmd_simulate(args) -> int:
                 for e in trace.events
             ],
         }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:
         lines = [
             f"steps               {trace.counters['steps']}",
@@ -210,9 +229,9 @@ def _cmd_dump_unitary(args) -> int:
         "gate": args.gate,
         "params": params,
         "dim": matrix.shape[0],
-        "matrix": [[[float(np.real(v)), float(np.imag(v))] for v in row] for row in matrix],
+        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in matrix],
     }
-    _emit(args, json.dumps(doc, indent=2) + "\n")
+    _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -257,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a failed verification
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (SpiderwebError, ValueError, OSError) as exc:

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import sqrt
 
-from scipy.constants import e as ELECTRON_CHARGE
-from scipy.constants import k as BOLTZMANN
-
 from .model import ArrayConfig, GateInventory, default_gate_inventory
+
+ELECTRON_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
+BOLTZMANN = 1.380649e-23  # J/K, exact in the SI since 2019
 
 __all__ = [
     "ElectronicsParams",

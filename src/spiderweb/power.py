@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import log, pi, sqrt
 
-from scipy.constants import c as LIGHT_SPEED
-from scipy.constants import epsilon_0 as VACUUM_PERMITTIVITY
-
 from .electronics import ElectronicsParams, refresh_rate
 from .model import ArrayConfig, derive_geometry
+
+LIGHT_SPEED = 299792458.0  # m/s, exact by definition of the metre
+VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m, CODATA 2022 recommended value
 
 __all__ = [
     "FRINGE_MODES",

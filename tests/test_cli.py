@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spiderweb
 from spiderweb.cli import main
 
 REPORT_DEFAULT_JSON = ["report", "--format", "json"]
@@ -225,3 +230,57 @@ class TestDumpUnitary:
         code, _, err = run(capsys, "dump-unitary", "toffoli")
         assert code == 1
         assert "unknown gate" in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("report", "--bogus"),
+        ("sweep", "x"),
+        ("verify", "--dump-unitary", "sp"),
+    ], ids=["unknown-flag", "sweep-without-values", "verify-dump-unitary"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "usage:" in out
+
+    def test_non_finite_json_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "report", "--set", "w=1e308", "--set", "h=1e308", "--format", "json",
+        )
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from spiderweb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (["report"], ["sweep", "x", "0,1"], ["simulate"])]
+heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+registered = "spiderweb.qgates" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    verify = cli.main(["verify"])
+print(json.dumps({"codes": codes, "heavy": heavy, "registered": registered, "verify": verify}))
+"""
+
+
+def test_numpy_loads_only_for_gate_algebra():
+    env = dict(os.environ, PYTHONPATH=str(Path(spiderweb.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0]
+    assert result["heavy"] == []
+    # The benchmark's tracer looks up sys.modules["spiderweb.qgates"] when it
+    # installs, also in workloads that never run verify.
+    assert result["registered"]
+    assert result["verify"] == 0

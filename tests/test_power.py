@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+import scipy.constants
 from scipy.constants import epsilon_0
 
+from spiderweb import electronics, power
 from spiderweb.electronics import ElectronicsParams
 from spiderweb.model import ArrayConfig
 from spiderweb.power import (
@@ -18,6 +20,16 @@ from spiderweb.power import (
 REFERENCE = ArrayConfig()
 GRID = InterconnectGrid()
 ELEC = ElectronicsParams()
+
+
+@pytest.mark.parametrize("literal, reference", [
+    (electronics.ELECTRON_CHARGE, "e"),
+    (electronics.BOLTZMANN, "k"),
+    (power.LIGHT_SPEED, "c"),
+    (power.VACUUM_PERMITTIVITY, "epsilon_0"),
+], ids=["e", "k", "c", "epsilon_0"])
+def test_constant_literals_match_scipy(literal, reference):
+    assert literal == getattr(scipy.constants, reference)
 
 
 def crossing_capacitance_oracle(w, h, d2, eps_r):
