@@ -15,12 +15,14 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import sys
 
 from . import schedule
 from .config import KNOWN_KEYS, ToolConfig, load_config
 from .errors import ScheduleConflictError, SpiderwebError
+from .model import validate_config
 from .report import SWEEP_FIELDS, build_report, render_text, sweep_record
 from .units import parse_quantity, si_format
 
@@ -81,13 +83,17 @@ def _load(args) -> tuple[ToolConfig, float | None]:
 def _cmd_report(args) -> int:
     config, pinned = _load(args)
     doc = build_report(config, pinned_parasitic_f=pinned)
+    flat = _flatten(doc)
+    for key, value in flat.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"report value {key} is not finite ({value})")
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
-        for key, value in sorted(_flatten(doc).items()):
+        for key, value in sorted(flat.items()):
             writer.writerow([key, value])
         _emit(args, buf.getvalue())
     else:
@@ -128,6 +134,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     config, _ = _load(args)
+    validate_config(config.array).raise_if_invalid()
     checks: list[dict[str, object]] = []
 
     for check in qgates.verify_identities(corrupt=args.corrupt):

@@ -146,7 +146,6 @@ def footprint(cfg: ArrayConfig, params: ElectronicsParams, inventory: GateInvent
     through the feasibility flag rather than raised, so sweeps can chart the
     infeasible region.
     """
-    params.validate()
     hold_c = (
         inventory.fine_total * min_hold_capacitance("fine", params)
         + inventory.coarse_total * min_hold_capacitance("coarse", params)

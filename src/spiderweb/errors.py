@@ -26,14 +26,15 @@ class ConfigParseError(SpiderwebError):
 
 
 class ScheduleConflictError(SpiderwebError):
-    """A step table over-subscribes a shared resource."""
+    """A step table over-subscribes a shared resource or puts a qubit in two regions at once."""
 
-    def __init__(self, step: int, resource: str, occupants: tuple[str, ...], capacity: int):
+    def __init__(self, step: int, resource: str, occupants: tuple[str, ...], capacity: int,
+                 detail: str = ""):
         self.step = step
         self.resource = resource
         self.occupants = occupants
         self.capacity = capacity
-        super().__init__(
-            f"step {step}: resource {resource!r} holds {len(occupants)} electrons "
+        super().__init__(f"step {step}: " + (detail or (
+            f"resource {resource!r} holds {len(occupants)} electrons "
             f"({', '.join(occupants)}), capacity {capacity}"
-        )
+        )))

@@ -4,8 +4,8 @@ The quantum plane is a square lattice of four-qubit unit cells.  Unit cells
 are grouped into modules twice over: DC-biasing modules (``bias_module_edge``
 cells on a side, ``bias_grid_edge`` modules on a side) and readout modules
 (``readout_module_edge`` / ``readout_grid_edge``).  Both tilings must cover
-the same plane, and a readout module must be exactly covered by the
-sequential/parallel readout split.
+the same plane, and a readout module, whose edge must be a power of two,
+must be exactly covered by the sequential/parallel readout split.
 
 Lengths that enter pitch arithmetic (qubit pitch, gate pitch, interconnect
 pitch) are stored as integer nanometres so derived counts stay exact;
@@ -80,9 +80,9 @@ class ValidationReport:
 
 
 def validate_config(cfg: ArrayConfig) -> ValidationReport:
-    """Collect every violated invariant; an empty report means consistent.
-
-    Validation never raises; callers that need a hard failure use
+    """Collect every violated invariant, the readout power-of-two rule of the
+    wiring ``log2`` terms included; every model function assumes a config
+    with an empty report.  Validation never raises; callers that need a hard failure use
     :meth:`ValidationReport.raise_if_invalid`.
     """
     v: list[str] = []
@@ -121,6 +121,13 @@ def validate_config(cfg: ArrayConfig) -> ValidationReport:
             f"readout_module_edge^2 = {cells} != "
             f"sequential_readouts*parallel_readouts = {split}"
         )
+    # parallel_readouts needs no check: it divides n_r^2 = 4^k, so it is 2^j
+    n_r = cfg.readout_module_edge
+    if not v and n_r & (n_r - 1):
+        v.append(
+            "readout_module_edge must be a power of two so readout address-line "
+            f"counts are integral (got {n_r})"
+        )
     return ValidationReport(tuple(v))
 
 
@@ -153,7 +160,6 @@ def derive_geometry(cfg: ArrayConfig) -> GeometrySummary:
     per side spans an edge of 2*pitch*E, an area of (2*pitch*E)^2 and a
     perimeter of 8*pitch*E.
     """
-    validate_config(cfg).raise_if_invalid()
     edge_cells = cfg.plane_edge_cells
     unit_cells = edge_cells**2
     plane_edge = 2.0 * cfg.qubit_pitch_m * edge_cells

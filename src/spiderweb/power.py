@@ -94,7 +94,6 @@ def parasitic_capacitance(grid: InterconnectGrid) -> GridCapacitance:
     be switched off entirely.  Crossing capacitance is a plate term plus a
     quadratic thickness correction.
     """
-    grid.validate()
     eps = grid.eps_r * VACUUM_PERMITTIVITY
     w, h = grid.line_width_m, grid.line_thickness_m
     gap, dielectric = grid.line_gap_m, grid.dielectric_thickness_m
@@ -192,7 +191,6 @@ def transmission_line_power(signals: SignalParams) -> TransmissionLineResult:
     reported so the quadratic amplitude-frequency scaling can be compared
     directly across geometries.
     """
-    signals.validate()
     if signals.line_length_m is None:
         raise ValueError("line length unresolved; call SignalParams.resolved(cfg) first")
     length = signals.line_length_m

@@ -24,6 +24,8 @@ __all__ = ["build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
 def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, Any]:
     cfg = config.array
     validate_config(cfg).raise_if_invalid()
+    for section in (config.electronics, config.timing, config.interconnect, config.signals):
+        section.validate()
     inventory = default_gate_inventory()
     geometry = derive_geometry(cfg)
     lines = {level: wiring.lines_at(level, cfg).to_dict() for level in wiring.LEVELS}
@@ -201,19 +203,14 @@ def sweep_record(
     record: dict[str, Any] = {f: None for f in SWEEP_FIELDS}
     record["parameter"] = parameter
     record["value"] = raw_value
-    report_check = validate_config(config.array)
-    record["valid"] = report_check.ok
-    record["violations"] = "; ".join(report_check.violations)
-    if not report_check.ok:
-        return record
     try:
         doc = build_report(config, pinned_parasitic_f=pinned_parasitic_f)
     except InvalidConfigError as exc:
-        # e.g. a swept readout edge that is not a power of two
-        record["valid"] = False
-        record["violations"] = str(exc)
+        record.update(valid=False, violations=str(exc))
         return record
     record.update(
+        valid=True,
+        violations="",
         unit_cells=doc["geometry"]["unit_cells"],
         lines_unit_cell=doc["lines"]["unit_cell"]["total"],
         lines_quantum_plane=doc["lines"]["quantum_plane"]["total"],

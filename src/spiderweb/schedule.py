@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import ScheduleConflictError
-from .model import ArrayConfig, validate_config
+from .model import ArrayConfig
 
 __all__ = [
     "CYCLE_EXCHANGES",
@@ -216,6 +216,12 @@ class _Simulator:
             regions.setdefault(region, []).append(qubit)
             channels.setdefault(_channel(qubit, region), []).append(qubit)
         _check_window(step_index, regions, channels)
+        if len({q for q, _ in movers}) < len(movers):  # channels passed, so regions differ
+            qubits = [q for q, _ in movers]
+            qubit = next(q for q in qubits if qubits.count(q) > 1)
+            places = tuple(r for q, r in movers if q == qubit)
+            detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
+            raise ScheduleConflictError(step_index, qubit, places, 1, detail)
 
         start = self.now()
         for qubit, region in movers:
@@ -276,8 +282,8 @@ class _Simulator:
 def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     """Execute the step table, checking resource capacities window by window.
 
-    A capacity violation raises :class:`ScheduleConflictError` naming the
-    step and resource.
+    A capacity violation, or one qubit in two regions in one window, raises
+    :class:`ScheduleConflictError` naming the step and resource.
     """
     sim = _Simulator(timing)
     for step in table.steps:
@@ -307,8 +313,6 @@ def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "para
     group; mixed: one window per sequential readout slot of the q*r split.
     Also reports how many cycles fit into the dephasing time.
     """
-    timing.validate()
-    validate_config(cfg).raise_if_invalid()
     if readout_mode not in READOUT_MODES:
         raise ValueError(f"unknown readout mode {readout_mode!r}; expected one of {READOUT_MODES}")
     readout_multiplier = {

@@ -6,8 +6,9 @@ operation crossbars, and readout.  Counts are evaluated at three levels:
 a single unit cell, one module, and the full quantum plane boundary.
 
 Readout counts contain log2 terms because sequential readout addressing uses
-binary decoders; the readout module edge and the parallel-readout factor must
-therefore be powers of two so the counts are physical (integral).
+binary decoders, so the readout module edge must be a power of two.  That rule
+lives in :func:`spiderweb.model.validate_config`; the functions here assume a
+configuration that passes it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError
-from .model import ArrayConfig, default_gate_inventory, derive_geometry, validate_config
+from .model import ArrayConfig, default_gate_inventory, derive_geometry
 
 __all__ = [
     "LEVELS",
@@ -62,15 +62,6 @@ class LineCount:
         }
 
 
-def _log2_int(value: int, name: str) -> int:
-    if value < 1 or value & (value - 1):
-        raise InvalidConfigError(
-            (f"{name} must be a power of two so readout address-line counts "
-             f"are integral (got {value})",),
-        )
-    return value.bit_length() - 1
-
-
 def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
     """Local connection count at one level of the array hierarchy.
 
@@ -82,9 +73,8 @@ def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
     enable lines, crossbar lines, voltage-source feeds and drain lines scale
     with the module edge and grid size.
     """
-    validate_config(cfg).raise_if_invalid()
-    log2_nr = _log2_int(cfg.readout_module_edge, "readout_module_edge")
-    log2_r = _log2_int(cfg.parallel_readouts, "parallel_readouts")
+    log2_nr = cfg.readout_module_edge.bit_length() - 1
+    log2_r = cfg.parallel_readouts.bit_length() - 1
     n_b = cfg.bias_module_edge
     m_b = cfg.bias_grid_edge
     m_r = cfg.readout_grid_edge
@@ -145,6 +135,4 @@ def max_fab_crossbars(cfg: ArrayConfig) -> int:
     unit-cell perimeter; each crossbar's 4 lines cross that perimeter twice,
     so 8 routed lines are consumed per crossbar.
     """
-    if cfg.interconnect_pitch_nm <= 0:
-        raise ValueError("interconnect pitch must be positive")
     return (cfg.qubit_pitch_nm * cfg.metal_layers) // cfg.interconnect_pitch_nm

@@ -92,7 +92,9 @@ class TestReport:
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("override", ["x=1e400", "d=1e400m", "w=1e400"])
+    @pytest.mark.parametrize(
+        "override", ["x=1e400", "d=1e400m", "w=1e400", "dv_fine=0", "dv_coarse=0"],
+    )
     def test_out_of_range_value_exits_1(self, capsys, override):
         code, out, err = run(capsys, "report", "--set", override)
         assert code == 1
@@ -161,6 +163,12 @@ class TestSweep:
         assert code == 1
         assert "unknown key" in err
 
+    def test_zero_resolution_exits_1(self, capsys):
+        code, out, err = run(capsys, "sweep", "dv_fine", "1uV,0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: fine_resolution_v must be strictly positive (got 0.0)\n"
+
 
 class TestVerify:
     def test_clean_build_passes(self, capsys):
@@ -188,6 +196,12 @@ class TestVerify:
             "schedule:conflict-free",
         }
 
+    def test_invalid_array_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--set", "n_b=7")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bias and readout tilings cover different plane edges")
+
 
 class TestSimulate:
     def test_summary(self, capsys):
@@ -209,6 +223,18 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--table", str(table))
         assert code == 2
         assert "step 1" in err and "op1" in err
+
+    @pytest.mark.parametrize("line", [
+        "1 one_qubit D1@op1:x D1@op2:x",
+        "1 two_qubit D1+A1@op1:rz=D1 D1+A2@op2:rz=A2",
+    ], ids=["one-qubit", "two-pairs"])
+    def test_qubit_in_two_regions_exits_2(self, capsys, tmp_path, line):
+        table = tmp_path / "twice.steps"
+        table.write_text(line + "\n")
+        code, out, err = run(capsys, "simulate", "--table", str(table))
+        assert code == 2
+        assert out == ""
+        assert err == "schedule conflict: step 1: qubit 'D1' is in 2 regions (op1, op2) in one window\n"
 
 
 class TestDumpUnitary:
@@ -249,14 +275,21 @@ class TestExitCodes:
         assert code == 0
         assert "usage:" in out
 
-    def test_non_finite_json_exits_1(self, capsys):
-        code, out, err = run(
-            capsys, "report", "--set", "w=1e308", "--set", "h=1e308", "--format", "json",
-        )
+    @pytest.mark.parametrize("overrides, key", [
+        (["w=1e308", "h=1e308"], "power.grid_parasitic_f"),
+        (["t_sh=0", "t_1q=0", "t_sw=0", "t_r=0", "t2_star=0"], "timing.parallel.coherence_ratio"),
+    ], ids=["wide-grid", "zero-timing"])
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_non_finite_report_exits_1(self, capsys, fmt, overrides, key):
+        argv = ["report", "--format", fmt]
+        for override in overrides:
+            argv += ["--set", override]
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: report value {key} is not finite (inf)")
 
 
 _IMPORT_PROBE = """

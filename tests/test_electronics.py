@@ -2,6 +2,7 @@ import pytest
 from scipy.constants import e as ELECTRON_CHARGE
 from scipy.constants import k as BOLTZMANN
 
+from spiderweb.config import ToolConfig
 from spiderweb.electronics import (
     ElectronicsParams,
     demux_clock,
@@ -10,6 +11,7 @@ from spiderweb.electronics import (
     refresh_rate,
 )
 from spiderweb.model import ArrayConfig, GateInventory, RegionGates, default_gate_inventory
+from spiderweb.report import build_report
 
 REFERENCE = ArrayConfig()
 PARAMS = ElectronicsParams()
@@ -131,4 +133,6 @@ class TestFootprint:
     def test_invalid_params_rejected(self):
         bad = PARAMS.with_updates(fine_resolution_v=2e-3)  # above coarse resolution
         with pytest.raises(ValueError, match="fine resolution"):
-            footprint(REFERENCE, bad, INVENTORY)
+            bad.validate()
+        with pytest.raises(ValueError, match="fine resolution"):
+            build_report(ToolConfig(electronics=bad))

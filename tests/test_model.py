@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spiderweb.config import ToolConfig
 from spiderweb.electronics import demux_clock
 from spiderweb.errors import InvalidConfigError
 from spiderweb.model import (
@@ -10,6 +13,7 @@ from spiderweb.model import (
     derive_geometry,
     validate_config,
 )
+from spiderweb.report import build_report
 from spiderweb.wiring import LEVELS, lines_at
 
 REFERENCE = ArrayConfig()
@@ -82,8 +86,55 @@ def test_single_cell_geometry():
 
 
 def test_geometry_rejects_invalid_config():
-    with pytest.raises(InvalidConfigError):
-        derive_geometry(REFERENCE.with_updates(readout_grid_edge=100))
+    # the array is checked once, at the report boundary, before any geometry
+    config = ToolConfig(array=REFERENCE.with_updates(readout_grid_edge=100))
+    with pytest.raises(InvalidConfigError, match="different plane edges"):
+        build_report(config)
+
+
+@st.composite
+def small_arrays(draw) -> ArrayConfig:
+    """Small arrays, biased so that the two tilings and the readout split often match."""
+    small = st.integers(-1, 8)
+    n_b, m_b, n_r = draw(small), draw(small), draw(small)
+    tiles = n_r > 0 and (n_b * m_b) % n_r == 0
+    m_r = (n_b * m_b) // n_r if tiles and draw(st.booleans()) else draw(small)
+    cells = max(n_r * n_r, 1)
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([k for k in range(1, cells + 1) if cells % k == 0]))
+        r = cells // q
+    else:
+        q, r = draw(small), draw(small)
+    return ArrayConfig(
+        qubit_pitch_nm=draw(st.integers(0, 20_000)),
+        gate_pitch_nm=draw(st.integers(0, 100)),
+        bias_module_edge=n_b,
+        bias_grid_edge=m_b,
+        readout_module_edge=n_r,
+        readout_grid_edge=m_r,
+        sequential_readouts=q,
+        parallel_readouts=r,
+        crossbars=draw(st.integers(-1, 5)),
+        code_distance=draw(st.integers(0, 5)),
+        metal_layers=draw(st.integers(0, 12)),
+        interconnect_pitch_nm=draw(st.integers(0, 100)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_arrays())
+def test_validation_decides_whether_report_builds(cfg):
+    report = validate_config(cfg)
+    if report.ok:
+        try:
+            build_report(ToolConfig(array=cfg))
+        except ValueError as exc:
+            # a 1-cell plane has no Rent exponent; that is not an array violation
+            assert "single unit cell" in str(exc)
+    else:
+        with pytest.raises(InvalidConfigError) as err:
+            build_report(ToolConfig(array=cfg))
+        assert err.value.violations == report.violations
 
 
 @pytest.mark.parametrize("edges", [(1, 1), (4, 4), (32, 16), (7, 3)])

@@ -5,6 +5,7 @@ import scipy.constants
 from scipy.constants import epsilon_0
 
 from spiderweb import electronics, power
+from spiderweb.config import ToolConfig
 from spiderweb.electronics import ElectronicsParams
 from spiderweb.model import ArrayConfig
 from spiderweb.power import (
@@ -16,6 +17,7 @@ from spiderweb.power import (
     total_power,
     transmission_line_power,
 )
+from spiderweb.report import build_report
 
 REFERENCE = ArrayConfig()
 GRID = InterconnectGrid()
@@ -67,8 +69,11 @@ class TestParasiticCapacitance:
         assert printed.neighbour_f == pytest.approx(plain.neighbour_f, rel=1e-9)
 
     def test_bad_fringe_mode_rejected(self):
+        bad = GRID.with_updates(fringe_mode="full")
         with pytest.raises(ValueError, match="fringe_mode"):
-            parasitic_capacitance(GRID.with_updates(fringe_mode="full"))
+            bad.validate()
+        with pytest.raises(ValueError, match="fringe_mode"):
+            build_report(ToolConfig(interconnect=bad))
 
     @pytest.mark.parametrize("fringe", ["printed_magnitude", "disabled"])
     def test_monotone_in_line_count_width_thickness(self, fringe):

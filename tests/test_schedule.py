@@ -163,6 +163,18 @@ class TestSimulation:
         assert err.value.resource == "D1~op1"
         assert err.value.capacity == 1
 
+    @pytest.mark.parametrize("text", [
+        "1 one_qubit D1@op1:x D1@op2:x\n",
+        "1 two_qubit D1+A1@op1:rz=D1 D1+A2@op2:rz=A2\n",
+    ], ids=["one-qubit", "two-pairs"])
+    def test_qubit_in_two_regions_rejected(self, text):
+        with pytest.raises(ScheduleConflictError) as err:
+            simulate_cycle(step_table_from_text(text), TIMING)
+        assert err.value.step == 1
+        assert err.value.resource == "D1"
+        assert err.value.occupants == ("op1", "op2")
+        assert "qubit 'D1' is in 2 regions (op1, op2)" in str(err.value)
+
     def test_csv_export_shape(self):
         trace = simulate_cycle(default_step_table(), TIMING)
         lines = trace.to_csv().strip().splitlines()

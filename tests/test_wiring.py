@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from spiderweb.config import ToolConfig
 from spiderweb.errors import InvalidConfigError
-from spiderweb.model import ArrayConfig, derive_geometry
+from spiderweb.model import ArrayConfig, derive_geometry, validate_config
+from spiderweb.report import build_report
 from spiderweb.wiring import (
     lines_at,
     logical_qubit_capacity,
@@ -82,16 +84,23 @@ class TestLineCounts:
             readout_module_edge=3, readout_grid_edge=2,
             sequential_readouts=3, parallel_readouts=3,
         )
+        report = validate_config(cfg)
+        assert report.violations == (
+            "readout_module_edge must be a power of two so readout address-line "
+            "counts are integral (got 3)",
+        )
         with pytest.raises(InvalidConfigError, match="power of two"):
-            lines_at("module", cfg)
+            build_report(ToolConfig(array=cfg))
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="unknown level"):
             lines_at("die", REFERENCE)
 
     def test_invalid_config_rejected(self):
+        cfg = REFERENCE.with_updates(readout_grid_edge=5)
+        assert not validate_config(cfg).ok
         with pytest.raises(InvalidConfigError):
-            lines_at("unit_cell", REFERENCE.with_updates(readout_grid_edge=5))
+            build_report(ToolConfig(array=cfg))
 
     def test_total_monotone_in_crossbars(self):
         totals = [
