@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import schedule
-from .config import KNOWN_KEYS, ToolConfig, load_config
+from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries
 from .errors import ScheduleConflictError, SpiderwebError
 from .model import validate_config
 from .report import SWEEP_FIELDS, build_report, render_text, sweep_record
@@ -72,21 +72,33 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load(args) -> tuple[ToolConfig, float | None]:
+def _config_path(args) -> str | None:
+    """``--config``, after a note on stderr if the file is missing (the defaults apply)."""
     if args.config and not os.path.exists(args.config):
         sys.stderr.write(f"note: config file {args.config!r} not found, using defaults\n")
-    config = load_config(args.config, args.overrides)
-    pinned = parse_quantity(args.pin_cp) if args.pin_cp else None
-    return config, pinned
+    return args.config
+
+
+def _pinned(args) -> float | None:
+    return parse_quantity(args.pin_cp) if args.pin_cp else None
+
+
+def _load(args) -> tuple[ToolConfig, float | None]:
+    config = load_config(_config_path(args), args.overrides)
+    return config, _pinned(args)
+
+
+def _require_finite(values: dict[str, object], label: str) -> None:
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{label} {key} is not finite ({value})")
 
 
 def _cmd_report(args) -> int:
     config, pinned = _load(args)
     doc = build_report(config, pinned_parasitic_f=pinned)
     flat = _flatten(doc)
-    for key, value in flat.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"report value {key} is not finite ({value})")
+    _require_finite(flat, "report value")
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     elif args.format == "csv":
@@ -113,13 +125,18 @@ def _flatten(doc, prefix: str = "") -> dict[str, object]:
 
 
 def _cmd_sweep(args) -> int:
-    base_overrides = list(args.overrides)
+    # the file, the base overrides and --pin-cp are read once; each point adds
+    # only its own key=value entry
+    base = read_entries(_config_path(args), args.overrides)
+    pinned = _pinned(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     records = []
     for value in values:
-        config = load_config(args.config, base_overrides + [f"{args.parameter}={value}"])
-        pinned = parse_quantity(args.pin_cp) if args.pin_cp else None
-        records.append(sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned))
+        point = f"{args.parameter}={value}"
+        config = apply_entries({**base, **read_entries(None, [point])})
+        record = sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned)
+        _require_finite(record, f"sweep point {point}: value")
+        records.append(record)
     if args.format == "json":
         _emit(args, json.dumps(records, indent=2, sort_keys=True, allow_nan=False) + "\n")
     else:

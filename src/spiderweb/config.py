@@ -19,7 +19,9 @@ from .power import InterconnectGrid, SignalParams
 from .schedule import TimingParams
 from .units import parse_int, parse_quantity
 
-__all__ = ["ToolConfig", "load_config", "parse_config_text", "KNOWN_KEYS"]
+__all__ = [
+    "ToolConfig", "load_config", "read_entries", "apply_entries", "parse_config_text", "KNOWN_KEYS",
+]
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,9 @@ _ALIASES: dict[tuple[str, str], str] = {
 SECTIONS = ("array", "electronics", "timing", "signals", "interconnect")
 KNOWN_KEYS = tuple(sorted(f"{s}.{k}" for s, k in _KEYMAP))
 
+# (section, canonical key) -> (raw value, file line or override text)
+Entries = dict[tuple[str, str], tuple[str, int | str]]
+
 
 def _resolve(section: str | None, key: str, line: int | None = None) -> tuple[str, str]:
     key = key.strip().lower()
@@ -169,7 +174,7 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
-def _apply(entries: dict[tuple[str, str], tuple[str, int | str]]) -> ToolConfig:
+def apply_entries(entries: Entries) -> ToolConfig:
     """Parse every value; an entry's origin is its file line or its override text."""
     updates: dict[str, dict[str, object]] = {s: {} for s in SECTIONS}
     for (section, key), (raw, origin) in entries.items():
@@ -190,14 +195,10 @@ def _apply(entries: dict[tuple[str, str], tuple[str, int | str]]) -> ToolConfig:
     )
 
 
-def load_config(path: str | None = None, overrides: list[str] | None = None) -> ToolConfig:
-    """Build a ToolConfig from an optional file plus ``key=value`` overrides.
-
-    An omitted or missing path yields the reference defaults; a file that
-    exists but cannot be parsed is an error.  Overrides are applied after
-    the file, last one wins.
-    """
-    entries: dict[tuple[str, str], tuple[str, int | str]] = {}
+def read_entries(path: str | None = None, overrides: list[str] | None = None) -> Entries:
+    """The first step of :func:`load_config`: read the file and resolve each
+    override's key, leaving every value unparsed for :func:`apply_entries`."""
+    entries: Entries = {}
     if path is not None and os.path.exists(path):
         try:
             with open(path, encoding="utf-8") as fh:
@@ -218,4 +219,14 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         else:
             resolved = _resolve(None, key)
         entries[resolved] = (value, override)
-    return _apply(entries)
+    return entries
+
+
+def load_config(path: str | None = None, overrides: list[str] | None = None) -> ToolConfig:
+    """Build a ToolConfig from an optional file plus ``key=value`` overrides.
+
+    An omitted or missing path yields the reference defaults; a file that
+    exists but cannot be parsed is an error.  Overrides are applied after
+    the file, last one wins.
+    """
+    return apply_entries(read_entries(path, overrides))

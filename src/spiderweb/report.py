@@ -5,30 +5,55 @@ line counts at all three hierarchy levels, Rent's exponent, logical-qubit
 capacities, electronics constraints, footprint, cycle timing and the power
 budget.  Values are kept in SI units in the machine-readable document; the
 text renderer converts to engineering units.
+
+``compute`` validates a configuration and runs every model stage once,
+returning the typed results; ``build_report`` lays them out as the document
+and ``sweep_record`` reads the few a sweep row needs.
 """
 
 from __future__ import annotations
 
-import dataclasses
+from dataclasses import dataclass, fields
 from typing import Any
 
 from . import electronics, power, schedule, wiring
 from .config import ToolConfig
 from .errors import InvalidConfigError
-from .model import default_gate_inventory, derive_geometry, validate_config
+from .model import GeometrySummary, default_gate_inventory, derive_geometry, validate_config
 from .units import si_format
 
-__all__ = ["build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
+__all__ = ["Design", "compute", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
 
 
-def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, Any]:
+@dataclass(frozen=True)
+class Design:
+    """Typed stage results for one validated configuration."""
+
+    geometry: GeometrySummary
+    lines: dict[str, wiring.LineCount]          # by level, in ``wiring.LEVELS`` order
+    rent_exponent: float
+    capacity_defect: int
+    capacity_lattice_surgery: int
+    fabrication_crossbar_limit: int
+    coarse_hold_capacitance_f: float
+    fine_hold_capacitance_f: float
+    refresh_rate_hz: float
+    demux_clock_hz: float
+    footprint: electronics.FootprintReport
+    cycles: dict[str, schedule.CycleTime]       # by readout mode
+    grid: power.GridCapacitance
+    power: power.PowerReport
+
+
+def compute(config: ToolConfig, pinned_parasitic_f: float | None = None) -> Design:
+    """Validate ``config`` once, then run every model stage on it."""
     cfg = config.array
     validate_config(cfg).raise_if_invalid()
     for section in (config.electronics, config.timing, config.interconnect, config.signals):
         section.validate()
     inventory = default_gate_inventory()
     geometry = derive_geometry(cfg)
-    lines = {level: wiring.lines_at(level, cfg).to_dict() for level in wiring.LEVELS}
+    lines = {level: wiring.lines_at(level, cfg) for level in wiring.LEVELS}
     rent_p = wiring.rent_exponent(cfg)
 
     elec = config.electronics
@@ -38,9 +63,8 @@ def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) ->
     demux_clk = electronics.demux_clock(cfg, refresh)
     fp = electronics.footprint(cfg, elec, inventory)
 
-    timing = config.timing
     cycles = {
-        mode: schedule.cycle_time(timing, cfg, mode) for mode in schedule.READOUT_MODES
+        mode: schedule.cycle_time(config.timing, cfg, mode) for mode in schedule.READOUT_MODES
     }
 
     grid_c = power.parasitic_capacitance(config.interconnect)
@@ -49,13 +73,40 @@ def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) ->
         pinned_parasitic_f=pinned_parasitic_f,
     )
 
+    return Design(
+        geometry=geometry,
+        lines=lines,
+        rent_exponent=rent_p,
+        capacity_defect=wiring.logical_qubit_capacity(cfg, "defect"),
+        capacity_lattice_surgery=wiring.logical_qubit_capacity(cfg, "lattice_surgery"),
+        fabrication_crossbar_limit=wiring.max_fab_crossbars(cfg),
+        coarse_hold_capacitance_f=coarse_c,
+        fine_hold_capacitance_f=fine_c,
+        refresh_rate_hz=refresh,
+        demux_clock_hz=demux_clk,
+        footprint=fp,
+        cycles=cycles,
+        grid=grid_c,
+        power=pw,
+    )
+
+
+def _fields(obj) -> dict[str, Any]:
+    # every config field is an int, float, str or None, so a shallow copy
+    # serialises exactly as ``dataclasses.asdict`` would
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, Any]:
+    design = compute(config, pinned_parasitic_f)
+    geometry, fp, pw = design.geometry, design.footprint, design.power
     return {
         "config": {
-            "array": dataclasses.asdict(cfg),
-            "electronics": dataclasses.asdict(elec),
-            "timing": dataclasses.asdict(timing),
-            "signals": dataclasses.asdict(config.signals.resolved(cfg)),
-            "interconnect": dataclasses.asdict(config.interconnect),
+            "array": _fields(config.array),
+            "electronics": _fields(config.electronics),
+            "timing": _fields(config.timing),
+            "signals": _fields(config.signals.resolved(config.array)),
+            "interconnect": _fields(config.interconnect),
         },
         "geometry": {
             "unit_cells": geometry.unit_cells,
@@ -65,18 +116,18 @@ def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) ->
             "plane_perimeter_m": geometry.plane_perimeter_m,
             "gates_per_arm": geometry.gates_per_arm,
         },
-        "lines": lines,
-        "rent_exponent": rent_p,
+        "lines": {level: count.to_dict() for level, count in design.lines.items()},
+        "rent_exponent": design.rent_exponent,
         "capacity": {
-            "defect": wiring.logical_qubit_capacity(cfg, "defect"),
-            "lattice_surgery": wiring.logical_qubit_capacity(cfg, "lattice_surgery"),
-            "fabrication_crossbar_limit": wiring.max_fab_crossbars(cfg),
+            "defect": design.capacity_defect,
+            "lattice_surgery": design.capacity_lattice_surgery,
+            "fabrication_crossbar_limit": design.fabrication_crossbar_limit,
         },
         "electronics": {
-            "coarse_hold_capacitance_f": coarse_c,
-            "fine_hold_capacitance_f": fine_c,
-            "refresh_rate_hz": refresh,
-            "demux_clock_hz": demux_clk,
+            "coarse_hold_capacitance_f": design.coarse_hold_capacitance_f,
+            "fine_hold_capacitance_f": design.fine_hold_capacitance_f,
+            "refresh_rate_hz": design.refresh_rate_hz,
+            "demux_clock_hz": design.demux_clock_hz,
         },
         "footprint": {
             "capacitor_area_m2": fp.capacitor_area_m2,
@@ -91,10 +142,10 @@ def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) ->
                 "cycle_s": ct.total_s,
                 "coherence_ratio": ct.coherence_ratio,
             }
-            for mode, ct in cycles.items()
+            for mode, ct in design.cycles.items()
         },
         "power": {
-            "grid_parasitic_f": grid_c.total_f,
+            "grid_parasitic_f": design.grid.total_f,
             "used_parasitic_f": pw.parasitic_capacitance_f,
             "parasitic_pinned": pw.parasitic_pinned,
             "per_cell": {
@@ -204,23 +255,23 @@ def sweep_record(
     record["parameter"] = parameter
     record["value"] = raw_value
     try:
-        doc = build_report(config, pinned_parasitic_f=pinned_parasitic_f)
+        design = compute(config, pinned_parasitic_f)
     except InvalidConfigError as exc:
         record.update(valid=False, violations=str(exc))
         return record
     record.update(
         valid=True,
         violations="",
-        unit_cells=doc["geometry"]["unit_cells"],
-        lines_unit_cell=doc["lines"]["unit_cell"]["total"],
-        lines_quantum_plane=doc["lines"]["quantum_plane"]["total"],
-        rent_exponent=doc["rent_exponent"],
-        capacity_defect=doc["capacity"]["defect"],
-        capacity_lattice_surgery=doc["capacity"]["lattice_surgery"],
-        crossbar_fab_limit=doc["capacity"]["fabrication_crossbar_limit"],
-        min_pitch_um=doc["footprint"]["min_pitch_m"] * 1e6,
-        pitch_feasible=doc["footprint"]["pitch_feasible"],
-        cycle_mixed_s=doc["timing"]["mixed"]["cycle_s"],
-        array_total_w=doc["power"]["array"]["total_w"],
+        unit_cells=design.geometry.unit_cells,
+        lines_unit_cell=design.lines["unit_cell"].total,
+        lines_quantum_plane=design.lines["quantum_plane"].total,
+        rent_exponent=design.rent_exponent,
+        capacity_defect=design.capacity_defect,
+        capacity_lattice_surgery=design.capacity_lattice_surgery,
+        crossbar_fab_limit=design.fabrication_crossbar_limit,
+        min_pitch_um=design.footprint.min_pitch_m * 1e6,
+        pitch_feasible=design.footprint.pitch_feasible,
+        cycle_mixed_s=design.cycles["mixed"].total_s,
+        array_total_w=design.power.total_w,
     )
     return record

@@ -346,6 +346,8 @@ def step_table_from_text(text: str) -> StepTable:
             index = int(tokens[0])
         except ValueError as exc:
             raise ValueError(f"line {line_no}: bad step index {tokens[0]!r}") from exc
+        if steps and index <= steps[-1].index:
+            raise ValueError(f"line {line_no}: step index {index} repeats or is out of order")
         kind_token = tokens[1]
         park = kind_token.endswith("+park")
         kind = kind_token.removesuffix("+park")

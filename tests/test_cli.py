@@ -170,6 +170,31 @@ class TestSweep:
         assert err == "error: fine_resolution_v must be strictly positive (got 0.0)\n"
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_point_exits_1(self, capsys, fmt):
+        code, out, err = run(capsys, "sweep", "w", "1um,1e308", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == "error: sweep point w=1e308: value array_total_w is not finite (inf)\n"
+
+    def test_missing_config_file_noted_once(self, capsys, tmp_path):
+        missing = tmp_path / "absent.cfg"
+        code, out, err = run(capsys, "sweep", "x", "0,1,2", "--config", str(missing))
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 3
+        assert err == f"note: config file {str(missing)!r} not found, using defaults\n"
+
+    @pytest.mark.parametrize("option, message", [
+        (("--set", "foo=1"), "error: unknown key 'foo' in any section\n"),
+        (("--pin-cp", "abc"), "error: cannot parse quantity 'abc'\n"),
+    ], ids=["base-override", "pin-cp"])
+    def test_bad_base_fails_before_first_point(self, capsys, option, message):
+        code, out, err = run(capsys, "sweep", "x", ",", *option)
+        assert code == 1
+        assert out == ""
+        assert err == message
+
+
 class TestVerify:
     def test_clean_build_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -235,6 +260,15 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err == "schedule conflict: step 1: qubit 'D1' is in 2 regions (op1, op2) in one window\n"
+
+
+    def test_step_index_out_of_order_exits_1(self, capsys, tmp_path):
+        table = tmp_path / "order.steps"
+        table.write_text("1 hook start\n2 hook middle\n2 hook again\n")
+        code, out, err = run(capsys, "simulate", "--table", str(table))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 3: step index 2 repeats or is out of order\n"
 
 
 class TestDumpUnitary:

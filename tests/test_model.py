@@ -13,7 +13,7 @@ from spiderweb.model import (
     derive_geometry,
     validate_config,
 )
-from spiderweb.report import build_report
+from spiderweb.report import SWEEP_FIELDS, build_report, sweep_record
 from spiderweb.wiring import LEVELS, lines_at
 
 REFERENCE = ArrayConfig()
@@ -135,6 +135,42 @@ def test_validation_decides_whether_report_builds(cfg):
         with pytest.raises(InvalidConfigError) as err:
             build_report(ToolConfig(array=cfg))
         assert err.value.violations == report.violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_arrays())
+def test_sweep_record_matches_report(cfg):
+    config = ToolConfig(array=cfg)
+    try:
+        doc = build_report(config)
+    except InvalidConfigError as exc:
+        record = sweep_record("x", "0", config)
+        assert record["valid"] is False
+        assert record["violations"] == str(exc)
+        return
+    except ValueError as exc:
+        # a 1-cell plane has no Rent exponent, on either path
+        with pytest.raises(ValueError) as err:
+            sweep_record("x", "0", config)
+        assert str(err.value) == str(exc)
+        return
+    record = sweep_record("x", "0", config)
+    expected = {
+        "unit_cells": doc["geometry"]["unit_cells"],
+        "lines_unit_cell": doc["lines"]["unit_cell"]["total"],
+        "lines_quantum_plane": doc["lines"]["quantum_plane"]["total"],
+        "rent_exponent": doc["rent_exponent"],
+        "capacity_defect": doc["capacity"]["defect"],
+        "capacity_lattice_surgery": doc["capacity"]["lattice_surgery"],
+        "crossbar_fab_limit": doc["capacity"]["fabrication_crossbar_limit"],
+        "min_pitch_um": doc["footprint"]["min_pitch_m"] * 1e6,
+        "pitch_feasible": doc["footprint"]["pitch_feasible"],
+        "cycle_mixed_s": doc["timing"]["mixed"]["cycle_s"],
+        "array_total_w": doc["power"]["array"]["total_w"],
+    }
+    assert set(expected) == set(SWEEP_FIELDS) - {"parameter", "value", "valid", "violations"}
+    assert (record["valid"], record["violations"]) == (True, "")
+    assert {key: record[key] for key in expected} == expected
 
 
 @pytest.mark.parametrize("edges", [(1, 1), (4, 4), (32, 16), (7, 3)])

@@ -196,6 +196,15 @@ class TestStepTableFormat:
         with pytest.raises(ValueError, match="carrier"):
             step_table_from_text("1 two_qubit A1+D1@op1:rz=D2\n")
 
+    @pytest.mark.parametrize("text, line, index", [
+        ("1 hook a\n1 hook b\n", 2, 1),
+        ("1 hook a\n3 hook b\n# gap\n2 hook c\n", 4, 2),
+    ], ids=["repeat", "out-of-order"])
+    def test_step_indices_must_increase(self, text, line, index):
+        with pytest.raises(ValueError) as err:
+            step_table_from_text(text)
+        assert str(err.value) == f"line {line}: step index {index} repeats or is out of order"
+
     def test_comments_and_blanks_ignored(self):
         table = step_table_from_text("# header\n\n1 one_qubit D1@op1:ry(-90)  # inline\n")
         assert len(table.steps) == 1
