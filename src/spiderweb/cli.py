@@ -102,12 +102,7 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key", "value"])
-        for key, value in sorted(flat.items()):
-            writer.writerow([key, value])
-        _emit(args, buf.getvalue())
+        _emit(args, _csv([("key", "value"), *sorted(flat.items())]))
     else:
         _emit(args, render_text(doc))
     return EXIT_OK
@@ -137,16 +132,28 @@ def _cmd_sweep(args) -> int:
         record = sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned)
         _require_finite(record, f"sweep point {point}: value")
         records.append(record)
-    if args.format == "json":
-        _emit(args, json.dumps(records, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SWEEP_FIELDS)
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record)
-        _emit(args, buf.getvalue())
+    _emit(args, _sweep_json(records) + "\n" if args.format == "json" else _sweep_csv(records))
     return EXIT_OK
+
+
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n    ", ": "))
+
+
+def _sweep_json(records: list[dict[str, object]]) -> str:
+    """``json.dumps(records, indent=2, sort_keys=True, allow_nan=False)`` for flat records,
+    each written by the C encoder, which ``indent`` would switch off."""
+    items = ["{\n    " + _RECORD_ENCODER.encode(r)[1:-1] + "\n  }" if r else "{}" for r in records]
+    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+
+
+def _sweep_csv(records: list[dict[str, object]]) -> str:
+    return _csv([SWEEP_FIELDS, *([r.get(f) for f in SWEEP_FIELDS] for r in records)])
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _cmd_verify(args) -> int:

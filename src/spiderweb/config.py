@@ -10,7 +10,7 @@ short aliases used throughout the design equations (d, x, N_b, t_sh, v_p, ...).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .electronics import ElectronicsParams
 from .errors import ConfigParseError
@@ -24,13 +24,14 @@ __all__ = [
 ]
 
 
+# A section left at its defaults is one frozen instance, shared by every config.
 @dataclass(frozen=True)
 class ToolConfig:
-    array: ArrayConfig = field(default_factory=ArrayConfig)
-    electronics: ElectronicsParams = field(default_factory=ElectronicsParams)
-    timing: TimingParams = field(default_factory=TimingParams)
-    signals: SignalParams = field(default_factory=SignalParams)
-    interconnect: InterconnectGrid = field(default_factory=InterconnectGrid)
+    array: ArrayConfig = ArrayConfig()
+    electronics: ElectronicsParams = ElectronicsParams()
+    timing: TimingParams = TimingParams()
+    signals: SignalParams = SignalParams()
+    interconnect: InterconnectGrid = InterconnectGrid()
 
 
 # (section, canonical key) -> (dataclass field, parser)
@@ -125,7 +126,8 @@ _ALIASES: dict[tuple[str, str], str] = {
     ("interconnect", "d2"): "dielectric_thickness",
 }
 
-SECTIONS = ("array", "electronics", "timing", "signals", "interconnect")
+# section name -> its dataclass, in ToolConfig field order
+SECTIONS = {f.name: type(f.default) for f in fields(ToolConfig)}
 KNOWN_KEYS = tuple(sorted(f"{s}.{k}" for s, k in _KEYMAP))
 
 # (section, canonical key) -> (raw value, file line or override text)
@@ -176,23 +178,17 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
 
 def apply_entries(entries: Entries) -> ToolConfig:
     """Parse every value; an entry's origin is its file line or its override text."""
-    updates: dict[str, dict[str, object]] = {s: {} for s in SECTIONS}
+    updates: dict[str, dict[str, object]] = {}
     for (section, key), (raw, origin) in entries.items():
         attr, parser = _KEYMAP[(section, key)]
         try:
-            updates[section][attr] = parser(raw)
+            updates.setdefault(section, {})[attr] = parser(raw)
         except ValueError as exc:
             message = f"bad value for {section}.{key}: {exc}"
             if isinstance(origin, str):
                 raise ConfigParseError(f"override {origin!r}: {message}") from exc
             raise ConfigParseError(message, origin) from exc
-    return ToolConfig(
-        array=ArrayConfig(**updates["array"]),
-        electronics=ElectronicsParams(**updates["electronics"]),
-        timing=TimingParams(**updates["timing"]),
-        signals=SignalParams(**updates["signals"]),
-        interconnect=InterconnectGrid(**updates["interconnect"]),
-    )
+    return ToolConfig(**{s: SECTIONS[s](**kw) for s, kw in updates.items()})
 
 
 def read_entries(path: str | None = None, overrides: list[str] | None = None) -> Entries:

@@ -62,6 +62,11 @@ class ArrayConfig:
         """Unit cells along one side of the quantum plane."""
         return self.bias_module_edge * self.bias_grid_edge
 
+    @property
+    def unit_cells(self) -> int:
+        """Unit cells in the quantum plane, (n_b*m_b)^2."""
+        return self.plane_edge_cells**2
+
     def with_updates(self, **kwargs) -> "ArrayConfig":
         return replace(self, **kwargs)
 
@@ -160,9 +165,8 @@ def derive_geometry(cfg: ArrayConfig) -> GeometrySummary:
     per side spans an edge of 2*pitch*E, an area of (2*pitch*E)^2 and a
     perimeter of 8*pitch*E.
     """
-    edge_cells = cfg.plane_edge_cells
-    unit_cells = edge_cells**2
-    plane_edge = 2.0 * cfg.qubit_pitch_m * edge_cells
+    unit_cells = cfg.unit_cells
+    plane_edge = 2.0 * cfg.qubit_pitch_m * cfg.plane_edge_cells
     return GeometrySummary(
         unit_cells=unit_cells,
         qubit_count=4 * unit_cells,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from math import log, pi, sqrt
 
 from .electronics import ElectronicsParams, refresh_rate
-from .model import ArrayConfig, derive_geometry
+from .model import ArrayConfig
 
 LIGHT_SPEED = 299792458.0  # m/s, exact by definition of the metre
 VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m, CODATA 2022 recommended value
@@ -235,21 +235,26 @@ def total_power(
     signals: SignalParams,
     elec: ElectronicsParams,
     pinned_parasitic_f: float | None = None,
+    grid_capacitance: GridCapacitance | None = None,
+    refresh_hz: float | None = None,
 ) -> PowerReport:
-    """Array power report; ``pinned_parasitic_f`` overrides the grid model."""
-    geometry = derive_geometry(cfg)
+    """Array power report; ``pinned_parasitic_f`` overrides the grid model.
+    ``grid_capacitance`` (of ``grid``) and ``refresh_hz`` (at the fine resolution
+    of ``elec``) pass in results the caller holds; omitted, they are computed here."""
     if pinned_parasitic_f is not None:
         if pinned_parasitic_f < 0:
             raise ValueError("pinned parasitic capacitance must be non-negative")
         parasitic = pinned_parasitic_f
     else:
-        parasitic = parasitic_capacitance(grid).total_f
+        parasitic = (grid_capacitance or parasitic_capacitance(grid)).total_f
+    if refresh_hz is None:
+        refresh_hz = refresh_rate(elec, elec.fine_resolution_v)
     resolved = signals.resolved(cfg)
     line = transmission_line_power(resolved)
     return PowerReport(
-        unit_cells=geometry.unit_cells,
+        unit_cells=cfg.unit_cells,
         pulsed_w=dynamic_power(parasitic, resolved.pulse_amplitude_v, resolved.pulse_frequency_hz),
-        demux_w=demux_power(elec, refresh_rate(elec, elec.fine_resolution_v)),
+        demux_w=demux_power(elec, refresh_hz),
         line_w=line.power_w,
         parasitic_capacitance_f=parasitic,
         parasitic_pinned=pinned_parasitic_f is not None,

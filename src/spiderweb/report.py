@@ -54,7 +54,7 @@ def compute(config: ToolConfig, pinned_parasitic_f: float | None = None) -> Desi
     inventory = default_gate_inventory()
     geometry = derive_geometry(cfg)
     lines = {level: wiring.lines_at(level, cfg) for level in wiring.LEVELS}
-    rent_p = wiring.rent_exponent(cfg)
+    rent_p = wiring.rent_exponent(cfg, lines)
 
     elec = config.electronics
     coarse_c = electronics.min_hold_capacitance("coarse", elec)
@@ -70,7 +70,7 @@ def compute(config: ToolConfig, pinned_parasitic_f: float | None = None) -> Desi
     grid_c = power.parasitic_capacitance(config.interconnect)
     pw = power.total_power(
         cfg, config.interconnect, config.signals, elec,
-        pinned_parasitic_f=pinned_parasitic_f,
+        pinned_parasitic_f=pinned_parasitic_f, grid_capacitance=grid_c, refresh_hz=refresh,
     )
 
     return Design(

@@ -88,11 +88,13 @@ _ENG_PREFIXES = [
 
 
 def si_format(value: float, unit: str, digits: int = 4) -> str:
-    """Format a value with an engineering prefix, e.g. ``si_format(6.5536e9, 'Hz')``."""
+    """Format a value with an engineering prefix, e.g. ``si_format(6.5536e9, 'Hz')``;
+    the prefix is chosen after rounding, so 9.999999e-7 F prints as ``1 uF``."""
     if value == 0 or not math.isfinite(value):
         return f"0 {unit}" if value == 0 else f"{value} {unit}"
-    for scale, prefix in _ENG_PREFIXES:
-        if abs(value) >= scale:
-            return f"{value / scale:.{digits}g} {prefix}{unit}"
-    scale, prefix = _ENG_PREFIXES[-1]
-    return f"{value / scale:.{digits}g} {prefix}{unit}"
+    i = next((i for i, (scale, _) in enumerate(_ENG_PREFIXES) if abs(value) >= scale), -1)
+    mantissa = f"{value / _ENG_PREFIXES[i][0]:.{digits}g}"
+    if i and abs(float(mantissa)) >= 1000:
+        i -= 1
+        mantissa = f"{value / _ENG_PREFIXES[i][0]:.{digits}g}"
+    return f"{mantissa} {_ENG_PREFIXES[i][1]}{unit}"

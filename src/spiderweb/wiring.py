@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import ArrayConfig, default_gate_inventory, derive_geometry
+from .model import ArrayConfig, default_gate_inventory
 
 __all__ = [
     "LEVELS",
@@ -104,12 +104,13 @@ def rent_exponent_from_counts(plane_total: int, cell_total: int, unit_cells: int
     return math.log(plane_total / cell_total) / math.log(unit_cells)
 
 
-def rent_exponent(cfg: ArrayConfig) -> float:
-    """Rent exponent of the configured array, from the line-scaling model."""
-    unit_cells = derive_geometry(cfg).unit_cells
-    plane_total = lines_at("quantum_plane", cfg).total
-    cell_total = lines_at("unit_cell", cfg).total
-    return rent_exponent_from_counts(plane_total, cell_total, unit_cells)
+def rent_exponent(cfg: ArrayConfig, lines: dict[str, LineCount] | None = None) -> float:
+    """Rent exponent of the configured array, from the line-scaling model.
+    ``lines``, counts by level as :func:`lines_at` gives them, skips the recount."""
+    if lines is None:
+        lines = {level: lines_at(level, cfg) for level in ("unit_cell", "quantum_plane")}
+    plane, cell = lines["quantum_plane"].total, lines["unit_cell"].total
+    return rent_exponent_from_counts(plane, cell, cfg.unit_cells)
 
 
 def logical_qubit_capacity(cfg: ArrayConfig, scheme: str) -> int:
@@ -119,7 +120,7 @@ def logical_qubit_capacity(cfg: ArrayConfig, scheme: str) -> int:
     logical qubit; ``lattice_surgery`` patches need one code-distance-squared
     block each.
     """
-    unit_cells = derive_geometry(cfg).unit_cells
+    unit_cells = cfg.unit_cells
     d2 = cfg.code_distance**2
     if scheme == "defect":
         return (2 * unit_cells) // (3 * d2)

@@ -7,9 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spiderweb
-from spiderweb.cli import main
+from spiderweb.cli import _sweep_csv, _sweep_json, main
+from spiderweb.config import load_config
+from spiderweb.report import SWEEP_FIELDS, sweep_record
 
 REPORT_DEFAULT_JSON = ["report", "--format", "json"]
 
@@ -193,6 +197,66 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err == message
+
+
+# Strings that could break a writer that splices encoded text: the record
+# separator itself, quotes, backslashes, control characters and non-ASCII.
+_NASTY = st.sampled_from([
+    '},\n    {', '",\n  "', '", "', ", ", '"', "\\", "\\u0000", "\x00\x1f\n\r\t",
+    "µm Ω ü 中 \U0001f600", "",
+])
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 0.1]),
+    st.text(),
+    _NASTY,
+)
+
+
+def _dictwriter_csv(records) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=SWEEP_FIELDS)
+    writer.writeheader()
+    for record in records:
+        writer.writerow(record)
+    return buf.getvalue()
+
+
+def _sweep_points(*values: str) -> list[dict]:
+    return [sweep_record("x", v, load_config(overrides=[f"x={v}"])) for v in values]
+
+
+class TestSweepWriters:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.dictionaries(st.one_of(st.text(), _NASTY), _SCALARS, max_size=8), max_size=6))
+    @example([])
+    @example([{}])
+    @example([{"a": 1}, {}, {"b": None}])
+    def test_json_is_the_indent_2_sorted_layout(self, records):
+        expected = json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
+        assert _sweep_json(records) == expected
+
+    def test_json_of_real_records(self):
+        records = _sweep_points("-1", "0", "200")
+        assert _sweep_json(records) == json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            _sweep_json([{"a": value}])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fixed_dictionaries({f: _SCALARS for f in SWEEP_FIELDS}), max_size=6))
+    @example([])
+    def test_csv_matches_dictwriter(self, records):
+        assert _sweep_csv(records) == _dictwriter_csv(records)
+
+    def test_csv_of_real_records(self):
+        records = _sweep_points("-1", "0", "200")
+        assert _sweep_csv(records) == _dictwriter_csv(records)
 
 
 class TestVerify:

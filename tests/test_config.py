@@ -1,6 +1,8 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from spiderweb.config import ToolConfig, load_config, parse_config_text
+from spiderweb.config import ToolConfig, apply_entries, load_config, parse_config_text, read_entries
 from spiderweb.errors import ConfigParseError
 from spiderweb.units import parse_int, parse_quantity, si_format
 
@@ -71,6 +73,32 @@ class TestQuantityParsing:
         assert si_format(13.8e-12, "F") == "13.8 pF"
         assert si_format(0.0, "W") == "0 W"
 
+    @pytest.mark.parametrize("value,expected", [
+        # values that round up to 1000 at one prefix print at the next
+        (9.999999e-7, "1 uF"),
+        (-9.999999e-7, "-1 uF"),
+        (999.96, "1 kF"),
+        (-999.96, "-1 kF"),
+        (999.96e3, "1 MF"),
+        (-999.96e3, "-1 MF"),
+        (9.99999e-16, "1 fF"),
+        (0.99999e-3, "1 mF"),
+        # values just inside a prefix keep it
+        (999.94, "999.9 F"),
+        (-999.94e-9, "-999.9 nF"),
+        (1e-6, "1 uF"),
+        (-1e-6, "-1 uF"),
+        (1.0, "1 F"),
+        # the largest and smallest prefixes have no neighbour to roll into
+        (999.96e12, "1000 TF"),
+        (1e-20, "0.01 aF"),
+    ])
+    def test_si_format_prefix_boundaries(self, value, expected):
+        assert si_format(value, "F") == expected
+
+    def test_si_format_rollover_with_fewer_digits(self):
+        assert si_format(999.0, "W", digits=2) == "1 kW"
+
 
 class TestConfigText:
     def test_sample_parses(self):
@@ -121,6 +149,23 @@ class TestLoadConfig:
         assert config.interconnect.lines_per_layer == 100
         # untouched keys keep their defaults
         assert config.array.code_distance == 16
+
+    def test_no_entries_gives_the_defaults(self):
+        assert apply_entries({}) == ToolConfig()
+
+    def test_swept_point_builds_only_its_section(self):
+        default = apply_entries({})
+        point = apply_entries(read_entries(None, ["x=5"]))
+        assert point.array == default.array.with_updates(crossbars=5)
+        for section in ("electronics", "timing", "signals", "interconnect"):
+            assert getattr(point, section) is getattr(default, section)
+            assert getattr(point, section) is getattr(ToolConfig(), section)
+
+    def test_shared_sections_are_frozen(self):
+        shared = apply_entries(read_entries(None, ["x=5"])).timing
+        with pytest.raises(FrozenInstanceError):
+            shared.readout_s = 2e-6
+        assert ToolConfig().timing.readout_s == 1e-6
 
     def test_missing_file_falls_back_to_defaults(self):
         assert load_config("/nonexistent/design.cfg") == ToolConfig()
