@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import schedule
-from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries
+from .config import KNOWN_KEYS, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
 from .model import validate_config
 from .report import SWEEP_FIELDS, build_report, render_text, sweep_record
@@ -50,17 +50,19 @@ def _lazy_import(name: str):
 qgates = _lazy_import(f"{__package__}.qgates")
 
 
-def _common_options(parser: argparse.ArgumentParser) -> None:
+def _common_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "csv"),
+                    pin_cp: bool = False) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file (omit for the reference defaults)")
     parser.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
         help="override one config key (repeatable); KEY may be section.key or a short alias",
     )
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument(
-        "--pin-cp", metavar="FARADS", default=None,
-        help="pin the parasitic capacitance used in the power model (e.g. 700fF)",
-    )
+    parser.add_argument("--format", choices=formats, default="text")
+    if pin_cp:
+        parser.add_argument(
+            "--pin-cp", metavar="FARADS", default=None,
+            help="pin the parasitic capacitance used in the power model (e.g. 700fF)",
+        )
     parser.add_argument("--out", metavar="PATH", help="write the output to a file instead of stdout")
 
 
@@ -83,11 +85,6 @@ def _pinned(args) -> float | None:
     return parse_quantity(args.pin_cp) if args.pin_cp else None
 
 
-def _load(args) -> tuple[ToolConfig, float | None]:
-    config = load_config(_config_path(args), args.overrides)
-    return config, _pinned(args)
-
-
 def _require_finite(values: dict[str, object], label: str) -> None:
     for key, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -95,8 +92,8 @@ def _require_finite(values: dict[str, object], label: str) -> None:
 
 
 def _cmd_report(args) -> int:
-    config, pinned = _load(args)
-    doc = build_report(config, pinned_parasitic_f=pinned)
+    config = load_config(_config_path(args), args.overrides)
+    doc = build_report(config, pinned_parasitic_f=_pinned(args))
     flat = _flatten(doc)
     _require_finite(flat, "report value")
     if args.format == "json":
@@ -120,15 +117,17 @@ def _flatten(doc, prefix: str = "") -> dict[str, object]:
 
 
 def _cmd_sweep(args) -> int:
-    # the file, the base overrides and --pin-cp are read once; each point adds
-    # only its own key=value entry
+    # the file, the base overrides, --pin-cp and the swept key are read once;
+    # each point adds only its own value
     base = read_entries(_config_path(args), args.overrides)
     pinned = _pinned(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
+    points = [f"{args.parameter}={value}" for value in values]
+    swept = resolve_override(points[0])[0] if points else None
     records = []
-    for value in values:
-        point = f"{args.parameter}={value}"
-        config = apply_entries({**base, **read_entries(None, [point])})
+    for value, point in zip(values, points):
+        raw = point.split("=", 1)[1].strip()  # the value as read_entries splits it
+        config = apply_entries({**base, swept: (raw, point)})
         record = sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned)
         _require_finite(record, f"sweep point {point}: value")
         records.append(record)
@@ -157,7 +156,7 @@ def _csv(rows) -> str:
 
 
 def _cmd_verify(args) -> int:
-    config, _ = _load(args)
+    config = load_config(_config_path(args), args.overrides)
     validate_config(config.array).raise_if_invalid()
     checks: list[dict[str, object]] = []
 
@@ -219,7 +218,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config, _ = _load(args)
+    config = load_config(_config_path(args), args.overrides)
     table = schedule.load_step_table(args.table) if args.table else schedule.default_step_table()
     try:
         trace = schedule.simulate_cycle(table, config.timing)
@@ -274,17 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_report = sub.add_parser("report", help="full design report for one configuration")
-    _common_options(p_report)
+    _common_options(p_report, pin_cp=True)
     p_report.set_defaults(func=_cmd_report)
 
     p_sweep = sub.add_parser("sweep", help="evaluate derived quantities over one parameter")
-    _common_options(p_sweep)
+    _common_options(p_sweep, pin_cp=True)
     p_sweep.add_argument("parameter", help=f"config key to sweep (one of: {', '.join(KNOWN_KEYS)})")
     p_sweep.add_argument("values", help="comma-separated value list, SI suffixes allowed")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run gate-algebra and schedule verification")
-    _common_options(p_verify)
+    _common_options(p_verify, formats=("text", "json"))
     p_verify.add_argument("--corrupt", choices=("sp-sign",), default=None,
                           help="negative-control hook: inject a known fault")
     p_verify.add_argument("--json", dest="format", action="store_const", const="json",

@@ -20,7 +20,8 @@ from .schedule import TimingParams
 from .units import parse_int, parse_quantity
 
 __all__ = [
-    "ToolConfig", "load_config", "read_entries", "apply_entries", "parse_config_text", "KNOWN_KEYS",
+    "ToolConfig", "load_config", "read_entries", "resolve_override", "apply_entries", "parse_config_text",
+    "KNOWN_KEYS",
 ]
 
 
@@ -203,19 +204,23 @@ def read_entries(path: str | None = None, overrides: list[str] | None = None) ->
             raise ConfigParseError(f"cannot read config file {path!r}: {exc.strerror}") from exc
         entries.update(parse_config_text(text))
     for override in overrides or []:
-        if "=" not in override:
-            raise ConfigParseError(f"override {override!r} is not of the form key=value")
-        key, value = (part.strip() for part in override.split("=", 1))
-        if "." in key:
-            section, bare = key.split(".", 1)
-            section = section.strip().lower()
-            if section not in SECTIONS:
-                raise ConfigParseError(f"unknown section {section!r} in override {override!r}")
-            resolved = _resolve(section, bare)
-        else:
-            resolved = _resolve(None, key)
+        resolved, value = resolve_override(override)
         entries[resolved] = (value, override)
     return entries
+
+
+def resolve_override(override: str) -> tuple[tuple[str, str], str]:
+    """Split a ``key=value`` override and resolve its key: ``((section, key), value)``."""
+    if "=" not in override:
+        raise ConfigParseError(f"override {override!r} is not of the form key=value")
+    key, value = (part.strip() for part in override.split("=", 1))
+    if "." not in key:
+        return _resolve(None, key), value
+    section, bare = key.split(".", 1)
+    section = section.strip().lower()
+    if section not in SECTIONS:
+        raise ConfigParseError(f"unknown section {section!r} in override {override!r}")
+    return _resolve(section, bare), value
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> ToolConfig:

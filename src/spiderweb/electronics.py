@@ -11,7 +11,7 @@ driven directly and hold no charge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 
 from .model import ArrayConfig, GateInventory, default_gate_inventory
@@ -67,9 +67,6 @@ class ElectronicsParams:
                 raise ValueError(f"{name} must be strictly positive (got {value})")
         if self.fine_resolution_v >= self.coarse_resolution_v:
             raise ValueError("fine resolution must be below the coarse resolution")
-
-    def with_updates(self, **kwargs) -> "ElectronicsParams":
-        return replace(self, **kwargs)
 
 
 def min_hold_capacitance(kind: str, params: ElectronicsParams) -> float:

@@ -14,7 +14,7 @@ reports convert to µm/mm².
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidConfigError
 
@@ -66,9 +66,6 @@ class ArrayConfig:
     def unit_cells(self) -> int:
         """Unit cells in the quantum plane, (n_b*m_b)^2."""
         return self.plane_edge_cells**2
-
-    def with_updates(self, **kwargs) -> "ArrayConfig":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,6 @@ class InterconnectGrid:
         if self.fringe_mode not in FRINGE_MODES:
             raise ValueError(f"fringe_mode must be one of {FRINGE_MODES}")
 
-    def with_updates(self, **kwargs) -> "InterconnectGrid":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class GridCapacitance:
@@ -164,9 +161,6 @@ class SignalParams:
         if self.line_length_m is not None:
             return self
         return replace(self, line_length_m=2.0 * cfg.qubit_pitch_m)
-
-    def with_updates(self, **kwargs) -> "SignalParams":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ interleaving of the dressing pulses is a free choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ScheduleConflictError
@@ -76,9 +76,6 @@ class TimingParams:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def with_updates(self, **kwargs) -> "TimingParams":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class SoloGate:
@@ -106,11 +103,7 @@ class Step:
     note: str = ""
 
     def shuttling_qubits(self) -> tuple[str, ...]:
-        if self.kind == "one_qubit":
-            return tuple(g.qubit for g in self.solo_gates)
-        if self.kind == "two_qubit":
-            return tuple(q for p in self.pair_gates for q in (p.qubit_a, p.qubit_b))
-        return ()
+        return tuple(dict.fromkeys(q for _, movers, _, _ in _windows(self) for q, _ in movers))
 
     def home_shuttling_qubits(self) -> tuple[str, ...]:
         return tuple(q for q in self.shuttling_qubits() if q in HOME_QUBITS)
@@ -121,25 +114,61 @@ class StepTable:
     steps: tuple[Step, ...]
 
     def census(self) -> dict[str, int]:
-        shuttles = gates_1q = exchanges = readouts = 0
+        counts = _zero_counts()
         for step in self.steps:
-            if step.kind == "one_qubit":
-                shuttles += 1
-                gates_1q += 1
-            elif step.kind == "two_qubit":
-                # exchange, interleaved rz, exchange: one round trip each
-                shuttles += 3
-                gates_1q += 1
-                exchanges += 2
-            elif step.kind == "readout":
-                readouts += 1
-        return {
-            "shuttle_round_trips": shuttles,
-            "one_qubit_gates": gates_1q,
-            "exchanges": exchanges,
-            "readout_phases": readouts,
-            "steps": len(self.steps),
-        }
+            for kind, _, _, _ in _windows(step):
+                _tally(counts, kind)
+        counts["steps"] = len(self.steps)
+        return counts
+
+
+# A window is (kind, movers, actors, park): ``movers`` are (qubit, region)
+# pairs that ride their channels, ``actors`` are (qubit, op_label, region)
+# receiving the window's pulse, and ``park`` defers the movers' return trip
+# past the readout.
+def _windows(step: Step) -> tuple[tuple, ...]:
+    """The windows one step lowers to; the one definition of the cycle rule."""
+    if step.kind == "one_qubit":
+        movers = [(g.qubit, g.region) for g in step.solo_gates]
+        actors = [(g.qubit, f"1q_gate:{g.gate}", g.region) for g in step.solo_gates]
+        return (("one_qubit", movers, actors, step.park),)
+    if step.kind == "two_qubit":
+        # exchange, interleaved rz on the carrier, exchange
+        both = [(q, p.region) for p in step.pair_gates for q in (p.qubit_a, p.qubit_b)]
+        swaps = [(q, f"sqrt_swap:{p.qubit_a}+{p.qubit_b}", p.region)
+                 for p in step.pair_gates for q in (p.qubit_a, p.qubit_b)]
+        carriers = [(p.rz_carrier, p.region) for p in step.pair_gates]
+        rz = [(p.rz_carrier, "1q_gate:rz(180)", p.region) for p in step.pair_gates]
+        exchange = ("exchange", both, swaps, False)
+        return (exchange, ("one_qubit", carriers, rz, False), exchange)
+    if step.kind == "readout":
+        return (("readout", [], [(g.qubit, "readout", g.region) for g in step.measured], False),)
+    if step.kind == "hook":
+        return ()
+    raise ValueError(f"unknown step kind {step.kind!r}")
+
+
+_CENSUS_KEY = {"one_qubit": "one_qubit_gates", "exchange": "exchanges", "readout": "readout_phases"}
+
+
+def _zero_counts() -> dict[str, int]:
+    return {"shuttle_round_trips": 0, "one_qubit_gates": 0, "exchanges": 0, "readout_phases": 0}
+
+
+def _tally(counts: dict[str, int], kind: str) -> None:
+    if kind != "readout":  # every other window is bracketed by one shuttle round trip
+        counts["shuttle_round_trips"] += 1
+    counts[_CENSUS_KEY[kind]] += 1
+
+
+def _duration(timing: TimingParams, counts: dict[str, int]) -> float:
+    """Census-weighted duration: the simulator's clock and the closed-form cycle time."""
+    return (
+        counts["shuttle_round_trips"] * timing.shuttle_s
+        + counts["one_qubit_gates"] * timing.single_qubit_s
+        + counts["exchanges"] * timing.exchange_s
+        + counts["readout_phases"] * timing.readout_s
+    )
 
 
 def _channel(qubit: str, region: str) -> str:
@@ -169,15 +198,6 @@ class EventTrace:
         return "\n".join(lines) + "\n"
 
 
-def _check_window(step_index: int, regions: dict[str, list[str]], channels: dict[str, list[str]]) -> None:
-    for resource, occupants in regions.items():
-        if len(occupants) > REGION_CAPACITY:
-            raise ScheduleConflictError(step_index, resource, tuple(occupants), REGION_CAPACITY)
-    for resource, occupants in channels.items():
-        if len(occupants) > CHANNEL_CAPACITY:
-            raise ScheduleConflictError(step_index, resource, tuple(occupants), CHANNEL_CAPACITY)
-
-
 class _Simulator:
     """Window-by-window executor.
 
@@ -189,33 +209,32 @@ class _Simulator:
     def __init__(self, timing: TimingParams):
         timing.validate()
         self.timing = timing
-        self.counts = {"shuttle": 0, "one_qubit": 0, "exchange": 0, "readout": 0}
+        self.pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s,
+                        "readout": timing.readout_s}
+        self.counts = _zero_counts()
         self.events: list[Event] = []
         self.parked: list[tuple[int, str, str]] = []  # (step, qubit, region)
 
     def now(self) -> float:
-        t = self.timing
-        return (
-            self.counts["shuttle"] * t.shuttle_s
-            + self.counts["one_qubit"] * t.single_qubit_s
-            + self.counts["exchange"] * t.exchange_s
-            + self.counts["readout"] * t.readout_s
-        )
+        return _duration(self.timing, self.counts)
 
-    def _visit(self, step_index: int, movers: list[tuple[str, str]],
-               gate_kind: str, gate_s: float,
-               actors: list[tuple[str, str, str]], park: bool = False) -> None:
-        """One shuttle round trip bracketing a gate window.
-
-        ``movers`` are (qubit, region) pairs that ride their channels;
-        ``actors`` are (qubit, op_label, region) receiving the gate pulse.
-        """
+    def run_window(self, step_index: int, kind: str, movers: list[tuple[str, str]],
+                   actors: list[tuple[str, str, str]], park: bool) -> None:
+        """Check the window's capacities, then emit its events and advance the clock."""
+        # regions are counted from the actors, so a readout needs no path of its own
         regions: dict[str, list[str]] = {}
-        channels: dict[str, list[str]] = {}
-        for qubit, region in movers:
+        for qubit, _, region in actors:
             regions.setdefault(region, []).append(qubit)
-            channels.setdefault(_channel(qubit, region), []).append(qubit)
-        _check_window(step_index, regions, channels)
+        channels: dict[str, list[str]] = {}
+        lanes = [_channel(qubit, region) for qubit, region in movers]
+        for (qubit, _), lane in zip(movers, lanes):
+            channels.setdefault(lane, []).append(qubit)
+        for resource, occupants in regions.items():
+            if len(occupants) > REGION_CAPACITY:
+                raise ScheduleConflictError(step_index, resource, tuple(occupants), REGION_CAPACITY)
+        for resource, occupants in channels.items():
+            if len(occupants) > CHANNEL_CAPACITY:
+                raise ScheduleConflictError(step_index, resource, tuple(occupants), CHANNEL_CAPACITY)
         if len({q for q, _ in movers}) < len(movers):  # channels passed, so regions differ
             qubits = [q for q, _ in movers]
             qubit = next(q for q in qubits if qubits.count(q) > 1)
@@ -223,52 +242,21 @@ class _Simulator:
             detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
             raise ScheduleConflictError(step_index, qubit, places, 1, detail)
 
+        emit = self.events.append
         start = self.now()
-        for qubit, region in movers:
-            self.events.append(Event(start, step_index, qubit, "shuttle_out", _channel(qubit, region)))
-        gate_start = start + self.timing.shuttle_s / 2.0
+        for (qubit, _), lane in zip(movers, lanes):
+            emit(Event(start, step_index, qubit, "shuttle_out", lane))
+        # a shuttled pulse lands half a round trip in; a readout at the window start
+        pulse_start = start if kind == "readout" else start + self.timing.shuttle_s / 2.0
         for qubit, label, region in actors:
-            self.events.append(Event(gate_start, step_index, qubit, label, region))
-        back_start = gate_start + gate_s
-        for qubit, region in movers:
+            emit(Event(pulse_start, step_index, qubit, label, region))
+        back_start = pulse_start + self.pulse_s[kind]
+        for (qubit, region), lane in zip(movers, lanes):
             if park:
                 self.parked.append((step_index, qubit, region))
             else:
-                self.events.append(Event(back_start, step_index, qubit, "shuttle_back", _channel(qubit, region)))
-        self.counts["shuttle"] += 1
-        self.counts[gate_kind] += 1
-
-    def run_step(self, step: Step) -> None:
-        t = self.timing
-        if step.kind == "one_qubit":
-            movers = [(g.qubit, g.region) for g in step.solo_gates]
-            actors = [(g.qubit, f"1q_gate:{g.gate}", g.region) for g in step.solo_gates]
-            self._visit(step.index, movers, "one_qubit", t.single_qubit_s, actors, park=step.park)
-        elif step.kind == "two_qubit":
-            both = [(q, p.region) for p in step.pair_gates for q in (p.qubit_a, p.qubit_b)]
-            swaps = [
-                (q, f"sqrt_swap:{p.qubit_a}+{p.qubit_b}", p.region)
-                for p in step.pair_gates
-                for q in (p.qubit_a, p.qubit_b)
-            ]
-            carriers = [(p.rz_carrier, p.region) for p in step.pair_gates]
-            rz_actors = [(p.rz_carrier, "1q_gate:rz(180)", p.region) for p in step.pair_gates]
-            self._visit(step.index, both, "exchange", t.exchange_s, swaps)
-            self._visit(step.index, carriers, "one_qubit", t.single_qubit_s, rz_actors)
-            self._visit(step.index, both, "exchange", t.exchange_s, swaps)
-        elif step.kind == "readout":
-            regions: dict[str, list[str]] = {}
-            for g in step.measured:
-                regions.setdefault(g.region, []).append(g.qubit)
-            _check_window(step.index, regions, {})
-            start = self.now()
-            for g in step.measured:
-                self.events.append(Event(start, step.index, g.qubit, "readout", g.region))
-            self.counts["readout"] += 1
-        elif step.kind == "hook":
-            pass
-        else:
-            raise ValueError(f"unknown step kind {step.kind!r}")
+                emit(Event(back_start, step_index, qubit, "shuttle_back", lane))
+        _tally(self.counts, kind)
 
     def release_parked(self) -> None:
         # Return trips of parked (measured) qubits complete at the cycle
@@ -287,11 +275,12 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     """
     sim = _Simulator(timing)
     for step in table.steps:
-        sim.run_step(step)
+        for kind, movers, actors, park in _windows(step):
+            sim.run_window(step.index, kind, movers, actors, park)
     sim.release_parked()
     return EventTrace(
         events=tuple(sim.events),
-        counters=table.census(),
+        counters={**sim.counts, "steps": len(table.steps)},
         makespan_s=sim.now(),
         annotations=tuple(
             f"step {s.index}: {s.note}" for s in table.steps if s.kind == "hook"
@@ -320,12 +309,12 @@ def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "para
         "sequential": cfg.readout_module_edge,
         "mixed": cfg.sequential_readouts,
     }[readout_mode]
-    total = (
-        CYCLE_SHUTTLES * timing.shuttle_s
-        + CYCLE_ONE_QUBIT_GATES * timing.single_qubit_s
-        + CYCLE_EXCHANGES * timing.exchange_s
-        + readout_multiplier * timing.readout_s
-    )
+    total = _duration(timing, {
+        "shuttle_round_trips": CYCLE_SHUTTLES,
+        "one_qubit_gates": CYCLE_ONE_QUBIT_GATES,
+        "exchanges": CYCLE_EXCHANGES,
+        "readout_phases": readout_multiplier,
+    })
     ratio = timing.dephasing_s / total if total > 0 else float("inf")
     return CycleTime(total_s=total, readout_mode=readout_mode, coherence_ratio=ratio)
 

@@ -6,6 +6,7 @@ million-qubit design that the package defaults reproduce.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_criterion_01_line_counts_and_rent_exponent():
 
 def test_criterion_02_rent_exponent_versus_crossbars():
     grid = (0, 1, 10, 100, 200, 1000)
-    values = [rent_exponent(REFERENCE.with_updates(crossbars=x)) for x in grid]
+    values = [rent_exponent(replace(REFERENCE, crossbars=x)) for x in grid]
     non_decreasing = all(a <= b for a, b in zip(values, values[1:]))
     p_200 = values[grid.index(200)]
     report(
@@ -88,7 +89,7 @@ def test_criterion_04_electronics_constraints():
     coarse = min_hold_capacitance("coarse", ELEC)
     fine = min_hold_capacitance("fine", ELEC)
     fast = refresh_rate(ELEC, ELEC.fine_resolution_v)
-    slow = refresh_rate(ELEC.with_updates(drift_v_per_s=2e-6), ELEC.fine_resolution_v)
+    slow = refresh_rate(replace(ELEC, drift_v_per_s=2e-6), ELEC.fine_resolution_v)
     clock = demux_clock(REFERENCE, fast)
     report(
         "criterion 4: C_coarse 0.160 fF +-1%, C_fine 13.8 pF +-1%, refresh 2 Hz..100 kHz, "
@@ -164,7 +165,7 @@ def test_criterion_09_parasitic_capacitance_model():
     in_band = 230e-15 <= total <= 1.4e-12
 
     def totals(field, values):
-        return [parasitic_capacitance(GRID.with_updates(**{field: v})).total_f for v in values]
+        return [parasitic_capacitance(replace(GRID, **{field: v})).total_f for v in values]
 
     rising = all(
         totals(field, values) == sorted(totals(field, values))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiderweb
+from spiderweb import config
 from spiderweb.cli import _sweep_csv, _sweep_json, main
 from spiderweb.config import load_config
 from spiderweb.report import SWEEP_FIELDS, sweep_record
@@ -162,6 +164,27 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows == []
 
+    def test_empty_value_list_json(self, capsys):
+        assert run(capsys, "sweep", "x", ",", "--format", "json") == (0, "[]\n", "")
+
+    def test_swept_key_resolves_once(self, capsys, monkeypatch):
+        calls = []
+        resolve = config._resolve
+        monkeypatch.setattr(config, "_resolve", lambda *args: calls.append(args) or resolve(*args))
+        code, out, _ = run(capsys, "sweep", "x", "1,2,3,4,5", "--set", "t_r=2us")
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 5
+        assert calls == [(None, "t_r"), (None, "x")]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("foo.x", "1"), "error: unknown section 'foo' in override 'foo.x=1'\n"),
+        (("line_length", "1um"),
+         "error: ambiguous key 'line_length'; qualify as one of: signals.line_length, interconnect.line_length\n"),
+        (("nosuch", "1,2"), "error: unknown key 'nosuch' in any section\n"),
+    ], ids=["unknown-section", "ambiguous", "unknown-key"])
+    def test_bad_swept_key_message(self, capsys, argv, message):
+        assert run(capsys, "sweep", *argv) == (1, "", message)
+
     def test_unknown_parameter_exits_1(self, capsys):
         code, _, err = run(capsys, "sweep", "qubits", "1,2")
         assert code == 1
@@ -299,6 +322,16 @@ class TestSimulate:
         assert "shuttle round trips 22" in out
         assert "makespan            2.65 us" in out
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "70b7122acc9cb02e77950b0fbbb9b27f0add669b89e8929753fbf5926b22b8cb"),
+        ("csv", "d513b7b2ad6c60f10112056c6116ea77d94199a1af924c1ed95816f2e6562166"),
+    ])
+    def test_shipped_table_output_bytes(self, capsys, fmt, digest):
+        # pins event order, times and labels of the shipped cycle
+        code, out, _ = run(capsys, "simulate", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_csv_trace(self, capsys):
         code, out, _ = run(capsys, "simulate", "--format", "csv")
         assert code == 0
@@ -361,7 +394,11 @@ class TestExitCodes:
         ("report", "--bogus"),
         ("sweep", "x"),
         ("verify", "--dump-unitary", "sp"),
-    ], ids=["unknown-flag", "sweep-without-values", "verify-dump-unitary"])
+        ("verify", "--format", "csv"),
+        ("verify", "--pin-cp", "700fF"),
+        ("simulate", "--pin-cp", "abc"),
+    ], ids=["unknown-flag", "sweep-without-values", "verify-dump-unitary", "verify-csv",
+            "verify-pin-cp", "simulate-pin-cp"])
     def test_usage_error_exits_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1

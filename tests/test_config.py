@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -156,7 +156,7 @@ class TestLoadConfig:
     def test_swept_point_builds_only_its_section(self):
         default = apply_entries({})
         point = apply_entries(read_entries(None, ["x=5"]))
-        assert point.array == default.array.with_updates(crossbars=5)
+        assert point.array == replace(default.array, crossbars=5)
         for section in ("electronics", "timing", "signals", "interconnect"):
             assert getattr(point, section) is getattr(default, section)
             assert getattr(point, section) is getattr(ToolConfig(), section)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ def test_minimal_config_is_valid():
 
 
 def test_mismatched_tilings_reported():
-    cfg = REFERENCE.with_updates(readout_grid_edge=100)
+    cfg = replace(REFERENCE, readout_grid_edge=100)
     report = validate_config(cfg)
     assert not report.ok
     assert len(report.violations) == 1
@@ -45,13 +47,13 @@ def test_mismatched_tilings_reported():
 
 
 def test_uncovered_readout_split_reported():
-    cfg = REFERENCE.with_updates(sequential_readouts=3)
+    cfg = replace(REFERENCE, sequential_readouts=3)
     report = validate_config(cfg)
     assert any("multiplexing split" in v for v in report.violations)
 
 
 def test_nonpositive_fields_reported():
-    cfg = REFERENCE.with_updates(code_distance=0, crossbars=-1)
+    cfg = replace(REFERENCE, code_distance=0, crossbars=-1)
     report = validate_config(cfg)
     assert len(report.violations) == 2
 
@@ -87,7 +89,7 @@ def test_single_cell_geometry():
 
 def test_geometry_rejects_invalid_config():
     # the array is checked once, at the report boundary, before any geometry
-    config = ToolConfig(array=REFERENCE.with_updates(readout_grid_edge=100))
+    config = ToolConfig(array=replace(REFERENCE, readout_grid_edge=100))
     with pytest.raises(InvalidConfigError, match="different plane edges"):
         build_report(config)
 
@@ -186,12 +188,12 @@ def test_unit_cell_count_is_square_of_edges(edges):
 
 def test_area_scales_quadratically_in_pitch():
     base = derive_geometry(REFERENCE).plane_area_m2
-    doubled = derive_geometry(REFERENCE.with_updates(qubit_pitch_nm=26_000)).plane_area_m2
+    doubled = derive_geometry(replace(REFERENCE, qubit_pitch_nm=26_000)).plane_area_m2
     assert doubled == pytest.approx(4 * base, rel=1e-12)
 
 
 def test_gates_per_arm_floor_division():
-    cfg = REFERENCE.with_updates(gate_pitch_nm=51)
+    cfg = replace(REFERENCE, gate_pitch_nm=51)
     assert derive_geometry(cfg).gates_per_arm == 13_000 // 51
 
 

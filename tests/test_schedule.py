@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiderweb.errors import ScheduleConflictError
 from spiderweb.model import ArrayConfig
@@ -9,6 +12,7 @@ from spiderweb.schedule import (
     CYCLE_ONE_QUBIT_GATES,
     CYCLE_SHUTTLES,
     HOME_QUBITS,
+    PairGate,
     SoloGate,
     Step,
     StepTable,
@@ -181,6 +185,58 @@ class TestSimulation:
         assert lines[0] == "time_s,step,qubit,op,resource"
         assert len(lines) == len(trace.events) + 1
         assert all(line.count(",") == 4 for line in lines)
+
+
+_REGIONS = ("op1", "op2", "op3")
+_DURATIONS = st.floats(min_value=0.0, max_value=1e-5, allow_nan=False)
+_TIMINGS = st.builds(TimingParams, _DURATIONS, _DURATIONS, _DURATIONS, _DURATIONS, _DURATIONS)
+
+
+@st.composite
+def _valid_step(draw, index: int) -> Step:
+    """One step that keeps every window within capacity: distinct home
+    qubits, split over two regions, at most two per region."""
+    qubits = draw(st.permutations(HOME_QUBITS))
+    regions = draw(st.permutations(_REGIONS))[:2]
+    kind = draw(st.sampled_from(("one_qubit", "two_qubit", "readout", "hook")))
+    if kind == "hook":
+        return Step(index, "hook", note=draw(st.sampled_from(("", "lattice_surgery_interrupt"))))
+    if kind == "two_qubit":
+        pairs = [(qubits[0], qubits[1], regions[0]), (qubits[2], qubits[3], regions[1])]
+        chosen = pairs[:draw(st.integers(1, 2))]
+        return Step(index, "two_qubit", pair_gates=tuple(
+            PairGate(a, b, region, draw(st.sampled_from((a, b)))) for a, b, region in chosen
+        ))
+    placed = [(q, regions[i % 2]) for i, q in enumerate(qubits[:draw(st.integers(0, 4))])]
+    if kind == "readout":
+        return Step(index, "readout", measured=tuple(SoloGate(q, r, "readout") for q, r in placed))
+    gate = draw(st.sampled_from(("ry(-90)", "rz(90)", "x")))
+    return Step(index, "one_qubit", solo_gates=tuple(SoloGate(q, r, gate) for q, r in placed),
+                park=draw(st.booleans()))
+
+
+@st.composite
+def _valid_tables(draw) -> StepTable:
+    size = draw(st.integers(0, 24))
+    return StepTable(tuple(draw(_valid_step(index)) for index in range(1, size + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_valid_tables(), timing=_TIMINGS)
+def test_generated_table_runs_its_census(table, timing):
+    trace = simulate_cycle(table, timing)
+    census = table.census()
+    assert trace.counters == census
+    # the census-weighted sum, in the order the benchmark computes it
+    assert trace.makespan_s == (
+        census["shuttle_round_trips"] * timing.shuttle_s
+        + census["one_qubit_gates"] * timing.single_qubit_s
+        + census["exchanges"] * timing.exchange_s
+        + census["readout_phases"] * timing.readout_s
+    )
+    outs = Counter(e.qubit for e in trace.events if e.op == "shuttle_out")
+    backs = Counter(e.qubit for e in trace.events if e.op == "shuttle_back")
+    assert outs == backs
 
 
 class TestStepTableFormat:
