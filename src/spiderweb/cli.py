@@ -225,19 +225,12 @@ def _cmd_simulate(args) -> int:
     except ScheduleConflictError as exc:
         sys.stderr.write(f"schedule conflict: {exc}\n")
         return EXIT_VERIFY
+    _require_finite({"makespan_s": trace.makespan_s, **{f"event {i} time_s": e.time_s for i, e in
+                     enumerate(trace.events) if not math.isfinite(e.time_s)}}, "simulate value")
     if args.format == "csv":
         _emit(args, trace.to_csv())
     elif args.format == "json":
-        doc = {
-            "makespan_s": trace.makespan_s,
-            "counters": trace.counters,
-            "annotations": list(trace.annotations),
-            "events": [
-                {"time_s": e.time_s, "step": e.step, "qubit": e.qubit, "op": e.op, "resource": e.resource}
-                for e in trace.events
-            ],
-        }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _emit(args, trace.to_json() + "\n")
     else:
         lines = [
             f"steps               {trace.counters['steps']}",

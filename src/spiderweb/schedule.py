@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from .errors import ScheduleConflictError
 from .model import ArrayConfig
@@ -175,8 +177,7 @@ def _channel(qubit: str, region: str) -> str:
     return f"{qubit}~{region}"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     time_s: float
     step: int
     qubit: str
@@ -192,10 +193,27 @@ class EventTrace:
     annotations: tuple[str, ...] = ()
 
     def to_csv(self) -> str:
-        lines = ["time_s,step,qubit,op,resource"]
-        for ev in self.events:
-            lines.append(f"{ev.time_s!r},{ev.step},{ev.qubit},{ev.op},{ev.resource}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{t!r},{step},{qubit},{op},{resource}\n" for t, step, qubit, op, resource in self.events]
+        return "time_s,step,qubit,op,resource\n" + "".join(rows)
+
+    def to_json(self) -> str:
+        """``json.dumps(doc, indent=2, sort_keys=True)`` of the trace document, written
+        directly; the caller checks that the times are finite."""
+        annotations = ",\n".join(f"    {_json_str(a)}" for a in self.annotations)
+        counters = ",\n".join(f"    {_json_str(k)}: {v!r}" for k, v in sorted(self.counters.items()))
+        events = ",\n".join([
+            f'    {{\n      "op": {_json_str(op)},\n      "qubit": {_json_str(qubit)},\n'
+            f'      "resource": {_json_str(resource)},\n      "step": {step},\n      "time_s": {t!r}\n    }}'
+            for t, step, qubit, op, resource in self.events
+        ])
+        return (f'{{\n  "annotations": {_json_block("[", annotations, "]")},\n'
+                f'  "counters": {_json_block("{", counters, "}")},\n'
+                f'  "events": {_json_block("[", events, "]")},\n'
+                f'  "makespan_s": {self.makespan_s!r}\n}}')
+
+
+def _json_block(open_: str, body: str, close: str) -> str:
+    return f"{open_}\n{body}\n  {close}" if body else open_ + close
 
 
 class _Simulator:
@@ -221,49 +239,53 @@ class _Simulator:
     def run_window(self, step_index: int, kind: str, movers: list[tuple[str, str]],
                    actors: list[tuple[str, str, str]], park: bool) -> None:
         """Check the window's capacities, then emit its events and advance the clock."""
-        # regions are counted from the actors, so a readout needs no path of its own
-        regions: dict[str, list[str]] = {}
-        for qubit, _, region in actors:
-            regions.setdefault(region, []).append(qubit)
-        channels: dict[str, list[str]] = {}
         lanes = [_channel(qubit, region) for qubit, region in movers]
-        for (qubit, _), lane in zip(movers, lanes):
-            channels.setdefault(lane, []).append(qubit)
-        for resource, occupants in regions.items():
-            if len(occupants) > REGION_CAPACITY:
-                raise ScheduleConflictError(step_index, resource, tuple(occupants), REGION_CAPACITY)
-        for resource, occupants in channels.items():
-            if len(occupants) > CHANNEL_CAPACITY:
-                raise ScheduleConflictError(step_index, resource, tuple(occupants), CHANNEL_CAPACITY)
-        if len({q for q, _ in movers}) < len(movers):  # channels passed, so regions differ
-            qubits = [q for q, _ in movers]
-            qubit = next(q for q in qubits if qubits.count(q) > 1)
-            places = tuple(r for q, r in movers if q == qubit)
-            detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
-            raise ScheduleConflictError(step_index, qubit, places, 1, detail)
+        # only more actors than one region holds, or a repeated lane, can overflow;
+        # regions are counted from the actors, so a readout needs no path of its own
+        if len(actors) > REGION_CAPACITY or len(set(lanes)) < len(lanes):
+            regions: dict[str, list[str]] = {}
+            for qubit, _, region in actors:
+                regions.setdefault(region, []).append(qubit)
+            channels: dict[str, list[str]] = {}
+            for (qubit, _), lane in zip(movers, lanes):
+                channels.setdefault(lane, []).append(qubit)
+            for resource, occupants in regions.items():
+                if len(occupants) > REGION_CAPACITY:
+                    raise ScheduleConflictError(step_index, resource, tuple(occupants), REGION_CAPACITY)
+            for resource, occupants in channels.items():
+                if len(occupants) > CHANNEL_CAPACITY:
+                    raise ScheduleConflictError(step_index, resource, tuple(occupants), CHANNEL_CAPACITY)
+        # the actors place every qubit of the window, a measured one too
+        if len({qubit for qubit, _, _ in actors}) < len(actors):
+            placed = dict.fromkeys((qubit, region) for qubit, _, region in actors)
+            qubits = [q for q, _ in placed]
+            for qubit in (q for q in qubits if qubits.count(q) > 1):
+                places = tuple(r for q, r in placed if q == qubit)
+                detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
+                raise ScheduleConflictError(step_index, qubit, places, 1, detail)
 
-        emit = self.events.append
         start = self.now()
-        for (qubit, _), lane in zip(movers, lanes):
-            emit(Event(start, step_index, qubit, "shuttle_out", lane))
+        events = self.events
+        events.extend([Event(start, step_index, qubit, "shuttle_out", lane)
+                       for (qubit, _), lane in zip(movers, lanes)])
         # a shuttled pulse lands half a round trip in; a readout at the window start
         pulse_start = start if kind == "readout" else start + self.timing.shuttle_s / 2.0
-        for qubit, label, region in actors:
-            emit(Event(pulse_start, step_index, qubit, label, region))
-        back_start = pulse_start + self.pulse_s[kind]
-        for (qubit, region), lane in zip(movers, lanes):
-            if park:
-                self.parked.append((step_index, qubit, region))
-            else:
-                emit(Event(back_start, step_index, qubit, "shuttle_back", lane))
+        events.extend([Event(pulse_start, step_index, qubit, label, region)
+                       for qubit, label, region in actors])
+        if park:
+            self.parked.extend((step_index, qubit, region) for qubit, region in movers)
+        else:
+            back_start = pulse_start + self.pulse_s[kind]
+            events.extend([Event(back_start, step_index, qubit, "shuttle_back", lane)
+                           for (qubit, _), lane in zip(movers, lanes)])
         _tally(self.counts, kind)
 
     def release_parked(self) -> None:
         # Return trips of parked (measured) qubits complete at the cycle
         # boundary; their round-trip time was charged by the parking step.
         end = self.now()
-        for step_index, qubit, region in self.parked:
-            self.events.append(Event(end, step_index, qubit, "shuttle_back", _channel(qubit, region)))
+        self.events.extend([Event(end, step_index, qubit, "shuttle_back", _channel(qubit, region))
+                            for step_index, qubit, region in self.parked])
         self.parked.clear()
 
 

@@ -349,7 +349,8 @@ class TestSimulate:
     @pytest.mark.parametrize("line", [
         "1 one_qubit D1@op1:x D1@op2:x",
         "1 two_qubit D1+A1@op1:rz=D1 D1+A2@op2:rz=A2",
-    ], ids=["one-qubit", "two-pairs"])
+        "1 readout D1@op1 D1@op2",
+    ], ids=["one-qubit", "two-pairs", "readout"])
     def test_qubit_in_two_regions_exits_2(self, capsys, tmp_path, line):
         table = tmp_path / "twice.steps"
         table.write_text(line + "\n")
@@ -358,6 +359,12 @@ class TestSimulate:
         assert out == ""
         assert err == "schedule conflict: step 1: qubit 'D1' is in 2 regions (op1, op2) in one window\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_non_finite_times_exit_1(self, capsys, fmt):
+        code, out, err = run(capsys, "simulate", "--format", fmt, "--set", "t_sh=1e307")
+        assert code == 1
+        assert out == ""
+        assert err == "error: simulate value makespan_s is not finite (inf)\n"
 
     def test_step_index_out_of_order_exits_1(self, capsys, tmp_path):
         table = tmp_path / "order.steps"

@@ -1,8 +1,9 @@
+import json
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spiderweb.errors import ScheduleConflictError
@@ -170,7 +171,8 @@ class TestSimulation:
     @pytest.mark.parametrize("text", [
         "1 one_qubit D1@op1:x D1@op2:x\n",
         "1 two_qubit D1+A1@op1:rz=D1 D1+A2@op2:rz=A2\n",
-    ], ids=["one-qubit", "two-pairs"])
+        "1 readout D1@op1 D1@op2\n",
+    ], ids=["one-qubit", "two-pairs", "readout"])
     def test_qubit_in_two_regions_rejected(self, text):
         with pytest.raises(ScheduleConflictError) as err:
             simulate_cycle(step_table_from_text(text), TIMING)
@@ -265,3 +267,50 @@ class TestStepTableFormat:
         table = step_table_from_text("# header\n\n1 one_qubit D1@op1:ry(-90)  # inline\n")
         assert len(table.steps) == 1
         assert table.steps[0].solo_gates[0].gate == "ry(-90)"
+
+
+_LABELS = st.one_of(st.text(max_size=6), st.sampled_from([
+    '"', "\\", '", "', "µm Ω ü 中", "\U0001f600\U00010348", "\x00\x1f\n\r\t\x7f", "\u2028", "",
+]))
+
+
+@st.composite
+def _labelled_step(draw, index: int) -> Step:
+    """One step over arbitrary labels: distinct qubits, at most two per window."""
+    qubits = draw(st.lists(_LABELS, min_size=2, max_size=2, unique=True))
+    region, gate = draw(_LABELS), draw(_LABELS)
+    kind = draw(st.sampled_from(("one_qubit", "two_qubit", "readout", "hook")))
+    if kind == "hook":
+        return Step(index, "hook", note=draw(_LABELS))
+    if kind == "two_qubit":
+        return Step(index, "two_qubit", pair_gates=(PairGate(*qubits, region, qubits[0]),))
+    placed = tuple(SoloGate(q, draw(_LABELS), gate) for q in qubits[:draw(st.integers(0, 2))])
+    if kind == "readout":
+        return Step(index, "readout", measured=placed)
+    return Step(index, "one_qubit", solo_gates=placed, park=draw(st.booleans()))
+
+
+def _trace_document_json(trace) -> str:
+    doc = {
+        "makespan_s": trace.makespan_s,
+        "counters": trace.counters,
+        "annotations": list(trace.annotations),
+        "events": [
+            {"time_s": e.time_s, "step": e.step, "qubit": e.qubit, "op": e.op, "resource": e.resource}
+            for e in trace.events
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.integers(0, 6).flatmap(lambda n: st.tuples(*(_labelled_step(i) for i in range(1, n + 1)))),
+       timing=_TIMINGS)
+@example(steps=(), timing=TIMING)
+@example(steps=(Step(1, "hook", note='say "\\ \U0001f600"'), Step(2, "one_qubit")), timing=TIMING)
+def test_trace_json_is_the_indent_2_sorted_document(steps, timing):
+    try:
+        trace = simulate_cycle(StepTable(steps), timing)
+    except ScheduleConflictError:
+        assume(False)  # two labels can still name one channel, as "a~" + "b" and "a" + "~b"
+    assert trace.to_json() == _trace_document_json(trace)
