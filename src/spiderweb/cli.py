@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.util
 import io
 import json
 import math
 import os
 import sys
 
-from . import schedule
+from . import qgates, schedule
 from .config import KNOWN_KEYS, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
 from .model import validate_config
@@ -29,25 +28,6 @@ from .units import parse_quantity, si_format
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
-
-
-def _lazy_import(name: str):
-    """Register module ``name`` in ``sys.modules`` now, but execute it only on
-    first attribute access."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    parent, _, child = name.rpartition(".")
-    setattr(sys.modules[parent], child, module)
-    return module
-
-
-# The gate algebra needs numpy; only ``verify`` and ``dump-unitary`` load it.
-qgates = _lazy_import(f"{__package__}.qgates")
 
 
 def _common_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "csv"),
@@ -251,7 +231,7 @@ def _cmd_dump_unitary(args) -> int:
     doc = {
         "gate": args.gate,
         "params": params,
-        "dim": matrix.shape[0],
+        "dim": len(matrix),
         "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in matrix],
     }
     _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")

@@ -9,132 +9,114 @@ Conventions: basis states are |q1 q2 ... qn> with qubit 1 the leftmost tensor
 factor (most significant bit); rotations follow the spin-half convention
 R_a(theta) = exp(-i*theta*sigma_a/2), so R_z(theta) = diag(e^{-i theta/2},
 e^{i theta/2}) and a 2*pi rotation is -I.  Qubit indices are 1-based.
+
+Matrices are lists of rows of Python complex numbers: at 32x32 at most, plain
+Python costs less than importing an array package.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial, reduce
+from itertools import chain
+from operator import mul
+from typing import Iterable, Sequence
 
-import numpy as np
+__all__ = ["Circuit", "IdentityCheck", "PlacedGate", "build_plaquette", "compose", "concurrence",
+           "equal_up_to_global_phase", "expand", "gate", "is_unitary", "reference_plaquette",
+           "verify_identities", "verify_plaquette"]
 
-__all__ = [
-    "Circuit",
-    "IdentityCheck",
-    "PlacedGate",
-    "build_plaquette",
-    "compose",
-    "concurrence",
-    "equal_up_to_global_phase",
-    "expand",
-    "gate",
-    "is_unitary",
-    "reference_plaquette",
-    "verify_identities",
-    "verify_plaquette",
-]
+Matrix = Sequence[Sequence[complex]]
 
-_SQRT2 = np.sqrt(2.0)
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
+def _m(*rows) -> tuple[tuple[complex, ...], ...]:
+    return tuple(tuple(complex(v) for v in row) for row in rows)
 
+
+def _dagger(matrix: Matrix) -> list[list[complex]]:
+    return [[v.conjugate() for v in col] for col in zip(*matrix)]
+
+
+_R = 1 / math.sqrt(2.0)
+_I2 = _m((1, 0), (0, 1))
+_X = _m((0, 1), (1, 0))
+_Y = _m((0, -1j), (1j, 0))
+_Z = _m((1, 0), (0, -1))
+_H = _m((_R, _R), (_R, -_R))
 # Native exchange gate: square root of SWAP.
-_SQRT_SWAP = 0.5 * np.array(
-    [
-        [2, 0, 0, 0],
-        [0, 1 + 1j, 1 - 1j, 0],
-        [0, 1 - 1j, 1 + 1j, 0],
-        [0, 0, 0, 2],
-    ],
-    dtype=complex,
-)
-
+_SQRT_SWAP = _m((1, 0, 0, 0), (0, 0.5 + 0.5j, 0.5 - 0.5j, 0), (0, 0.5 - 0.5j, 0.5 + 0.5j, 0), (0, 0, 0, 1))
 # Diagonal entangling phase gate produced by sqrt(SWAP) . Rz(pi)[1] . sqrt(SWAP)
 # up to a -i global phase.
-_SP = np.diag([1, 1j, -1j, -1]).astype(complex)
-
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_SP = _m((1, 0, 0, 0), (0, 1j, 0, 0), (0, 0, -1j, 0), (0, 0, 0, -1))
+_SWAP = _m((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+_CZ = _m((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
+_CNOT = _m((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+_FIXED_GATES = {"i": _I2, "x": _X, "y": _Y, "z": _Z, "h": _H, "sqrt_swap": _SQRT_SWAP, "sp": _SP,
+                "sp_dag": _dagger(_SP), "swap": _SWAP, "cz": _CZ, "cnot": _CNOT}
 
 
-def _rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def _ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)]).astype(complex)
-
-
-_FIXED_GATES = {
-    "i": _I2,
-    "x": _X,
-    "y": _Y,
-    "z": _Z,
-    "h": _H,
-    "sqrt_swap": _SQRT_SWAP,
-    "sp": _SP,
-    "sp_dag": _SP.conj().T,
-    "swap": _SWAP,
-    "cz": _CZ,
-    "cnot": _CNOT,
-}
-_ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz}
-
-
-def gate(name: str, *params: float) -> np.ndarray:
+def gate(name: str, *params: float) -> list[list[complex]]:
     """Return the matrix of a named gate; rotations take one angle [rad]."""
     if name in _FIXED_GATES:
         if params:
             raise ValueError(f"gate {name!r} takes no parameters")
-        return _FIXED_GATES[name].copy()
-    if name in _ROTATIONS:
-        if len(params) != 1 or not np.isfinite(params[0]):
-            raise ValueError(f"gate {name!r} takes exactly one finite angle")
-        return _ROTATIONS[name](params[0])
-    raise ValueError(f"unknown gate {name!r}")
+        return [list(row) for row in _FIXED_GATES[name]]
+    if name not in ("rx", "ry", "rz"):
+        raise ValueError(f"unknown gate {name!r}")
+    if len(params) != 1 or not math.isfinite(params[0]):
+        raise ValueError(f"gate {name!r} takes exactly one finite angle")
+    theta = params[0]
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    if name == "rx":
+        return [[complex(c), -1j * s], [-1j * s, complex(c)]]
+    if name == "ry":
+        return [[complex(c), complex(-s)], [complex(s), complex(c)]]
+    return [[cmath.exp(-1j * theta / 2), 0j], [0j, cmath.exp(1j * theta / 2)]]
 
 
-def is_unitary(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    dim = matrix.shape[0]
-    return np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim))) < tol
+def _matmul(a: Matrix, b: Matrix) -> list[list[complex]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _is_diagonal(matrix: np.ndarray, tol: float = 1e-12) -> bool:
-    return np.max(np.abs(matrix - np.diag(np.diag(matrix)))) < tol
+def is_unitary(matrix: Matrix, tol: float = 1e-12) -> bool:
+    product = _matmul(_dagger(matrix), matrix)
+    return max(abs(v - (i == j)) for i, row in enumerate(product) for j, v in enumerate(row)) < tol
 
 
-def expand(matrix: np.ndarray, n_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
+def _diagonal(matrix: Matrix) -> list[complex] | None:
+    """The diagonal of a matrix whose other entries are all exactly zero, else None."""
+    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(matrix)):
+        return None
+    return [row[i] for i, row in enumerate(matrix)]
+
+
+def _layout(n_qubits: int, targets: tuple[int, ...]) -> tuple[int, list[int]]:
+    """Bit mask of the targets in a register index, and for each register index
+    the gate index its target bits form (the first target most significant)."""
+    offsets = [0]
+    for t in targets:
+        offsets = [o | b for o in offsets for b in (0, 1 << (n_qubits - t))]
+    return offsets[-1], [offsets.index(i & offsets[-1]) for i in range(1 << n_qubits)]
+
+
+def expand(matrix: Matrix, n_qubits: int, targets: tuple[int, ...]) -> list[list[complex]]:
     """Embed a k-qubit gate on the given (1-based) targets of an n-qubit register."""
     k = len(targets)
-    if matrix.shape != (1 << k, 1 << k):
-        raise ValueError(f"gate of shape {matrix.shape} does not fit {k} target(s)")
+    if len(matrix) != 1 << k or any(len(row) != 1 << k for row in matrix):
+        raise ValueError(f"gate of shape {(len(matrix), len(matrix[0]) if len(matrix) else 0)} "
+                         f"does not fit {k} target(s)")
     if len(set(targets)) != k:
         raise ValueError(f"duplicate targets {targets}")
     for t in targets:
         if not 1 <= t <= n_qubits:
             raise ValueError(f"target {t} out of range 1..{n_qubits}")
-    dim = 1 << n_qubits
-    # Contract the gate's input axes with the target qubits' row axes of the
-    # identity, then put the gate's output axes back at the target positions.
-    axes = [t - 1 for t in targets]
-    identity = np.eye(dim, dtype=complex).reshape((2,) * n_qubits + (dim,))
-    out = np.tensordot(matrix.reshape((2,) * (2 * k)), identity, axes=(range(k, 2 * k), axes))
-    return np.moveaxis(out, range(k), axes).reshape(dim, dim)
+    mask, index = _layout(n_qubits, targets)
+    m = [[complex(v) for v in row] for row in matrix]
+    return [[m[index[r]][index[c]] if r & ~mask == c & ~mask else 0j for c in range(len(index))]
+            for r in range(len(index))]
 
 
 @dataclass(frozen=True)
@@ -143,7 +125,7 @@ class PlacedGate:
     targets: tuple[int, ...]
     params: tuple[float, ...] = ()
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> list[list[complex]]:
         return gate(self.name, *self.params)
 
 
@@ -167,49 +149,94 @@ class Circuit:
         if not 1 <= self.n_qubits <= 5:
             raise ValueError("circuits support 1 to 5 qubits")
         for step_index, step in enumerate(self.steps, start=1):
-            seen: set[int] = set()
-            overlap = False
-            for placed in step:
-                for t in placed.targets:
-                    if not 1 <= t <= self.n_qubits:
-                        raise ValueError(
-                            f"step {step_index}: target {t} out of range 1..{self.n_qubits}"
-                        )
-                    if t in seen:
-                        overlap = True
-                    seen.add(t)
-            if overlap and not all(_is_diagonal(p.matrix()) for p in step):
-                raise ValueError(
-                    f"step {step_index}: overlapping gates must all be diagonal"
-                )
+            targets = [t for placed in step for t in placed.targets]
+            for t in targets:
+                if not 1 <= t <= self.n_qubits:
+                    raise ValueError(f"step {step_index}: target {t} out of range 1..{self.n_qubits}")
+            if len(set(targets)) < len(targets) and any(_diagonal(p.matrix()) is None for p in step):
+                raise ValueError(f"step {step_index}: overlapping gates must all be diagonal")
 
 
-def compose(circuit: Circuit) -> np.ndarray:
-    """Product of the circuit's step unitaries; later steps multiply on the left."""
+def _sandwich(outer: list[Matrix], phases: list[complex], inner: list[Matrix]) -> list[list[complex]]:
+    """``outer @ diag(phases) @ inner`` for two layers of one-qubit gates (a 2x2
+    per qubit, qubit 1 first): entry (i, j) sums phases[k] * prod_q
+    outer_q[i_q][k_q] * inner_q[k_q][j_q] over k.  Summing out k's bits from the
+    last qubit up takes 2 * 4^n products against 5 * 4^n for row butterflies;
+    after m qubits ``level`` is indexed (i, j, rest of k), i and j m bits each."""
+    level, size = phases, 1
+    for b, a in zip(reversed(outer), reversed(inner)):
+        even, odd = level[0::2], level[1::2]
+        blocks = []
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            t0, t1 = b[i][0] * a[0][j], b[i][1] * a[1][j]
+            if t0 and t1:
+                blocks.append([t0 * x + t1 * y for x, y in zip(even, odd)])
+            else:  # one term at most: identity factors leave copies and zeros
+                c, src = (t0, even) if t0 else (t1, odd)
+                blocks.append(src if c == 1 else [c * x for x in src] if c else [0j] * len(src))
+        # the new row bit i is the top one, so each row is a j = 0 half then a j = 1 half
+        width = len(even) // size
+        level = list(chain.from_iterable(block[r:r + width] for pair in (blocks[:2], blocks[2:])
+                                         for r in range(0, len(even), width) for block in pair))
+        size *= 2
+    return [level[r:r + size] for r in range(0, size * size, size)]
+
+
+def compose(circuit: Circuit) -> list[list[complex]]:
+    """Product of the circuit's step unitaries; later steps multiply on the left.
+
+    Diagonal gates collect into a phase vector.  A first layer of one-qubit
+    gates waits for the next, to make a ``_sandwich`` with the phases between;
+    other dense gates are matrix products.  A step's diagonals go last.
+    """
     circuit.validate()
-    dim = 1 << circuit.n_qubits
-    total = np.eye(dim, dtype=complex)
+    n = circuit.n_qubits
+    # so far: diag(phases) @ (rows, else a first layer of one-qubit gates, else the identity)
+    rows = layer = phases = None
     for step in circuit.steps:
-        step_u = np.eye(dim, dtype=complex)
+        diagonal, dense = [], []
         for placed in step:
-            step_u = expand(placed.matrix(), circuit.n_qubits, placed.targets) @ step_u
-        total = step_u @ total
-    return total
+            m = placed.matrix()
+            d = _diagonal(m)
+            (dense if d is None else diagonal).append((m if d is None else d, placed.targets))
+        if dense and rows is None and all(len(t) == 1 for _, t in dense):
+            by_qubit = {t[0]: m for m, t in dense}
+            new = [by_qubit.get(q, _I2) for q in range(1, n + 1)]
+            if layer is None and phases is None:
+                layer = new
+            else:
+                rows = _sandwich(new, phases or [1 + 0j] * (1 << n), layer or [_I2] * n)
+                layer = phases = None
+        elif dense:
+            rows, layer, phases = _take_up(rows, layer, phases, n), None, None
+            for m, targets in dense:
+                rows = _matmul(expand(m, n, targets), rows)
+        for d, targets in diagonal:
+            d = [d[g] for g in _layout(n, targets)[1]]
+            phases = d if phases is None else list(map(mul, phases, d))
+    return _take_up(rows, layer, phases, n)
 
 
-def equal_up_to_global_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
+def _take_up(rows, layer, phases, n: int) -> list[list[complex]]:
+    """``diag(phases) @ M`` with M the rows, else the pending layer, else the identity."""
+    if rows is None:
+        return _sandwich([_I2] * n, phases or [1 + 0j] * (1 << n), layer or [_I2] * n)
+    return [[p * x for x in row] for p, row in zip(phases, rows)] if phases else rows
+
+
+def equal_up_to_global_phase(u: Matrix, v: Matrix, tol: float = 1e-10) -> bool:
     """True iff u = e^{i phi} v for some phase, within tol in max-norm."""
-    if u.shape != v.shape:
+    if len(u) != len(v) or any(len(a) != len(b) for a, b in zip(u, v)):
         raise ValueError("matrices must have the same shape")
     return _phase_residual(u, v) < tol
 
 
-def concurrence(state: np.ndarray) -> float:
+def concurrence(state: Sequence[complex]) -> float:
     """Concurrence of a pure two-qubit state (1 for maximally entangled)."""
-    if state.shape != (4,):
+    if len(state) != 4:
         raise ValueError("expected a 4-component state vector")
-    yy = np.kron(_Y, _Y)
-    return float(abs(state.conj() @ (yy @ state.conj())))
+    a, b, c, d = map(complex, state)
+    return 2 * abs(a * d - b * c)
 
 
 @dataclass(frozen=True)
@@ -224,22 +251,37 @@ class IdentityCheck:
         return self.residual < self.tol
 
 
-def _residual(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.max(np.abs(u - v)))
+def _residual(u: Matrix, v: Matrix, phase: complex = 1) -> float:
+    return max(abs(x - phase * y) for ru, rv in zip(u, v) for x, y in zip(ru, rv))
 
 
-def _phase_residual(u: np.ndarray, v: np.ndarray) -> float:
-    """Max-norm distance from u to e^{i phi} v for the best-matching phase.
-
-    The candidate phase is read off the largest-magnitude entry of v^dag u,
-    which is proportional to the identity when the matrices match.
-    """
-    overlap = v.conj().T @ u
-    idx = np.unravel_index(np.argmax(np.abs(overlap)), overlap.shape)
-    pivot = overlap[idx]
+def _phase_residual(u: Matrix, v: Matrix) -> float:
+    """Max-norm distance from u to e^{i phi} v, phi read off the largest entry
+    of v's first nonzero row (an O(dim) search; |pivot| >= 1/sqrt(dim) for a
+    unitary): when u = e^{i phi} v, u there times conj(v) is e^{i phi} |v|^2."""
+    i = next((i for i, row in enumerate(v) if any(row)), 0)
+    j = max(range(len(v[i])), key=lambda j: abs(v[i][j]))
+    pivot = complex(u[i][j]) * complex(v[i][j]).conjugate()
     if abs(pivot) == 0:
         return float("inf")
-    return _residual(u, (pivot / abs(pivot)) * v)
+    return _residual(u, v, pivot / abs(pivot))
+
+
+# numpy's kron rounds each complex product with its second term fused into the
+# first (one rounding for both); doing the same keeps the residuals ``verify``
+# printed with numpy.
+
+def _fma(x: float, y: float, z: float) -> float:
+    """x*y + z rounded once, from exact integer ratios."""
+    if not (x and y and z):
+        return x * y + z
+    (a, b), (c, d), (e, f) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+    return (a * c * f + e * b * d) / (b * d * f)
+
+
+def _kron(a: Matrix, b: Matrix) -> list[list[complex]]:
+    return [[complex(_fma(x.real, y.real, -(x.imag * y.imag)), _fma(x.real, y.imag, x.imag * y.real))
+             for x in ra for y in rb] for ra in a for rb in b]
 
 
 def verify_identities(tol: float = 1e-12, corrupt: str | None = None) -> list[IdentityCheck]:
@@ -248,62 +290,43 @@ def verify_identities(tol: float = 1e-12, corrupt: str | None = None) -> list[Id
     ``corrupt='sp-sign'`` flips the sign of the phase gate used in the checks
     (a negative-control hook for the verification driver).
     """
-    sq = gate("sqrt_swap")
-    sp = gate("sp")
+    sq, sp = _SQRT_SWAP, _SP
     if corrupt == "sp-sign":
-        sp = -sp
+        sp = _kron([[-1]], sp)
     elif corrupt is not None:
         raise ValueError(f"unknown corruption {corrupt!r}")
-    sp_dag = sp.conj().T
-    rz = _rz
-    kron = np.kron
+    sp_dag = _dagger(sp)
+    rx, ry, rz = (partial(gate, axis) for axis in ("rx", "ry", "rz"))
+    pi = math.pi
 
-    checks = [
-        IdentityCheck(
-            "sp-from-sqrt-swap",
-            _residual(sq @ kron(rz(np.pi), _I2) @ sq, -1j * sp),
-            tol,
-        ),
-        IdentityCheck(
-            "sp-dagger-from-sqrt-swap",
-            _residual(sq @ kron(_I2, rz(np.pi)) @ sq, -1j * sp_dag),
-            tol,
-        ),
-        IdentityCheck(
-            "cz-from-sp",
-            _residual(kron(rz(np.pi / 2), rz(-np.pi / 2)) @ sp, _CZ),
-            tol,
-        ),
-        IdentityCheck(
-            "cz-from-sp-dagger",
-            _residual(kron(rz(-np.pi / 2), rz(np.pi / 2)) @ sp_dag, _CZ),
-            tol,
-        ),
-        IdentityCheck(
-            "cnot-from-sp",
-            _phase_residual(
-                1j
-                * kron(rz(np.pi / 2), _I2)
-                @ kron(_I2, rz(np.pi / 2))
-                @ kron(_I2, _rx(np.pi / 2))
-                @ sp
-                @ kron(_I2, _H),
-                _CNOT,
-            ),
-            tol,
-            up_to_phase=True,
-        ),
-        IdentityCheck("hadamard-ry-z", _residual(_ry(np.pi / 2) @ _Z, _H), tol),
-        IdentityCheck("hadamard-z-ry", _residual(_Z @ _ry(-np.pi / 2), _H), tol),
-        IdentityCheck("sqrt-swap-squared", _residual(sq @ sq, _SWAP), tol),
-        IdentityCheck("sp-squared", _residual(sp @ sp, kron(_Z, _Z)), tol),
-    ]
-    return checks
+    pairs = {  # expand(g, 2, (1,)) is numpy's kron(g, I2), and (2,) its kron(I2, g)
+        "sp-from-sqrt-swap": (reduce(_matmul, (sq, expand(rz(pi), 2, (1,)), sq)), _kron([[-1j]], sp)),
+        "sp-dagger-from-sqrt-swap": (reduce(_matmul, (sq, expand(rz(pi), 2, (2,)), sq)),
+                                     _kron([[-1j]], sp_dag)),
+        "cz-from-sp": (_matmul(_kron(rz(pi / 2), rz(-pi / 2)), sp), _CZ),
+        "cz-from-sp-dagger": (_matmul(_kron(rz(-pi / 2), rz(pi / 2)), sp_dag), _CZ),
+        "cnot-from-sp": (reduce(_matmul, (_kron([[1j]], expand(rz(pi / 2), 2, (1,))),
+                                           expand(rz(pi / 2), 2, (2,)), expand(rx(pi / 2), 2, (2,)),
+                                           sp, expand(_H, 2, (2,)))), _CNOT),
+        "hadamard-ry-z": (_matmul(ry(pi / 2), _Z), _H),
+        "hadamard-z-ry": (_matmul(_Z, ry(-pi / 2)), _H),
+        "sqrt-swap-squared": (_matmul(sq, sq), _SWAP),
+        "sp-squared": (_matmul(sp, sp), _kron(_Z, _Z)),
+    }
+    # only the CNOT construction carries a free global phase
+    return [IdentityCheck(name, _phase_residual(u, v), tol, up_to_phase=True)
+            if name == "cnot-from-sp" else IdentityCheck(name, _residual(u, v), tol)
+            for name, (u, v) in pairs.items()]
 
 
 # Plaquette circuits: qubit 1 is the measured ancilla, qubits 2..5 the data.
 _ANCILLA = 1
 _DATA = (2, 3, 4, 5)
+_QUBITS = (_ANCILLA, *_DATA)
+
+
+def _wall(name: str, qubits: tuple[int, ...], *params: float) -> tuple[PlacedGate, ...]:
+    return tuple(PlacedGate(name, (q,), params) for q in qubits)
 
 
 def build_plaquette(kind: str, corrupt: bool = False) -> Circuit:
@@ -314,62 +337,37 @@ def build_plaquette(kind: str, corrupt: bool = False) -> Circuit:
     ancilla-data interactions are phase gates applied in time order.
     Z plaquette: only the ancilla is y-rotated; the data receive a single
     z-rotation at the onset (its placement among the diagonal interactions
-    is immaterial).
-
-    ``corrupt=True`` flips the sign of the first data qubit's z-dressing, a
-    deliberate fault that must break the stabilizer equivalence.
+    is immaterial).  ``corrupt=True`` flips the sign of the first data qubit's
+    z-dressing, a deliberate fault that must break the stabilizer equivalence.
     """
-    dress_sign = +1.0 if not corrupt else -1.0
-    sp_steps = tuple(
-        (PlacedGate("sp", (_ANCILLA, d)),) for d in _DATA
-    )
+    quarter = math.pi / 2
+    sp_steps = tuple((PlacedGate("sp", (_ANCILLA, d)),) for d in _DATA)
+    dressing = tuple(PlacedGate("rz", (d,), (quarter if corrupt and d == _DATA[0] else -quarter,))
+                     for d in _DATA)
     if kind == "X":
-        first_rz = PlacedGate("rz", (_DATA[0],), (dress_sign * -np.pi / 2,))
-        steps = (
-            tuple(PlacedGate("ry", (q,), (-np.pi / 2,)) for q in (_ANCILLA, *_DATA)),
-            (first_rz, *(PlacedGate("rz", (d,), (-np.pi / 2,)) for d in _DATA[1:])),
-            *sp_steps,
-            tuple(PlacedGate("ry", (q,), (np.pi / 2,)) for q in (_ANCILLA, *_DATA)),
-        )
+        steps = (_wall("ry", _QUBITS, -quarter), dressing, *sp_steps, _wall("ry", _QUBITS, quarter))
     elif kind == "Z":
-        first_rz = PlacedGate("rz", (_DATA[0],), (dress_sign * -np.pi / 2,))
-        steps = (
-            (
-                PlacedGate("ry", (_ANCILLA,), (-np.pi / 2,)),
-                first_rz,
-                *(PlacedGate("rz", (d,), (-np.pi / 2,)) for d in _DATA[1:]),
-            ),
-            *sp_steps,
-            (PlacedGate("ry", (_ANCILLA,), (np.pi / 2,)),),
-        )
+        steps = ((PlacedGate("ry", (_ANCILLA,), (-quarter,)), *dressing), *sp_steps,
+                 _wall("ry", (_ANCILLA,), quarter))
     else:
         raise ValueError(f"unknown plaquette kind {kind!r}; expected 'X' or 'Z'")
     return Circuit(n_qubits=5, steps=steps)
 
 
-def reference_plaquette(kind: str) -> np.ndarray:
+def reference_plaquette(kind: str) -> list[list[complex]]:
     """Textbook stabilizer-measurement unitary the plaquette circuit must match.
 
     Both kinds reduce to controlled-phase interactions between the ancilla
     and each data qubit, conjugated by Hadamards: on every qubit for the X
     stabilizer, on the ancilla alone for the Z stabilizer.
     """
-    n = 5
-    cz_chain = np.eye(1 << n, dtype=complex)
-    for d in _DATA:
-        cz_chain = expand(_CZ, n, (_ANCILLA, d)) @ cz_chain
-    if kind == "X":
-        h_wall = np.eye(1 << n, dtype=complex)
-        for q in (_ANCILLA, *_DATA):
-            h_wall = expand(_H, n, (q,)) @ h_wall
-    elif kind == "Z":
-        h_wall = expand(_H, n, (_ANCILLA,))
-    else:
+    if kind not in ("X", "Z"):
         raise ValueError(f"unknown plaquette kind {kind!r}; expected 'X' or 'Z'")
-    return h_wall @ cz_chain @ h_wall
+    h_wall = _wall("h", _QUBITS if kind == "X" else (_ANCILLA,))
+    cz_chain = tuple((PlacedGate("cz", (_ANCILLA, d)),) for d in _DATA)
+    return compose(Circuit(n_qubits=5, steps=(h_wall, *cz_chain, h_wall)))
 
 
 def verify_plaquette(kind: str, tol: float = 1e-10, corrupt: bool = False) -> bool:
     """True iff the plaquette circuit equals its reference up to a global phase."""
-    built = compose(build_plaquette(kind, corrupt=corrupt))
-    return equal_up_to_global_phase(built, reference_plaquette(kind), tol)
+    return equal_up_to_global_phase(compose(build_plaquette(kind, corrupt)), reference_plaquette(kind), tol)

@@ -193,8 +193,17 @@ class EventTrace:
     annotations: tuple[str, ...] = ()
 
     def to_csv(self) -> str:
-        rows = [f"{t!r},{step},{qubit},{op},{resource}\n" for t, step, qubit, op, resource in self.events]
-        return "time_s,step,qubit,op,resource\n" + "".join(rows)
+        rows, last, stamp = [], None, ""
+        for t, step, qubit, op, resource in self.events:
+            if t is not last:  # the events of a window share one time object: repr it once
+                last, stamp = t, repr(t)
+            rows.append(f"{stamp},{step},{qubit},{op},{resource}\n")
+        body = "".join(rows)
+        if body.count(",") != 4 * len(rows) or body.count("\n") != len(rows) or '"' in body or "\r" in body:
+            # a name holds a comma, quote or line break: quote such cells as csv.writer does
+            body = "".join([f"{t!r},{step},{_csv_cell(qubit)},{_csv_cell(op)},{_csv_cell(resource)}\n"
+                            for t, step, qubit, op, resource in self.events])
+        return "time_s,step,qubit,op,resource\n" + body
 
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2, sort_keys=True)`` of the trace document, written
@@ -210,6 +219,10 @@ class EventTrace:
                 f'  "counters": {_json_block("{", counters, "}")},\n'
                 f'  "events": {_json_block("[", events, "]")},\n'
                 f'  "makespan_s": {self.makespan_s!r}\n}}')
+
+
+def _csv_cell(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def _json_block(open_: str, body: str, close: str) -> str:

@@ -192,10 +192,10 @@ def test_criterion_09_parasitic_capacitance_model():
 def test_criterion_10_gate_algebra():
     checks = verify_identities(tol=1e-12)
     identities_ok = all(c.passed for c in checks)
-    sq = gate("sqrt_swap")
+    sq = np.asarray(gate("sqrt_swap"))
     swap_ok = float(np.max(np.abs(sq @ sq - gate("swap")))) < 1e-12
     plus_plus = np.ones(4, dtype=complex) / 2.0
-    entangled = abs(concurrence(gate("sp") @ plus_plus) - 1.0) <= 1e-10
+    entangled = abs(concurrence(np.asarray(gate("sp")) @ plus_plus) - 1.0) <= 1e-10
     plaquettes_ok = verify_plaquette("X", tol=1e-10) and verify_plaquette("Z", tol=1e-10)
     negatives_fail = not verify_plaquette("X", corrupt=True) and not verify_plaquette("Z", corrupt=True)
     corrupt_identities = verify_identities(corrupt="sp-sign")

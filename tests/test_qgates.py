@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiderweb.qgates import (
     Circuit,
@@ -32,28 +35,28 @@ class TestGates:
         assert is_unitary(gate(name, theta))
 
     def test_sqrt_swap_squares_to_swap(self):
-        sq = gate("sqrt_swap")
+        sq = np.asarray(gate("sqrt_swap"))
         assert np.max(np.abs(sq @ sq - gate("swap"))) < 1e-12
 
     def test_sp_matrix(self):
         assert np.array_equal(gate("sp"), np.diag([1, 1j, -1j, -1]))
 
     def test_sp_times_dagger_is_identity(self):
-        assert np.max(np.abs(gate("sp") @ gate("sp_dag") - np.eye(4))) < 1e-12
+        assert np.max(np.abs(np.asarray(gate("sp")) @ gate("sp_dag") - np.eye(4))) < 1e-12
 
     def test_sp_squared_is_zz(self):
         zz = np.kron(gate("z"), gate("z"))
-        assert np.max(np.abs(gate("sp") @ gate("sp") - zz)) < 1e-12
+        assert np.max(np.abs(np.asarray(gate("sp")) @ gate("sp") - zz)) < 1e-12
 
     def test_full_z_rotation_is_minus_identity(self):
-        assert np.max(np.abs(gate("rz", 2 * np.pi) + np.eye(2))) < 1e-12
+        assert np.max(np.abs(np.asarray(gate("rz", 2 * np.pi)) + np.eye(2))) < 1e-12
 
     def test_rotation_conventions(self):
-        rz = gate("rz", np.pi / 2)
+        rz = np.asarray(gate("rz", np.pi / 2))
         assert rz[0, 0] == pytest.approx(np.exp(-1j * np.pi / 4))
-        ry = gate("ry", np.pi / 2)
+        ry = np.asarray(gate("ry", np.pi / 2))
         assert ry[0, 1] == pytest.approx(-np.sin(np.pi / 4))
-        rx = gate("rx", np.pi)
+        rx = np.asarray(gate("rx", np.pi))
         assert rx[0, 1] == pytest.approx(-1j)
 
     def test_unknown_gate_rejected(self):
@@ -114,15 +117,15 @@ class TestExpand:
             return q
 
         rng = np.random.default_rng(20261017 + n)
-        gates = (gate("h"), random_unitary(1), gate("sqrt_swap"), gate("cnot"),
-                 random_unitary(2), random_unitary(3))
+        gates = (np.asarray(gate("h")), random_unitary(1), np.asarray(gate("sqrt_swap")),
+                 np.asarray(gate("cnot")), random_unitary(2), random_unitary(3))
         for u in gates:
             k = u.shape[0].bit_length() - 1
             for targets in itertools.permutations(range(1, n + 1), k):
                 rest = [q for q in range(n) if q + 1 not in targets]
                 p = perm_matrix([t - 1 for t in targets] + rest)
                 reference = p.T @ np.kron(u, np.eye(1 << (n - k))) @ p
-                assert np.max(np.abs(expand(u, n, targets) - reference)) < 1e-14
+                assert np.max(np.abs(np.asarray(expand(u, n, targets)) - reference)) < 1e-14
 
 
 class TestCompose:
@@ -134,7 +137,7 @@ class TestCompose:
             (PlacedGate("sqrt_swap", (1, 2)),),
             (PlacedGate("sqrt_swap", (1, 2)),),
         ))
-        assert np.max(np.abs(compose(circuit) - gate("swap"))) < 1e-12
+        assert np.max(np.abs(np.asarray(compose(circuit)) - gate("swap"))) < 1e-12
 
     def test_interleaved_rotation_builds_phase_gate(self):
         circuit = Circuit(2, (
@@ -142,14 +145,14 @@ class TestCompose:
             (PlacedGate("rz", (1,), (np.pi,)),),
             (PlacedGate("sqrt_swap", (1, 2)),),
         ))
-        assert np.max(np.abs(compose(circuit) - (-1j) * gate("sp"))) < 1e-12
+        assert np.max(np.abs(np.asarray(compose(circuit)) - (-1j) * np.asarray(gate("sp")))) < 1e-12
 
     def test_later_steps_left_multiply(self):
         circuit = Circuit(1, (
             (PlacedGate("h", (1,)),),
             (PlacedGate("z", (1,)),),
         ))
-        assert np.max(np.abs(compose(circuit) - gate("z") @ gate("h"))) < 1e-12
+        assert np.max(np.abs(np.asarray(compose(circuit)) - np.asarray(gate("z")) @ gate("h"))) < 1e-12
 
     def test_overlapping_non_diagonal_step_rejected(self):
         circuit = Circuit(2, (
@@ -162,8 +165,8 @@ class TestCompose:
         circuit = Circuit(2, (
             (PlacedGate("sp", (1, 2)), PlacedGate("rz", (1,), (np.pi / 2,))),
         ))
-        expected = expand(gate("rz", np.pi / 2), 2, (1,)) @ gate("sp")
-        assert np.max(np.abs(compose(circuit) - expected)) < 1e-12
+        expected = np.asarray(expand(gate("rz", np.pi / 2), 2, (1,))) @ gate("sp")
+        assert np.max(np.abs(np.asarray(compose(circuit)) - expected)) < 1e-12
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -172,7 +175,7 @@ class TestCompose:
 
 class TestGlobalPhase:
     def test_negated_matrix_equal(self):
-        u = gate("sqrt_swap")
+        u = np.asarray(gate("sqrt_swap"))
         assert equal_up_to_global_phase(u, -u, 1e-12)
 
     def test_cz_construction_is_phase_free(self):
@@ -186,7 +189,7 @@ class TestGlobalPhase:
         rng = np.random.default_rng(7)
         for _ in range(10):
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-            u = gate("sqrt_swap")
+            u = np.asarray(gate("sqrt_swap"))
             assert equal_up_to_global_phase(phase * u, u, 1e-10)
 
 
@@ -232,7 +235,7 @@ class TestIdentities:
         factors = [
             np.kron(gate("rz", np.pi / 2), np.eye(2)),
             np.kron(np.eye(2), gate("rz", -np.pi / 2)),
-            gate("sp"),
+            np.asarray(gate("sp")),
         ]
         products = []
         for perm in itertools.permutations(factors):
@@ -248,7 +251,7 @@ class TestIdentities:
 class TestEntanglement:
     def test_sp_entangles_plus_plus(self):
         plus_plus = np.ones(4, dtype=complex) / 2.0
-        state = gate("sp") @ plus_plus
+        state = np.asarray(gate("sp")) @ plus_plus
         assert concurrence(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_product_state_has_zero_concurrence(self):
@@ -256,7 +259,7 @@ class TestEntanglement:
         assert concurrence(plus_plus) == pytest.approx(0.0, abs=1e-12)
 
     def test_swap_does_not_entangle_product_basis(self):
-        state = gate("swap") @ np.array([0, 1, 0, 0], dtype=complex)
+        state = np.asarray(gate("swap")) @ np.array([0, 1, 0, 0], dtype=complex)
         assert concurrence(state) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -328,3 +331,80 @@ class TestPlaquettes:
             build_plaquette("Y")
         with pytest.raises(ValueError):
             reference_plaquette("Y")
+
+
+# Property tests against an oracle built here with numpy: a k-qubit gate acts
+# on the leading qubits of np.kron(u, I), and an axis permutation moves those
+# qubits to the targets.
+
+ONE_QUBIT = ["i", "x", "y", "z", "h"]
+TWO_QUBIT = ["sqrt_swap", "sp", "sp_dag", "swap", "cz", "cnot"]
+ANGLES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+def oracle_expand(u, n, targets):
+    k = len(targets)
+    order = [t - 1 for t in targets] + [q for q in range(n) if q + 1 not in targets]
+    axes = list(np.argsort(order))
+    full = np.kron(np.asarray(u), np.eye(1 << (n - k))).reshape((2,) * (2 * n))
+    return full.transpose(axes + [n + a for a in axes]).reshape(1 << n, 1 << n)
+
+
+@st.composite
+def placed_gates(draw, n, targets):
+    """A fixed gate or a rotation on one of the given targets, or a two-qubit
+    gate on two of them."""
+    if len(targets) >= 2 and draw(st.booleans()):
+        return PlacedGate(draw(st.sampled_from(TWO_QUBIT)), tuple(draw(st.permutations(targets))[:2]))
+    qubit = (draw(st.sampled_from(targets)),)
+    if draw(st.booleans()):
+        return PlacedGate(draw(st.sampled_from(["rx", "ry", "rz"])), qubit, (draw(ANGLES),))
+    return PlacedGate(draw(st.sampled_from(ONE_QUBIT)), qubit)
+
+
+@st.composite
+def circuits(draw):
+    """Up to five steps; each holds gates on disjoint qubits, so runs of
+    one-qubit layers, diagonal steps and two-qubit gates all come up."""
+    n = draw(st.integers(1, 5))
+    steps = []
+    for _ in range(draw(st.integers(0, 5))):
+        free = list(range(1, n + 1))
+        step = []
+        for _ in range(draw(st.integers(0, n))):
+            if free:
+                placed = draw(placed_gates(n, free))
+                free = [q for q in free if q not in placed.targets]
+                step.append(placed)
+        steps.append(tuple(step))
+    return Circuit(n, tuple(steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_expand_matches_kron_oracle(data, n):
+    placed = data.draw(placed_gates(n, list(range(1, n + 1))))
+    u = placed.matrix()
+    assert np.max(np.abs(np.asarray(expand(u, n, placed.targets)) - oracle_expand(u, n, placed.targets))) < 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=circuits())
+def test_compose_matches_kron_oracle(circuit):
+    n = circuit.n_qubits
+    expected = np.eye(1 << n, dtype=complex)
+    for placed in circuit.gates():
+        expected = oracle_expand(placed.matrix(), n, placed.targets) @ expected
+    assert np.max(np.abs(np.asarray(compose(circuit)) - expected)) < 1e-14
+
+
+@given(theta=st.floats(allow_nan=False, allow_infinity=False))
+def test_rotations_match_math(theta):
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    expected = {
+        "rx": [[c, -1j * s], [-1j * s, c]],
+        "ry": [[c, -s], [s, c]],
+        "rz": [[complex(c, -s), 0], [0, complex(c, s)]],
+    }
+    for name, matrix in expected.items():
+        assert np.max(np.abs(np.asarray(gate(name, theta)) - np.asarray(matrix))) < 1e-15

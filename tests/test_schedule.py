@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from collections import Counter
@@ -188,6 +190,13 @@ class TestSimulation:
         assert len(lines) == len(trace.events) + 1
         assert all(line.count(",") == 4 for line in lines)
 
+    @pytest.mark.parametrize("label", ["a,b", 'a"b'])
+    def test_csv_quotes_a_label_that_needs_it(self, label):
+        trace = simulate_cycle(step_table_from_text(f"1 one_qubit D1@op1:{label}\n"), TIMING)
+        rows = list(csv.reader(io.StringIO(trace.to_csv())))
+        assert all(len(row) == 5 for row in rows)
+        assert [row[3] for row in rows[1:]] == ["shuttle_out", f"1q_gate:{label}", "shuttle_back"]
+
 
 _REGIONS = ("op1", "op2", "op3")
 _DURATIONS = st.floats(min_value=0.0, max_value=1e-5, allow_nan=False)
@@ -314,3 +323,21 @@ def test_trace_json_is_the_indent_2_sorted_document(steps, timing):
     except ScheduleConflictError:
         assume(False)  # two labels can still name one channel, as "a~" + "b" and "a" + "~b"
     assert trace.to_json() == _trace_document_json(trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.integers(0, 6).flatmap(lambda n: st.tuples(*(_labelled_step(i) for i in range(1, n + 1)))),
+       timing=_TIMINGS)
+@example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D,1", "op\n1", 'a"b'),)),), timing=TIMING)
+def test_trace_csv_reads_back_cell_for_cell(steps, timing):
+    try:
+        trace = simulate_cycle(StepTable(steps), timing)
+    except ScheduleConflictError:
+        assume(False)
+    text = trace.to_csv()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["time_s", "step", "qubit", "op", "resource"]
+    assert rows[1:] == [[repr(e.time_s), str(e.step), e.qubit, e.op, e.resource] for e in trace.events]
+    plain = all(not set(',"\r\n') & set(e.qubit + e.op + e.resource) for e in trace.events)
+    if plain:  # nothing to quote: one unquoted line per event
+        assert text.count("\n") == len(trace.events) + 1 and '"' not in text
