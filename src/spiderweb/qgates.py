@@ -290,9 +290,12 @@ def verify_identities(tol: float = 1e-12, corrupt: str | None = None) -> list[Id
     ``corrupt='sp-sign'`` flips the sign of the phase gate used in the checks
     (a negative-control hook for the verification driver).
     """
+    def times(c: complex, matrix: Matrix) -> list[list[complex]]:  # exact for c = +-1, +-i
+        return [[c * v for v in row] for row in matrix]
+
     sq, sp = _SQRT_SWAP, _SP
     if corrupt == "sp-sign":
-        sp = _kron([[-1]], sp)
+        sp = times(-1, sp)
     elif corrupt is not None:
         raise ValueError(f"unknown corruption {corrupt!r}")
     sp_dag = _dagger(sp)
@@ -300,12 +303,11 @@ def verify_identities(tol: float = 1e-12, corrupt: str | None = None) -> list[Id
     pi = math.pi
 
     pairs = {  # expand(g, 2, (1,)) is kron(g, I2) and expand(g, 2, (2,)) is kron(I2, g)
-        "sp-from-sqrt-swap": (reduce(_matmul, (sq, expand(rz(pi), 2, (1,)), sq)), _kron([[-1j]], sp)),
-        "sp-dagger-from-sqrt-swap": (reduce(_matmul, (sq, expand(rz(pi), 2, (2,)), sq)),
-                                     _kron([[-1j]], sp_dag)),
+        "sp-from-sqrt-swap": (reduce(_matmul, (sq, expand(rz(pi), 2, (1,)), sq)), times(-1j, sp)),
+        "sp-dagger-from-sqrt-swap": (reduce(_matmul, (sq, expand(rz(pi), 2, (2,)), sq)), times(-1j, sp_dag)),
         "cz-from-sp": (_matmul(_kron(rz(pi / 2), rz(-pi / 2)), sp), _CZ),
         "cz-from-sp-dagger": (_matmul(_kron(rz(-pi / 2), rz(pi / 2)), sp_dag), _CZ),
-        "cnot-from-sp": (reduce(_matmul, (_kron([[1j]], expand(rz(pi / 2), 2, (1,))),
+        "cnot-from-sp": (reduce(_matmul, (times(1j, expand(rz(pi / 2), 2, (1,))),
                                            expand(rz(pi / 2), 2, (2,)), expand(rx(pi / 2), 2, (2,)),
                                            sp, expand(_H, 2, (2,)))), _CNOT),
         "hadamard-ry-z": (_matmul(ry(pi / 2), _Z), _H),
