@@ -157,7 +157,7 @@ def _cmd_verify(args) -> int:
         "one_qubit_gates": schedule.CYCLE_ONE_QUBIT_GATES,
         "exchanges": schedule.CYCLE_EXCHANGES,
         "readout_phases": 1,
-        "steps": 16,
+        "steps": schedule.CYCLE_STEPS,
     }
     checks.append({
         "check": "schedule:census",
@@ -165,10 +165,8 @@ def _cmd_verify(args) -> int:
         "residual": None,
         "detail": census,
     })
-    by_index = {s.index: s for s in table.steps}
-    solo_ok = all(
-        n in by_index and by_index[n].home_shuttling_qubits() == ("D1",) for n in (3, 13)
-    )
+    # the README's contract: exactly two steps move only data qubit D1
+    solo_ok = sum(s.home_shuttling_qubits() == ("D1",) for s in table.steps) == 2
     checks.append({"check": "schedule:steps-3-13-single-shuttle", "passed": solo_ok, "residual": None})
 
     try:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+from typing import NamedTuple
 
 from .model import ArrayConfig, GateInventory, default_gate_inventory
 
@@ -102,8 +103,7 @@ def demux_clock(cfg: ArrayConfig, refresh_hz: float) -> float:
     return _HELD_GATES * cfg.bias_module_edge**2 * refresh_hz
 
 
-@dataclass(frozen=True)
-class FootprintReport:
+class FootprintReport(NamedTuple):
     capacitor_area_m2: float
     demux_area_m2: float
     hold_capacitance_f: float

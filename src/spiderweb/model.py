@@ -15,6 +15,7 @@ reports convert to µm/mm².
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidConfigError
 
@@ -68,8 +69,7 @@ class ArrayConfig:
         return self.plane_edge_cells**2
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...] = ()
 
     @property
@@ -133,8 +133,7 @@ def validate_config(cfg: ArrayConfig) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-@dataclass(frozen=True)
-class GeometrySummary:
+class GeometrySummary(NamedTuple):
     unit_cells: int
     qubit_count: int
     plane_edge_m: float
@@ -174,8 +173,7 @@ def derive_geometry(cfg: ArrayConfig) -> GeometrySummary:
     )
 
 
-@dataclass(frozen=True)
-class RegionGates:
+class RegionGates(NamedTuple):
     """Gate electrode counts for one kind of operation region."""
 
     region_kind: str
@@ -185,8 +183,7 @@ class RegionGates:
     pulsed_gates: int
 
 
-@dataclass(frozen=True)
-class GateInventory:
+class GateInventory(NamedTuple):
     """Per-unit-cell gate counts split by biasing class.
 
     Fine and coarse gates carry a locally held DC bias (1 µV and 1 mV

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import log, pi, sqrt
+from typing import NamedTuple
 
 from .electronics import ElectronicsParams, refresh_rate
 from .model import ArrayConfig
@@ -67,8 +68,7 @@ class InterconnectGrid:
             raise ValueError(f"fringe_mode must be one of {FRINGE_MODES}")
 
 
-@dataclass(frozen=True)
-class GridCapacitance:
+class GridCapacitance(NamedTuple):
     """Parasitic capacitance of the interconnect grid, with the two
     per-crossing contributions exposed for inspection."""
 
@@ -163,8 +163,7 @@ class SignalParams:
         return replace(self, line_length_m=2.0 * cfg.qubit_pitch_m)
 
 
-@dataclass(frozen=True)
-class TransmissionLineResult:
+class TransmissionLineResult(NamedTuple):
     power_w: float
     resistance_ohm: float
     capacitance_f: float
@@ -195,8 +194,7 @@ def transmission_line_power(signals: SignalParams) -> TransmissionLineResult:
     return TransmissionLineResult(power, resistance, capacitance, constant)
 
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(NamedTuple):
     unit_cells: int
     pulsed_w: float
     demux_w: float

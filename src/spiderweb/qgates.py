@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = ["Circuit", "IdentityCheck", "PlacedGate", "build_plaquette", "compose", "concurrence",
            "equal_up_to_global_phase", "expand", "gate", "is_unitary", "reference_plaquette",
@@ -119,8 +118,7 @@ def expand(matrix: Matrix, n_qubits: int, targets: tuple[int, ...]) -> list[list
             for r in range(len(index))]
 
 
-@dataclass(frozen=True)
-class PlacedGate:
+class PlacedGate(NamedTuple):
     name: str
     targets: tuple[int, ...]
     params: tuple[float, ...] = ()
@@ -129,8 +127,7 @@ class PlacedGate:
         return gate(self.name, *self.params)
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """An ordered list of time steps, each holding gates that either act on
     disjoint qubits or are mutually commuting diagonals."""
 
@@ -239,8 +236,7 @@ def concurrence(state: Sequence[complex]) -> float:
     return 2 * abs(a * d - b * c)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     residual: float
     tol: float

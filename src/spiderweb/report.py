@@ -13,8 +13,8 @@ and ``sweep_record`` reads the few a sweep row needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any
+from dataclasses import fields
+from typing import Any, NamedTuple
 
 from . import electronics, power, schedule, wiring
 from .config import ToolConfig
@@ -25,8 +25,7 @@ from .units import si_format
 __all__ = ["Design", "compute", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
 
 
-@dataclass(frozen=True)
-class Design:
+class Design(NamedTuple):
     """Typed stage results for one validated configuration."""
 
     geometry: GeometrySummary
@@ -99,7 +98,7 @@ def _fields(obj) -> dict[str, Any]:
 
 def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, Any]:
     design = compute(config, pinned_parasitic_f)
-    geometry, fp, pw = design.geometry, design.footprint, design.power
+    fp, pw = design.footprint, design.power
     return {
         "config": {
             "array": _fields(config.array),
@@ -108,14 +107,7 @@ def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) ->
             "signals": _fields(config.signals.resolved(config.array)),
             "interconnect": _fields(config.interconnect),
         },
-        "geometry": {
-            "unit_cells": geometry.unit_cells,
-            "qubit_count": geometry.qubit_count,
-            "plane_edge_m": geometry.plane_edge_m,
-            "plane_area_m2": geometry.plane_area_m2,
-            "plane_perimeter_m": geometry.plane_perimeter_m,
-            "gates_per_arm": geometry.gates_per_arm,
-        },
+        "geometry": design.geometry._asdict(),
         "lines": {level: count.to_dict() for level, count in design.lines.items()},
         "rent_exponent": design.rent_exponent,
         "capacity": {

@@ -20,8 +20,8 @@ interleaving of the dressing pulses is a free choice.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
@@ -32,6 +32,7 @@ __all__ = [
     "CYCLE_EXCHANGES",
     "CYCLE_ONE_QUBIT_GATES",
     "CYCLE_SHUTTLES",
+    "CYCLE_STEPS",
     "CycleTime",
     "Event",
     "EventTrace",
@@ -54,6 +55,7 @@ __all__ = [
 CYCLE_SHUTTLES = 22
 CYCLE_ONE_QUBIT_GATES = 14
 CYCLE_EXCHANGES = 8
+CYCLE_STEPS = 16  # steps of the shipped program
 
 READOUT_MODES = ("parallel", "sequential", "mixed")
 
@@ -79,23 +81,20 @@ class TimingParams:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class SoloGate:
+class SoloGate(NamedTuple):
     qubit: str
     region: str
     gate: str
 
 
-@dataclass(frozen=True)
-class PairGate:
+class PairGate(NamedTuple):
     qubit_a: str
     qubit_b: str
     region: str
     rz_carrier: str
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     index: int
     kind: str                       # one_qubit | two_qubit | readout | hook
     solo_gates: tuple[SoloGate, ...] = ()
@@ -111,8 +110,7 @@ class Step:
         return tuple(q for q in self.shuttling_qubits() if q in HOME_QUBITS)
 
 
-@dataclass(frozen=True)
-class StepTable:
+class StepTable(NamedTuple):
     steps: tuple[Step, ...]
 
     def census(self) -> dict[str, int]:
@@ -185,8 +183,7 @@ class Event(NamedTuple):
     resource: str
 
 
-@dataclass(frozen=True)
-class EventTrace:
+class EventTrace(NamedTuple):
     events: tuple[Event, ...]
     counters: dict[str, int]
     makespan_s: float
@@ -210,11 +207,14 @@ class EventTrace:
         directly; the caller checks that the times are finite."""
         annotations = ",\n".join(f"    {_json_str(a)}" for a in self.annotations)
         counters = ",\n".join(f"    {_json_str(k)}: {v!r}" for k, v in sorted(self.counters.items()))
-        events = ",\n".join([
-            f'    {{\n      "op": {_json_str(op)},\n      "qubit": {_json_str(qubit)},\n'
-            f'      "resource": {_json_str(resource)},\n      "step": {step},\n      "time_s": {t!r}\n    }}'
-            for t, step, qubit, op, resource in self.events
-        ])
+        rows, last, stamp = [], None, ""
+        for t, step, qubit, op, resource in self.events:
+            if t is not last:  # the events of a window share one time object: repr it once
+                last, stamp = t, repr(t)
+            rows.append(f'    {{\n      "op": {_json_str(op)},\n      "qubit": {_json_str(qubit)},\n'
+                        f'      "resource": {_json_str(resource)},\n      "step": {step},\n'
+                        f'      "time_s": {stamp}\n    }}')
+        events = ",\n".join(rows)
         return (f'{{\n  "annotations": {_json_block("[", annotations, "]")},\n'
                 f'  "counters": {_json_block("{", counters, "}")},\n'
                 f'  "events": {_json_block("[", events, "]")},\n'
@@ -323,8 +323,7 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     )
 
 
-@dataclass(frozen=True)
-class CycleTime:
+class CycleTime(NamedTuple):
     total_s: float
     readout_mode: str
     coherence_ratio: float
@@ -444,5 +443,4 @@ def load_step_table(path) -> StepTable:
 
 def default_step_table() -> StepTable:
     """The shipped unit-cell cycle program (see module docstring)."""
-    text = resources.files("spiderweb.data").joinpath("unit_cell_cycle.steps").read_text("utf-8")
-    return step_table_from_text(text)
+    return load_step_table(os.path.join(os.path.dirname(__file__), "data", "unit_cell_cycle.steps"))

@@ -14,7 +14,7 @@ configuration that passes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ArrayConfig, default_gate_inventory
 
@@ -34,8 +34,7 @@ LEVELS = ("unit_cell", "module", "quantum_plane")
 _PULSED_LINES = default_gate_inventory().pulsed_total
 
 
-@dataclass(frozen=True)
-class LineCount:
+class LineCount(NamedTuple):
     level: str
     dc_biasing: int
     shuttling: int
@@ -51,15 +50,7 @@ class LineCount:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "dc_biasing": self.dc_biasing,
-            "shuttling": self.shuttling,
-            "pulsed_mw": self.pulsed_mw,
-            "logical_ops": self.logical_ops,
-            "readout": self.readout,
-            "total": self.total,
-        }
+        return {**self._asdict(), "total": self.total}
 
 
 def lines_at(level: str, cfg: ArrayConfig) -> LineCount:

@@ -442,18 +442,23 @@ argvs = (["report"], ["sweep", "x", "0,1"], ["verify"], ["simulate"], ["dump-uni
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [spiderweb.cli.main(argv) for argv in argvs]
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-print(json.dumps({"codes": codes, "heavy": heavy, "registered": registered}))
+resources = "importlib.resources" in sys.modules
+print(json.dumps({"codes": codes, "heavy": heavy, "registered": registered, "resources": resources}))
 """
 
 
 def test_commands_run_without_numpy():
     env = dict(os.environ, PYTHONPATH=str(Path(spiderweb.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, check=True,
-    )
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0, 0]
-    assert result["heavy"] == []
-    # The benchmark's tracer looks up sys.modules["spiderweb.qgates"] when it
-    # installs, also in workloads that never run verify.
-    assert result["registered"]
+    # -S skips site, whose .pth files may load importlib.resources themselves
+    for flags in ([], ["-S"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0, 0, 0, 0, 0]
+        assert result["heavy"] == []
+        # The benchmark's tracer looks up sys.modules["spiderweb.qgates"] when it
+        # installs, also in workloads that never run verify.
+        assert result["registered"]
+    assert not result["resources"]

@@ -1,0 +1,117 @@
+"""The record contract: config sections are frozen dataclasses, changed with
+``dataclasses.replace``; model results are ``NamedTuple``s."""
+
+import dataclasses
+import importlib
+import pkgutil
+
+import pytest
+
+import spiderweb
+from spiderweb import electronics, model, power, qgates, report, schedule
+from spiderweb.config import ToolConfig
+
+# section -> (a field, a value other than its default)
+CONFIG_SECTIONS = {
+    model.ArrayConfig: ("crossbars", 5),
+    electronics.ElectronicsParams: ("temperature_k", 4.0),
+    power.InterconnectGrid: ("line_width_m", 160e-9),
+    power.SignalParams: ("line_length_m", 26e-6),
+    schedule.TimingParams: ("readout_s", 2e-6),
+    ToolConfig: ("array", model.ArrayConfig(crossbars=5)),
+}
+
+
+def _package_classes() -> set[type]:
+    classes = set()
+    for info in pkgutil.iter_modules(spiderweb.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"spiderweb.{info.name}")
+        classes |= {v for v in vars(module).values()
+                    if isinstance(v, type) and v.__module__ == module.__name__}
+    return classes
+
+
+def _records() -> list:
+    """One instance of every result record, as the model stages build them."""
+    design = report.compute(ToolConfig())
+    table = schedule.default_step_table()
+    trace = schedule.simulate_cycle(table, schedule.TimingParams())
+    step = next(s for s in table.steps if s.kind == "two_qubit")
+    placed = qgates.PlacedGate("x", (1,))
+    inventory = model.default_gate_inventory()
+    return [
+        model.validate_config(model.ArrayConfig()),
+        design.geometry,
+        inventory.rows[0],
+        inventory,
+        design.grid,
+        power.transmission_line_power(power.SignalParams().resolved(model.ArrayConfig())),
+        design.power,
+        design.footprint,
+        design.lines["unit_cell"],
+        table.steps[0].solo_gates[0],
+        step.pair_gates[0],
+        step,
+        table,
+        trace,
+        trace.events[0],
+        design.cycles["mixed"],
+        placed,
+        qgates.Circuit(1, ((placed,),)),
+        qgates.verify_identities()[0],
+        design,
+    ]
+
+
+def test_only_the_config_sections_are_dataclasses():
+    classes = _package_classes()
+    assert {c for c in classes if dataclasses.is_dataclass(c)} == set(CONFIG_SECTIONS)
+
+
+def test_every_result_record_is_a_named_tuple():
+    classes = _package_classes()
+    records = {c for c in classes if issubclass(c, tuple)}
+    assert {type(r) for r in _records()} == records
+    assert all(hasattr(c, "_fields") for c in records)
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_read_only(record):
+    name = record._fields[0]
+    value = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    assert getattr(record, name) is value
+
+
+def test_equal_inputs_give_equal_designs():
+    assert report.compute(ToolConfig()) == report.compute(ToolConfig())
+
+
+def test_flat_records_hash():
+    table = schedule.default_step_table()
+    step = next(s for s in table.steps if s.kind == "two_qubit")
+    design = report.compute(ToolConfig())
+    records = [
+        step,
+        table.steps[0].solo_gates[0],
+        step.pair_gates[0],
+        design.cycles["mixed"],
+        design.lines["unit_cell"],
+        qgates.verify_identities()[0],
+    ]
+    for record in records:
+        assert hash(record) == hash(type(record)(*record))
+
+
+@pytest.mark.parametrize("section", CONFIG_SECTIONS, ids=lambda c: c.__name__)
+def test_config_sections_change_through_replace(section):
+    name, value = CONFIG_SECTIONS[section]
+    default = section()
+    changed = dataclasses.replace(default, **{name: value})
+    assert getattr(changed, name) == value != getattr(default, name)
+    assert default == section()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(default, name, value)

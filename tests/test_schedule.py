@@ -325,6 +325,21 @@ def test_trace_json_is_the_indent_2_sorted_document(steps, timing):
     assert trace.to_json() == _trace_document_json(trace)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trace_json_of_a_long_generated_table(seed):
+    """Shipped gate steps drawn at random, then the shipped park and readout
+    steps: hundreds of windows, each of whose events share one time object."""
+    rng = random.Random(seed)
+    shipped = default_step_table().steps
+    pool = [s for s in shipped if s.kind in ("one_qubit", "two_qubit") and not s.park]
+    tail = [s for s in shipped if s.park or s.kind == "readout"]
+    steps = [rng.choice(pool) for _ in range(128)] + tail
+    table = StepTable(tuple(s._replace(index=i) for i, s in enumerate(steps, start=1)))
+    trace = simulate_cycle(table, random_timing(rng))
+    assert len({id(e.time_s) for e in trace.events}) < len(trace.events) / 2
+    assert trace.to_json() == _trace_document_json(trace)
+
+
 @settings(max_examples=200, deadline=None)
 @given(steps=st.integers(0, 6).flatmap(lambda n: st.tuples(*(_labelled_step(i) for i in range(1, n + 1)))),
        timing=_TIMINGS)
