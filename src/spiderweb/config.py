@@ -10,7 +10,8 @@ short aliases used throughout the design equations (d, x, N_b, t_sh, v_p, ...).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from math import isfinite
+from typing import NamedTuple
 
 from .electronics import ElectronicsParams
 from .errors import ConfigParseError
@@ -26,8 +27,7 @@ __all__ = [
 
 
 # A section left at its defaults is one frozen instance, shared by every config.
-@dataclass(frozen=True)
-class ToolConfig:
+class ToolConfig(NamedTuple):
     array: ArrayConfig = ArrayConfig()
     electronics: ElectronicsParams = ElectronicsParams()
     timing: TimingParams = TimingParams()
@@ -35,11 +35,10 @@ class ToolConfig:
     interconnect: InterconnectGrid = InterconnectGrid()
 
 
-# (section, canonical key) -> (dataclass field, parser)
 def _length_nm(text: str) -> int:
-    metres = parse_quantity(text)
-    nm = round(metres * 1e9)
-    if nm <= 0 or abs(metres * 1e9 - nm) > 1e-6:
+    exact = parse_quantity(text) * 1e9
+    nm = round(exact) if isfinite(exact) else 0
+    if nm <= 0 or abs(exact - nm) > 1e-6:
         raise ValueError(f"length {text!r} must be a positive whole number of nanometres")
     return nm
 
@@ -48,87 +47,56 @@ def _string(text: str) -> str:
     return text.strip()
 
 
-_KEYMAP: dict[tuple[str, str], tuple[str, object]] = {
-    ("array", "qubit_pitch"): ("qubit_pitch_nm", _length_nm),
-    ("array", "gate_pitch"): ("gate_pitch_nm", _length_nm),
-    ("array", "bias_module_edge"): ("bias_module_edge", parse_int),
-    ("array", "bias_grid_edge"): ("bias_grid_edge", parse_int),
-    ("array", "readout_module_edge"): ("readout_module_edge", parse_int),
-    ("array", "readout_grid_edge"): ("readout_grid_edge", parse_int),
-    ("array", "sequential_readouts"): ("sequential_readouts", parse_int),
-    ("array", "parallel_readouts"): ("parallel_readouts", parse_int),
-    ("array", "crossbars"): ("crossbars", parse_int),
-    ("array", "code_distance"): ("code_distance", parse_int),
-    ("array", "metal_layers"): ("metal_layers", parse_int),
-    ("array", "interconnect_pitch"): ("interconnect_pitch_nm", _length_nm),
-    ("electronics", "coarse_resolution"): ("coarse_resolution_v", parse_quantity),
-    ("electronics", "fine_resolution"): ("fine_resolution_v", parse_quantity),
-    ("electronics", "temperature"): ("temperature_k", parse_quantity),
-    ("electronics", "drift"): ("drift_v_per_s", parse_quantity),
-    ("electronics", "cap_density"): ("cap_density_f_per_m2", parse_quantity),
-    ("electronics", "demux_area"): ("demux_area_m2", parse_quantity),
-    ("electronics", "demux_count_per_cell"): ("demux_per_cell", parse_int),
-    ("electronics", "demux_energy_per_cycle"): ("demux_energy_j", parse_quantity),
-    ("timing", "shuttle"): ("shuttle_s", parse_quantity),
-    ("timing", "single_qubit"): ("single_qubit_s", parse_quantity),
-    ("timing", "exchange"): ("exchange_s", parse_quantity),
-    ("timing", "readout"): ("readout_s", parse_quantity),
-    ("timing", "dephasing"): ("dephasing_s", parse_quantity),
-    ("signals", "pulse_amplitude"): ("pulse_amplitude_v", parse_quantity),
-    ("signals", "pulse_frequency"): ("pulse_frequency_hz", parse_quantity),
-    ("signals", "line_amplitude"): ("line_amplitude_v", parse_quantity),
-    ("signals", "line_frequency"): ("line_frequency_hz", parse_quantity),
-    ("signals", "cap_per_length"): ("cap_per_length_f_per_m", parse_quantity),
-    ("signals", "sheet_resistance"): ("sheet_resistance_ohm", parse_quantity),
-    ("signals", "line_width"): ("line_width_m", parse_quantity),
-    ("signals", "line_length"): ("line_length_m", parse_quantity),
-    ("interconnect", "lines_per_layer"): ("lines_per_layer", parse_int),
-    ("interconnect", "line_length"): ("line_length_m", parse_quantity),
-    ("interconnect", "line_width"): ("line_width_m", parse_quantity),
-    ("interconnect", "line_thickness"): ("line_thickness_m", parse_quantity),
-    ("interconnect", "line_gap"): ("line_gap_m", parse_quantity),
-    ("interconnect", "dielectric_thickness"): ("dielectric_thickness_m", parse_quantity),
-    ("interconnect", "eps_r"): ("eps_r", parse_quantity),
-    ("interconnect", "fringe_mode"): ("fringe_mode", _string),
+# (section, canonical key) -> (section field, parser, short alias from the
+# design equations or None); an alias resolves within its section only
+_KEYMAP: dict[tuple[str, str], tuple[str, object, str | None]] = {
+    ("array", "qubit_pitch"): ("qubit_pitch_nm", _length_nm, "d"),
+    ("array", "gate_pitch"): ("gate_pitch_nm", _length_nm, None),
+    ("array", "bias_module_edge"): ("bias_module_edge", parse_int, "n_b"),
+    ("array", "bias_grid_edge"): ("bias_grid_edge", parse_int, "m_b"),
+    ("array", "readout_module_edge"): ("readout_module_edge", parse_int, "n_r"),
+    ("array", "readout_grid_edge"): ("readout_grid_edge", parse_int, "m_r"),
+    ("array", "sequential_readouts"): ("sequential_readouts", parse_int, "q"),
+    ("array", "parallel_readouts"): ("parallel_readouts", parse_int, "r"),
+    ("array", "crossbars"): ("crossbars", parse_int, "x"),
+    ("array", "code_distance"): ("code_distance", parse_int, "d_c"),
+    ("array", "metal_layers"): ("metal_layers", parse_int, "n_layers"),
+    ("array", "interconnect_pitch"): ("interconnect_pitch_nm", _length_nm, "delta_i"),
+    ("electronics", "coarse_resolution"): ("coarse_resolution_v", parse_quantity, "dv_coarse"),
+    ("electronics", "fine_resolution"): ("fine_resolution_v", parse_quantity, "dv_fine"),
+    ("electronics", "temperature"): ("temperature_k", parse_quantity, "t_op"),
+    ("electronics", "drift"): ("drift_v_per_s", parse_quantity, None),
+    ("electronics", "cap_density"): ("cap_density_f_per_m2", parse_quantity, None),
+    ("electronics", "demux_area"): ("demux_area_m2", parse_quantity, None),
+    ("electronics", "demux_count_per_cell"): ("demux_per_cell", parse_int, None),
+    ("electronics", "demux_energy_per_cycle"): ("demux_energy_j", parse_quantity, None),
+    ("timing", "shuttle"): ("shuttle_s", parse_quantity, "t_sh"),
+    ("timing", "single_qubit"): ("single_qubit_s", parse_quantity, "t_1q"),
+    ("timing", "exchange"): ("exchange_s", parse_quantity, "t_sw"),
+    ("timing", "readout"): ("readout_s", parse_quantity, "t_r"),
+    ("timing", "dephasing"): ("dephasing_s", parse_quantity, "t2_star"),
+    ("signals", "pulse_amplitude"): ("pulse_amplitude_v", parse_quantity, "v_p"),
+    ("signals", "pulse_frequency"): ("pulse_frequency_hz", parse_quantity, "f_p"),
+    ("signals", "line_amplitude"): ("line_amplitude_v", parse_quantity, "v_t"),
+    ("signals", "line_frequency"): ("line_frequency_hz", parse_quantity, "f_t"),
+    ("signals", "cap_per_length"): ("cap_per_length_f_per_m", parse_quantity, "c_per_um"),
+    ("signals", "sheet_resistance"): ("sheet_resistance_ohm", parse_quantity, "sheet_res"),
+    ("signals", "line_width"): ("line_width_m", parse_quantity, None),
+    ("signals", "line_length"): ("line_length_m", parse_quantity, None),
+    ("interconnect", "lines_per_layer"): ("lines_per_layer", parse_int, "n_l"),
+    ("interconnect", "line_length"): ("line_length_m", parse_quantity, "l"),
+    ("interconnect", "line_width"): ("line_width_m", parse_quantity, "w"),
+    ("interconnect", "line_thickness"): ("line_thickness_m", parse_quantity, "h"),
+    ("interconnect", "line_gap"): ("line_gap_m", parse_quantity, "d1"),
+    ("interconnect", "dielectric_thickness"): ("dielectric_thickness_m", parse_quantity, "d2"),
+    ("interconnect", "eps_r"): ("eps_r", parse_quantity, None),
+    ("interconnect", "fringe_mode"): ("fringe_mode", _string, None),
 }
 
-# Short aliases from the design equations, resolved per section.
-_ALIASES: dict[tuple[str, str], str] = {
-    ("array", "d"): "qubit_pitch",
-    ("array", "n_b"): "bias_module_edge",
-    ("array", "m_b"): "bias_grid_edge",
-    ("array", "n_r"): "readout_module_edge",
-    ("array", "m_r"): "readout_grid_edge",
-    ("array", "q"): "sequential_readouts",
-    ("array", "r"): "parallel_readouts",
-    ("array", "x"): "crossbars",
-    ("array", "d_c"): "code_distance",
-    ("array", "n_layers"): "metal_layers",
-    ("array", "delta_i"): "interconnect_pitch",
-    ("electronics", "dv_coarse"): "coarse_resolution",
-    ("electronics", "dv_fine"): "fine_resolution",
-    ("electronics", "t_op"): "temperature",
-    ("timing", "t_sh"): "shuttle",
-    ("timing", "t_1q"): "single_qubit",
-    ("timing", "t_sw"): "exchange",
-    ("timing", "t_r"): "readout",
-    ("timing", "t2_star"): "dephasing",
-    ("signals", "v_p"): "pulse_amplitude",
-    ("signals", "f_p"): "pulse_frequency",
-    ("signals", "v_t"): "line_amplitude",
-    ("signals", "f_t"): "line_frequency",
-    ("signals", "c_per_um"): "cap_per_length",
-    ("signals", "sheet_res"): "sheet_resistance",
-    ("interconnect", "n_l"): "lines_per_layer",
-    ("interconnect", "l"): "line_length",
-    ("interconnect", "w"): "line_width",
-    ("interconnect", "h"): "line_thickness",
-    ("interconnect", "d1"): "line_gap",
-    ("interconnect", "d2"): "dielectric_thickness",
-}
+_ALIASES = {(s, alias): k for (s, k), (_, _, alias) in _KEYMAP.items() if alias}
 
-# section name -> its dataclass, in ToolConfig field order
-SECTIONS = {f.name: type(f.default) for f in fields(ToolConfig)}
+# section name -> its class, in ToolConfig field order
+SECTIONS = {name: type(default) for name, default in ToolConfig._field_defaults.items()}
 KNOWN_KEYS = tuple(sorted(f"{s}.{k}" for s, k in _KEYMAP))
 
 # (section, canonical key) -> (raw value, file line or override text)
@@ -181,7 +149,7 @@ def apply_entries(entries: Entries) -> ToolConfig:
     """Parse every value; an entry's origin is its file line or its override text."""
     updates: dict[str, dict[str, object]] = {}
     for (section, key), (raw, origin) in entries.items():
-        attr, parser = _KEYMAP[(section, key)]
+        attr, parser, _ = _KEYMAP[(section, key)]
         try:
             updates.setdefault(section, {})[attr] = parser(raw)
         except ValueError as exc:

@@ -11,7 +11,6 @@ driven directly and hold no charge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from typing import NamedTuple
 
@@ -33,8 +32,7 @@ __all__ = [
 _HELD_GATES = default_gate_inventory().dc_biased_total
 
 
-@dataclass(frozen=True)
-class ElectronicsParams:
+class ElectronicsParams(NamedTuple):
     """Electrical parameters of the local biasing electronics (SI units).
 
     ``drift_v_per_s`` is the hold-capacitor leakage drift; demonstrated
@@ -53,17 +51,7 @@ class ElectronicsParams:
     demux_energy_j: float = 0.35e-12
 
     def validate(self) -> None:
-        fields = {
-            "coarse_resolution_v": self.coarse_resolution_v,
-            "fine_resolution_v": self.fine_resolution_v,
-            "temperature_k": self.temperature_k,
-            "drift_v_per_s": self.drift_v_per_s,
-            "cap_density_f_per_m2": self.cap_density_f_per_m2,
-            "demux_area_m2": self.demux_area_m2,
-            "demux_per_cell": self.demux_per_cell,
-            "demux_energy_j": self.demux_energy_j,
-        }
-        for name, value in fields.items():
+        for name, value in zip(self._fields, self):
             if value <= 0:
                 raise ValueError(f"{name} must be strictly positive (got {value})")
         if self.fine_resolution_v >= self.coarse_resolution_v:

@@ -14,7 +14,6 @@ reports convert to µm/mm².
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidConfigError
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ArrayConfig:
+class ArrayConfig(NamedTuple):
     """All architectural free parameters of a spiderweb array.
 
     Defaults describe the million-qubit reference design: 13 µm qubit pitch,
@@ -88,21 +86,8 @@ def validate_config(cfg: ArrayConfig) -> ValidationReport:
     :meth:`ValidationReport.raise_if_invalid`.
     """
     v: list[str] = []
-    positive = [
-        ("qubit_pitch_nm", cfg.qubit_pitch_nm),
-        ("gate_pitch_nm", cfg.gate_pitch_nm),
-        ("bias_module_edge", cfg.bias_module_edge),
-        ("bias_grid_edge", cfg.bias_grid_edge),
-        ("readout_module_edge", cfg.readout_module_edge),
-        ("readout_grid_edge", cfg.readout_grid_edge),
-        ("sequential_readouts", cfg.sequential_readouts),
-        ("parallel_readouts", cfg.parallel_readouts),
-        ("code_distance", cfg.code_distance),
-        ("metal_layers", cfg.metal_layers),
-        ("interconnect_pitch_nm", cfg.interconnect_pitch_nm),
-    ]
-    for name, value in positive:
-        if value <= 0:
+    for name, value in zip(cfg._fields, cfg):
+        if name != "crossbars" and value <= 0:
             v.append(f"{name} must be strictly positive (got {value})")
     if cfg.crossbars < 0:
         v.append(f"crossbars must be non-negative (got {cfg.crossbars})")

@@ -9,7 +9,6 @@ capacitors themselves is omitted (it is at the fW-per-cell level).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import log, pi, sqrt
 from typing import NamedTuple
 
@@ -36,8 +35,7 @@ __all__ = [
 FRINGE_MODES = ("printed_magnitude", "disabled")
 
 
-@dataclass(frozen=True)
-class InterconnectGrid:
+class InterconnectGrid(NamedTuple):
     """Geometry of the two densest interconnect layers, modelled as a regular
     grid: one layer of parallel lines crossed by an orthogonal layer above.
     """
@@ -52,16 +50,7 @@ class InterconnectGrid:
     fringe_mode: str = "printed_magnitude"
 
     def validate(self) -> None:
-        fields = {
-            "lines_per_layer": self.lines_per_layer,
-            "line_length_m": self.line_length_m,
-            "line_width_m": self.line_width_m,
-            "line_thickness_m": self.line_thickness_m,
-            "line_gap_m": self.line_gap_m,
-            "dielectric_thickness_m": self.dielectric_thickness_m,
-            "eps_r": self.eps_r,
-        }
-        for name, value in fields.items():
+        for name, value in zip(self._fields[:-1], self):  # all but fringe_mode
             if value <= 0:
                 raise ValueError(f"{name} must be strictly positive (got {value})")
         if self.fringe_mode not in FRINGE_MODES:
@@ -112,7 +101,7 @@ def dynamic_power(capacitance_f: float, amplitude_v: float, frequency_hz: float)
     """Dynamic dissipation [W] of pulsing a capacitive load: C*V^2*f/2."""
     if capacitance_f < 0 or amplitude_v < 0 or frequency_hz < 0:
         raise ValueError("capacitance, amplitude and frequency must be non-negative")
-    return 0.5 * capacitance_f * amplitude_v**2 * frequency_hz
+    return 0.5 * capacitance_f * (amplitude_v * amplitude_v) * frequency_hz
 
 
 def demux_power(params: ElectronicsParams, refresh_hz: float) -> float:
@@ -122,8 +111,7 @@ def demux_power(params: ElectronicsParams, refresh_hz: float) -> float:
     return params.demux_energy_j * refresh_hz * params.demux_per_cell
 
 
-@dataclass(frozen=True)
-class SignalParams:
+class SignalParams(NamedTuple):
     """Drive amplitudes/frequencies and transmission-line properties.
 
     ``line_length_m=None`` resolves to twice the qubit pitch (one unit-cell
@@ -140,15 +128,7 @@ class SignalParams:
     line_length_m: float | None = None
 
     def validate(self) -> None:
-        fields = {
-            "pulse_amplitude_v": self.pulse_amplitude_v,
-            "pulse_frequency_hz": self.pulse_frequency_hz,
-            "line_amplitude_v": self.line_amplitude_v,
-            "line_frequency_hz": self.line_frequency_hz,
-            "cap_per_length_f_per_m": self.cap_per_length_f_per_m,
-            "sheet_resistance_ohm": self.sheet_resistance_ohm,
-        }
-        for name, value in fields.items():
+        for name, value in zip(self._fields[:-2], self):  # all but the line geometry
             if value < 0:
                 raise ValueError(f"{name} must be non-negative (got {value})")
         if self.line_width_m <= 0:
@@ -160,7 +140,7 @@ class SignalParams:
         """Fill the line length with one unit-cell span (2x qubit pitch)."""
         if self.line_length_m is not None:
             return self
-        return replace(self, line_length_m=2.0 * cfg.qubit_pitch_m)
+        return self._replace(line_length_m=2.0 * cfg.qubit_pitch_m)
 
 
 class TransmissionLineResult(NamedTuple):

@@ -13,7 +13,6 @@ and ``sweep_record`` reads the few a sweep row needs.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Any, NamedTuple
 
 from . import electronics, power, schedule, wiring
@@ -90,22 +89,16 @@ def compute(config: ToolConfig, pinned_parasitic_f: float | None = None) -> Desi
     )
 
 
-def _fields(obj) -> dict[str, Any]:
-    # every config field is an int, float, str or None, so a shallow copy
-    # serialises exactly as ``dataclasses.asdict`` would
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, Any]:
     design = compute(config, pinned_parasitic_f)
     fp, pw = design.footprint, design.power
     return {
         "config": {
-            "array": _fields(config.array),
-            "electronics": _fields(config.electronics),
-            "timing": _fields(config.timing),
-            "signals": _fields(config.signals.resolved(config.array)),
-            "interconnect": _fields(config.interconnect),
+            "array": config.array._asdict(),
+            "electronics": config.electronics._asdict(),
+            "timing": config.timing._asdict(),
+            "signals": config.signals.resolved(config.array)._asdict(),
+            "interconnect": config.interconnect._asdict(),
         },
         "geometry": design.geometry._asdict(),
         "lines": {level: count.to_dict() for level, count in design.lines.items()},

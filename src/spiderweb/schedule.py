@@ -21,7 +21,6 @@ interleaving of the dressing pulses is a free choice.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
@@ -65,8 +64,7 @@ REGION_CAPACITY = 2   # electrons per operation region
 CHANNEL_CAPACITY = 1  # electrons per shuttling channel
 
 
-@dataclass(frozen=True)
-class TimingParams:
+class TimingParams(NamedTuple):
     """Operation durations [s]; the shuttle time covers a full round trip."""
 
     shuttle_s: float = 50e-9
@@ -76,8 +74,8 @@ class TimingParams:
     dephasing_s: float = 20e-6
 
     def validate(self) -> None:
-        for name in ("shuttle_s", "single_qubit_s", "exchange_s", "readout_s", "dephasing_s"):
-            if getattr(self, name) < 0:
+        for name, value in zip(self._fields, self):
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
@@ -441,6 +439,14 @@ def load_step_table(path) -> StepTable:
         return step_table_from_text(fh.read())
 
 
+_shipped: list[StepTable] = []
+
+
 def default_step_table() -> StepTable:
-    """The shipped unit-cell cycle program (see module docstring)."""
-    return load_step_table(os.path.join(os.path.dirname(__file__), "data", "unit_cell_cycle.steps"))
+    """The shipped unit-cell cycle program (see module docstring); one
+    immutable table, parsed once per process."""
+    if not _shipped:
+        _shipped.append(
+            load_step_table(os.path.join(os.path.dirname(__file__), "data", "unit_cell_cycle.steps"))
+        )
+    return _shipped[0]

@@ -74,6 +74,8 @@ def parse_quantity(text: str) -> float:
 
 def parse_int(text: str) -> int:
     value = parse_quantity(text)
+    if abs(value) > 2**53:  # past this, floats no longer hold every integer
+        raise ValueError(f"integer {text!r} is out of range")
     rounded = round(value)
     if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
         raise ValueError(f"expected an integer, got {text!r}")

@@ -99,14 +99,30 @@ class TestReport:
         assert "error" in err
 
     @pytest.mark.parametrize(
-        "override", ["x=1e400", "d=1e400m", "w=1e400", "dv_fine=0", "dv_coarse=0"],
+        "argv, named",
+        [
+            *(pytest.param(["report", "--set", override], named, id=override) for override, named in [
+                ("x=1e400", "array.crossbars"),
+                ("d=1e400m", "array.qubit_pitch"),
+                ("w=1e400", "interconnect.line_width"),
+                ("dv_fine=0", "fine_resolution_v"),
+                ("dv_coarse=0", "coarse_resolution_v"),
+                ("d=1e300", "array.qubit_pitch"),            # round(inf) nanometres
+                ("lines_per_layer=1e308", "interconnect.lines_per_layer"),  # past 2**53
+                ("v_p=1e300", "power.per_cell.pulsed_w"),    # V^2 overflows to inf
+            ]),
+            pytest.param(["verify", "--set", "d=1e308"], "array.qubit_pitch", id="verify-d=1e308"),
+            pytest.param(["sweep", "v_p", "1e300", "--format", "json"], "v_p=1e300: value array_total_w",
+                         id="sweep-v_p=1e300"),
+        ],
     )
-    def test_out_of_range_value_exits_1(self, capsys, override):
-        code, out, err = run(capsys, "report", "--set", override)
+    def test_out_of_range_value_exits_1(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert named in lines[0]
         assert "Traceback" not in err
 
     def test_output_file(self, capsys, tmp_path):
@@ -443,7 +459,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [spiderweb.cli.main(argv) for argv in argvs]
 heavy = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 resources = "importlib.resources" in sys.modules
-print(json.dumps({"codes": codes, "heavy": heavy, "registered": registered, "resources": resources}))
+records = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+print(json.dumps({"codes": codes, "heavy": heavy, "registered": registered, "resources": resources,
+                  "records": records}))
 """
 
 
@@ -461,4 +479,6 @@ def test_commands_run_without_numpy():
         # The benchmark's tracer looks up sys.modules["spiderweb.qgates"] when it
         # installs, also in workloads that never run verify.
         assert result["registered"]
+    # the last run is the -S one: site's .pth files may load these themselves
     assert not result["resources"]
+    assert result["records"] == []

@@ -1,9 +1,15 @@
-from dataclasses import FrozenInstanceError, replace
+import re
+from collections import Counter
 
 import pytest
 
+from spiderweb import config
 from spiderweb.config import ToolConfig, apply_entries, load_config, parse_config_text, read_entries
-from spiderweb.errors import ConfigParseError
+from spiderweb.electronics import ElectronicsParams
+from spiderweb.errors import ConfigParseError, InvalidConfigError
+from spiderweb.model import ArrayConfig, validate_config
+from spiderweb.power import InterconnectGrid, SignalParams
+from spiderweb.schedule import TimingParams
 from spiderweb.units import parse_int, parse_quantity, si_format
 
 SAMPLE = """\
@@ -156,14 +162,14 @@ class TestLoadConfig:
     def test_swept_point_builds_only_its_section(self):
         default = apply_entries({})
         point = apply_entries(read_entries(None, ["x=5"]))
-        assert point.array == replace(default.array, crossbars=5)
+        assert point.array == default.array._replace(crossbars=5)
         for section in ("electronics", "timing", "signals", "interconnect"):
             assert getattr(point, section) is getattr(default, section)
             assert getattr(point, section) is getattr(ToolConfig(), section)
 
     def test_shared_sections_are_frozen(self):
         shared = apply_entries(read_entries(None, ["x=5"])).timing
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             shared.readout_s = 2e-6
         assert ToolConfig().timing.readout_s == 1e-6
 
@@ -221,3 +227,76 @@ class TestLoadConfig:
     def test_fractional_nanometre_rejected(self):
         with pytest.raises(ConfigParseError, match="nanometre"):
             load_config(overrides=["gate_pitch=0.5nm"])
+
+
+class TestKeymap:
+    def test_every_section_field_is_set_by_one_key(self):
+        setters = Counter((section, field) for (section, _), (field, _, _) in config._KEYMAP.items())
+        fields = {(name, f) for name, cls in config.SECTIONS.items() for f in cls._fields}
+        assert set(setters) == fields
+        assert set(setters.values()) == {1}
+
+    @pytest.mark.parametrize("section", config.SECTIONS)
+    def test_aliases_collide_with_nothing_in_their_section(self, section):
+        keys = [k for s, k in config._KEYMAP if s == section]
+        aliases = [a for (s, _), (_, _, a) in config._KEYMAP.items() if s == section and a]
+        assert len(set(keys + aliases)) == len(keys) + len(aliases)
+
+    def test_every_alias_resolves_to_its_key(self):
+        for (section, key), (_, _, alias) in config._KEYMAP.items():
+            if alias:
+                assert config.resolve_override(f"{section}.{alias}=1") == ((section, key), "1")
+
+
+def _check(section) -> None:
+    if isinstance(section, ArrayConfig):
+        validate_config(section).raise_if_invalid()
+    else:
+        section.validate()
+
+
+# (section, field, a value past the field's bound, the message that names it)
+BOUNDS = [
+    *((ArrayConfig, f, 0, f"{f} must be strictly positive (got 0)")
+      for f in ArrayConfig._fields if f != "crossbars"),
+    (ArrayConfig, "crossbars", -1, "crossbars must be non-negative (got -1)"),
+    *((ElectronicsParams, f, 0, f"{f} must be strictly positive (got 0)")
+      for f in ElectronicsParams._fields),
+    *((InterconnectGrid, f, 0, f"{f} must be strictly positive (got 0)")
+      for f in InterconnectGrid._fields if f != "fringe_mode"),
+    (InterconnectGrid, "fringe_mode", "full",
+     "fringe_mode must be one of ('printed_magnitude', 'disabled')"),
+    *((SignalParams, f, -1.0, f"{f} must be non-negative (got -1.0)")
+      for f in SignalParams._fields if f not in ("line_width_m", "line_length_m")),
+    (SignalParams, "line_width_m", 0.0, "line_width_m must be strictly positive"),
+    (SignalParams, "line_length_m", 0.0, "line_length_m must be strictly positive"),
+    *((TimingParams, f, -1.0, f"{f} must be non-negative") for f in TimingParams._fields),
+]
+
+
+class TestSectionBounds:
+    @pytest.mark.parametrize(
+        "section, field, value, message", BOUNDS, ids=[f"{c.__name__}.{f}" for c, f, _, _ in BOUNDS],
+    )
+    def test_value_past_its_bound_names_the_field(self, section, field, value, message):
+        _check(section())
+        with pytest.raises((ValueError, InvalidConfigError), match=re.escape(message)):
+            _check(section()._replace(**{field: value}))
+
+    def test_every_field_bound_is_checked(self):
+        checked = {(c, f) for c, f, _, _ in BOUNDS}
+        sections = (ArrayConfig, ElectronicsParams, InterconnectGrid, SignalParams, TimingParams)
+        assert checked == {(c, f) for c in sections for f in c._fields}
+
+    def test_array_violations_in_field_order_crossbars_last(self):
+        past = {f: v for c, f, v, _ in BOUNDS if c is ArrayConfig}
+        violations = validate_config(ArrayConfig(**past)).violations
+        assert violations == tuple(m for c, _, _, m in BOUNDS if c is ArrayConfig)
+        assert violations[-1].startswith("crossbars")
+
+    @pytest.mark.parametrize("section", [ElectronicsParams, InterconnectGrid, SignalParams, TimingParams])
+    def test_the_first_field_in_order_is_named(self, section):
+        rows = [(f, v, m) for c, f, v, m in BOUNDS if c is section]
+        with pytest.raises(ValueError) as err:
+            section(**{f: v for f, v, _ in rows}).validate()
+        assert str(err.value) == rows[0][2]

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from scipy.constants import e as ELECTRON_CHARGE
 from scipy.constants import k as BOLTZMANN
@@ -32,7 +30,7 @@ class TestHoldCapacitance:
         assert c == pytest.approx(13.8e-12, rel=0.01)
 
     def test_fine_linear_in_temperature(self):
-        hot = replace(PARAMS, temperature_k=4.0)
+        hot = PARAMS._replace(temperature_k=4.0)
         assert min_hold_capacitance("fine", hot) == pytest.approx(
             4 * min_hold_capacitance("fine", PARAMS), rel=1e-12
         )
@@ -47,11 +45,11 @@ class TestRefreshRate:
         assert refresh_rate(PARAMS, 1e-6) == pytest.approx(100e3)
 
     def test_slow_drift_end(self):
-        slow = replace(PARAMS, drift_v_per_s=2e-6)
+        slow = PARAMS._replace(drift_v_per_s=2e-6)
         assert refresh_rate(slow, 1e-6) == pytest.approx(2.0)
 
     def test_drift_equal_to_resolution(self):
-        p = replace(PARAMS, drift_v_per_s=1e-6)
+        p = PARAMS._replace(drift_v_per_s=1e-6)
         assert refresh_rate(p, 1e-6) == pytest.approx(1.0)
 
     def test_nonpositive_resolution_rejected(self):
@@ -64,7 +62,7 @@ class TestDemuxClock:
         assert demux_clock(REFERENCE, 100e3) == 64 * 1024 * 100e3
 
     def test_single_cell_module(self):
-        cfg = replace(REFERENCE, bias_module_edge=1)
+        cfg = REFERENCE._replace(bias_module_edge=1)
         assert demux_clock(cfg, 1.0) == 64.0
 
     def test_slow_refresh(self):
@@ -73,7 +71,7 @@ class TestDemuxClock:
     def test_linear_in_both_factors(self):
         base = demux_clock(REFERENCE, 10.0)
         assert demux_clock(REFERENCE, 20.0) == pytest.approx(2 * base)
-        doubled_edge = replace(REFERENCE, bias_module_edge=64)
+        doubled_edge = REFERENCE._replace(bias_module_edge=64)
         assert demux_clock(doubled_edge, 10.0) == pytest.approx(4 * base)
 
 
@@ -107,20 +105,20 @@ class TestFootprint:
         assert fp.total_area_um2 == pytest.approx(180.0, rel=1e-4)
 
     def test_doubled_density_halves_capacitor_area(self):
-        dense = replace(PARAMS, cap_density_f_per_m2=2.0)
+        dense = PARAMS._replace(cap_density_f_per_m2=2.0)
         base = footprint(REFERENCE, PARAMS, INVENTORY)
         halved = footprint(REFERENCE, dense, INVENTORY)
         assert halved.capacitor_area_m2 == pytest.approx(base.capacitor_area_m2 / 2, rel=1e-12)
 
     def test_infeasible_pitch_flagged_not_fatal(self):
-        tight = replace(REFERENCE, qubit_pitch_nm=10_000)
+        tight = REFERENCE._replace(qubit_pitch_nm=10_000)
         fp = footprint(tight, PARAMS, INVENTORY)
         assert not fp.pitch_feasible
         assert fp.min_pitch_um > 10.0
 
     def test_min_pitch_monotone_in_density(self):
         pitches = [
-            footprint(REFERENCE, replace(PARAMS, cap_density_f_per_m2=rho), INVENTORY).min_pitch_m
+            footprint(REFERENCE, PARAMS._replace(cap_density_f_per_m2=rho), INVENTORY).min_pitch_m
             for rho in (0.5, 1.0, 2.0, 4.0)
         ]
         assert pitches == sorted(pitches, reverse=True)
@@ -133,7 +131,7 @@ class TestFootprint:
         assert pitches == sorted(pitches)
 
     def test_invalid_params_rejected(self):
-        bad = replace(PARAMS, fine_resolution_v=2e-3)  # above coarse resolution
+        bad = PARAMS._replace(fine_resolution_v=2e-3)  # above coarse resolution
         with pytest.raises(ValueError, match="fine resolution"):
             bad.validate()
         with pytest.raises(ValueError, match="fine resolution"):

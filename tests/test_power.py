@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 import scipy.constants
@@ -58,19 +57,19 @@ class TestParasiticCapacitance:
         assert gc.total_f == 2 * 150 * gc.neighbour_f + 150**2 * gc.crossing_f
 
     def test_crossing_increases_with_width(self):
-        wider = replace(GRID, line_width_m=160e-9)
+        wider = GRID._replace(line_width_m=160e-9)
         assert parasitic_capacitance(wider).crossing_f > parasitic_capacitance(GRID).crossing_f
 
     def test_fringe_mode_switch(self):
         printed = parasitic_capacitance(GRID)
-        plain = parasitic_capacitance(replace(GRID, fringe_mode="disabled"))
+        plain = parasitic_capacitance(GRID._replace(fringe_mode="disabled"))
         assert printed.crossing_f == plain.crossing_f
         assert printed.neighbour_f > plain.neighbour_f
         # the fringe correction is tiny against the sidewall plate term
         assert printed.neighbour_f == pytest.approx(plain.neighbour_f, rel=1e-9)
 
     def test_bad_fringe_mode_rejected(self):
-        bad = replace(GRID, fringe_mode="full")
+        bad = GRID._replace(fringe_mode="full")
         with pytest.raises(ValueError, match="fringe_mode"):
             bad.validate()
         with pytest.raises(ValueError, match="fringe_mode"):
@@ -78,27 +77,27 @@ class TestParasiticCapacitance:
 
     @pytest.mark.parametrize("fringe", ["printed_magnitude", "disabled"])
     def test_monotone_in_line_count_width_thickness(self, fringe):
-        base = replace(GRID, fringe_mode=fringe)
+        base = GRID._replace(fringe_mode=fringe)
         for field, values in [
             ("lines_per_layer", (50, 100, 150, 200, 300)),
             ("line_width_m", (40e-9, 80e-9, 120e-9, 160e-9)),
             ("line_thickness_m", (25e-9, 50e-9, 75e-9, 100e-9)),
         ]:
             totals = [
-                parasitic_capacitance(replace(base, **{field: v})).total_f
+                parasitic_capacitance(base._replace(**{field: v})).total_f
                 for v in values
             ]
             assert totals == sorted(totals), field
 
     @pytest.mark.parametrize("fringe", ["printed_magnitude", "disabled"])
     def test_antitone_in_gap_and_dielectric(self, fringe):
-        base = replace(GRID, fringe_mode=fringe)
+        base = GRID._replace(fringe_mode=fringe)
         for field, values in [
             ("line_gap_m", (40e-9, 80e-9, 160e-9, 320e-9)),
             ("dielectric_thickness_m", (250e-9, 500e-9, 1000e-9, 2000e-9)),
         ]:
             totals = [
-                parasitic_capacitance(replace(base, **{field: v})).total_f
+                parasitic_capacitance(base._replace(**{field: v})).total_f
                 for v in values
             ]
             assert totals == sorted(totals, reverse=True), field
@@ -111,7 +110,7 @@ class TestParasiticCapacitance:
         gaps = (160e-9, 80e-9)
         points = {}
         for n, w, g in itertools.product(lines, widths, gaps):
-            grid = replace(GRID, lines_per_layer=n, line_width_m=w, line_gap_m=g)
+            grid = GRID._replace(lines_per_layer=n, line_width_m=w, line_gap_m=g)
             points[(n, w, g)] = parasitic_capacitance(grid).total_f
         for (n1, w1, g1), c1 in points.items():
             for (n2, w2, g2), c2 in points.items():
@@ -148,7 +147,7 @@ class TestDemuxPower:
 
     def test_no_demuxes(self):
         # zero demultiplexers dissipate nothing even at full refresh rate
-        assert demux_power(replace(ELEC, demux_per_cell=0), 100e3) == 0.0
+        assert demux_power(ELEC._replace(demux_per_cell=0), 100e3) == 0.0
 
 
 class TestTransmissionLine:
@@ -221,7 +220,7 @@ class TestTotalPower:
 
     def test_zero_frequencies_zero_total(self):
         q = SignalParams(pulse_frequency_hz=0.0, line_frequency_hz=0.0)
-        still = replace(ELEC, drift_v_per_s=1e-30)  # effectively no refresh
+        still = ELEC._replace(drift_v_per_s=1e-30)  # effectively no refresh
         report = total_power(REFERENCE, GRID, q, still)
         assert report.total_w == pytest.approx(0.0, abs=1e-20)
 

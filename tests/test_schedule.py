@@ -42,6 +42,9 @@ def random_timing(rng: random.Random) -> TimingParams:
 
 
 class TestDefaultTable:
+    def test_parsed_once(self):
+        assert default_step_table() is default_step_table()
+
     def test_census_matches_cycle_coefficients(self):
         census = default_step_table().census()
         assert census["shuttle_round_trips"] == CYCLE_SHUTTLES == 22

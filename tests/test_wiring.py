@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -64,7 +63,7 @@ class TestLineCounts:
         assert c.total == 16836
 
     def test_crossbar_category(self):
-        cfg = replace(REFERENCE, crossbars=7)
+        cfg = REFERENCE._replace(crossbars=7)
         assert lines_at("unit_cell", cfg).logical_ops == 28
         assert lines_at("module", cfg).logical_ops == 4 * 32 * 7
         assert lines_at("quantum_plane", cfg).logical_ops == 4 * 32 * 16 * 7
@@ -98,14 +97,14 @@ class TestLineCounts:
             lines_at("die", REFERENCE)
 
     def test_invalid_config_rejected(self):
-        cfg = replace(REFERENCE, readout_grid_edge=5)
+        cfg = REFERENCE._replace(readout_grid_edge=5)
         assert not validate_config(cfg).ok
         with pytest.raises(InvalidConfigError):
             build_report(ToolConfig(array=cfg))
 
     def test_total_monotone_in_crossbars(self):
         totals = [
-            lines_at("quantum_plane", replace(REFERENCE, crossbars=x)).total
+            lines_at("quantum_plane", REFERENCE._replace(crossbars=x)).total
             for x in (0, 1, 5, 50, 500, 5000)
         ]
         assert totals == sorted(totals)
@@ -141,7 +140,7 @@ class TestRentExponent:
         assert 0.43 <= p <= 0.44
 
     def test_with_200_crossbars(self):
-        cfg = replace(REFERENCE, crossbars=200)
+        cfg = REFERENCE._replace(crossbars=200)
         # closed-form oracle: T = 256 + 16384 + 128*(1 + 16*200) + 4 - 2 + 66
         assert lines_at("quantum_plane", cfg).total == 426436
         assert lines_at("unit_cell", cfg).total == 874
@@ -158,14 +157,14 @@ class TestRentExponent:
 
     def test_grid_shape_saturates_below_half(self):
         values = [
-            rent_exponent(replace(REFERENCE, crossbars=x))
+            rent_exponent(REFERENCE._replace(crossbars=x))
             for x in (0, 1, 10, 100, 200, 1000, 2000, 5000, 10_000)
         ]
         assert values == sorted(values)
         assert all(v <= 0.5 + 1e-3 for v in values)
 
     def test_asymptote_is_one_half(self):
-        p = rent_exponent(replace(REFERENCE, crossbars=10**9))
+        p = rent_exponent(REFERENCE._replace(crossbars=10**9))
         assert p == pytest.approx(0.5, abs=1e-3)
 
 
@@ -177,7 +176,7 @@ class TestCapacities:
         assert logical_qubit_capacity(REFERENCE, "lattice_surgery") == 1024
 
     def test_single_logical_qubit_fills_array(self):
-        cfg = replace(make_config(4, 4, 4), code_distance=16)
+        cfg = make_config(4, 4, 4)._replace(code_distance=16)
         assert derive_geometry(cfg).unit_cells == cfg.code_distance**2
         assert logical_qubit_capacity(cfg, "lattice_surgery") == 1
 
@@ -191,9 +190,9 @@ class TestFabCrossbars:
         assert max_fab_crossbars(REFERENCE) == 1950
 
     def test_single_layer_single_line(self):
-        cfg = replace(REFERENCE, qubit_pitch_nm=80, metal_layers=1, interconnect_pitch_nm=80)
+        cfg = REFERENCE._replace(qubit_pitch_nm=80, metal_layers=1, interconnect_pitch_nm=80)
         assert max_fab_crossbars(cfg) == 1
 
     def test_halved_density_halves_count(self):
-        cfg = replace(REFERENCE, interconnect_pitch_nm=160)
+        cfg = REFERENCE._replace(interconnect_pitch_nm=160)
         assert max_fab_crossbars(cfg) == 975
