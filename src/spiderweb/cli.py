@@ -236,7 +236,15 @@ def _cmd_dump_unitary(args) -> int:
     return EXIT_OK
 
 
+_parser: list[argparse.ArgumentParser] = []
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and reused for the rest of the
+    process: ``parse_args`` fills a fresh namespace and copies each ``--set``
+    default list, so no call sees another's arguments."""
+    if _parser:
+        return _parser[0]
     parser = argparse.ArgumentParser(
         prog="spiderweb",
         description="Design-space exploration and verification for the spiderweb sparse spin-qubit array.",
@@ -272,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--out", metavar="PATH")
     p_dump.set_defaults(func=_cmd_dump_unitary)
 
+    _parser.append(parser)
     return parser
 
 

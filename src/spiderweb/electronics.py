@@ -11,7 +11,7 @@ driven directly and hold no charge.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import inf, sqrt
 from typing import NamedTuple
 
 from .model import ArrayConfig, GateInventory, default_gate_inventory
@@ -56,6 +56,8 @@ class ElectronicsParams(NamedTuple):
                 raise ValueError(f"{name} must be strictly positive (got {value})")
         if self.fine_resolution_v >= self.coarse_resolution_v:
             raise ValueError("fine resolution must be below the coarse resolution")
+        if not 0 < self.fine_resolution_v * self.fine_resolution_v < inf:  # kB*T/dV^2 needs dV^2
+            raise ValueError(f"fine_resolution_v squared leaves the float range (got {self.fine_resolution_v})")
 
 
 def min_hold_capacitance(kind: str, params: ElectronicsParams) -> float:

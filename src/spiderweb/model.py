@@ -152,7 +152,7 @@ def derive_geometry(cfg: ArrayConfig) -> GeometrySummary:
         unit_cells=unit_cells,
         qubit_count=4 * unit_cells,
         plane_edge_m=plane_edge,
-        plane_area_m2=plane_edge**2,
+        plane_area_m2=plane_edge * plane_edge,
         plane_perimeter_m=4.0 * plane_edge,
         gates_per_arm=cfg.qubit_pitch_nm // cfg.gate_pitch_nm,
     )

@@ -55,6 +55,10 @@ class InterconnectGrid(NamedTuple):
                 raise ValueError(f"{name} must be strictly positive (got {value})")
         if self.fringe_mode not in FRINGE_MODES:
             raise ValueError(f"fringe_mode must be one of {FRINGE_MODES}")
+        gap = self.line_gap_m
+        if self.fringe_mode == "printed_magnitude" and gap / (gap + 2 * self.line_width_m) == 1:
+            # alpha1 of parasitic_capacitance rounds to 1; its fringe term would divide by 0
+            raise ValueError(f"line_width_m ({self.line_width_m}) is negligible against line_gap_m ({gap})")
 
 
 class GridCapacitance(NamedTuple):
@@ -169,8 +173,11 @@ def transmission_line_power(signals: SignalParams) -> TransmissionLineResult:
     length = signals.line_length_m
     resistance = signals.sheet_resistance_ohm * length / signals.line_width_m
     capacitance = signals.cap_per_length_f_per_m * length
-    constant = 2.0 * resistance * (pi * capacitance) ** 2
-    power = constant * (signals.line_amplitude_v * signals.line_frequency_hz) ** 2
+    # squared by multiplying: an overflow gives inf for the non-finite check, not OverflowError
+    pc = pi * capacitance
+    vf = signals.line_amplitude_v * signals.line_frequency_hz
+    constant = 2.0 * resistance * (pc * pc)
+    power = constant * (vf * vf)
     return TransmissionLineResult(power, resistance, capacitance, constant)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiderweb
-from spiderweb import config
+from spiderweb import cli, config
 from spiderweb.cli import _sweep_csv, _sweep_json, main
 from spiderweb.config import load_config
 from spiderweb.report import SWEEP_FIELDS, sweep_record
@@ -110,10 +111,21 @@ class TestReport:
                 ("d=1e300", "array.qubit_pitch"),            # round(inf) nanometres
                 ("lines_per_layer=1e308", "interconnect.lines_per_layer"),  # past 2**53
                 ("v_p=1e300", "power.per_cell.pulsed_w"),    # V^2 overflows to inf
+                ("d=1e290", "geometry.plane_area_m2"),       # plane edge squared overflows
+                ("c_per_um=1e300", "power.per_cell.line_w"),  # (pi*C)^2 overflows
+                ("v_t=1e290", "power.per_cell.line_w"),       # (V*f)^2 overflows
+                ("dv_fine=1e-300", "fine_resolution_v"),      # dV^2 underflows to 0
+                ("line_gap=9e15", "line_gap_m"),               # gap/(gap + 2w) rounds to 1
+                ("w=5e-324", "line_width_m"),
             ]),
             pytest.param(["verify", "--set", "d=1e308"], "array.qubit_pitch", id="verify-d=1e308"),
             pytest.param(["sweep", "v_p", "1e300", "--format", "json"], "v_p=1e300: value array_total_w",
                          id="sweep-v_p=1e300"),
+            pytest.param(["sweep", "d", "1e290", "--format", "json"], "d=1e290: value array_total_w",
+                         id="sweep-d=1e290"),
+            pytest.param(["sweep", "w", "1e-300"], "line_width_m", id="sweep-w=1e-300"),
+            pytest.param(["report", "--set", "dv_coarse=1e300", "--set", "dv_fine=1e200"], "fine_resolution_v",
+                         id="dv_fine=1e200-squared-overflows"),
         ],
     )
     def test_out_of_range_value_exits_1(self, capsys, argv, named):
@@ -448,6 +460,83 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: report value {key} is not finite (inf)")
+
+
+# Values at and past the numeric edges: signed zeros, subnormals, magnitudes
+# near the float limits, nan/inf text and malformed suffixes.
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([
+        "0", "-0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e-300", "-1e-300", "1e300",
+        "-1e300", "1e-290", "1e290", "1e308", "-1e308", "1e400", "9e15", "nan", "-nan", "inf", "-inf",
+        "Infinity", "1e", "e3", "1..2", "um", "12 um", "",
+    ]),
+    st.tuples(
+        st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e-300, 1e300, 9e15])).map(repr),
+        st.sampled_from(["", "m", "u", "n", "p", "f", "k", "M", "G", "um", "nm", "fF", "mV", "kk", "V/s"]),
+    ).map("".join),
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["report", "sweep", "verify", "simulate"]), st.sampled_from(config.KNOWN_KEYS),
+       _EDGE_VALUES, st.sampled_from(["text", "json"]))
+@example("report", "array.qubit_pitch", "1e290", "text")
+@example("sweep", "array.qubit_pitch", "1e290", "json")
+@example("report", "signals.cap_per_length", "1e300", "text")
+@example("report", "signals.line_amplitude", "1e290", "text")
+@example("report", "electronics.fine_resolution", "1e-300", "text")
+@example("report", "interconnect.line_gap", "9e15", "text")
+@example("report", "interconnect.line_width", "5e-324", "text")
+@example("sweep", "interconnect.line_width", "1e-300", "text")
+def test_edge_values_keep_the_exit_code_contract(command, key, value, fmt):
+    if command == "sweep":
+        argv = ["sweep", "--format", fmt, "--", key, value]
+    else:
+        argv = [command, "--set", f"{key}={value}", "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_set_lists_do_not_leak_between_calls(self, capsys):
+        _, default, _ = run(capsys, *REPORT_DEFAULT_JSON)
+        code, changed, _ = run(capsys, "report", "--set", "x=200", "--format", "json")
+        assert code == 0 and changed != default
+        code, again, _ = run(capsys, *REPORT_DEFAULT_JSON)
+        assert code == 0 and again == default
+        assert json.loads(again)["config"]["array"]["crossbars"] == 0
+        assert cli.build_parser().parse_args(["report"]).overrides == []
+
+    def test_usage_error_after_a_run_goes_to_the_current_stderr(self, capsys):
+        assert run(capsys, "report")[0] == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["report", "--format", "xml"])
+        assert code == 1
+        assert err.getvalue().startswith("usage: spiderweb report")
+        assert "spiderweb report: error: argument --format: invalid choice: 'xml'" in err.getvalue()
+        assert capsys.readouterr() == ("", "")
+
+    def test_main_asks_for_the_parser_on_every_call(self, capsys, monkeypatch):
+        # the benchmark's tracer times cli.build_parser as a span of each op
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        for argv in (["report"], ["dump-unitary", "sp"], ["report", "--bogus"]):
+            main(argv)
+        assert len(calls) == 3
 
 
 _IMPORT_PROBE = """
