@@ -108,8 +108,11 @@ def _cmd_sweep(args) -> int:
     for value, point in zip(values, points):
         raw = point.split("=", 1)[1].strip()  # the value as read_entries splits it
         config = apply_entries({**base, swept: (raw, point)})
-        record = sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned)
-        _require_finite(record, f"sweep point {point}: value")
+        try:  # a section rule or the non-finite rule fails: name the point
+            record = sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned)
+            _require_finite(record, "value")
+        except ValueError as exc:
+            raise ValueError(f"sweep point {point}: {exc}") from exc
         records.append(record)
     _emit(args, _sweep_json(records) + "\n" if args.format == "json" else _sweep_csv(records))
     return EXIT_OK

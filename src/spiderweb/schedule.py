@@ -16,6 +16,13 @@ its window census, step count, the two steps that only move data qubit D1,
 resource capacities (two electrons per operation region, one per channel)
 and per-qubit electron conservation are the checked contract; the exact
 interleaving of the dressing pulses is a free choice.
+
+A long program repeats a few distinct step bodies (a step without its index),
+so the parser reads each distinct body once, and the simulator lowers and
+checks each once, at the first step that carries it; every step then stamps
+its own index and times on the body's events.  This is exact: the lanes and
+the region, channel and two-region checks read only the body, and the clock
+only the integer window counts so far.
 """
 
 from __future__ import annotations
@@ -227,98 +234,95 @@ def _json_block(open_: str, body: str, close: str) -> str:
     return f"{open_}\n{body}\n  {close}" if body else open_ + close
 
 
-class _Simulator:
-    """Window-by-window executor.
+def _check_window(index: int, movers: list[tuple[str, str]], lanes: list[str],
+                  actors: list[tuple[str, str, str]]) -> None:
+    """Raise :class:`ScheduleConflictError` at step ``index`` if the window
+    over-fills a region or a channel, or places one qubit in two regions."""
+    # only more actors than one region holds, or a repeated lane, can overflow;
+    # regions are counted from the actors, so a readout needs no path of its own
+    if len(actors) > REGION_CAPACITY or len(set(lanes)) < len(lanes):
+        regions: dict[str, list[str]] = {}
+        for qubit, _, region in actors:
+            regions.setdefault(region, []).append(qubit)
+        channels: dict[str, list[str]] = {}
+        for (qubit, _), lane in zip(movers, lanes):
+            channels.setdefault(lane, []).append(qubit)
+        for resource, occupants in regions.items():
+            if len(occupants) > REGION_CAPACITY:
+                raise ScheduleConflictError(index, resource, tuple(occupants), REGION_CAPACITY)
+        for resource, occupants in channels.items():
+            if len(occupants) > CHANNEL_CAPACITY:
+                raise ScheduleConflictError(index, resource, tuple(occupants), CHANNEL_CAPACITY)
+    # the actors place every qubit of the window, a measured one too
+    if len({qubit for qubit, _, _ in actors}) < len(actors):
+        placed = dict.fromkeys((qubit, region) for qubit, _, region in actors)
+        qubits = [q for q, _ in placed]
+        for qubit in (q for q in qubits if qubits.count(q) > 1):
+            places = tuple(r for q, r in placed if q == qubit)
+            detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
+            raise ScheduleConflictError(index, qubit, places, 1, detail)
 
-    Time is tracked as integer window counts per kind and re-expanded into
-    seconds for every event, so the finished makespan is bit-identical to
-    the closed-form census-weighted sum.
-    """
 
-    def __init__(self, timing: TimingParams):
-        timing.validate()
-        self.timing = timing
-        self.pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s,
-                        "readout": timing.readout_s}
-        self.counts = _zero_counts()
-        self.events: list[Event] = []
-        self.parked: list[tuple[int, str, str]] = []  # (step, qubit, region)
-
-    def now(self) -> float:
-        return _duration(self.timing, self.counts)
-
-    def run_window(self, step_index: int, kind: str, movers: list[tuple[str, str]],
-                   actors: list[tuple[str, str, str]], park: bool) -> None:
-        """Check the window's capacities, then emit its events and advance the clock."""
+def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple[str, str], ...]]:
+    """Lower and check one step body: its window kinds, its events as
+    (time slot, qubit, op, resource) with slots 3w, 3w+1, 3w+2 for window w's
+    start, pulse and return, and the (qubit, lane) pairs it parks."""
+    kinds, template, parked = [], [], []
+    for w, (kind, movers, actors, park) in enumerate(_windows(step)):
         lanes = [_channel(qubit, region) for qubit, region in movers]
-        # only more actors than one region holds, or a repeated lane, can overflow;
-        # regions are counted from the actors, so a readout needs no path of its own
-        if len(actors) > REGION_CAPACITY or len(set(lanes)) < len(lanes):
-            regions: dict[str, list[str]] = {}
-            for qubit, _, region in actors:
-                regions.setdefault(region, []).append(qubit)
-            channels: dict[str, list[str]] = {}
-            for (qubit, _), lane in zip(movers, lanes):
-                channels.setdefault(lane, []).append(qubit)
-            for resource, occupants in regions.items():
-                if len(occupants) > REGION_CAPACITY:
-                    raise ScheduleConflictError(step_index, resource, tuple(occupants), REGION_CAPACITY)
-            for resource, occupants in channels.items():
-                if len(occupants) > CHANNEL_CAPACITY:
-                    raise ScheduleConflictError(step_index, resource, tuple(occupants), CHANNEL_CAPACITY)
-        # the actors place every qubit of the window, a measured one too
-        if len({qubit for qubit, _, _ in actors}) < len(actors):
-            placed = dict.fromkeys((qubit, region) for qubit, _, region in actors)
-            qubits = [q for q, _ in placed]
-            for qubit in (q for q in qubits if qubits.count(q) > 1):
-                places = tuple(r for q, r in placed if q == qubit)
-                detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
-                raise ScheduleConflictError(step_index, qubit, places, 1, detail)
-
-        start = self.now()
-        events = self.events
-        events.extend([Event(start, step_index, qubit, "shuttle_out", lane)
-                       for (qubit, _), lane in zip(movers, lanes)])
-        # a shuttled pulse lands half a round trip in; a readout at the window start
-        pulse_start = start if kind == "readout" else start + self.timing.shuttle_s / 2.0
-        events.extend([Event(pulse_start, step_index, qubit, label, region)
-                       for qubit, label, region in actors])
+        _check_window(step.index, movers, lanes, actors)
+        kinds.append(kind)
+        template += [(3 * w, qubit, "shuttle_out", lane) for (qubit, _), lane in zip(movers, lanes)]
+        template += [(3 * w + 1, qubit, label, region) for qubit, label, region in actors]
+        returns = [(qubit, lane) for (qubit, _), lane in zip(movers, lanes)]
         if park:
-            self.parked.extend((step_index, qubit, region) for qubit, region in movers)
+            parked += returns
         else:
-            back_start = pulse_start + self.pulse_s[kind]
-            events.extend([Event(back_start, step_index, qubit, "shuttle_back", lane)
-                           for (qubit, _), lane in zip(movers, lanes)])
-        _tally(self.counts, kind)
-
-    def release_parked(self) -> None:
-        # Return trips of parked (measured) qubits complete at the cycle
-        # boundary; their round-trip time was charged by the parking step.
-        end = self.now()
-        self.events.extend([Event(end, step_index, qubit, "shuttle_back", _channel(qubit, region))
-                            for step_index, qubit, region in self.parked])
-        self.parked.clear()
+            template += [(3 * w + 2, qubit, "shuttle_back", lane) for qubit, lane in returns]
+    return tuple(kinds), tuple(template), tuple(parked)
 
 
 def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     """Execute the step table, checking resource capacities window by window.
 
     A capacity violation, or one qubit in two regions in one window, raises
-    :class:`ScheduleConflictError` naming the step and resource.
+    :class:`ScheduleConflictError` naming the first step with that body and
+    the resource.  Time is kept as integer window counts per kind and
+    re-expanded into seconds for every window, so the makespan is
+    bit-identical to the closed-form census-weighted sum.
     """
-    sim = _Simulator(timing)
+    timing.validate()
+    pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s,
+               "readout": timing.readout_s}
+    half_trip = timing.shuttle_s / 2.0
+    counts = _zero_counts()
+    plans: dict[tuple, tuple] = {}
+    events: list[Event] = []
+    parked: list[tuple[int, str, str]] = []  # (step, qubit, lane)
+    new = tuple.__new__  # an Event without its Python-level __new__: about half the cost per event
     for step in table.steps:
-        for kind, movers, actors, park in _windows(step):
-            sim.run_window(step.index, kind, movers, actors, park)
-    sim.release_parked()
-    return EventTrace(
-        events=tuple(sim.events),
-        counters={**sim.counts, "steps": len(table.steps)},
-        makespan_s=sim.now(),
-        annotations=tuple(
-            f"step {s.index}: {s.note}" for s in table.steps if s.kind == "hook"
-        ),
-    )
+        body = step[1:]
+        plan = plans.get(body)
+        if plan is None:
+            plan = plans[body] = _plan(step)
+        kinds, template, returns = plan
+        times = []  # the events of a window share these time objects
+        for kind in kinds:
+            start = _duration(timing, counts)
+            # a shuttled pulse lands half a round trip in; a readout at the window start
+            pulse = start if kind == "readout" else start + half_trip
+            times += (start, pulse, pulse + pulse_s[kind])
+            _tally(counts, kind)
+        index = step.index
+        events += [new(Event, (times[slot], index, qubit, op, resource))
+                   for slot, qubit, op, resource in template]
+        parked += [(index, qubit, lane) for qubit, lane in returns]
+    # Return trips of parked (measured) qubits complete at the cycle
+    # boundary; their round-trip time was charged by the parking step.
+    end = _duration(timing, counts)
+    events += [new(Event, (end, index, qubit, "shuttle_back", lane)) for index, qubit, lane in parked]
+    annotations = tuple(f"step {s.index}: {s.note}" for s in table.steps if s.kind == "hook")
+    return EventTrace(tuple(events), {**counts, "steps": len(table.steps)}, end, annotations)
 
 
 class CycleTime(NamedTuple):
@@ -355,7 +359,10 @@ def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "para
 # Step-table text format
 
 def step_table_from_text(text: str) -> StepTable:
+    """Parse the step-table text.  Each distinct body (the tokens after the
+    index) is parsed once; the index and its order are checked on every line."""
     steps: list[Step] = []
+    bodies: dict[tuple[str, ...], tuple] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -369,50 +376,43 @@ def step_table_from_text(text: str) -> StepTable:
             raise ValueError(f"line {line_no}: bad step index {tokens[0]!r}") from exc
         if steps and index <= steps[-1].index:
             raise ValueError(f"line {line_no}: step index {index} repeats or is out of order")
-        kind_token = tokens[1]
-        park = kind_token.endswith("+park")
-        kind = kind_token.removesuffix("+park")
-        items = tokens[2:]
-        if kind == "one_qubit":
-            solo = []
-            for item in items:
-                try:
-                    placement, gate_label = item.split(":", 1)
-                    qubit, region = placement.split("@", 1)
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: bad one_qubit item {item!r}") from exc
-                solo.append(SoloGate(qubit, region, gate_label))
-            steps.append(Step(index, "one_qubit", solo_gates=tuple(solo), park=park))
-        elif kind == "two_qubit":
-            pairs = []
-            for item in items:
-                try:
-                    placement, carrier_part = item.split(":", 1)
-                    pair, region = placement.split("@", 1)
-                    qubit_a, qubit_b = pair.split("+", 1)
-                    carrier = carrier_part.removeprefix("rz=")
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: bad two_qubit item {item!r}") from exc
-                if carrier not in (qubit_a, qubit_b):
-                    raise ValueError(
-                        f"line {line_no}: rz carrier {carrier!r} is not part of pair {pair!r}"
-                    )
-                pairs.append(PairGate(qubit_a, qubit_b, region, carrier))
-            steps.append(Step(index, "two_qubit", pair_gates=tuple(pairs)))
-        elif kind == "readout":
-            measured = []
-            for item in items:
-                try:
-                    qubit, region = item.split("@", 1)
-                except ValueError as exc:
-                    raise ValueError(f"line {line_no}: bad readout item {item!r}") from exc
-                measured.append(SoloGate(qubit, region, "readout"))
-            steps.append(Step(index, "readout", measured=tuple(measured)))
-        elif kind == "hook":
-            steps.append(Step(index, "hook", note=" ".join(items)))
-        else:
-            raise ValueError(f"line {line_no}: unknown step kind {kind!r}")
+        key = tuple(tokens[1:])
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = _parse_body(line_no, tokens[1], tokens[2:])
+        steps.append(Step(index, *body))
     return StepTable(tuple(steps))
+
+
+def _parse_body(line_no: int, kind_token: str, items: list[str]) -> tuple:
+    """The fields of a step after its index, from its kind token and items."""
+    park = kind_token.endswith("+park")
+    kind = kind_token.removesuffix("+park")
+    if kind == "hook":
+        return "hook", (), (), (), False, " ".join(items)
+    if kind not in ("one_qubit", "two_qubit", "readout"):
+        raise ValueError(f"line {line_no}: unknown step kind {kind!r}")
+    gates = []
+    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION
+        try:
+            placement, label = (item, "readout") if kind == "readout" else item.split(":", 1)
+            target, region = placement.split("@", 1)
+            if kind == "two_qubit":
+                qubit_a, qubit_b = target.split("+", 1)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: bad {kind} item {item!r}") from exc
+        if kind != "two_qubit":
+            gates.append(SoloGate(target, region, label))
+            continue
+        carrier = label.removeprefix("rz=")
+        if carrier not in (qubit_a, qubit_b):
+            raise ValueError(f"line {line_no}: rz carrier {carrier!r} is not part of pair {target!r}")
+        gates.append(PairGate(qubit_a, qubit_b, region, carrier))
+    if kind == "one_qubit":
+        return kind, tuple(gates), (), (), park, ""
+    if kind == "two_qubit":
+        return kind, (), tuple(gates), (), False, ""
+    return kind, (), (), tuple(gates), False, ""
 
 
 def step_table_to_text(table: StepTable) -> str:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -222,7 +223,7 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "dv_fine", "1uV,0")
         assert code == 1
         assert out == ""
-        assert err == "error: fine_resolution_v must be strictly positive (got 0.0)\n"
+        assert err == "error: sweep point dv_fine=0: fine_resolution_v must be strictly positive (got 0.0)\n"
 
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -497,6 +498,11 @@ def test_edge_values_keep_the_exit_code_contract(command, key, value, fmt):
         argv = ["sweep", "--format", fmt, "--", key, value]
     else:
         argv = [command, "--set", f"{key}={value}", "--format", fmt]
+    _assert_exit_code_contract(argv, fmt)
+
+
+def _assert_exit_code_contract(argv: list[str], fmt: str) -> None:
+    """Exit 0, 1 or 2, no traceback, and strict JSON on a json success."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -504,6 +510,35 @@ def test_edge_values_keep_the_exit_code_contract(command, key, value, fmt):
     assert "Traceback" not in err.getvalue()
     if code == 0 and fmt == "json":
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+_MAGNITUDES = ("0", "-0", "5e-324", "-5e-324", "1e-300", "1e-200", "1e-30", "1", "9e15", "1e30", "1e200",
+               "1e290", "1e300", "1e308", "-1e300")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["report", "sweep", "verify", "simulate"]),
+       st.dictionaries(st.sampled_from(config.KNOWN_KEYS), st.sampled_from(_MAGNITUDES), min_size=2, max_size=5),
+       st.sampled_from(["text", "json"]), st.booleans())
+@example("report", {"electronics.dv_coarse": "1e300", "electronics.dv_fine": "1e200"}, "text", False)
+@example("report", {"electronics.dv_coarse": "1e300", "electronics.dv_fine": "1e200"}, "json", True)
+@example("sweep", {"electronics.dv_coarse": "1e300", "electronics.dv_fine": "1e200"}, "json", True)
+def test_extreme_key_sets_keep_the_exit_code_contract(command, values, fmt, in_file):
+    """Several keys at extreme magnitudes at once, as overrides or in a config
+    file; a sweep sweeps the last key over its value."""
+    entries = list(values.items())
+    argv = [command, "--format", fmt]
+    if command == "sweep":
+        argv += ["--", *entries.pop()]
+    with tempfile.TemporaryDirectory() as tmp:
+        if in_file:
+            path = os.path.join(tmp, "extreme.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines("[{}]\n{} = {}\n".format(*key.split("."), value) for key, value in entries)
+            argv[1:1] = ["--config", path]
+        else:
+            argv[1:1] = [f"--set={key}={value}" for key, value in entries]
+        _assert_exit_code_contract(argv, fmt)
 
 
 class TestParserReuse:

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import itertools
 import json
 import random
 from collections import Counter
@@ -269,7 +271,8 @@ class TestStepTableFormat:
     @pytest.mark.parametrize("text, line, index", [
         ("1 hook a\n1 hook b\n", 2, 1),
         ("1 hook a\n3 hook b\n# gap\n2 hook c\n", 4, 2),
-    ], ids=["repeat", "out-of-order"])
+        ("1 hook a\n2 hook a\n2 hook a\n", 3, 2),
+    ], ids=["repeat", "out-of-order", "repeated-body"])
     def test_step_indices_must_increase(self, text, line, index):
         with pytest.raises(ValueError) as err:
             step_table_from_text(text)
@@ -328,19 +331,90 @@ def test_trace_json_is_the_indent_2_sorted_document(steps, timing):
     assert trace.to_json() == _trace_document_json(trace)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_trace_json_of_a_long_generated_table(seed):
-    """Shipped gate steps drawn at random, then the shipped park and readout
-    steps: hundreds of windows, each of whose events share one time object."""
-    rng = random.Random(seed)
+def generated_table(rng: random.Random, steps: int) -> StepTable:
+    """``steps`` steps renumbered 1..N: shipped gate steps drawn at random, then
+    the shipped park and readout steps, as the benchmark builds its tables."""
     shipped = default_step_table().steps
     pool = [s for s in shipped if s.kind in ("one_qubit", "two_qubit") and not s.park]
     tail = [s for s in shipped if s.park or s.kind == "readout"]
-    steps = [rng.choice(pool) for _ in range(128)] + tail
-    table = StepTable(tuple(s._replace(index=i) for i, s in enumerate(steps, start=1)))
+    drawn = [rng.choice(pool) for _ in range(steps - len(tail))] + tail
+    return StepTable(tuple(s._replace(index=i) for i, s in enumerate(drawn, start=1)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trace_json_of_a_long_generated_table(seed):
+    """Hundreds of windows, each of whose events share one time object."""
+    rng = random.Random(seed)
+    table = generated_table(rng, 130)
     trace = simulate_cycle(table, random_timing(rng))
     assert len({id(e.time_s) for e in trace.events}) < len(trace.events) / 2
     assert trace.to_json() == _trace_document_json(trace)
+
+
+# Digests of the simulator that lowered and checked every step on its own.
+@pytest.mark.parametrize("steps, csv_digest, json_digest", [
+    (16, "5ff661f1c9b5ca9e0906eee3ef85840a5474f408daafdde78cbe0cabba2c41ec",
+     "85fbb00dbc7cbe902afea5b78b597c1521dfafa4eca9ebacf02ab6fa41ae7139"),
+    (128, "bfd0c7e6575ac1a64c4867393735a281e9cf123b3e1b37bfffaa6f656b797bb3",
+     "0ba503f255590f480f4e2b114983d449f2f2fafdc22baa1b2d3fc7c8895b8458"),
+    (512, "81658e62f985676f1b150ae0233bb46f572cebaee004cdba2823ef9e5be18625",
+     "2acbdcb939c2e60df127691345f1ab7e05bc5bf61bf2f3721386a1e8199d9a38"),
+])
+def test_generated_table_output_bytes(steps, csv_digest, json_digest):
+    rng = random.Random(steps)
+    trace = simulate_cycle(generated_table(rng, steps), random_timing(rng))
+    assert hashlib.sha256(trace.to_csv().encode("utf-8")).hexdigest() == csv_digest
+    assert hashlib.sha256(trace.to_json().encode("utf-8")).hexdigest() == json_digest
+
+
+class TestRepeatedBodies:
+    """Each distinct step body is lowered, checked and parsed once."""
+
+    OVERLOAD = "one_qubit D1@op1:x A1@op1:x D2@op1:x"
+
+    def test_conflicting_body_raises_at_its_first_step(self):
+        text = f"1 one_qubit D1@op1:x\n4 {self.OVERLOAD}\n5 hook\n7 {self.OVERLOAD}\n"
+        with pytest.raises(ScheduleConflictError) as err:
+            simulate_cycle(step_table_from_text(text), TIMING)
+        assert err.value.step == 4
+        assert str(err.value) == "step 4: resource 'op1' holds 3 electrons (D1, A1, D2), capacity 2"
+
+    def test_repeated_body_events_carry_each_steps_index(self):
+        body = "two_qubit A1+D1@op1:rz=A1"
+        table = step_table_from_text(f"2 {body}\n3 one_qubit D2@c:x\n9 {body}\n")
+        trace = simulate_cycle(table, TIMING)
+        by_step = {i: [e for e in trace.events if e.step == i] for i in (2, 3, 9)}
+        assert len(trace.events) == sum(map(len, by_step.values())) == 2 * 15 + 3
+        assert [e[2:] for e in by_step[9]] == [e[2:] for e in by_step[2]]
+        assert min(e.time_s for e in by_step[9]) > max(e.time_s for e in by_step[3])
+
+    def test_bad_body_fails_at_its_first_line(self):
+        text = "# header\n1 hook\n2 one_qubit D1-op1\n\n3 one_qubit   D1-op1  # again\n"
+        with pytest.raises(ValueError) as err:
+            step_table_from_text(text)
+        assert str(err.value) == "line 3: bad one_qubit item 'D1-op1'"
+
+
+@st.composite
+def _repeating_tables(draw) -> StepTable:
+    """A few valid bodies drawn again and again, with gaps in the indices."""
+    pool = draw(st.lists(_valid_step(0), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), max_size=40))
+    indices = itertools.accumulate(draw(st.lists(st.integers(1, 3), min_size=len(picks), max_size=len(picks))))
+    return StepTable(tuple(s._replace(index=i) for s, i in zip(picks, indices)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_repeating_tables(), data=st.data())
+def test_text_round_trip_over_generated_tables(table, data):
+    text = step_table_to_text(table)
+    assert step_table_from_text(text) == table
+    # the same bodies spaced and commented differently on each line parse to the same table
+    spaces = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = [data.draw(st.sampled_from(["", " ", "\t"])) + data.draw(spaces).join(line.split())
+             + data.draw(st.sampled_from(["", " ", "  # note", "\t# a # b"]))
+             for line in text.splitlines()]
+    assert step_table_from_text("\n".join(lines)) == table
 
 
 @settings(max_examples=200, deadline=None)

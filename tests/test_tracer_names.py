@@ -3,24 +3,48 @@ still exists under its name, so a rename fails here and not only in a traced run
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import spiderweb
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 
+needs_bench = pytest.mark.skipif(not TRACING.is_file(), reason="no bench/ in this checkout")
 
-@pytest.mark.skipif(not TRACING.is_file(), reason="no bench/ in this checkout")
-def test_traced_layer_functions_resolve():
+
+def _layer_functions():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.LAYER_FUNCTIONS
+
+
+@needs_bench
+def test_traced_layer_functions_resolve():
     unresolved = []
-    for module_name, attr in tracing.LAYER_FUNCTIONS:
+    for module_name, attr in _layer_functions():
         owner = importlib.import_module(f"spiderweb.{module_name}")
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         if not callable(owner):
             unresolved.append(f"{module_name}.{attr}")
     assert unresolved == []
+
+
+@needs_bench
+def test_importing_the_cli_loads_every_traced_module():
+    """``Tracer.install`` looks up ``sys.modules["spiderweb.<module>"]`` for every
+    traced function, also in a workload that never calls it (``sweep_inproc``
+    runs no ``verify``). So a module that the CLI imported lazily, say
+    ``qgates``, would make a traced run raise ``KeyError``."""
+    modules = sorted({f"spiderweb.{module_name}" for module_name, _ in _layer_functions()})
+    probe = f"import sys, spiderweb.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(spiderweb.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
