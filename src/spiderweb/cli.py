@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 from . import qgates, schedule
 from .config import KNOWN_KEYS, apply_entries, load_config, read_entries, resolve_override
@@ -46,12 +47,12 @@ def _common_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] = 
     parser.add_argument("--out", metavar="PATH", help="write the output to a file instead of stdout")
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, *texts: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def _config_path(args) -> str | None:
@@ -206,12 +207,15 @@ def _cmd_simulate(args) -> int:
     except ScheduleConflictError as exc:
         sys.stderr.write(f"schedule conflict: {exc}\n")
         return EXIT_VERIFY
-    _require_finite({"makespan_s": trace.makespan_s, **{f"event {i} time_s": e.time_s for i, e in
-                     enumerate(trace.events) if not math.isfinite(e.time_s)}}, "simulate value")
+    # every event time is a window time; the events are expanded only to name a non-finite one
+    window_times = chain.from_iterable(times for _, times, _ in trace.runs)
+    if not (math.isfinite(trace.makespan_s) and all(map(math.isfinite, window_times))):
+        _require_finite({"makespan_s": trace.makespan_s, **{f"event {i} time_s": e.time_s for i, e in
+                         enumerate(trace.events) if not math.isfinite(e.time_s)}}, "simulate value")
     if args.format == "csv":
         _emit(args, trace.to_csv())
     elif args.format == "json":
-        _emit(args, trace.to_json() + "\n")
+        _emit(args, trace.to_json(), "\n")
     else:
         lines = [
             f"steps               {trace.counters['steps']}",
@@ -219,7 +223,7 @@ def _cmd_simulate(args) -> int:
             f"one-qubit gates     {trace.counters['one_qubit_gates']}",
             f"exchanges           {trace.counters['exchanges']}",
             f"readout phases      {trace.counters['readout_phases']}",
-            f"events              {len(trace.events)}",
+            f"events              {sum(len(template) for _, _, template in trace.runs)}",
             f"makespan            {si_format(trace.makespan_s, 's')}",
         ]
         _emit(args, "\n".join(lines) + "\n")

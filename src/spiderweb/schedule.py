@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ScheduleConflictError
@@ -189,41 +190,69 @@ class Event(NamedTuple):
 
 
 class EventTrace(NamedTuple):
-    events: tuple[Event, ...]
+    """The simulated cycle as runs (step index, window times, body event template): one
+    per step, then one per parking step for its return trips at the end time."""
+
+    runs: tuple[tuple[int, tuple[float, ...], tuple], ...]
     counters: dict[str, int]
     makespan_s: float
     annotations: tuple[str, ...] = ()
 
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """Every event in order, built afresh on each access; a window's events share its times."""
+        new = tuple.__new__  # skips Event's Python-level __new__: half the cost per event
+        return tuple([new(Event, (times[slot], index, qubit, op, resource))
+                      for index, times, template in self.runs for slot, qubit, op, resource in template])
+
+    def _fill(self, parts: list[str], rows, stamps) -> list[str]:
+        """Append each step's rows to ``parts``: ``rows(template)``, with a ``%s`` per event,
+        is built once per distinct body and filled by one ``%`` per step."""
+        bodies: dict[int, tuple] = {}
+        for index, times, template in self.runs:
+            if template:
+                if id(template) not in bodies:
+                    bodies[id(template)] = rows(template), itemgetter(*[event[0] for event in template])
+                text, pick = bodies[id(template)]
+                parts.append(text % pick(stamps(times, index)))
+        return parts
+
     def to_csv(self) -> str:
-        rows, last, stamp = [], None, ""
-        for t, step, qubit, op, resource in self.events:
-            if t is not last:  # the events of a window share one time object: repr it once
-                last, stamp = t, repr(t)
-            rows.append(f"{stamp},{step},{qubit},{op},{resource}\n")
-        body = "".join(rows)
-        if body.count(",") != 4 * len(rows) or body.count("\n") != len(rows) or '"' in body or "\r" in body:
-            # a name holds a comma, quote or line break: quote such cells as csv.writer does
-            body = "".join([f"{t!r},{step},{_csv_cell(qubit)},{_csv_cell(op)},{_csv_cell(resource)}\n"
-                            for t, step, qubit, op, resource in self.events])
-        return "time_s,step,qubit,op,resource\n" + body
+        return "".join(self._fill(["time_s,step,qubit,op,resource\n"], _csv_rows,
+                                  lambda times, index: [f"{t!r},{index}" for t in times]))
 
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2, sort_keys=True)`` of the trace document, written
         directly; the caller checks that the times are finite."""
         annotations = ",\n".join(f"    {_json_str(a)}" for a in self.annotations)
         counters = ",\n".join(f"    {_json_str(k)}: {v!r}" for k, v in sorted(self.counters.items()))
-        rows, last, stamp = [], None, ""
-        for t, step, qubit, op, resource in self.events:
-            if t is not last:  # the events of a window share one time object: repr it once
-                last, stamp = t, repr(t)
-            rows.append(f'    {{\n      "op": {_json_str(op)},\n      "qubit": {_json_str(qubit)},\n'
-                        f'      "resource": {_json_str(resource)},\n      "step": {step},\n'
-                        f'      "time_s": {stamp}\n    }}')
-        events = ",\n".join(rows)
-        return (f'{{\n  "annotations": {_json_block("[", annotations, "]")},\n'
-                f'  "counters": {_json_block("{", counters, "}")},\n'
-                f'  "events": {_json_block("[", events, "]")},\n'
-                f'  "makespan_s": {self.makespan_s!r}\n}}')
+        parts = self._fill([f'{{\n  "annotations": {_json_block("[", annotations, "]")},\n'
+                            f'  "counters": {_json_block("{", counters, "}")},\n  "events": ['], _json_rows,
+                           lambda times, index: [f'{index},\n      "time_s": {t!r}' for t in times])
+        if len(parts) > 1:
+            parts[1] = parts[1][1:]  # the first event follows the "[" without a comma
+        parts.append(("\n  ]" if len(parts) > 1 else "]") + f',\n  "makespan_s": {self.makespan_s!r}\n}}')
+        return "".join(parts)
+
+
+def _csv_rows(template: tuple) -> str:
+    """One body's csv rows, ``%s`` for each row's time and step.  One check of the joined
+    rows finds a label that needs quoting or holds a ``%``; only then is each cell escaped."""
+    rows, n = "".join([f"%s,{q},{op},{r}\n" for _, q, op, r in template]), len(template)
+    if tuple(map(rows.count, ',\n%"\r')) == (3 * n, n, n, 0, 0):
+        return rows
+    return "".join(["%s" + f",{_csv_cell(q)},{_csv_cell(op)},{_csv_cell(r)}\n".replace("%", "%%")
+                    for _, q, op, r in template])
+
+
+def _json_rows(template: tuple) -> str:
+    """One body's json events, each led by a comma, ``%s`` for its step and time."""
+    rows = "".join([f',\n    {{\n      "op": {_json_str(op)},\n      "qubit": {_json_str(q)},\n'
+                    f'      "resource": {_json_str(r)},\n      "step": %s\n    }}'
+                    for _, q, op, r in template])
+    if rows.count("%") > len(template):  # a label's quotes are escaped: '"step": %%s' is a placeholder
+        rows = rows.replace("%", "%%").replace('"step": %%s', '"step": %s')
+    return rows
 
 
 def _csv_cell(text: str) -> str:
@@ -263,10 +292,10 @@ def _check_window(index: int, movers: list[tuple[str, str]], lanes: list[str],
             raise ScheduleConflictError(index, qubit, places, 1, detail)
 
 
-def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple[str, str], ...]]:
+def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...]]:
     """Lower and check one step body: its window kinds, its events as
     (time slot, qubit, op, resource) with slots 3w, 3w+1, 3w+2 for window w's
-    start, pulse and return, and the (qubit, lane) pairs it parks."""
+    start, pulse and return, and the return trips it parks, at slot 0."""
     kinds, template, parked = [], [], []
     for w, (kind, movers, actors, park) in enumerate(_windows(step)):
         lanes = [_channel(qubit, region) for qubit, region in movers]
@@ -274,11 +303,11 @@ def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple[s
         kinds.append(kind)
         template += [(3 * w, qubit, "shuttle_out", lane) for (qubit, _), lane in zip(movers, lanes)]
         template += [(3 * w + 1, qubit, label, region) for qubit, label, region in actors]
-        returns = [(qubit, lane) for (qubit, _), lane in zip(movers, lanes)]
+        returns = [(qubit, "shuttle_back", lane) for (qubit, _), lane in zip(movers, lanes)]
         if park:
-            parked += returns
+            parked += [(0, *event) for event in returns]
         else:
-            template += [(3 * w + 2, qubit, "shuttle_back", lane) for qubit, lane in returns]
+            template += [(3 * w + 2, *event) for event in returns]
     return tuple(kinds), tuple(template), tuple(parked)
 
 
@@ -297,9 +326,8 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     half_trip = timing.shuttle_s / 2.0
     counts = _zero_counts()
     plans: dict[tuple, tuple] = {}
-    events: list[Event] = []
-    parked: list[tuple[int, str, str]] = []  # (step, qubit, lane)
-    new = tuple.__new__  # an Event without its Python-level __new__: about half the cost per event
+    runs: list[tuple] = []
+    parked: list[tuple[int, tuple]] = []  # (step, the return trips it parks)
     for step in table.steps:
         body = step[1:]
         plan = plans.get(body)
@@ -313,16 +341,14 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
             pulse = start if kind == "readout" else start + half_trip
             times += (start, pulse, pulse + pulse_s[kind])
             _tally(counts, kind)
-        index = step.index
-        events += [new(Event, (times[slot], index, qubit, op, resource))
-                   for slot, qubit, op, resource in template]
-        parked += [(index, qubit, lane) for qubit, lane in returns]
+        runs.append((step.index, tuple(times), template))
+        parked.append((step.index, returns))
     # Return trips of parked (measured) qubits complete at the cycle
     # boundary; their round-trip time was charged by the parking step.
     end = _duration(timing, counts)
-    events += [new(Event, (end, index, qubit, "shuttle_back", lane)) for index, qubit, lane in parked]
+    runs += [(index, (end,), returns) for index, returns in parked if returns]
     annotations = tuple(f"step {s.index}: {s.note}" for s in table.steps if s.kind == "hook")
-    return EventTrace(tuple(events), {**counts, "steps": len(table.steps)}, end, annotations)
+    return EventTrace(tuple(runs), {**counts, "steps": len(table.steps)}, end, annotations)
 
 
 class CycleTime(NamedTuple):

@@ -2,7 +2,8 @@
 
 Config files and ``--set`` overrides accept values like ``13um``, ``1V`` or
 ``100kHz``.  A bare number is interpreted in the SI base unit of the key it is
-assigned to (metres, volts, seconds, hertz, farads, ...).
+assigned to (metres, volts, seconds, hertz, farads, ...).  A prefixed unit in
+SI case reads as SI (``MW`` mega, ``mW`` milli), as ``si_format`` prints it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ _SUFFIXES = {
     "m2": 1.0, "mm2": 1e-6, "um2": 1e-12,
 }
 
+_ENG_PREFIXES = [
+    (1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k"), (1.0, ""),
+    (1e-3, "m"), (1e-6, "u"), (1e-9, "n"), (1e-12, "p"), (1e-15, "f"),
+    (1e-18, "a"),
+]
+
+# Every prefixed linear unit in SI case, as ``si_format`` prints it: "MW" is
+# mega and "mW" milli.  Other spellings read from ``_SUFFIXES`` in any case.
+_SI_SPELLINGS = {prefix + unit: scale for scale, prefix in _ENG_PREFIXES
+                 for unit in ("m", "F", "Hz", "s", "W", "V", "ohm")}
+
 _QUANTITY_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*)$")
 
 
@@ -50,7 +62,6 @@ def _normalize_suffix(suffix: str) -> str:
         .replace("μ", "u")        # greek mu
         .replace("Ω", "ohm")      # capital omega
         .replace("²", "2")        # superscript two
-        .lower()
         .replace(" ", "")
     )
 
@@ -62,11 +73,18 @@ def parse_quantity(text: str) -> float:
         raise ValueError(f"cannot parse quantity {text!r}")
     number, suffix = m.groups()
     value = float(number)
-    if suffix:
+    if suffix:  # an M the any-case table reads as milli ("Mw", "MOHM") is ambiguous; "mhz" stays MHz
         key = _normalize_suffix(suffix)
-        if key not in _SUFFIXES:
-            raise ValueError(f"unknown unit suffix {suffix!r} in {text!r}")
-        value *= _SUFFIXES[key]
+        scale = _SI_SPELLINGS.get(key)
+        if scale is None:
+            lower, rest = key.lower(), key[1:].lower()
+            if lower not in _SUFFIXES:
+                raise ValueError(f"unknown unit suffix {suffix!r} in {text!r}")
+            if key.startswith("M") and rest in _SUFFIXES and _SUFFIXES[lower] != 1e6 * _SUFFIXES[rest]:
+                raise ValueError(f"ambiguous unit suffix {suffix!r} in {text!r}: "
+                                 "write the unit in SI case, with M for mega or m for milli")
+            scale = _SUFFIXES[lower]
+        value *= scale
     if not math.isfinite(value):
         raise ValueError(f"quantity {text!r} is out of range")
     return value
@@ -80,13 +98,6 @@ def parse_int(text: str) -> int:
     if abs(value - rounded) > 1e-9 * max(1.0, abs(value)):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(rounded)
-
-
-_ENG_PREFIXES = [
-    (1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k"), (1.0, ""),
-    (1e-3, "m"), (1e-6, "u"), (1e-9, "n"), (1e-12, "p"), (1e-15, "f"),
-    (1e-18, "a"),
-]
 
 
 def si_format(value: float, unit: str, digits: int = 4) -> str:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiderweb
-from spiderweb import cli, config
+from spiderweb import cli, config, schedule
 from spiderweb.cli import _sweep_csv, _sweep_json, main
 from spiderweb.config import load_config
 from spiderweb.report import SWEEP_FIELDS, sweep_record
@@ -394,6 +394,51 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err == "error: simulate value makespan_s is not finite (inf)\n"
+
+    def test_commands_never_expand_the_events(self, capsys, monkeypatch, tmp_path):
+        """The writers and every simulate format read the per-step runs only."""
+        def refuse(trace):
+            raise AssertionError("EventTrace.events was expanded")
+
+        table = tmp_path / "long.steps"
+        bodies = ["one_qubit D1@op1:x%s A1@op2:{0}", "two_qubit A1+D1@op1:rz=A1", "hook say, \"hi\""]
+        table.write_text("".join(f"{i} {bodies[i % 3]}\n" for i in range(1, 41)) + "41 readout A2@op2\n")
+        monkeypatch.setattr(schedule.EventTrace, "events", property(refuse))
+        trace = schedule.simulate_cycle(schedule.default_step_table(), schedule.TimingParams())
+        assert trace.to_csv() and trace.to_json()
+        for argv in ([], ["--table", str(table)]):
+            for fmt in ("text", "csv", "json"):
+                code, out, err = run(capsys, "simulate", "--format", fmt, *argv)
+                assert (code, err) == (0, "")
+                assert out
+
+    def test_json_to_a_file_matches_stdout(self, capsys, tmp_path):
+        target = tmp_path / "trace.json"
+        _, out, _ = run(capsys, "simulate", "--format", "json")
+        code, _, _ = run(capsys, "simulate", "--format", "json", "--out", str(target))
+        assert code == 0
+        assert target.read_text(encoding="utf-8") == out and out.endswith("}\n")
+
+    def test_text_counts_the_events(self, capsys, tmp_path):
+        table = tmp_path / "long.steps"
+        table.write_text("1 one_qubit+park D1@op1:x\n2 two_qubit A1+A2@op2:rz=A2\n3 hook\n4 readout D1@op1\n")
+        code, out, _ = run(capsys, "simulate", "--table", str(table))
+        trace = schedule.simulate_cycle(schedule.load_step_table(table), schedule.TimingParams())
+        assert code == 0
+        assert f"events              {len(trace.events)}\n" in out
+        assert len(trace.events) == 2 + 15 + 1 + 1
+
+    @pytest.mark.parametrize("times, err", [
+        ((0.0, float("inf"), 1.0), "error: simulate value event 1 time_s is not finite (inf)\n"),
+        ((0.0, 1.0, float("nan")), ""),  # no event reads the third window time
+    ], ids=["event", "unused-slot"])
+    def test_non_finite_window_time(self, capsys, monkeypatch, times, err):
+        template = ((0, "D1", "shuttle_out", "D1~op1"), (1, "D1", "1q_gate:x", "op1"))
+        trace = schedule.EventTrace(((1, times, template),), {}, 2.0)
+        monkeypatch.setattr(schedule, "simulate_cycle", lambda table, timing: trace)
+        code, out, stderr = run(capsys, "simulate", "--format", "csv")
+        assert stderr == err
+        assert (code, out == "") == ((1, True) if err else (0, False))
 
     def test_step_index_out_of_order_exits_1(self, capsys, tmp_path):
         table = tmp_path / "order.steps"

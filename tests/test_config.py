@@ -1,7 +1,11 @@
+import math
 import re
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spiderweb import config
 from spiderweb.config import ToolConfig, apply_entries, load_config, parse_config_text, read_entries
@@ -54,6 +58,12 @@ class TestQuantityParsing:
         ("20", 20.0),
         ("1e-6", 1e-6),
         ("1 K", 1.0),
+        # an SI spelling reads with its case: M is mega, m is milli
+        ("5 MW", 5e6), ("2 Mohm", 2e6), ("1.5 MΩ", 1.5e6), ("1 mHz", 1e-3), ("100 mW", 0.1),
+        ("3 mohm", 3e-3), ("4 Gohm", 4e9), ("1 TF", 1e12), ("7 aF", 7e-18), ("2 Mm", 2e6),
+        # other spellings keep their any-case reading
+        ("2MHz", 2e6), ("2mhz", 2e6), ("2 MHZ", 2e6), ("2 Mhz", 2e6), ("1 mv/s", 1e-3), ("3 M", 3.0),
+        ("1 Kohm", 1e3),
     ])
     def test_known_suffixes(self, text, expected):
         assert parse_quantity(text) == pytest.approx(expected, rel=1e-12)
@@ -104,6 +114,31 @@ class TestQuantityParsing:
 
     def test_si_format_rollover_with_fewer_digits(self):
         assert si_format(999.0, "W", digits=2) == "1 kW"
+
+    @pytest.mark.parametrize("text", ["5 Mw", "1 MOHM", "2 MV/s", "1 MM", "1 MS", "1 MM2"])
+    def test_uppercase_m_read_as_milli_is_ambiguous(self, text):
+        with pytest.raises(ValueError, match=f"ambiguous unit suffix '{text.split()[1]}' in '{text}'"):
+            parse_quantity(text)
+
+    def test_text_past_the_float_range_is_out_of_range(self):
+        # four digits of the largest float name a number past it
+        text = si_format(sys.float_info.max, "W")
+        assert text == "1.798e+296 TW"
+        with pytest.raises(ValueError, match="out of range"):
+            parse_quantity(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(min_value=-1.797e308, max_value=1.797e308),
+       unit=st.sampled_from(["m", "F", "Hz", "s", "W", "V", "ohm"]))
+@example(x=5e6, unit="W")
+@example(x=2e6, unit="ohm")
+@example(x=1.5e6, unit="ohm")
+@example(x=1e-3, unit="Hz")
+def test_si_format_parses_back(x, unit):
+    """Every ``si_format`` output reads back within its four digits, up to the
+    largest floats, whose four-digit text leaves the float range (above)."""
+    assert math.isclose(parse_quantity(si_format(x, unit)), x, rel_tol=5e-4)
 
 
 class TestConfigText:

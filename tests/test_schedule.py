@@ -17,6 +17,8 @@ from spiderweb.schedule import (
     CYCLE_ONE_QUBIT_GATES,
     CYCLE_SHUTTLES,
     HOME_QUBITS,
+    Event,
+    EventTrace,
     PairGate,
     SoloGate,
     Step,
@@ -286,6 +288,7 @@ class TestStepTableFormat:
 
 _LABELS = st.one_of(st.text(max_size=6), st.sampled_from([
     '"', "\\", '", "', "µm Ω ü 中", "\U0001f600\U00010348", "\x00\x1f\n\r\t\x7f", "\u2028", "",
+    "%", "%s", "%%", "{0}", "}",
 ]))
 
 
@@ -351,6 +354,24 @@ def test_trace_json_of_a_long_generated_table(seed):
     assert trace.to_json() == _trace_document_json(trace)
 
 
+def test_events_expand_the_runs():
+    """One run per step, then one per parking step at the end time; ``events``
+    is their expansion, sharing each window's time objects, built afresh."""
+    rng = random.Random(130)
+    table = generated_table(rng, 130)
+    trace = simulate_cycle(table, random_timing(rng))
+    assert EventTrace._fields == ("runs", "counters", "makespan_s", "annotations")
+    parking = [s.index for s in table.steps if s.park]
+    assert [index for index, _, _ in trace.runs] == [s.index for s in table.steps] + parking
+    assert all(times == (trace.makespan_s,) for _, times, _ in trace.runs[len(table.steps):])
+    expanded = [(times[slot], index, qubit, op, resource)
+                for index, times, template in trace.runs for slot, qubit, op, resource in template]
+    events = trace.events
+    assert events == tuple(expanded) and all(type(e) is Event for e in events)
+    assert all(e.time_s is t for e, (t, *_) in zip(events, expanded))
+    assert trace.events is not events
+
+
 # Digests of the simulator that lowered and checked every step on its own.
 @pytest.mark.parametrize("steps, csv_digest, json_digest", [
     (16, "5ff661f1c9b5ca9e0906eee3ef85840a5474f408daafdde78cbe0cabba2c41ec",
@@ -387,6 +408,14 @@ class TestRepeatedBodies:
         assert len(trace.events) == sum(map(len, by_step.values())) == 2 * 15 + 3
         assert [e[2:] for e in by_step[9]] == [e[2:] for e in by_step[2]]
         assert min(e.time_s for e in by_step[9]) > max(e.time_s for e in by_step[3])
+
+    def test_parked_returns_follow_their_steps(self):
+        text = "1 one_qubit+park D1@op1:x\n2 one_qubit+park A1@op2:x D2@op1:x\n3 readout D1@op1 A1@op2 D2@op1\n"
+        trace = simulate_cycle(step_table_from_text(text), TIMING)
+        end = trace.makespan_s
+        assert trace.events[-3:] == (Event(end, 1, "D1", "shuttle_back", "D1~op1"),
+                                     Event(end, 2, "A1", "shuttle_back", "A1~op2"),
+                                     Event(end, 2, "D2", "shuttle_back", "D2~op1"))
 
     def test_bad_body_fails_at_its_first_line(self):
         text = "# header\n1 hook\n2 one_qubit D1-op1\n\n3 one_qubit   D1-op1  # again\n"
