@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -19,16 +20,34 @@ import os
 import sys
 from itertools import chain
 
-from . import qgates, schedule
+from . import schedule
 from .config import KNOWN_KEYS, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
 from .model import validate_config
-from .report import SWEEP_FIELDS, build_report, render_text, sweep_record
 from .units import parse_quantity, si_format
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
+
+
+def _registered(name: str):
+    """``spiderweb.<name>`` in ``sys.modules`` now, its source compiled and run only on its
+    first attribute access; a module already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# registered now, as the benchmark's tracer looks every traced module up in sys.modules, but run
+# only where used: qgates by verify and dump-unitary, report (and its wiring) by report and sweep
+qgates, report, _ = map(_registered, ("qgates", "report", "wiring"))
 
 
 def _common_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "csv"),
@@ -74,7 +93,7 @@ def _require_finite(values: dict[str, object], label: str) -> None:
 
 def _cmd_report(args) -> int:
     config = load_config(_config_path(args), args.overrides)
-    doc = build_report(config, pinned_parasitic_f=_pinned(args))
+    doc = report.build_report(config, pinned_parasitic_f=_pinned(args))
     flat = _flatten(doc)
     _require_finite(flat, "report value")
     if args.format == "json":
@@ -82,7 +101,7 @@ def _cmd_report(args) -> int:
     elif args.format == "csv":
         _emit(args, _csv([("key", "value"), *sorted(flat.items())]))
     else:
-        _emit(args, render_text(doc))
+        _emit(args, report.render_text(doc))
     return EXIT_OK
 
 
@@ -110,7 +129,7 @@ def _cmd_sweep(args) -> int:
         raw = point.split("=", 1)[1].strip()  # the value as read_entries splits it
         config = apply_entries({**base, swept: (raw, point)})
         try:  # a section rule or the non-finite rule fails: name the point
-            record = sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned)
+            record = report.sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned)
             _require_finite(record, "value")
         except ValueError as exc:
             raise ValueError(f"sweep point {point}: {exc}") from exc
@@ -130,7 +149,7 @@ def _sweep_json(records: list[dict[str, object]]) -> str:
 
 
 def _sweep_csv(records: list[dict[str, object]]) -> str:
-    return _csv([SWEEP_FIELDS, *([r.get(f) for f in SWEEP_FIELDS] for r in records)])
+    return _csv([report.SWEEP_FIELDS, *([r.get(f) for f in report.SWEEP_FIELDS] for r in records)])
 
 
 def _csv(rows) -> str:

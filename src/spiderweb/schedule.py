@@ -267,21 +267,21 @@ def _check_window(index: int, movers: list[tuple[str, str]], lanes: list[str],
                   actors: list[tuple[str, str, str]]) -> None:
     """Raise :class:`ScheduleConflictError` at step ``index`` if the window
     over-fills a region or a channel, or places one qubit in two regions."""
-    # only more actors than one region holds, or a repeated lane, can overflow;
-    # regions are counted from the actors, so a readout needs no path of its own
-    if len(actors) > REGION_CAPACITY or len(set(lanes)) < len(lanes):
-        regions: dict[str, list[str]] = {}
-        for qubit, _, region in actors:
-            regions.setdefault(region, []).append(qubit)
-        channels: dict[str, list[str]] = {}
-        for (qubit, _), lane in zip(movers, lanes):
-            channels.setdefault(lane, []).append(qubit)
-        for resource, occupants in regions.items():
-            if len(occupants) > REGION_CAPACITY:
-                raise ScheduleConflictError(index, resource, tuple(occupants), REGION_CAPACITY)
-        for resource, occupants in channels.items():
-            if len(occupants) > CHANNEL_CAPACITY:
-                raise ScheduleConflictError(index, resource, tuple(occupants), CHANNEL_CAPACITY)
+    # only more actors than one region holds, or a repeated lane, can overflow; regions are
+    # counted from the actors (a readout has no path), occupants gathered only to name one
+    if len(actors) > REGION_CAPACITY:
+        regions: dict[str, int] = {}
+        for _, _, region in actors:
+            regions[region] = regions.get(region, 0) + 1
+        for region, count in regions.items():
+            if count > REGION_CAPACITY:
+                occupants = tuple(q for q, _, r in actors if r == region)
+                raise ScheduleConflictError(index, region, occupants, REGION_CAPACITY)
+    if len(set(lanes)) < len(lanes):
+        for lane in lanes:
+            if lanes.count(lane) > CHANNEL_CAPACITY:
+                occupants = tuple(q for (q, _), other in zip(movers, lanes) if other == lane)
+                raise ScheduleConflictError(index, lane, occupants, CHANNEL_CAPACITY)
     # the actors place every qubit of the window, a measured one too
     if len({qubit for qubit, _, _ in actors}) < len(actors):
         placed = dict.fromkeys((qubit, region) for qubit, _, region in actors)

@@ -26,6 +26,7 @@ from spiderweb.schedule import (
     TimingParams,
     cycle_time,
     default_step_table,
+    _windows,
     simulate_cycle,
     step_table_from_text,
     step_table_to_text,
@@ -462,3 +463,57 @@ def test_trace_csv_reads_back_cell_for_cell(steps, timing):
     plain = all(not set(',"\r\n') & set(e.qubit + e.op + e.resource) for e in trace.events)
     if plain:  # nothing to quote: one unquoted line per event
         assert text.count("\n") == len(trace.events) + 1 and '"' not in text
+
+
+_CROWD_QUBITS = st.sampled_from(("D1", "D2", "A1", "A2"))
+_CROWD_REGIONS = st.sampled_from(("op1", "op2", "c"))
+
+
+@st.composite
+def _crowded_step(draw, index: int) -> Step:
+    """One step whose gates may share qubits, regions and channels at will."""
+    kind = draw(st.sampled_from(("one_qubit", "two_qubit", "readout")))
+    size = draw(st.integers(0, 5))
+    if kind == "two_qubit":
+        pairs = [(draw(_CROWD_QUBITS), draw(_CROWD_QUBITS), draw(_CROWD_REGIONS)) for _ in range(size)]
+        return Step(index, kind, pair_gates=tuple(PairGate(a, b, r, draw(st.sampled_from((a, b))))
+                                                  for a, b, r in pairs))
+    gates = tuple(SoloGate(draw(_CROWD_QUBITS), draw(_CROWD_REGIONS), "x") for _ in range(size))
+    return Step(index, kind, measured=gates) if kind == "readout" else Step(index, kind, solo_gates=gates)
+
+
+def _first_conflict(table: StepTable) -> str | None:
+    """The first window rule the table breaks, written out plainly: within a window, each
+    region in the order it is first used, then each channel, then a qubit in two regions."""
+    for step in table.steps:
+        for _, movers, actors, _ in _windows(step):
+            regions, channels, places = {}, {}, {}
+            for qubit, _, region in actors:
+                regions.setdefault(region, []).append(qubit)
+                places.setdefault(qubit, {})[region] = None
+            for qubit, region in movers:
+                channels.setdefault(f"{qubit}~{region}", []).append(qubit)
+            for used, capacity in ((regions, 2), (channels, 1)):
+                for resource, occupants in used.items():
+                    if len(occupants) > capacity:
+                        return (f"step {step.index}: resource {resource!r} holds {len(occupants)} "
+                                f"electrons ({', '.join(occupants)}), capacity {capacity}")
+            for qubit, where in places.items():
+                if len(where) > 1:
+                    return (f"step {step.index}: qubit {qubit!r} is in {len(where)} regions "
+                            f"({', '.join(where)}) in one window")
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.integers(1, 4).flatmap(lambda n: st.tuples(*(_crowded_step(i) for i in range(1, n + 1)))))
+@example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D1", "op1", "x"), SoloGate("D1", "op1", "x"),
+                                                  SoloGate("A1", "op1", "x"))),))
+def test_window_checks_keep_their_order_and_text(steps):
+    expected = _first_conflict(StepTable(steps))
+    try:
+        simulate_cycle(StepTable(steps), TIMING)
+    except ScheduleConflictError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
