@@ -21,7 +21,7 @@ import sys
 from itertools import chain
 
 from . import schedule
-from .config import KNOWN_KEYS, apply_entries, load_config, read_entries, resolve_override
+from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
 from .model import validate_config
 from .units import parse_quantity, si_format
@@ -117,19 +117,20 @@ def _flatten(doc, prefix: str = "") -> dict[str, object]:
 
 
 def _cmd_sweep(args) -> int:
-    # the file, the base overrides, --pin-cp and the swept key are read once;
-    # each point adds only its own value
-    base = read_entries(_config_path(args), args.overrides)
+    # the file, the base overrides, --pin-cp and the swept key are read once; the base values are
+    # parsed into the first point, and each later point parses only its own value into the last
+    entries = read_entries(_config_path(args), args.overrides)
     pinned = _pinned(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     points = [f"{args.parameter}={value}" for value in values]
     swept = resolve_override(points[0])[0] if points else None
-    records = []
+    sweep = report.Sweep(swept[0]) if points else None
+    config, records = ToolConfig(), []
     for value, point in zip(values, points):
-        raw = point.split("=", 1)[1].strip()  # the value as read_entries splits it
-        config = apply_entries({**base, swept: (raw, point)})
+        entries[swept] = (point.split("=", 1)[1].strip(), point)  # the value as read_entries splits it
+        config, entries = apply_entries(entries, config), {}
         try:  # a section rule or the non-finite rule fails: name the point
-            record = report.sweep_record(args.parameter, value, config, pinned_parasitic_f=pinned)
+            record = report.sweep_record(args.parameter, value, config, pinned, sweep)
             _require_finite(record, "value")
         except ValueError as exc:
             raise ValueError(f"sweep point {point}: {exc}") from exc
@@ -284,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate derived quantities over one parameter")
     _common_options(p_sweep, pin_cp=True)
     p_sweep.add_argument("parameter", help=f"config key to sweep (one of: {', '.join(KNOWN_KEYS)})")
-    p_sweep.add_argument("values", help="comma-separated value list, SI suffixes allowed")
+    p_sweep.add_argument("values", help="comma-separated value list, SI suffixes allowed; a list that "
+                         "starts with '-' goes after '--', with every option before it")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run gate-algebra and schedule verification")

@@ -145,8 +145,8 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
-def apply_entries(entries: Entries) -> ToolConfig:
-    """Parse every value; an entry's origin is its file line or its override text."""
+def apply_entries(entries: Entries, base: ToolConfig = ToolConfig()) -> ToolConfig:
+    """``base`` with every value parsed in; an entry's origin is its file line or its override text."""
     updates: dict[str, dict[str, object]] = {}
     for (section, key), (raw, origin) in entries.items():
         attr, parser, _ = _KEYMAP[(section, key)]
@@ -157,7 +157,7 @@ def apply_entries(entries: Entries) -> ToolConfig:
             if isinstance(origin, str):
                 raise ConfigParseError(f"override {origin!r}: {message}") from exc
             raise ConfigParseError(message, origin) from exc
-    return ToolConfig(**{s: SECTIONS[s](**kw) for s, kw in updates.items()})
+    return base._replace(**{s: getattr(base, s)._replace(**kw) for s, kw in updates.items()})
 
 
 def read_entries(path: str | None = None, overrides: list[str] | None = None) -> Entries:

@@ -180,15 +180,15 @@ class GateInventory(NamedTuple):
 
     @property
     def fine_total(self) -> int:
-        return sum(r.regions_per_unit_cell * r.fine_gates for r in self.rows)
+        return sum([r.regions_per_unit_cell * r.fine_gates for r in self.rows])
 
     @property
     def coarse_total(self) -> int:
-        return sum(r.regions_per_unit_cell * r.coarse_gates for r in self.rows)
+        return sum([r.regions_per_unit_cell * r.coarse_gates for r in self.rows])
 
     @property
     def pulsed_total(self) -> int:
-        return sum(r.regions_per_unit_cell * r.pulsed_gates for r in self.rows)
+        return sum([r.regions_per_unit_cell * r.pulsed_gates for r in self.rows])
 
     @property
     def dc_biased_total(self) -> int:

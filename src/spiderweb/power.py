@@ -144,7 +144,7 @@ class SignalParams(NamedTuple):
         """Fill the line length with one unit-cell span (2x qubit pitch)."""
         if self.line_length_m is not None:
             return self
-        return self._replace(line_length_m=2.0 * cfg.qubit_pitch_m)
+        return self._make((*self[:-1], 2.0 * cfg.qubit_pitch_m))  # line_length_m, the last field
 
 
 class TransmissionLineResult(NamedTuple):

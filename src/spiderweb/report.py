@@ -21,7 +21,7 @@ from .errors import InvalidConfigError
 from .model import GeometrySummary, default_gate_inventory, derive_geometry, validate_config
 from .units import si_format
 
-__all__ = ["Design", "compute", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
+__all__ = ["Design", "Sweep", "compute", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
 
 
 class Design(NamedTuple):
@@ -43,50 +43,87 @@ class Design(NamedTuple):
     power: power.PowerReport
 
 
-def compute(config: ToolConfig, pinned_parasitic_f: float | None = None) -> Design:
-    """Validate ``config`` once, then run every model stage on it."""
+_INVENTORY = default_gate_inventory()
+
+
+def _validate(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+    for section in sections:
+        if section == "array":
+            validate_config(config.array).raise_if_invalid()
+        else:
+            getattr(config, section).validate()
+
+
+def _geometry(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+    out["geometry"] = derive_geometry(config.array)
+
+
+def _lines(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
     cfg = config.array
-    validate_config(cfg).raise_if_invalid()
-    for section in (config.electronics, config.timing, config.interconnect, config.signals):
-        section.validate()
-    inventory = default_gate_inventory()
-    geometry = derive_geometry(cfg)
-    lines = {level: wiring.lines_at(level, cfg) for level in wiring.LEVELS}
-    rent_p = wiring.rent_exponent(cfg, lines)
+    lines = out["lines"] = {level: wiring.lines_at(level, cfg) for level in wiring.LEVELS}
+    out["rent_exponent"] = wiring.rent_exponent(cfg, lines)
+    out["capacity_defect"] = wiring.logical_qubit_capacity(cfg, "defect")
+    out["capacity_lattice_surgery"] = wiring.logical_qubit_capacity(cfg, "lattice_surgery")
+    out["fabrication_crossbar_limit"] = wiring.max_fab_crossbars(cfg)
 
-    elec = config.electronics
-    coarse_c = electronics.min_hold_capacitance("coarse", elec)
-    fine_c = electronics.min_hold_capacitance("fine", elec)
-    refresh = electronics.refresh_rate(elec, elec.fine_resolution_v)
-    demux_clk = electronics.demux_clock(cfg, refresh)
-    fp = electronics.footprint(cfg, elec, inventory)
 
-    cycles = {
-        mode: schedule.cycle_time(config.timing, cfg, mode) for mode in schedule.READOUT_MODES
-    }
+def _electronics(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+    cfg, elec = config.array, config.electronics
+    out["coarse_hold_capacitance_f"] = electronics.min_hold_capacitance("coarse", elec)
+    out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", elec)
+    refresh = out["refresh_rate_hz"] = electronics.refresh_rate(elec, elec.fine_resolution_v)
+    out["demux_clock_hz"] = electronics.demux_clock(cfg, refresh)
+    out["footprint"] = electronics.footprint(cfg, elec, _INVENTORY)
 
-    grid_c = power.parasitic_capacitance(config.interconnect)
-    pw = power.total_power(
-        cfg, config.interconnect, config.signals, elec,
-        pinned_parasitic_f=pinned_parasitic_f, grid_capacitance=grid_c, refresh_hz=refresh,
-    )
 
-    return Design(
-        geometry=geometry,
-        lines=lines,
-        rent_exponent=rent_p,
-        capacity_defect=wiring.logical_qubit_capacity(cfg, "defect"),
-        capacity_lattice_surgery=wiring.logical_qubit_capacity(cfg, "lattice_surgery"),
-        fabrication_crossbar_limit=wiring.max_fab_crossbars(cfg),
-        coarse_hold_capacitance_f=coarse_c,
-        fine_hold_capacitance_f=fine_c,
-        refresh_rate_hz=refresh,
-        demux_clock_hz=demux_clk,
-        footprint=fp,
-        cycles=cycles,
-        grid=grid_c,
-        power=pw,
-    )
+def _timing(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+    out["cycles"] = {m: schedule.cycle_time(config.timing, config.array, m) for m in schedule.READOUT_MODES}
+
+
+def _power(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+    grid = out["grid"] = power.parasitic_capacitance(config.interconnect)
+    out["power"] = power.total_power(config.array, config.interconnect, config.signals, config.electronics,
+                                     pinned_parasitic_f=pinned, grid_capacitance=grid,
+                                     refresh_hz=out["refresh_rate_hz"])
+
+
+# The model stages in run order: name -> (config sections read, upstream stages read, run).  A run
+# adds its Design fields to ``out``; ``validate`` checks the given sections, in the order it lists.
+STAGES = {
+    "validate": (("array", "electronics", "timing", "interconnect", "signals"), (), _validate),
+    "geometry": (("array",), (), _geometry),
+    "lines": (("array",), (), _lines),
+    "electronics": (("array", "electronics"), (), _electronics),
+    "timing": (("array", "timing"), (), _timing),
+    "power": (("array", "electronics", "signals", "interconnect"), ("electronics",), _power),
+}
+_FULL_PLAN = (STAGES["validate"][0], tuple(run for _, _, run in STAGES.values()))
+
+
+class Sweep:
+    """A sweep's last valid Design, and what later points rerun: the swept section's checks and stages."""
+
+    def __init__(self, section: str):
+        reached: list[str] = []
+        for name, (reads, after, _) in STAGES.items():
+            if section in reads or set(after) & set(reached):
+                reached.append(name)
+        self.plan = ((section,), tuple(STAGES[name][2] for name in reached))
+        self.last: Design | None = None
+
+
+def compute(config: ToolConfig, pinned_parasitic_f: float | None = None, sweep: Sweep | None = None) -> Design:
+    """Validate ``config`` and run every model stage on it.  After a valid point of ``sweep``, only the
+    sweep's plan runs, and every other result is that point's; a valid result becomes its last point."""
+    last = sweep.last if sweep else None
+    sections, runs = sweep.plan if last else _FULL_PLAN
+    out = last._asdict() if last else {}
+    for run in runs:
+        run(config, out, pinned_parasitic_f, sections)
+    design = Design(**out)
+    if sweep:
+        sweep.last = design
+    return design
 
 
 def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, Any]:
@@ -234,13 +271,14 @@ def sweep_record(
     raw_value: str,
     config: ToolConfig,
     pinned_parasitic_f: float | None = None,
+    sweep: Sweep | None = None,
 ) -> dict[str, Any]:
     """One sweep-point record; infeasible or invalid points are flagged, not dropped."""
     record: dict[str, Any] = {f: None for f in SWEEP_FIELDS}
     record["parameter"] = parameter
     record["value"] = raw_value
     try:
-        design = compute(config, pinned_parasitic_f)
+        design = compute(config, pinned_parasitic_f, sweep)
     except InvalidConfigError as exc:
         record.update(valid=False, violations=str(exc))
         return record

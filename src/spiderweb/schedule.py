@@ -378,7 +378,7 @@ def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "para
         "readout_phases": readout_multiplier,
     })
     ratio = timing.dephasing_s / total if total > 0 else float("inf")
-    return CycleTime(total_s=total, readout_mode=readout_mode, coherence_ratio=ratio)
+    return CycleTime(total, readout_mode, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,32 @@ class TestSweep:
         assert out == ""
         assert err == message
 
+    def test_base_value_of_the_swept_key_is_never_parsed(self, capsys):
+        code, out, err = run(capsys, "sweep", "x", "1,2", "--set", "x=abc")
+        assert (code, err) == (0, "")
+        assert [r["value"] for r in csv.DictReader(io.StringIO(out))] == ["1", "2"]
+
+    @pytest.mark.parametrize("fmt, out", [("csv", ",".join(SWEEP_FIELDS) + "\r\n"), ("json", "[]\n")])
+    def test_no_points_parse_no_base_value(self, capsys, fmt, out):
+        assert run(capsys, "sweep", "x", "", "--set", "w=abc", "--format", fmt) == (0, out, "")
+
+    def test_bad_later_point_names_its_override(self, capsys):
+        message = "error: override 'x=abc': bad value for array.crossbars: cannot parse quantity 'abc'\n"
+        assert run(capsys, "sweep", "x", "1,abc") == (1, "", message)
+
+    def test_rejected_point_then_section_rule_names_the_later_point(self, capsys):
+        code, out, err = run(capsys, "sweep", "x", "--set", "drift=-1", "--", "-1,5")
+        assert (code, out) == (1, "")
+        assert err == "error: sweep point x=5: drift_v_per_s must be strictly positive (got -1.0)\n"
+
+    def test_leading_negative_value_needs_the_separator(self, capsys):
+        code, out, err = run(capsys, "sweep", "x", "-1,5")
+        assert (code, out) == (1, "")
+        assert "required: values" in err
+        code, out, _ = run(capsys, "sweep", "x", "--", "-1,5")
+        assert code == 0
+        assert [r["valid"] for r in csv.DictReader(io.StringIO(out))] == ["False", "True"]
+
 
 # Strings that could break a writer that splices encoded text: the record
 # separator itself, quotes, backslashes, control characters and non-ASCII.

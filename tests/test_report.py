@@ -1,12 +1,30 @@
-import pytest
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import tempfile
 
-from spiderweb import electronics, model, power, report, wiring
-from spiderweb.config import ToolConfig, apply_entries, parse_config_text, read_entries
-from spiderweb.electronics import demux_clock, footprint, min_hold_capacitance, refresh_rate
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spiderweb import cli, electronics, model, power, report, schedule, wiring
+from spiderweb.config import ToolConfig, apply_entries, load_config, parse_config_text, read_entries
+from spiderweb.electronics import (
+    ElectronicsParams,
+    demux_clock,
+    footprint,
+    min_hold_capacitance,
+    refresh_rate,
+)
 from spiderweb.model import default_gate_inventory, derive_geometry
 from spiderweb.power import SignalParams, parasitic_capacitance, total_power
-from spiderweb.report import Design, compute
+from spiderweb.errors import ConfigParseError
+from spiderweb.report import Design, compute, sweep_record
 from spiderweb.schedule import READOUT_MODES, cycle_time
+from spiderweb.units import parse_quantity
 from spiderweb.wiring import (
     LEVELS,
     lines_at,
@@ -124,3 +142,145 @@ def test_compute_equals_public_stages(name):
     text, overrides, pinned = _CONFIGS[name]
     config = apply_entries({**parse_config_text(text), **read_entries(None, list(overrides))})
     assert compute(config, pinned) == _rebuilt(config, pinned)
+
+
+@pytest.mark.parametrize("section, stages", [
+    ("array", ["validate", "geometry", "lines", "electronics", "timing", "power"]),
+    ("electronics", ["validate", "electronics", "power"]),
+    ("timing", ["validate", "timing"]),
+    ("signals", ["validate", "power"]),
+    ("interconnect", ["validate", "power"]),
+])
+def test_a_section_reruns_the_stages_it_feeds(section, stages):
+    checks, runs = report.Sweep(section).plan
+    assert checks == (section,)
+    assert [name for name, (_, _, run) in report.STAGES.items() if run in runs] == stages
+
+
+def _sweep_counts(monkeypatch, argv, names) -> dict[str, int]:
+    counts = {name: _count_calls(monkeypatch, owner, name) for owner, name in names}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return {name: len(calls) for name, calls in counts.items()}
+
+
+def test_a_timing_sweep_reruns_only_the_timing_stage(monkeypatch):
+    values = ",".join(f"{20 * k}ns" for k in range(1, 65))
+    counts = _sweep_counts(monkeypatch, ["sweep", "t_r", values, "--format", "json"], [
+        (electronics, "footprint"), (power, "parasitic_capacitance"), (power, "total_power"),
+        (schedule, "cycle_time"), (model, "validate_config"),
+    ])
+    assert counts == {"footprint": 1, "parasitic_capacitance": 1, "total_power": 1,
+                      "cycle_time": 3 * 64, "validate_config": 1}
+
+
+def test_an_electronics_sweep_counts_lines_once(monkeypatch):
+    values = ",".join(f"{k}mV/s" for k in range(1, 33))
+    counts = _sweep_counts(monkeypatch, ["sweep", "drift", values, "--format", "csv"], [
+        (wiring, "lines_at"), (electronics, "footprint"), (power, "total_power"),
+    ])
+    assert counts == {"lines_at": len(LEVELS), "footprint": 32, "total_power": 32}
+
+
+def test_a_rejected_point_keeps_the_reuse(monkeypatch):
+    # the other sections are checked at the first valid point only, also after the rejected x=-1
+    counts = _sweep_counts(monkeypatch, ["sweep", "x", "--", "0,-1,1"], [
+        (model, "validate_config"), (ElectronicsParams, "validate"),
+    ])
+    assert counts == {"validate_config": 3, "validate": 1}
+    # no point is valid: each one checks every section up to the array rule it breaks
+    counts = _sweep_counts(monkeypatch, ["sweep", "--set", "n_b=7", "--", "t_r", "1us,2us"], [
+        (model, "validate_config"), (ElectronicsParams, "validate"), (schedule, "cycle_time"),
+    ])
+    assert counts == {"validate_config": 2, "validate": 0, "cycle_time": 0}
+
+
+# A swept key from every section, each with values that are valid, that the array rules reject,
+# that break a section rule, that do not parse, or whose result is not finite.  ``r`` runs on a
+# 3x3 readout module (n_b=24, n_r=3, q=3), where every r is rejected.
+_SWEPT = {
+    "x": ("0", "8", "200", "-3", "abc", "1e400"),
+    "d": ("10um", "13um", "20um", "0nm", "13.5nm", "1e290"),
+    "n_b": ("32", "16", "7", "0", "-1"),
+    "r": ("3", "1", "2", "4"),
+    "drift": ("1mV/s", "0.2V/s", "50mV/s", "0", "-1", "1e305"),
+    "t_r": ("20ns", "1us", "2us", "0", "-1ns", "abc"),
+    "v_p": ("1", "0.5", "0", "-1", "1e300"),
+    "lines_per_layer": ("150", "1", "512", "0", "-5"),
+    "fringe_mode": ("printed_magnitude", "disabled", "bogus"),
+}
+_BASE_OVERRIDES = ("x=8", "d=20um", "drift=0.2V/s", "t_r=2us", "v_p=2", "n_l=200", "fringe_mode=disabled",
+                   "n_b=7", "drift=-1", "t_r=-1ns", "w=abc")
+_FILES = {None: None, "small": _SMALL_FILE, "large": _LARGE_FILE}
+
+
+def _fresh_sweep(key: str, values: list[str], path: str | None, base: list[str],
+                 pinned: float | None) -> tuple[int, list[dict] | None, str]:
+    """Exit code, records and stderr of the sweep, each point's record built by a fresh
+    ``sweep_record`` on a fresh ``load_config``, a failure reported as the CLI reports it."""
+    records = []
+    for value in values:
+        point = f"{key}={value}"
+        try:
+            config = load_config(path, [*base, point])
+        except ConfigParseError as exc:
+            return 1, None, f"error: {exc}\n"
+        try:
+            record = sweep_record(key, value, config, pinned)
+        except ValueError as exc:
+            return 1, None, f"error: sweep point {point}: {exc}\n"
+        for field, v in record.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                return 1, None, f"error: sweep point {point}: value {field} is not finite ({v})\n"
+        records.append(record)
+    return 0, records, ""
+
+
+_KEY_AND_VALUES = st.sampled_from(sorted(_SWEPT)).flatmap(
+    lambda key: st.tuples(st.just(key), st.lists(st.sampled_from(_SWEPT[key]), max_size=8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KEY_AND_VALUES, st.lists(st.sampled_from(_BASE_OVERRIDES), max_size=3),
+       st.sampled_from(sorted(_FILES, key=str)), st.sampled_from([None, "700fF"]))
+@example(("x", ["-3", "0", "-3", "8"]), [], None, None)
+@example(("d", ["10um", "13um", "20um"]), ["x=8"], None, None)
+@example(("drift", ["1mV/s", "0.2V/s", "50mV/s"]), [], "small", None)
+@example(("v_p", ["1", "0.5", "0"]), ["n_l=200"], None, "700fF")
+@example(("lines_per_layer", ["150", "1", "512"]), [], "large", None)
+@example(("fringe_mode", ["disabled", "printed_magnitude"]), ["d=20um"], None, None)
+@example(("t_r", ["20ns", "1us", "-1ns"]), ["n_b=7"], "large", "700fF")
+@example(("x", ["-3", "5"]), ["drift=-1"], None, None)
+@example(("x", ["1", "2"]), ["x=abc"], "small", None)
+@example(("drift", []), ["w=abc"], None, None)
+def test_a_sweep_equals_fresh_points(key_and_values, base, file_name, pin_cp):
+    """The CLI's incremental sweep prints the bytes, or the error and exit code, of fresh points."""
+    key, values = key_and_values
+    if key == "r":
+        base = ["n_b=24", "n_r=3", "q=3", *base]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = None
+        if _FILES[file_name] is not None:
+            path = os.path.join(tmp, "base.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_FILES[file_name])
+        code, records, err = _fresh_sweep(key, values, path, base,
+                                          None if pin_cp is None else parse_quantity(pin_cp))
+        argv = ["sweep", key, *(["--config", path] if path else []), *(f"--set={b}" for b in base),
+                *(["--pin-cp", pin_cp] if pin_cp else [])]
+        for fmt in ("csv", "json"):
+            out, got_err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(got_err):
+                got = cli.main([*argv, "--format", fmt, "--", ",".join(values)])
+            assert (got, got_err.getvalue()) == (code, err)
+            if records is None:
+                assert out.getvalue() == ""
+            elif fmt == "json":
+                assert out.getvalue() == json.dumps(records, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            else:
+                expected = io.StringIO()
+                writer = csv.DictWriter(expected, fieldnames=report.SWEEP_FIELDS)
+                writer.writeheader()
+                writer.writerows(records)
+                assert out.getvalue() == expected.getvalue()

@@ -86,6 +86,7 @@ def test_the_tracer_wraps_a_module_the_cli_has_not_run():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0, 0]
     assert result["pending"]
-    assert {"qgates.verify_plaquette_X", "qgates.verify_identities", "report.sweep_record_valid"} <= set(
-        result["spans"])
+    # a sweep reruns only the stages its section feeds, through the bindings the tracer rebinds
+    assert {"qgates.verify_plaquette_X", "qgates.verify_identities", "report.sweep_record_valid",
+            "wiring.lines_at", "power.total_power"} <= set(result["spans"])
     assert result["restored"]
