@@ -124,7 +124,7 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     points = [f"{args.parameter}={value}" for value in values]
     swept = resolve_override(points[0])[0] if points else None
-    sweep = report.Sweep(swept[0]) if points else None
+    sweep = report.Sweep(swept) if points else None
     config, records = ToolConfig(), []
     for value, point in zip(values, points):
         entries[swept] = (point.split("=", 1)[1].strip(), point)  # the value as read_entries splits it

@@ -64,7 +64,8 @@ class ArrayConfig(NamedTuple):
     @property
     def unit_cells(self) -> int:
         """Unit cells in the quantum plane, (n_b*m_b)^2."""
-        return self.plane_edge_cells**2
+        edge = self.bias_module_edge * self.bias_grid_edge
+        return edge * edge
 
 
 class ValidationReport(NamedTuple):

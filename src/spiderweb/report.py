@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple
 
 from . import electronics, power, schedule, wiring
-from .config import ToolConfig
+from .config import _KEYMAP, ToolConfig
 from .errors import InvalidConfigError
 from .model import GeometrySummary, default_gate_inventory, derive_geometry, validate_config
 from .units import si_format
@@ -69,11 +69,11 @@ def _lines(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[
 
 def _electronics(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
     cfg, elec = config.array, config.electronics
-    out["coarse_hold_capacitance_f"] = electronics.min_hold_capacitance("coarse", elec)
-    out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", elec)
+    coarse = out["coarse_hold_capacitance_f"] = electronics.min_hold_capacitance("coarse", elec)
+    fine = out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", elec)
     refresh = out["refresh_rate_hz"] = electronics.refresh_rate(elec, elec.fine_resolution_v)
     out["demux_clock_hz"] = electronics.demux_clock(cfg, refresh)
-    out["footprint"] = electronics.footprint(cfg, elec, _INVENTORY)
+    out["footprint"] = electronics.footprint(cfg, elec, _INVENTORY, (fine, coarse))
 
 
 def _timing(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
@@ -87,26 +87,32 @@ def _power(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[
                                      refresh_hz=out["refresh_rate_hz"])
 
 
-# The model stages in run order: name -> (config sections read, upstream stages read, run).  A run
-# adds its Design fields to ``out``; ``validate`` checks the given sections, in the order it lists.
+# The model stages in run order: name -> (config sections or ``section.field``s read, upstream stages
+# read, run).  A run adds its Design fields to ``out``; ``validate`` checks the given sections, in order.
 STAGES = {
     "validate": (("array", "electronics", "timing", "interconnect", "signals"), (), _validate),
-    "geometry": (("array",), (), _geometry),
+    "geometry": (("array.qubit_pitch_nm", "array.gate_pitch_nm", "array.bias_module_edge",
+                  "array.bias_grid_edge"), (), _geometry),
     "lines": (("array",), (), _lines),
-    "electronics": (("array", "electronics"), (), _electronics),
-    "timing": (("array", "timing"), (), _timing),
-    "power": (("array", "electronics", "signals", "interconnect"), ("electronics",), _power),
+    "electronics": (("array.bias_module_edge", "array.qubit_pitch_nm", "electronics"), (), _electronics),
+    "timing": (("array.readout_module_edge", "array.sequential_readouts", "timing"), (), _timing),
+    "power": (("array.bias_module_edge", "array.bias_grid_edge", "array.qubit_pitch_nm", "electronics",
+               "signals", "interconnect"), ("electronics",), _power),
 }
 _FULL_PLAN = (STAGES["validate"][0], tuple(run for _, _, run in STAGES.values()))
 
 
 class Sweep:
-    """A sweep's last valid Design, and what later points rerun: the swept section's checks and stages."""
+    """A sweep's last valid Design, and what later points rerun: the swept section's checks and the
+    stages that read the swept key's field, directly or downstream.  ``key`` is the swept
+    ``(section, key)`` as :func:`~spiderweb.config.resolve_override` resolves it."""
 
-    def __init__(self, section: str):
+    def __init__(self, key: tuple[str, str]):
+        section = key[0]
+        field = f"{section}.{_KEYMAP[key][0]}"
         reached: list[str] = []
         for name, (reads, after, _) in STAGES.items():
-            if section in reads or set(after) & set(reached):
+            if section in reads or field in reads or set(after) & set(reached):
                 reached.append(name)
         self.plan = ((section,), tuple(STAGES[name][2] for name in reached))
         self.last: Design | None = None

@@ -11,7 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spiderweb import cli, electronics, model, power, report, schedule, wiring
-from spiderweb.config import ToolConfig, apply_entries, load_config, parse_config_text, read_entries
+from spiderweb.config import (
+    _KEYMAP,
+    SECTIONS,
+    ToolConfig,
+    apply_entries,
+    load_config,
+    parse_config_text,
+    read_entries,
+    resolve_override,
+)
 from spiderweb.electronics import (
     ElectronicsParams,
     demux_clock,
@@ -144,17 +153,55 @@ def test_compute_equals_public_stages(name):
     assert compute(config, pinned) == _rebuilt(config, pinned)
 
 
+# The stages a later sweep point reruns: by swept key for the array section, whose stages read
+# single fields, and for each other section the same stages whichever of its keys is swept.
 @pytest.mark.parametrize("section, stages", [
-    ("array", ["validate", "geometry", "lines", "electronics", "timing", "power"]),
+    ("array", {"x": ["validate", "lines"],
+               "d": ["validate", "geometry", "lines", "electronics", "power"],
+               "n_r": ["validate", "lines", "timing"]}),
     ("electronics", ["validate", "electronics", "power"]),
     ("timing", ["validate", "timing"]),
     ("signals", ["validate", "power"]),
     ("interconnect", ["validate", "power"]),
 ])
 def test_a_section_reruns_the_stages_it_feeds(section, stages):
-    checks, runs = report.Sweep(section).plan
-    assert checks == (section,)
-    assert [name for name, (_, _, run) in report.STAGES.items() if run in runs] == stages
+    if isinstance(stages, dict):
+        by_key = {resolve_override(f"{key}=0")[0]: names for key, names in stages.items()}
+    else:
+        by_key = {key: stages for key in _KEYMAP if key[0] == section}
+    for key, names in by_key.items():
+        checks, runs = report.Sweep(key).plan
+        assert checks == (section,)
+        assert [name for name, (_, _, run) in report.STAGES.items() if run in runs] == names
+
+
+def test_each_stage_read_names_a_section_or_field():
+    for reads, after, _ in report.STAGES.values():
+        for read in reads:
+            section, _, field = read.partition(".")
+            assert section in SECTIONS
+            assert not field or field in SECTIONS[section]._fields, read
+        assert set(after) <= set(report.STAGES)
+
+
+# Each stage that names the array fields it reads, with every other array field
+_UNREAD = [(name, field) for name, (reads, _, _) in report.STAGES.items() if "array" not in reads
+           for field in model.ArrayConfig._fields if f"array.{field}" not in reads]
+
+
+@pytest.mark.parametrize("name, field", _UNREAD)
+def test_a_stage_does_not_read_the_array_fields_it_leaves_out(name, field):
+    run = report.STAGES[name][2]
+    for text, overrides, pinned in _CONFIGS.values():
+        config = apply_entries({**parse_config_text(text), **read_entries(None, list(overrides))})
+        base = compute(config, pinned)._asdict()
+        value = getattr(config.array, field)
+        for changed in (value + 1, 2 * value + 3):
+            other = config._replace(array=config.array._replace(**{field: changed}))
+            want, got = dict(base), dict(base)
+            run(config, want, pinned, ())
+            run(other, got, pinned, ())
+            assert got == want, (name, field, changed)
 
 
 def _sweep_counts(monkeypatch, argv, names) -> dict[str, int]:
@@ -173,6 +220,16 @@ def test_a_timing_sweep_reruns_only_the_timing_stage(monkeypatch):
     ])
     assert counts == {"footprint": 1, "parasitic_capacitance": 1, "total_power": 1,
                       "cycle_time": 3 * 64, "validate_config": 1}
+
+
+def test_a_crossbar_sweep_reruns_only_the_line_counts(monkeypatch):
+    values = ",".join(str(k) for k in range(64))
+    counts = _sweep_counts(monkeypatch, ["sweep", "x", values, "--format", "json"], [
+        (model, "derive_geometry"), (electronics, "footprint"), (schedule, "cycle_time"),
+        (power, "parasitic_capacitance"), (power, "total_power"), (wiring, "lines_at"),
+    ])
+    assert counts == {"derive_geometry": 1, "footprint": 1, "cycle_time": 3, "parasitic_capacitance": 1,
+                      "total_power": 1, "lines_at": 3 * 64}
 
 
 def test_an_electronics_sweep_counts_lines_once(monkeypatch):
@@ -196,14 +253,24 @@ def test_a_rejected_point_keeps_the_reuse(monkeypatch):
     assert counts == {"validate_config": 2, "validate": 0, "cycle_time": 0}
 
 
-# A swept key from every section, each with values that are valid, that the array rules reject,
-# that break a section rule, that do not parse, or whose result is not finite.  ``r`` runs on a
-# 3x3 readout module (n_b=24, n_r=3, q=3), where every r is rejected.
+# Every array key and a swept key from every other section, each with values that are valid, that
+# the array rules reject, that break a section rule, that do not parse, or whose result is not
+# finite.  The readout keys have a valid value for each base file.  No length the parser takes breaks
+# an array rule, so a length key's points are rejected only under ``n_b=7``.  ``r`` runs on a 3x3
+# readout module (n_b=24, n_r=3, q=3), where every r is rejected.
 _SWEPT = {
     "x": ("0", "8", "200", "-3", "abc", "1e400"),
     "d": ("10um", "13um", "20um", "0nm", "13.5nm", "1e290"),
+    "gate_pitch": ("50nm", "25nm", "20um", "0nm", "1.5nm", "abc"),
     "n_b": ("32", "16", "7", "0", "-1"),
+    "m_b": ("16", "8", "32", "0", "-1", "1.5"),
+    "n_r": ("4", "8", "16", "2", "0", "abc"),
+    "m_r": ("128", "16", "64", "0", "-3", "x"),
+    "q": ("4", "8", "64", "2", "0", "2.5"),
     "r": ("3", "1", "2", "4"),
+    "d_c": ("16", "25", "3", "0", "-2", "abc"),
+    "n_layers": ("12", "1", "40", "0", "-1", "1e400"),
+    "delta_i": ("80nm", "40nm", "200nm", "1e290", "0nm", "1.5nm"),
     "drift": ("1mV/s", "0.2V/s", "50mV/s", "0", "-1", "1e305"),
     "t_r": ("20ns", "1us", "2us", "0", "-1ns", "abc"),
     "v_p": ("1", "0.5", "0", "-1", "1e300"),
@@ -241,7 +308,7 @@ _KEY_AND_VALUES = st.sampled_from(sorted(_SWEPT)).flatmap(
     lambda key: st.tuples(st.just(key), st.lists(st.sampled_from(_SWEPT[key]), max_size=8)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(_KEY_AND_VALUES, st.lists(st.sampled_from(_BASE_OVERRIDES), max_size=3),
        st.sampled_from(sorted(_FILES, key=str)), st.sampled_from([None, "700fF"]))
 @example(("x", ["-3", "0", "-3", "8"]), [], None, None)
@@ -253,6 +320,14 @@ _KEY_AND_VALUES = st.sampled_from(sorted(_SWEPT)).flatmap(
 @example(("t_r", ["20ns", "1us", "-1ns"]), ["n_b=7"], "large", "700fF")
 @example(("x", ["-3", "5"]), ["drift=-1"], None, None)
 @example(("x", ["1", "2"]), ["x=abc"], "small", None)
+@example(("gate_pitch", ["50nm", "20um", "25nm", "abc"]), ["d=20um"], None, None)
+@example(("m_b", ["16", "8", "32"]), [], "small", None)
+@example(("n_r", ["4", "8", "16", "0"]), [], "large", "700fF")
+@example(("m_r", ["128", "64", "16"]), [], "small", None)
+@example(("q", ["4", "8", "64", "2.5"]), ["x=8"], "large", None)
+@example(("d_c", ["16", "0", "25", "3"]), ["t_r=2us"], None, None)
+@example(("n_layers", ["12", "1", "0", "40"]), [], "large", None)
+@example(("delta_i", ["80nm", "1e290", "40nm"]), ["n_b=7"], None, None)
 @example(("drift", []), ["w=abc"], None, None)
 def test_a_sweep_equals_fresh_points(key_and_values, base, file_name, pin_cp):
     """The CLI's incremental sweep prints the bytes, or the error and exit code, of fresh points."""
