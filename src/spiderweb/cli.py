@@ -116,6 +116,10 @@ def _flatten(doc, prefix: str = "") -> dict[str, object]:
     return flat
 
 
+# the sweep-record fields a valid point can leave non-finite, in ``report.SWEEP_FIELDS`` order
+_SWEEP_FLOATS = ("rent_exponent", "min_pitch_um", "cycle_mixed_s", "array_total_w")
+
+
 def _cmd_sweep(args) -> int:
     # the file, the base overrides, --pin-cp and the swept key are read once; the base values are
     # parsed into the first point, and each later point parses only its own value into the last
@@ -131,7 +135,8 @@ def _cmd_sweep(args) -> int:
         config, entries = apply_entries(entries, config), {}
         try:  # a section rule or the non-finite rule fails: name the point
             record = report.sweep_record(args.parameter, value, config, pinned, sweep)
-            _require_finite(record, "value")
+            if record["valid"]:
+                _require_finite({field: record[field] for field in _SWEEP_FLOATS}, "value")
         except ValueError as exc:
             raise ValueError(f"sweep point {point}: {exc}") from exc
         records.append(record)

@@ -126,17 +126,16 @@ class FootprintReport(NamedTuple):
 
 
 def footprint(cfg: ArrayConfig, params: ElectronicsParams, inventory: GateInventory,
-              holds: tuple[float, float] | None = None) -> FootprintReport:
-    """Local-electronics footprint per unit cell and the minimum qubit pitch.
+              fine_f: float, coarse_f: float) -> FootprintReport:
+    """Local-electronics footprint per unit cell and the minimum qubit pitch,
+    from the fine and coarse :func:`min_hold_capacitance` of ``params``.
 
     The unit cell offers four pitch-squared open regions, so the pitch must
     satisfy 4*d^2 >= total electronics area.  An infeasible pitch is reported
     through the feasibility flag rather than raised, so sweeps can chart the
-    infeasible region.  ``holds``, the fine and coarse :func:`min_hold_capacitance`
-    of ``params``, skips their recomputation.
+    infeasible region.
     """
-    fine, coarse = holds or (min_hold_capacitance("fine", params), min_hold_capacitance("coarse", params))
-    hold_c = inventory.fine_total * fine + inventory.coarse_total * coarse
+    hold_c = inventory.fine_total * fine_f + inventory.coarse_total * coarse_f
     capacitor_area = hold_c / params.cap_density_f_per_m2
     demux_area = params.demux_per_cell * params.demux_area_m2
     total = capacitor_area + demux_area

@@ -128,16 +128,8 @@ class GeometrySummary(NamedTuple):
     gates_per_arm: int
 
     @property
-    def plane_edge_um(self) -> float:
-        return self.plane_edge_m * 1e6
-
-    @property
     def plane_area_mm2(self) -> float:
         return self.plane_area_m2 * 1e6
-
-    @property
-    def plane_perimeter_um(self) -> float:
-        return self.plane_perimeter_m * 1e6
 
 
 def derive_geometry(cfg: ArrayConfig) -> GeometrySummary:

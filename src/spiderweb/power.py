@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import log, pi, sqrt
 from typing import NamedTuple
 
-from .electronics import ElectronicsParams, refresh_rate
+from .electronics import ElectronicsParams
 from .model import ArrayConfig
 
 LIGHT_SPEED = 299792458.0  # m/s, exact by definition of the metre
@@ -210,24 +210,20 @@ class PowerReport(NamedTuple):
 
 def total_power(
     cfg: ArrayConfig,
-    grid: InterconnectGrid,
     signals: SignalParams,
     elec: ElectronicsParams,
+    grid_capacitance: GridCapacitance,
+    refresh_hz: float,
     pinned_parasitic_f: float | None = None,
-    grid_capacitance: GridCapacitance | None = None,
-    refresh_hz: float | None = None,
 ) -> PowerReport:
-    """Array power report; ``pinned_parasitic_f`` overrides the grid model.
-    ``grid_capacitance`` (of ``grid``) and ``refresh_hz`` (at the fine resolution
-    of ``elec``) pass in results the caller holds; omitted, they are computed here."""
+    """Array power report from the grid's :func:`parasitic_capacitance` and the
+    hold capacitors' refresh rate; ``pinned_parasitic_f`` overrides the grid model."""
     if pinned_parasitic_f is not None:
         if pinned_parasitic_f < 0:
             raise ValueError("pinned parasitic capacitance must be non-negative")
         parasitic = pinned_parasitic_f
     else:
-        parasitic = (grid_capacitance or parasitic_capacitance(grid)).total_f
-    if refresh_hz is None:
-        refresh_hz = refresh_rate(elec, elec.fine_resolution_v)
+        parasitic = grid_capacitance.total_f
     resolved = signals.resolved(cfg)
     line = transmission_line_power(resolved)
     return PowerReport(

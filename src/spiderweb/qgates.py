@@ -23,11 +23,14 @@ from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-__all__ = ["Circuit", "IdentityCheck", "PlacedGate", "build_plaquette", "compose", "concurrence",
-           "equal_up_to_global_phase", "expand", "gate", "is_unitary", "reference_plaquette",
-           "verify_identities", "verify_plaquette"]
+__all__ = ["Circuit", "IdentityCheck", "PlacedGate", "build_plaquette", "compose", "concurrence", "expand",
+           "gate", "reference_plaquette", "verify_identities", "verify_plaquette"]
 
 Matrix = Sequence[Sequence[complex]]
+
+# Max-norm tolerances of the identity checks and of the plaquette equivalence.
+_IDENTITY_TOL = 1e-12
+_PLAQUETTE_TOL = 1e-10
 
 
 def _m(*rows) -> tuple[tuple[complex, ...], ...]:
@@ -80,11 +83,6 @@ def _matmul(a: Matrix, b: Matrix) -> list[list[complex]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def is_unitary(matrix: Matrix, tol: float = 1e-12) -> bool:
-    product = _matmul(_dagger(matrix), matrix)
-    return max(abs(v - (i == j)) for i, row in enumerate(product) for j, v in enumerate(row)) < tol
-
-
 def _diagonal(matrix: Matrix) -> list[complex] | None:
     """The diagonal of a matrix whose other entries are all exactly zero, else None."""
     if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(matrix)):
@@ -133,10 +131,6 @@ class Circuit(NamedTuple):
 
     n_qubits: int
     steps: tuple[tuple[PlacedGate, ...], ...] = ()
-
-    @property
-    def depth(self) -> int:
-        return len(self.steps)
 
     def gates(self) -> Iterable[PlacedGate]:
         for step in self.steps:
@@ -221,13 +215,6 @@ def _take_up(rows, layer, phases, n: int) -> list[list[complex]]:
     return [[p * x for x in row] for p, row in zip(phases, rows)] if phases else rows
 
 
-def equal_up_to_global_phase(u: Matrix, v: Matrix, tol: float = 1e-10) -> bool:
-    """True iff u = e^{i phi} v for some phase, within tol in max-norm."""
-    if len(u) != len(v) or any(len(a) != len(b) for a, b in zip(u, v)):
-        raise ValueError("matrices must have the same shape")
-    return _phase_residual(u, v) < tol
-
-
 def concurrence(state: Sequence[complex]) -> float:
     """Concurrence of a pure two-qubit state (1 for maximally entangled)."""
     if len(state) != 4:
@@ -280,7 +267,7 @@ def _kron(a: Matrix, b: Matrix) -> list[list[complex]]:
              for x in ra for y in rb] for ra in a for rb in b]
 
 
-def verify_identities(tol: float = 1e-12, corrupt: str | None = None) -> list[IdentityCheck]:
+def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
     """Check every gate-construction identity; failures are reported, not raised.
 
     ``corrupt='sp-sign'`` flips the sign of the phase gate used in the checks
@@ -312,8 +299,8 @@ def verify_identities(tol: float = 1e-12, corrupt: str | None = None) -> list[Id
         "sp-squared": (_matmul(sp, sp), _kron(_Z, _Z)),
     }
     # only the CNOT construction carries a free global phase
-    return [IdentityCheck(name, _phase_residual(u, v), tol, up_to_phase=True)
-            if name == "cnot-from-sp" else IdentityCheck(name, _residual(u, v), tol)
+    return [IdentityCheck(name, _phase_residual(u, v), _IDENTITY_TOL, up_to_phase=True)
+            if name == "cnot-from-sp" else IdentityCheck(name, _residual(u, v), _IDENTITY_TOL)
             for name, (u, v) in pairs.items()]
 
 
@@ -366,6 +353,7 @@ def reference_plaquette(kind: str) -> list[list[complex]]:
     return compose(Circuit(n_qubits=5, steps=(h_wall, *cz_chain, h_wall)))
 
 
-def verify_plaquette(kind: str, tol: float = 1e-10, corrupt: bool = False) -> bool:
-    """True iff the plaquette circuit equals its reference up to a global phase."""
-    return equal_up_to_global_phase(compose(build_plaquette(kind, corrupt)), reference_plaquette(kind), tol)
+def verify_plaquette(kind: str, corrupt: bool = False) -> bool:
+    """True iff the plaquette circuit equals its reference up to a global phase,
+    within ``_PLAQUETTE_TOL`` in max-norm."""
+    return _phase_residual(compose(build_plaquette(kind, corrupt)), reference_plaquette(kind)) < _PLAQUETTE_TOL

@@ -61,7 +61,8 @@ def _geometry(config: ToolConfig, out: dict, pinned: float | None, sections: tup
 def _lines(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
     cfg = config.array
     lines = out["lines"] = {level: wiring.lines_at(level, cfg) for level in wiring.LEVELS}
-    out["rent_exponent"] = wiring.rent_exponent(cfg, lines)
+    out["rent_exponent"] = wiring.rent_exponent(lines["quantum_plane"].total, lines["unit_cell"].total,
+                                                cfg.unit_cells)
     out["capacity_defect"] = wiring.logical_qubit_capacity(cfg, "defect")
     out["capacity_lattice_surgery"] = wiring.logical_qubit_capacity(cfg, "lattice_surgery")
     out["fabrication_crossbar_limit"] = wiring.max_fab_crossbars(cfg)
@@ -73,7 +74,7 @@ def _electronics(config: ToolConfig, out: dict, pinned: float | None, sections: 
     fine = out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", elec)
     refresh = out["refresh_rate_hz"] = electronics.refresh_rate(elec, elec.fine_resolution_v)
     out["demux_clock_hz"] = electronics.demux_clock(cfg, refresh)
-    out["footprint"] = electronics.footprint(cfg, elec, _INVENTORY, (fine, coarse))
+    out["footprint"] = electronics.footprint(cfg, elec, _INVENTORY, fine, coarse)
 
 
 def _timing(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
@@ -82,9 +83,8 @@ def _timing(config: ToolConfig, out: dict, pinned: float | None, sections: tuple
 
 def _power(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
     grid = out["grid"] = power.parasitic_capacitance(config.interconnect)
-    out["power"] = power.total_power(config.array, config.interconnect, config.signals, config.electronics,
-                                     pinned_parasitic_f=pinned, grid_capacitance=grid,
-                                     refresh_hz=out["refresh_rate_hz"])
+    out["power"] = power.total_power(config.array, config.signals, config.electronics, grid,
+                                     out["refresh_rate_hz"], pinned)
 
 
 # The model stages in run order: name -> (config sections or ``section.field``s read, upstream stages
@@ -298,7 +298,7 @@ def sweep_record(
         capacity_defect=design.capacity_defect,
         capacity_lattice_surgery=design.capacity_lattice_surgery,
         crossbar_fab_limit=design.fabrication_crossbar_limit,
-        min_pitch_um=design.footprint.min_pitch_m * 1e6,
+        min_pitch_um=design.footprint.min_pitch_um,
         pitch_feasible=design.footprint.pitch_feasible,
         cycle_mixed_s=design.cycles["mixed"].total_s,
         array_total_w=design.power.total_w,

@@ -109,11 +109,8 @@ class Step(NamedTuple):
     park: bool = False              # defer the return trip past the readout
     note: str = ""
 
-    def shuttling_qubits(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(q for _, movers, _, _ in _windows(self) for q, _ in movers))
-
     def home_shuttling_qubits(self) -> tuple[str, ...]:
-        return tuple(q for q in self.shuttling_qubits() if q in HOME_QUBITS)
+        return tuple(dict.fromkeys(q for _, movers, _, _ in _windows(self) for q, _ in movers if q in HOME_QUBITS))
 
 
 class StepTable(NamedTuple):

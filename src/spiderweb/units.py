@@ -53,6 +53,8 @@ _ENG_PREFIXES = [
 _SI_SPELLINGS = {prefix + unit: scale for scale, prefix in _ENG_PREFIXES
                  for unit in ("m", "F", "Hz", "s", "W", "V", "ohm")}
 
+_SI_DIGITS = 4  # significant digits si_format prints
+
 _QUANTITY_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*)$")
 
 
@@ -100,14 +102,14 @@ def parse_int(text: str) -> int:
     return int(rounded)
 
 
-def si_format(value: float, unit: str, digits: int = 4) -> str:
+def si_format(value: float, unit: str) -> str:
     """Format a value with an engineering prefix, e.g. ``si_format(6.5536e9, 'Hz')``;
     the prefix is chosen after rounding, so 9.999999e-7 F prints as ``1 uF``."""
     if value == 0 or not math.isfinite(value):
         return f"0 {unit}" if value == 0 else f"{value} {unit}"
     i = next((i for i, (scale, _) in enumerate(_ENG_PREFIXES) if abs(value) >= scale), -1)
-    mantissa = f"{value / _ENG_PREFIXES[i][0]:.{digits}g}"
+    mantissa = f"{value / _ENG_PREFIXES[i][0]:.{_SI_DIGITS}g}"
     if i and abs(float(mantissa)) >= 1000:
         i -= 1
-        mantissa = f"{value / _ENG_PREFIXES[i][0]:.{digits}g}"
+        mantissa = f"{value / _ENG_PREFIXES[i][0]:.{_SI_DIGITS}g}"
     return f"{mantissa} {_ENG_PREFIXES[i][1]}{unit}"

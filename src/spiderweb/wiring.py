@@ -25,7 +25,6 @@ __all__ = [
     "logical_qubit_capacity",
     "max_fab_crossbars",
     "rent_exponent",
-    "rent_exponent_from_counts",
 ]
 
 LEVELS = ("unit_cell", "module", "quantum_plane")
@@ -86,22 +85,14 @@ def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
     raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
 
 
-def rent_exponent_from_counts(plane_total: int, cell_total: int, unit_cells: int) -> float:
-    """Rent exponent p solving plane_total = cell_total * unit_cells**p."""
+def rent_exponent(plane_total: int, cell_total: int, unit_cells: int) -> float:
+    """Rent exponent p solving plane_total = cell_total * unit_cells**p, from the
+    quantum-plane and unit-cell line totals that :func:`lines_at` counts."""
     if unit_cells <= 1:
         raise ValueError("Rent's exponent is undefined for a single unit cell")
     if plane_total < cell_total:
         raise ValueError("plane-level line count below the unit-cell count")
     return math.log(plane_total / cell_total) / math.log(unit_cells)
-
-
-def rent_exponent(cfg: ArrayConfig, lines: dict[str, LineCount] | None = None) -> float:
-    """Rent exponent of the configured array, from the line-scaling model.
-    ``lines``, counts by level as :func:`lines_at` gives them, skips the recount."""
-    if lines is None:
-        lines = {level: lines_at(level, cfg) for level in ("unit_cell", "quantum_plane")}
-    plane, cell = lines["quantum_plane"].total, lines["unit_cell"].total
-    return rent_exponent_from_counts(plane, cell, cfg.unit_cells)
 
 
 def logical_qubit_capacity(cfg: ArrayConfig, scheme: str) -> int:

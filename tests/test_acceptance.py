@@ -56,7 +56,7 @@ def report(criterion: str, passed: bool) -> None:
 def test_criterion_01_line_counts_and_rent_exponent():
     cell = lines_at("unit_cell", REFERENCE).total
     plane = lines_at("quantum_plane", REFERENCE).total
-    p = rent_exponent(REFERENCE)
+    p = rent_exponent(plane, cell, REFERENCE.unit_cells)
     report(
         "criterion 1: c=74 and T=16836 exactly, Rent exponent in [0.43, 0.44]",
         cell == 74 and plane == 16836 and 0.43 <= p <= 0.44,
@@ -65,7 +65,9 @@ def test_criterion_01_line_counts_and_rent_exponent():
 
 def test_criterion_02_rent_exponent_versus_crossbars():
     grid = (0, 1, 10, 100, 200, 1000)
-    values = [rent_exponent(REFERENCE._replace(crossbars=x)) for x in grid]
+    configs = [REFERENCE._replace(crossbars=x) for x in grid]
+    values = [rent_exponent(lines_at("quantum_plane", c).total, lines_at("unit_cell", c).total, c.unit_cells)
+              for c in configs]
     non_decreasing = all(a <= b for a, b in zip(values, values[1:]))
     p_200 = values[grid.index(200)]
     report(
@@ -103,7 +105,8 @@ def test_criterion_04_electronics_constraints():
 
 
 def test_criterion_05_footprint_and_plane_area():
-    fp = footprint(REFERENCE, ELEC, default_gate_inventory())
+    fine, coarse = min_hold_capacitance("fine", ELEC), min_hold_capacitance("coarse", ELEC)
+    fp = footprint(REFERENCE, ELEC, default_gate_inventory(), fine, coarse)
     area = derive_geometry(REFERENCE).plane_area_mm2
     report(
         "criterion 5: A_cap in [440, 460] um^2, A_demux = 180 um^2, A_total in [620, 640] um^2, "
@@ -135,7 +138,8 @@ def test_criterion_06_cycle_timing():
 
 
 def test_criterion_07_power_budget_with_pinned_parasitic():
-    pw = total_power(REFERENCE, GRID, SignalParams(), ELEC, pinned_parasitic_f=700e-15)
+    grid, refresh = parasitic_capacitance(GRID), refresh_rate(ELEC, ELEC.fine_resolution_v)
+    pw = total_power(REFERENCE, SignalParams(), ELEC, grid, refresh, pinned_parasitic_f=700e-15)
     additive = pw.total_w == pw.unit_cells * (pw.pulsed_w + pw.demux_w + pw.line_w)
     report(
         "criterion 7: array power 91.8 mW (pulsed) +-0.5%, 36.7 mW (demux) +-0.5%, "
@@ -189,13 +193,13 @@ def test_criterion_09_parasitic_capacitance_model():
 
 
 def test_criterion_10_gate_algebra():
-    checks = verify_identities(tol=1e-12)
+    checks = verify_identities()
     identities_ok = all(c.passed for c in checks)
     sq = np.asarray(gate("sqrt_swap"))
     swap_ok = float(np.max(np.abs(sq @ sq - gate("swap")))) < 1e-12
     plus_plus = np.ones(4, dtype=complex) / 2.0
     entangled = abs(concurrence(np.asarray(gate("sp")) @ plus_plus) - 1.0) <= 1e-10
-    plaquettes_ok = verify_plaquette("X", tol=1e-10) and verify_plaquette("Z", tol=1e-10)
+    plaquettes_ok = verify_plaquette("X") and verify_plaquette("Z")
     negatives_fail = not verify_plaquette("X", corrupt=True) and not verify_plaquette("Z", corrupt=True)
     corrupt_identities = verify_identities(corrupt="sp-sign")
     corrupt_fails = not all(c.passed for c in corrupt_identities)

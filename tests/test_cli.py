@@ -2,7 +2,9 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiderweb
-from spiderweb import cli, config, schedule
+from spiderweb import cli, config, electronics, power, schedule, wiring
 from spiderweb.cli import _sweep_csv, _sweep_json, main
 from spiderweb.config import load_config
 from spiderweb.report import SWEEP_FIELDS, sweep_record
@@ -26,6 +28,16 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# each float field of a sweep record: the stage function patched to leave it non-finite, the
+# change to that function's result, and the field's value then
+_SPOILERS = {
+    "rent_exponent": (wiring, "rent_exponent", lambda p: math.inf, "inf"),
+    "min_pitch_um": (electronics, "footprint", lambda fp: fp._replace(min_pitch_m=math.nan), "nan"),
+    "cycle_mixed_s": (schedule, "cycle_time", lambda ct: ct._replace(total_s=math.inf), "inf"),
+    "array_total_w": (power, "total_power", lambda pw: pw._replace(line_w=-math.inf), "-inf"),
+}
 
 
 class TestReport:
@@ -232,6 +244,16 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err == "error: sweep point w=1e308: value array_total_w is not finite (inf)\n"
+
+    @pytest.mark.parametrize("fields", [(f,) for f in _SPOILERS] + list(itertools.combinations(_SPOILERS, 2)))
+    def test_non_finite_float_field_named_first_in_field_order(self, capsys, monkeypatch, fields):
+        for field in fields:
+            owner, name, spoil, _ = _SPOILERS[field]
+            stage = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, stage=stage, spoil=spoil: spoil(stage(*args)))
+        first = min(fields, key=SWEEP_FIELDS.index)
+        message = f"error: sweep point x=1: value {first} is not finite ({_SPOILERS[first][3]})\n"
+        assert run(capsys, "sweep", "x", "1,2") == (1, "", message)
 
     def test_missing_config_file_noted_once(self, capsys, tmp_path):
         missing = tmp_path / "absent.cfg"

@@ -18,6 +18,12 @@ PARAMS = ElectronicsParams()
 INVENTORY = default_gate_inventory()
 
 
+def _footprint(cfg: ArrayConfig, params: ElectronicsParams, inventory: GateInventory):
+    """The footprint with both hold capacitances of ``params`` passed in."""
+    fine, coarse = min_hold_capacitance("fine", params), min_hold_capacitance("coarse", params)
+    return footprint(cfg, params, inventory, fine, coarse)
+
+
 class TestHoldCapacitance:
     def test_coarse_is_charge_limited(self):
         c = min_hold_capacitance("coarse", PARAMS)
@@ -77,7 +83,7 @@ class TestDemuxClock:
 
 class TestFootprint:
     def test_reference_values(self):
-        fp = footprint(REFERENCE, PARAMS, INVENTORY)
+        fp = _footprint(REFERENCE, PARAMS, INVENTORY)
         assert 440.0 <= fp.capacitor_area_um2 <= 460.0
         assert fp.demux_area_um2 == pytest.approx(180.0)
         assert 620.0 <= fp.total_area_um2 <= 640.0
@@ -85,7 +91,7 @@ class TestFootprint:
         assert fp.pitch_feasible  # 13 um pitch clears the minimum
 
     def test_total_capacitance_reuses_hold_model(self):
-        fp = footprint(REFERENCE, PARAMS, INVENTORY)
+        fp = _footprint(REFERENCE, PARAMS, INVENTORY)
         expected = 32 * min_hold_capacitance("fine", PARAMS) + 32 * min_hold_capacitance("coarse", PARAMS)
         assert fp.hold_capacitance_f == expected
         assert fp.hold_capacitance_f == pytest.approx(450e-12, rel=0.03)
@@ -96,29 +102,29 @@ class TestFootprint:
             RegionGates("qubit_operation", 2, 7, 2, 0),
             RegionGates("two_qubit_only", 6, 3, 2, 0),
         ))
-        assert footprint(REFERENCE, PARAMS, no_pulsed) == footprint(REFERENCE, PARAMS, INVENTORY)
+        assert _footprint(REFERENCE, PARAMS, no_pulsed) == _footprint(REFERENCE, PARAMS, INVENTORY)
 
     def test_zero_fine_gates_leaves_tiny_capacitor_area(self):
         coarse_only = GateInventory((RegionGates("coarse", 1, 0, 32, 0),))
-        fp = footprint(REFERENCE, PARAMS, coarse_only)
+        fp = _footprint(REFERENCE, PARAMS, coarse_only)
         assert fp.capacitor_area_um2 < 0.01
         assert fp.total_area_um2 == pytest.approx(180.0, rel=1e-4)
 
     def test_doubled_density_halves_capacitor_area(self):
         dense = PARAMS._replace(cap_density_f_per_m2=2.0)
-        base = footprint(REFERENCE, PARAMS, INVENTORY)
-        halved = footprint(REFERENCE, dense, INVENTORY)
+        base = _footprint(REFERENCE, PARAMS, INVENTORY)
+        halved = _footprint(REFERENCE, dense, INVENTORY)
         assert halved.capacitor_area_m2 == pytest.approx(base.capacitor_area_m2 / 2, rel=1e-12)
 
     def test_infeasible_pitch_flagged_not_fatal(self):
         tight = REFERENCE._replace(qubit_pitch_nm=10_000)
-        fp = footprint(tight, PARAMS, INVENTORY)
+        fp = _footprint(tight, PARAMS, INVENTORY)
         assert not fp.pitch_feasible
         assert fp.min_pitch_um > 10.0
 
     def test_min_pitch_monotone_in_density(self):
         pitches = [
-            footprint(REFERENCE, PARAMS._replace(cap_density_f_per_m2=rho), INVENTORY).min_pitch_m
+            _footprint(REFERENCE, PARAMS._replace(cap_density_f_per_m2=rho), INVENTORY).min_pitch_m
             for rho in (0.5, 1.0, 2.0, 4.0)
         ]
         assert pitches == sorted(pitches, reverse=True)
@@ -127,7 +133,7 @@ class TestFootprint:
         pitches = []
         for fine in (8, 16, 32, 64):
             inv = GateInventory((RegionGates("all", 1, fine, 32, 0),))
-            pitches.append(footprint(REFERENCE, PARAMS, inv).min_pitch_m)
+            pitches.append(_footprint(REFERENCE, PARAMS, inv).min_pitch_m)
         assert pitches == sorted(pitches)
 
     def test_invalid_params_rejected(self):

@@ -67,8 +67,8 @@ def test_reference_geometry():
     assert geo.qubit_count == 1048576
     # (2 * 13 um * 512)^2
     assert geo.plane_area_mm2 == pytest.approx(177.209344, rel=1e-12)
-    assert geo.plane_edge_um == pytest.approx(13312.0)
-    assert geo.plane_perimeter_um == pytest.approx(4 * 13312.0)
+    assert geo.plane_edge_m == pytest.approx(13312e-6)
+    assert geo.plane_perimeter_m == pytest.approx(4 * 13312e-6)
     assert geo.gates_per_arm == 260
 
 
@@ -81,7 +81,7 @@ def test_single_cell_geometry():
     geo = derive_geometry(cfg)
     assert geo.unit_cells == 1
     assert geo.qubit_count == 4
-    assert geo.plane_edge_um == pytest.approx(26.0)
+    assert geo.plane_edge_m == pytest.approx(26e-6)
     assert geo.plane_area_m2 == pytest.approx((26e-6) ** 2)
 
 

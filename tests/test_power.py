@@ -6,7 +6,7 @@ from scipy.constants import epsilon_0
 
 from spiderweb import electronics, power
 from spiderweb.config import ToolConfig
-from spiderweb.electronics import ElectronicsParams
+from spiderweb.electronics import ElectronicsParams, refresh_rate
 from spiderweb.model import ArrayConfig
 from spiderweb.power import (
     InterconnectGrid,
@@ -22,6 +22,12 @@ from spiderweb.report import build_report
 REFERENCE = ArrayConfig()
 GRID = InterconnectGrid()
 ELEC = ElectronicsParams()
+
+
+def _total_power(cfg: ArrayConfig, signals: SignalParams, elec: ElectronicsParams, pinned: float | None = None):
+    """The power report with the grid capacitance of ``GRID`` and the fine refresh rate of ``elec`` passed in."""
+    refresh = refresh_rate(elec, elec.fine_resolution_v)
+    return total_power(cfg, signals, elec, parasitic_capacitance(GRID), refresh, pinned)
 
 
 @pytest.mark.parametrize("literal, reference", [
@@ -199,7 +205,7 @@ class TestTransmissionLine:
 
 class TestTotalPower:
     def test_reference_with_pinned_parasitic(self):
-        report = total_power(REFERENCE, GRID, SignalParams(), ELEC, pinned_parasitic_f=700e-15)
+        report = _total_power(REFERENCE, SignalParams(), ELEC, 700e-15)
         assert report.parasitic_pinned
         assert report.array_pulsed_w == pytest.approx(91.75e-3, rel=1e-3)
         assert report.array_demux_w == pytest.approx(36.7e-3, rel=1e-3)
@@ -207,21 +213,21 @@ class TestTotalPower:
         assert 0.1 <= report.total_w <= 0.2  # order 100 mW
 
     def test_additivity_exact(self):
-        report = total_power(REFERENCE, GRID, SignalParams(), ELEC, pinned_parasitic_f=700e-15)
+        report = _total_power(REFERENCE, SignalParams(), ELEC, 700e-15)
         assert report.total_w == report.unit_cells * (
             report.pulsed_w + report.demux_w + report.line_w
         )
         assert report.total_w == report.array_pulsed_w + report.array_demux_w + report.array_line_w
 
     def test_unpinned_uses_grid_model(self):
-        report = total_power(REFERENCE, GRID, SignalParams(), ELEC)
+        report = _total_power(REFERENCE, SignalParams(), ELEC)
         assert not report.parasitic_pinned
         assert report.parasitic_capacitance_f == parasitic_capacitance(GRID).total_f
 
     def test_zero_frequencies_zero_total(self):
         q = SignalParams(pulse_frequency_hz=0.0, line_frequency_hz=0.0)
         still = ELEC._replace(drift_v_per_s=1e-30)  # effectively no refresh
-        report = total_power(REFERENCE, GRID, q, still)
+        report = _total_power(REFERENCE, q, still)
         assert report.total_w == pytest.approx(0.0, abs=1e-20)
 
     def test_single_cell_total_is_component_sum(self):
@@ -230,6 +236,6 @@ class TestTotalPower:
             readout_module_edge=1, readout_grid_edge=1,
             sequential_readouts=1, parallel_readouts=1,
         )
-        report = total_power(cfg, GRID, SignalParams(), ELEC)
+        report = _total_power(cfg, SignalParams(), ELEC)
         assert report.unit_cells == 1
         assert report.total_w == report.pulsed_w + report.demux_w + report.line_w

@@ -125,24 +125,30 @@ _CONFIGS = {
 
 
 def _rebuilt(config: ToolConfig, pinned: float | None) -> Design:
-    """A Design assembled from the public stage functions, each left to
-    compute its own inputs."""
+    """A Design assembled from the public stage functions, independently of
+    ``compute``: each input a stage function takes (line totals, hold
+    capacitances, grid capacitance, refresh rate) is computed here afresh
+    with its own public function and passed in."""
     cfg, elec = config.array, config.electronics
+    plane, cell = lines_at("quantum_plane", cfg).total, lines_at("unit_cell", cfg).total
+    fine, coarse = min_hold_capacitance("fine", elec), min_hold_capacitance("coarse", elec)
+    refresh = refresh_rate(elec, elec.fine_resolution_v)
+    grid = parasitic_capacitance(config.interconnect)
     return Design(
         geometry=derive_geometry(cfg),
         lines={level: lines_at(level, cfg) for level in LEVELS},
-        rent_exponent=rent_exponent(cfg),
+        rent_exponent=rent_exponent(plane, cell, cfg.unit_cells),
         capacity_defect=logical_qubit_capacity(cfg, "defect"),
         capacity_lattice_surgery=logical_qubit_capacity(cfg, "lattice_surgery"),
         fabrication_crossbar_limit=max_fab_crossbars(cfg),
-        coarse_hold_capacitance_f=min_hold_capacitance("coarse", elec),
-        fine_hold_capacitance_f=min_hold_capacitance("fine", elec),
-        refresh_rate_hz=refresh_rate(elec, elec.fine_resolution_v),
-        demux_clock_hz=demux_clock(cfg, refresh_rate(elec, elec.fine_resolution_v)),
-        footprint=footprint(cfg, elec, default_gate_inventory()),
+        coarse_hold_capacitance_f=coarse,
+        fine_hold_capacitance_f=fine,
+        refresh_rate_hz=refresh,
+        demux_clock_hz=demux_clock(cfg, refresh),
+        footprint=footprint(cfg, elec, default_gate_inventory(), fine, coarse),
         cycles={mode: cycle_time(config.timing, cfg, mode) for mode in READOUT_MODES},
-        grid=parasitic_capacitance(config.interconnect),
-        power=total_power(cfg, config.interconnect, config.signals, elec, pinned_parasitic_f=pinned),
+        grid=grid,
+        power=total_power(cfg, config.signals, elec, grid, refresh, pinned),
     )
 
 

@@ -11,10 +11,14 @@ from spiderweb.wiring import (
     logical_qubit_capacity,
     max_fab_crossbars,
     rent_exponent,
-    rent_exponent_from_counts,
 )
 
 REFERENCE = ArrayConfig()
+
+
+def _rent(cfg: ArrayConfig) -> float:
+    """Rent's exponent of ``cfg`` from its plane and unit-cell line totals."""
+    return rent_exponent(lines_at("quantum_plane", cfg).total, lines_at("unit_cell", cfg).total, cfg.unit_cells)
 
 
 def closed_form_totals(cfg: ArrayConfig) -> tuple[int, int, int]:
@@ -135,7 +139,7 @@ class TestLineCounts:
 
 class TestRentExponent:
     def test_reference_value(self):
-        p = rent_exponent(REFERENCE)
+        p = _rent(REFERENCE)
         assert p == pytest.approx(math.log(16836 / 74) / math.log(2**18), rel=1e-12)
         assert 0.43 <= p <= 0.44
 
@@ -144,27 +148,27 @@ class TestRentExponent:
         # closed-form oracle: T = 256 + 16384 + 128*(1 + 16*200) + 4 - 2 + 66
         assert lines_at("quantum_plane", cfg).total == 426436
         assert lines_at("unit_cell", cfg).total == 874
-        p = rent_exponent(cfg)
+        p = _rent(cfg)
         assert p == pytest.approx(math.log(426436 / 874) / math.log(2**18), rel=1e-12)
         assert 0.49 <= p <= 0.50
 
     def test_equal_counts_give_zero(self):
-        assert rent_exponent_from_counts(74, 74, 2**18) == 0.0
+        assert rent_exponent(74, 74, 2**18) == 0.0
 
     def test_single_cell_undefined(self):
         with pytest.raises(ValueError, match="single unit cell"):
-            rent_exponent_from_counts(74, 74, 1)
+            rent_exponent(74, 74, 1)
 
     def test_grid_shape_saturates_below_half(self):
         values = [
-            rent_exponent(REFERENCE._replace(crossbars=x))
+            _rent(REFERENCE._replace(crossbars=x))
             for x in (0, 1, 10, 100, 200, 1000, 2000, 5000, 10_000)
         ]
         assert values == sorted(values)
         assert all(v <= 0.5 + 1e-3 for v in values)
 
     def test_asymptote_is_one_half(self):
-        p = rent_exponent(REFERENCE._replace(crossbars=10**9))
+        p = _rent(REFERENCE._replace(crossbars=10**9))
         assert p == pytest.approx(0.5, abs=1e-3)
 
 
