@@ -20,10 +20,9 @@ import os
 import sys
 from itertools import chain
 
-from . import schedule
 from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
-from .model import validate_config
+from .model import CYCLE_EXCHANGES, CYCLE_ONE_QUBIT_GATES, CYCLE_SHUTTLES, CYCLE_STEPS, cycle_time, validate_config
 from .units import parse_quantity, si_format
 
 EXIT_OK = 0
@@ -45,9 +44,9 @@ def _registered(name: str):
     return module
 
 
-# registered now, as the benchmark's tracer looks every traced module up in sys.modules, but run
-# only where used: qgates by verify and dump-unitary, report (and its wiring) by report and sweep
-qgates, report, _ = map(_registered, ("qgates", "report", "wiring"))
+# registered now, as the benchmark's tracer looks every traced module up in sys.modules, but run only where
+# used: qgates by verify, dump-unitary; schedule by verify, simulate; report and its stages by report, sweep
+qgates, report, schedule, *_ = map(_registered, ("qgates", "report", "schedule", "electronics", "power", "wiring"))
 
 
 def _common_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "csv"),
@@ -182,11 +181,11 @@ def _cmd_verify(args) -> int:
     table = schedule.default_step_table()
     census = table.census()
     expected = {
-        "shuttle_round_trips": schedule.CYCLE_SHUTTLES,
-        "one_qubit_gates": schedule.CYCLE_ONE_QUBIT_GATES,
-        "exchanges": schedule.CYCLE_EXCHANGES,
+        "shuttle_round_trips": CYCLE_SHUTTLES,
+        "one_qubit_gates": CYCLE_ONE_QUBIT_GATES,
+        "exchanges": CYCLE_EXCHANGES,
         "readout_phases": 1,
-        "steps": schedule.CYCLE_STEPS,
+        "steps": CYCLE_STEPS,
     }
     checks.append({
         "check": "schedule:census",
@@ -200,12 +199,13 @@ def _cmd_verify(args) -> int:
 
     try:
         trace = schedule.simulate_cycle(table, config.timing)
-        formula = schedule.cycle_time(config.timing, config.array, "parallel").total_s
+        formula = cycle_time(config.timing, config.array, "parallel").total_s
         sim_ok = trace.makespan_s == formula
         detail = {"makespan_s": trace.makespan_s, "formula_s": formula}
     except ScheduleConflictError as exc:
         sim_ok = False
         detail = {"conflict": str(exc)}
+    _require_finite(detail, "verify value")  # an overflowing cycle would pass as inf == inf
     checks.append({"check": "schedule:conflict-free", "passed": sim_ok, "residual": None, "detail": detail})
 
     all_ok = all(c["passed"] for c in checks)

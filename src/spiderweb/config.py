@@ -1,4 +1,4 @@
-"""Config-file ingestion and overrides.
+"""Config sections, config-file ingestion and overrides.
 
 The config format is plain text: ``key = value`` lines grouped under
 ``[section]`` headers, ``#`` comments, and SI-suffixed numbers.  Every key is
@@ -10,20 +10,121 @@ short aliases used throughout the design equations (d, x, N_b, t_sh, v_p, ...).
 from __future__ import annotations
 
 import os
-from math import isfinite
+from math import inf, isfinite
 from typing import NamedTuple
 
-from .electronics import ElectronicsParams
 from .errors import ConfigParseError
 from .model import ArrayConfig
-from .power import InterconnectGrid, SignalParams
-from .schedule import TimingParams
 from .units import parse_int, parse_quantity
 
 __all__ = [
     "ToolConfig", "load_config", "read_entries", "resolve_override", "apply_entries", "parse_config_text",
-    "KNOWN_KEYS",
+    "KNOWN_KEYS", "ElectronicsParams", "TimingParams", "SignalParams", "InterconnectGrid", "FRINGE_MODES",
 ]
+
+
+class ElectronicsParams(NamedTuple):
+    """Electrical parameters of the local biasing electronics (SI units).
+
+    ``drift_v_per_s`` is the hold-capacitor leakage drift; demonstrated
+    values span 2 µV/s to 0.1 V/s and the default takes the pessimistic end.
+    ``demux_energy_j`` is the energy for one full 16-output decoder cycle
+    (0.2-0.35 pJ depending on switch load; worst case by default).
+    """
+
+    coarse_resolution_v: float = 1e-3
+    fine_resolution_v: float = 1e-6
+    temperature_k: float = 1.0
+    drift_v_per_s: float = 0.1
+    cap_density_f_per_m2: float = 1.0    # 1 pF/um^2 deep-trench capacitors
+    demux_area_m2: float = 45e-12        # 45 um^2 per 1-to-16 demultiplexer
+    demux_per_cell: int = 4
+    demux_energy_j: float = 0.35e-12
+
+    def validate(self) -> None:
+        for name, value in zip(self._fields, self):
+            if value <= 0:
+                raise ValueError(f"{name} must be strictly positive (got {value})")
+        if self.fine_resolution_v >= self.coarse_resolution_v:
+            raise ValueError("fine resolution must be below the coarse resolution")
+        if not 0 < self.fine_resolution_v * self.fine_resolution_v < inf:  # kB*T/dV^2 needs dV^2
+            raise ValueError(f"fine_resolution_v squared leaves the float range (got {self.fine_resolution_v})")
+
+
+class TimingParams(NamedTuple):
+    """Operation durations [s]; the shuttle time covers a full round trip."""
+
+    shuttle_s: float = 50e-9
+    single_qubit_s: float = 25e-9
+    exchange_s: float = 25e-9
+    readout_s: float = 1e-6
+    dephasing_s: float = 20e-6
+
+    def validate(self) -> None:
+        for name, value in zip(self._fields, self):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
+
+
+class SignalParams(NamedTuple):
+    """Drive amplitudes/frequencies and transmission-line properties.
+
+    ``line_length_m=None`` resolves to twice the qubit pitch (one unit-cell
+    span) when evaluated against a configuration.
+    """
+
+    pulse_amplitude_v: float = 1.0
+    pulse_frequency_hz: float = 1e6
+    line_amplitude_v: float = 1.0
+    line_frequency_hz: float = 1e9
+    cap_per_length_f_per_m: float = 2e-10   # 0.2 fF/um to ground
+    sheet_resistance_ohm: float = 0.1
+    line_width_m: float = 1e-6
+    line_length_m: float | None = None
+
+    def validate(self) -> None:
+        for name, value in zip(self._fields[:-2], self):  # all but the line geometry
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative (got {value})")
+        if self.line_width_m <= 0:
+            raise ValueError("line_width_m must be strictly positive")
+        if self.line_length_m is not None and self.line_length_m <= 0:
+            raise ValueError("line_length_m must be strictly positive")
+
+    def resolved(self, cfg: ArrayConfig) -> "SignalParams":
+        """Fill the line length with one unit-cell span (2x qubit pitch)."""
+        if self.line_length_m is not None:
+            return self
+        return self._make((*self[:-1], 2.0 * cfg.qubit_pitch_m))  # line_length_m, the last field
+
+
+FRINGE_MODES = ("printed_magnitude", "disabled")
+
+
+class InterconnectGrid(NamedTuple):
+    """Geometry of the two densest interconnect layers, modelled as a regular
+    grid: one layer of parallel lines crossed by an orthogonal layer above.
+    """
+
+    lines_per_layer: int = 150
+    line_length_m: float = 24e-6
+    line_width_m: float = 80e-9
+    line_thickness_m: float = 50e-9
+    line_gap_m: float = 80e-9
+    dielectric_thickness_m: float = 500e-9
+    eps_r: float = 3.9
+    fringe_mode: str = "printed_magnitude"
+
+    def validate(self) -> None:
+        for name, value in zip(self._fields[:-1], self):  # all but fringe_mode
+            if value <= 0:
+                raise ValueError(f"{name} must be strictly positive (got {value})")
+        if self.fringe_mode not in FRINGE_MODES:
+            raise ValueError(f"fringe_mode must be one of {FRINGE_MODES}")
+        gap = self.line_gap_m
+        if self.fringe_mode == "printed_magnitude" and gap / (gap + 2 * self.line_width_m) == 1:
+            # alpha1 of parasitic_capacitance rounds to 1; its fringe term would divide by 0
+            raise ValueError(f"line_width_m ({self.line_width_m}) is negligible against line_gap_m ({gap})")
 
 
 # A section left at its defaults is one frozen instance, shared by every config.

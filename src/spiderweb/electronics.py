@@ -11,16 +11,16 @@ driven directly and hold no charge.
 
 from __future__ import annotations
 
-from math import inf, sqrt
+from math import sqrt
 from typing import NamedTuple
 
+from .config import ElectronicsParams
 from .model import ArrayConfig, GateInventory, default_gate_inventory
 
 ELECTRON_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
 BOLTZMANN = 1.380649e-23  # J/K, exact in the SI since 2019
 
 __all__ = [
-    "ElectronicsParams",
     "FootprintReport",
     "demux_clock",
     "footprint",
@@ -30,34 +30,6 @@ __all__ = [
 
 # DC-biased (fine + coarse) gates of the unit cell, each on a hold capacitor.
 _HELD_GATES = default_gate_inventory().dc_biased_total
-
-
-class ElectronicsParams(NamedTuple):
-    """Electrical parameters of the local biasing electronics (SI units).
-
-    ``drift_v_per_s`` is the hold-capacitor leakage drift; demonstrated
-    values span 2 µV/s to 0.1 V/s and the default takes the pessimistic end.
-    ``demux_energy_j`` is the energy for one full 16-output decoder cycle
-    (0.2-0.35 pJ depending on switch load; worst case by default).
-    """
-
-    coarse_resolution_v: float = 1e-3
-    fine_resolution_v: float = 1e-6
-    temperature_k: float = 1.0
-    drift_v_per_s: float = 0.1
-    cap_density_f_per_m2: float = 1.0    # 1 pF/um^2 deep-trench capacitors
-    demux_area_m2: float = 45e-12        # 45 um^2 per 1-to-16 demultiplexer
-    demux_per_cell: int = 4
-    demux_energy_j: float = 0.35e-12
-
-    def validate(self) -> None:
-        for name, value in zip(self._fields, self):
-            if value <= 0:
-                raise ValueError(f"{name} must be strictly positive (got {value})")
-        if self.fine_resolution_v >= self.coarse_resolution_v:
-            raise ValueError("fine resolution must be below the coarse resolution")
-        if not 0 < self.fine_resolution_v * self.fine_resolution_v < inf:  # kB*T/dV^2 needs dV^2
-            raise ValueError(f"fine_resolution_v squared leaves the float range (got {self.fine_resolution_v})")
 
 
 def min_hold_capacitance(kind: str, params: ElectronicsParams) -> float:

@@ -1,4 +1,5 @@
-"""Array configuration, consistency checks and derived geometry.
+"""Array configuration, consistency checks, derived geometry and the
+closed-form cycle time.
 
 The quantum plane is a square lattice of four-qubit unit cells.  Unit cells
 are grouped into modules twice over: DC-biasing modules (``bias_module_edge``
@@ -14,16 +15,26 @@ reports convert to µm/mm².
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidConfigError
 
+if TYPE_CHECKING:  # config imports this module
+    from .config import TimingParams
+
 __all__ = [
     "ArrayConfig",
+    "CYCLE_EXCHANGES",
+    "CYCLE_ONE_QUBIT_GATES",
+    "CYCLE_SHUTTLES",
+    "CYCLE_STEPS",
+    "CycleTime",
     "GateInventory",
     "GeometrySummary",
+    "READOUT_MODES",
     "RegionGates",
     "ValidationReport",
+    "cycle_time",
     "default_gate_inventory",
     "derive_geometry",
     "validate_config",
@@ -200,3 +211,52 @@ _DEFAULT_INVENTORY_ROWS = (
 def default_gate_inventory() -> GateInventory:
     """Gate inventory of the reference unit cell (32 fine / 32 coarse / 58 pulsed)."""
     return GateInventory(_DEFAULT_INVENTORY_ROWS)
+
+
+# Window census of one error-correction cycle (the closed-form coefficients).
+CYCLE_SHUTTLES = 22
+CYCLE_ONE_QUBIT_GATES = 14
+CYCLE_EXCHANGES = 8
+CYCLE_STEPS = 16  # steps of the shipped program
+
+READOUT_MODES = ("parallel", "sequential", "mixed")
+
+
+def _duration(timing: TimingParams, counts: dict[str, int]) -> float:
+    """Census-weighted duration: the simulator's clock and the closed-form cycle time."""
+    return (
+        counts["shuttle_round_trips"] * timing.shuttle_s
+        + counts["one_qubit_gates"] * timing.single_qubit_s
+        + counts["exchanges"] * timing.exchange_s
+        + counts["readout_phases"] * timing.readout_s
+    )
+
+
+class CycleTime(NamedTuple):
+    total_s: float
+    readout_mode: str
+    coherence_ratio: float
+
+
+def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "parallel") -> CycleTime:
+    """Closed-form cycle duration for a readout multiplexing mode.
+
+    parallel: one readout window; sequential: one window per module-edge
+    group; mixed: one window per sequential readout slot of the q*r split.
+    Also reports how many cycles fit into the dephasing time.
+    """
+    if readout_mode not in READOUT_MODES:
+        raise ValueError(f"unknown readout mode {readout_mode!r}; expected one of {READOUT_MODES}")
+    readout_multiplier = {
+        "parallel": 1,
+        "sequential": cfg.readout_module_edge,
+        "mixed": cfg.sequential_readouts,
+    }[readout_mode]
+    total = _duration(timing, {
+        "shuttle_round_trips": CYCLE_SHUTTLES,
+        "one_qubit_gates": CYCLE_ONE_QUBIT_GATES,
+        "exchanges": CYCLE_EXCHANGES,
+        "readout_phases": readout_multiplier,
+    })
+    ratio = timing.dephasing_s / total if total > 0 else float("inf")
+    return CycleTime(total, readout_mode, ratio)

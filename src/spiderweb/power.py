@@ -12,18 +12,15 @@ from __future__ import annotations
 from math import log, pi, sqrt
 from typing import NamedTuple
 
-from .electronics import ElectronicsParams
+from .config import ElectronicsParams, InterconnectGrid, SignalParams
 from .model import ArrayConfig
 
 LIGHT_SPEED = 299792458.0  # m/s, exact by definition of the metre
 VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m, CODATA 2022 recommended value
 
 __all__ = [
-    "FRINGE_MODES",
     "GridCapacitance",
-    "InterconnectGrid",
     "PowerReport",
-    "SignalParams",
     "TransmissionLineResult",
     "dynamic_power",
     "demux_power",
@@ -31,34 +28,6 @@ __all__ = [
     "total_power",
     "transmission_line_power",
 ]
-
-FRINGE_MODES = ("printed_magnitude", "disabled")
-
-
-class InterconnectGrid(NamedTuple):
-    """Geometry of the two densest interconnect layers, modelled as a regular
-    grid: one layer of parallel lines crossed by an orthogonal layer above.
-    """
-
-    lines_per_layer: int = 150
-    line_length_m: float = 24e-6
-    line_width_m: float = 80e-9
-    line_thickness_m: float = 50e-9
-    line_gap_m: float = 80e-9
-    dielectric_thickness_m: float = 500e-9
-    eps_r: float = 3.9
-    fringe_mode: str = "printed_magnitude"
-
-    def validate(self) -> None:
-        for name, value in zip(self._fields[:-1], self):  # all but fringe_mode
-            if value <= 0:
-                raise ValueError(f"{name} must be strictly positive (got {value})")
-        if self.fringe_mode not in FRINGE_MODES:
-            raise ValueError(f"fringe_mode must be one of {FRINGE_MODES}")
-        gap = self.line_gap_m
-        if self.fringe_mode == "printed_magnitude" and gap / (gap + 2 * self.line_width_m) == 1:
-            # alpha1 of parasitic_capacitance rounds to 1; its fringe term would divide by 0
-            raise ValueError(f"line_width_m ({self.line_width_m}) is negligible against line_gap_m ({gap})")
 
 
 class GridCapacitance(NamedTuple):
@@ -113,38 +82,6 @@ def demux_power(params: ElectronicsParams, refresh_hz: float) -> float:
     if refresh_hz < 0:
         raise ValueError("refresh rate must be non-negative")
     return params.demux_energy_j * refresh_hz * params.demux_per_cell
-
-
-class SignalParams(NamedTuple):
-    """Drive amplitudes/frequencies and transmission-line properties.
-
-    ``line_length_m=None`` resolves to twice the qubit pitch (one unit-cell
-    span) when evaluated against a configuration.
-    """
-
-    pulse_amplitude_v: float = 1.0
-    pulse_frequency_hz: float = 1e6
-    line_amplitude_v: float = 1.0
-    line_frequency_hz: float = 1e9
-    cap_per_length_f_per_m: float = 2e-10   # 0.2 fF/um to ground
-    sheet_resistance_ohm: float = 0.1
-    line_width_m: float = 1e-6
-    line_length_m: float | None = None
-
-    def validate(self) -> None:
-        for name, value in zip(self._fields[:-2], self):  # all but the line geometry
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative (got {value})")
-        if self.line_width_m <= 0:
-            raise ValueError("line_width_m must be strictly positive")
-        if self.line_length_m is not None and self.line_length_m <= 0:
-            raise ValueError("line_length_m must be strictly positive")
-
-    def resolved(self, cfg: ArrayConfig) -> "SignalParams":
-        """Fill the line length with one unit-cell span (2x qubit pitch)."""
-        if self.line_length_m is not None:
-            return self
-        return self._make((*self[:-1], 2.0 * cfg.qubit_pitch_m))  # line_length_m, the last field
 
 
 class TransmissionLineResult(NamedTuple):

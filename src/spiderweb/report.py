@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from . import electronics, power, schedule, wiring
+from . import electronics, power, wiring
 from .config import _KEYMAP, ToolConfig
 from .errors import InvalidConfigError
-from .model import GeometrySummary, default_gate_inventory, derive_geometry, validate_config
+from .model import (READOUT_MODES, CycleTime, GeometrySummary, cycle_time, default_gate_inventory, derive_geometry,
+                    validate_config)
 from .units import si_format
 
 __all__ = ["Design", "Sweep", "compute", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
@@ -38,7 +39,7 @@ class Design(NamedTuple):
     refresh_rate_hz: float
     demux_clock_hz: float
     footprint: electronics.FootprintReport
-    cycles: dict[str, schedule.CycleTime]       # by readout mode
+    cycles: dict[str, CycleTime]                # by readout mode
     grid: power.GridCapacitance
     power: power.PowerReport
 
@@ -78,7 +79,7 @@ def _electronics(config: ToolConfig, out: dict, pinned: float | None, sections: 
 
 
 def _timing(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
-    out["cycles"] = {m: schedule.cycle_time(config.timing, config.array, m) for m in schedule.READOUT_MODES}
+    out["cycles"] = {m: cycle_time(config.timing, config.array, m) for m in READOUT_MODES}
 
 
 def _power(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:

@@ -1,5 +1,4 @@
-"""Discrete-event model of the unit-cell error-correction cycle and cycle-time
-evaluation.
+"""Discrete-event model of the unit-cell error-correction cycle.
 
 Every unit cell executes the same broadcast program in lock step, so the
 cycle is modelled as a sequence of *windows*: a shuttle window is one round
@@ -7,8 +6,9 @@ trip between vertex and operation region (several qubits may ride their own
 channels in parallel inside it), a gate window applies one broadcast
 single-qubit or exchange pulse, and the readout window measures the parked
 ancillas.  The cycle census counts windows per kind; the makespan is the
-census-weighted sum of the window durations, which is exactly the closed-form
-cycle time: 22 shuttle round trips, 14 single-qubit gates, 8 exchange pulses
+census-weighted sum of the window durations (``model._duration``), which is
+exactly the closed-form cycle time that :func:`spiderweb.model.cycle_time`
+evaluates: 22 shuttle round trips, 14 single-qubit gates, 8 exchange pulses
 and one readout.
 
 The shipped default program is one consistent reconstruction of the cycle:
@@ -32,25 +32,18 @@ from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import NamedTuple
 
+from .config import TimingParams
 from .errors import ScheduleConflictError
-from .model import ArrayConfig
+from .model import _duration, cycle_time  # the benchmark traces cycle_time under this module's name
 
 __all__ = [
-    "CYCLE_EXCHANGES",
-    "CYCLE_ONE_QUBIT_GATES",
-    "CYCLE_SHUTTLES",
-    "CYCLE_STEPS",
-    "CycleTime",
     "Event",
     "EventTrace",
     "HOME_QUBITS",
     "PairGate",
-    "READOUT_MODES",
     "SoloGate",
     "Step",
     "StepTable",
-    "TimingParams",
-    "cycle_time",
     "default_step_table",
     "load_step_table",
     "simulate_cycle",
@@ -58,33 +51,10 @@ __all__ = [
     "step_table_to_text",
 ]
 
-# Window census of one error-correction cycle (the closed-form coefficients).
-CYCLE_SHUTTLES = 22
-CYCLE_ONE_QUBIT_GATES = 14
-CYCLE_EXCHANGES = 8
-CYCLE_STEPS = 16  # steps of the shipped program
-
-READOUT_MODES = ("parallel", "sequential", "mixed")
-
 HOME_QUBITS = ("D1", "D2", "A1", "A2")
 
 REGION_CAPACITY = 2   # electrons per operation region
 CHANNEL_CAPACITY = 1  # electrons per shuttling channel
-
-
-class TimingParams(NamedTuple):
-    """Operation durations [s]; the shuttle time covers a full round trip."""
-
-    shuttle_s: float = 50e-9
-    single_qubit_s: float = 25e-9
-    exchange_s: float = 25e-9
-    readout_s: float = 1e-6
-    dephasing_s: float = 20e-6
-
-    def validate(self) -> None:
-        for name, value in zip(self._fields, self):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 class SoloGate(NamedTuple):
@@ -162,16 +132,6 @@ def _tally(counts: dict[str, int], kind: str) -> None:
     if kind != "readout":  # every other window is bracketed by one shuttle round trip
         counts["shuttle_round_trips"] += 1
     counts[_CENSUS_KEY[kind]] += 1
-
-
-def _duration(timing: TimingParams, counts: dict[str, int]) -> float:
-    """Census-weighted duration: the simulator's clock and the closed-form cycle time."""
-    return (
-        counts["shuttle_round_trips"] * timing.shuttle_s
-        + counts["one_qubit_gates"] * timing.single_qubit_s
-        + counts["exchanges"] * timing.exchange_s
-        + counts["readout_phases"] * timing.readout_s
-    )
 
 
 def _channel(qubit: str, region: str) -> str:
@@ -318,8 +278,7 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     bit-identical to the closed-form census-weighted sum.
     """
     timing.validate()
-    pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s,
-               "readout": timing.readout_s}
+    pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s, "readout": timing.readout_s}
     half_trip = timing.shuttle_s / 2.0
     counts = _zero_counts()
     plans: dict[tuple, tuple] = {}
@@ -346,36 +305,6 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     runs += [(index, (end,), returns) for index, returns in parked if returns]
     annotations = tuple(f"step {s.index}: {s.note}" for s in table.steps if s.kind == "hook")
     return EventTrace(tuple(runs), {**counts, "steps": len(table.steps)}, end, annotations)
-
-
-class CycleTime(NamedTuple):
-    total_s: float
-    readout_mode: str
-    coherence_ratio: float
-
-
-def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "parallel") -> CycleTime:
-    """Closed-form cycle duration for a readout multiplexing mode.
-
-    parallel: one readout window; sequential: one window per module-edge
-    group; mixed: one window per sequential readout slot of the q*r split.
-    Also reports how many cycles fit into the dephasing time.
-    """
-    if readout_mode not in READOUT_MODES:
-        raise ValueError(f"unknown readout mode {readout_mode!r}; expected one of {READOUT_MODES}")
-    readout_multiplier = {
-        "parallel": 1,
-        "sequential": cfg.readout_module_edge,
-        "mixed": cfg.sequential_readouts,
-    }[readout_mode]
-    total = _duration(timing, {
-        "shuttle_round_trips": CYCLE_SHUTTLES,
-        "one_qubit_gates": CYCLE_ONE_QUBIT_GATES,
-        "exchanges": CYCLE_EXCHANGES,
-        "readout_phases": readout_multiplier,
-    })
-    ratio = timing.dephasing_s / total if total > 0 else float("inf")
-    return CycleTime(total, readout_mode, ratio)
 
 
 # ---------------------------------------------------------------------------

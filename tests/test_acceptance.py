@@ -10,18 +10,16 @@ import random
 import numpy as np
 import pytest
 
+from spiderweb.config import ElectronicsParams, InterconnectGrid, SignalParams, TimingParams
 from spiderweb.electronics import (
-    ElectronicsParams,
     demux_clock,
     footprint,
     min_hold_capacitance,
     refresh_rate,
 )
 from spiderweb.errors import ScheduleConflictError
-from spiderweb.model import ArrayConfig, default_gate_inventory, derive_geometry
+from spiderweb.model import ArrayConfig, cycle_time, default_gate_inventory, derive_geometry
 from spiderweb.power import (
-    InterconnectGrid,
-    SignalParams,
     parasitic_capacitance,
     total_power,
     transmission_line_power,
@@ -33,8 +31,6 @@ from spiderweb.qgates import (
     verify_plaquette,
 )
 from spiderweb.schedule import (
-    TimingParams,
-    cycle_time,
     default_step_table,
     simulate_cycle,
     step_table_from_text,

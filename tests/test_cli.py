@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiderweb
-from spiderweb import cli, config, electronics, power, schedule, wiring
+from spiderweb import cli, config, electronics, power, report, schedule, wiring
 from spiderweb.cli import _sweep_csv, _sweep_json, main
 from spiderweb.config import load_config
 from spiderweb.report import SWEEP_FIELDS, sweep_record
@@ -35,7 +35,7 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 _SPOILERS = {
     "rent_exponent": (wiring, "rent_exponent", lambda p: math.inf, "inf"),
     "min_pitch_um": (electronics, "footprint", lambda fp: fp._replace(min_pitch_m=math.nan), "nan"),
-    "cycle_mixed_s": (schedule, "cycle_time", lambda ct: ct._replace(total_s=math.inf), "inf"),
+    "cycle_mixed_s": (report, "cycle_time", lambda ct: ct._replace(total_s=math.inf), "inf"),
     "array_total_w": (power, "total_power", lambda pw: pw._replace(line_w=-math.inf), "-inf"),
 }
 
@@ -391,6 +391,13 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: bias and readout tilings cover different plane edges")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_cycle_exits_1(self, capsys, fmt):
+        # inf == inf would pass the simulated-against-closed-form check
+        code, out, err = run(capsys, "verify", "--format", fmt, "--set", "t_sh=1e308")
+        assert (code, out) == (1, "")
+        assert err == "error: verify value makespan_s is not finite (inf)\n"
+
 
 class TestSimulate:
     def test_summary(self, capsys):
@@ -452,7 +459,7 @@ class TestSimulate:
         bodies = ["one_qubit D1@op1:x%s A1@op2:{0}", "two_qubit A1+D1@op1:rz=A1", "hook say, \"hi\""]
         table.write_text("".join(f"{i} {bodies[i % 3]}\n" for i in range(1, 41)) + "41 readout A2@op2\n")
         monkeypatch.setattr(schedule.EventTrace, "events", property(refuse))
-        trace = schedule.simulate_cycle(schedule.default_step_table(), schedule.TimingParams())
+        trace = schedule.simulate_cycle(schedule.default_step_table(), config.TimingParams())
         assert trace.to_csv() and trace.to_json()
         for argv in ([], ["--table", str(table)]):
             for fmt in ("text", "csv", "json"):
@@ -471,7 +478,7 @@ class TestSimulate:
         table = tmp_path / "long.steps"
         table.write_text("1 one_qubit+park D1@op1:x\n2 two_qubit A1+A2@op2:rz=A2\n3 hook\n4 readout D1@op1\n")
         code, out, _ = run(capsys, "simulate", "--table", str(table))
-        trace = schedule.simulate_cycle(schedule.load_step_table(table), schedule.TimingParams())
+        trace = schedule.simulate_cycle(schedule.load_step_table(table), config.TimingParams())
         assert code == 0
         assert f"events              {len(trace.events)}\n" in out
         assert len(trace.events) == 2 + 15 + 1 + 1

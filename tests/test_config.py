@@ -8,12 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spiderweb import config
-from spiderweb.config import ToolConfig, apply_entries, load_config, parse_config_text, read_entries
-from spiderweb.electronics import ElectronicsParams
+from spiderweb.config import (
+    ElectronicsParams,
+    InterconnectGrid,
+    SignalParams,
+    TimingParams,
+    ToolConfig,
+    apply_entries,
+    load_config,
+    parse_config_text,
+    read_entries,
+)
 from spiderweb.errors import ConfigParseError, InvalidConfigError
 from spiderweb.model import ArrayConfig, validate_config
-from spiderweb.power import InterconnectGrid, SignalParams
-from spiderweb.schedule import TimingParams
 from spiderweb.units import parse_int, parse_quantity, si_format
 
 SAMPLE = """\

@@ -2,9 +2,8 @@ import pytest
 from scipy.constants import e as ELECTRON_CHARGE
 from scipy.constants import k as BOLTZMANN
 
-from spiderweb.config import ToolConfig
+from spiderweb.config import ElectronicsParams, ToolConfig
 from spiderweb.electronics import (
-    ElectronicsParams,
     demux_clock,
     footprint,
     min_hold_capacitance,

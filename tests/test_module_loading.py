@@ -1,5 +1,5 @@
 """Which ``spiderweb`` modules each command runs, and how the CLI registers the
-ones it runs only on demand (``qgates``, ``report``, ``wiring``).
+ones it runs only on demand.
 
 Each probe runs in a fresh interpreter, since a module, once run, stays run.
 An ``exec`` audit hook names every module whose code actually ran; a module
@@ -17,7 +17,10 @@ import pytest
 import spiderweb
 
 PACKAGE = Path(spiderweb.__file__).resolve().parent
-ON_DEMAND = ("qgates", "report", "wiring")
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
+ON_DEMAND = ("electronics", "power", "qgates", "report", "schedule", "wiring")
+# what ``import spiderweb.cli`` runs
+AT_IMPORT = ["__init__", "cli", "config", "errors", "model", "units"]
 
 _RAN = """
 import contextlib, io, json, sys
@@ -36,22 +39,24 @@ def _probe(code: str, flags: tuple[str, ...] = ()) -> dict:
 
 _COMMAND_PROBE = """
 import spiderweb.cli
+package = Path(spiderweb.__file__).resolve().parent
+def ours():
+    return sorted(p.stem for p in ran if p.resolve().parent == package)
 registered = sorted(m for m in sys.modules if m.startswith("spiderweb."))
+at_import = ours()
 ran.clear()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = spiderweb.cli.main({argv!r})
-package = Path(spiderweb.__file__).resolve().parent
-print(json.dumps({{"code": code, "registered": registered,
-                  "ran": sorted(p.stem for p in ran if p.resolve().parent == package)}}))
+print(json.dumps({{"code": code, "registered": registered, "at_import": at_import, "ran": ours()}}))
 """
 
-# each command's exit code and the on-demand modules it runs
+# each command's exit code and every module it runs after the import
 _RUNS = {
-    ("report",): (0, ["report", "wiring"]),
-    ("sweep", "x", "0,1"): (0, ["report", "wiring"]),
+    ("report",): (0, ["electronics", "power", "report", "wiring"]),
+    ("sweep", "x", "0,1"): (0, ["electronics", "power", "report", "wiring"]),
     ("report", "--set", "bogus=1"): (1, []),
-    ("simulate",): (0, []),
-    ("verify",): (0, ["qgates"]),
+    ("simulate",): (0, ["schedule"]),
+    ("verify",): (0, ["qgates", "schedule"]),
     ("dump-unitary", "rz", "0.5"): (0, ["qgates"]),
 }
 
@@ -61,10 +66,20 @@ _RUNS = {
 @pytest.mark.parametrize("argv", list(_RUNS), ids=" ".join)
 def test_each_command_runs_only_the_modules_it_uses(argv, flags):
     result = _probe(_COMMAND_PROBE.format(argv=list(argv)), flags)
-    assert (result["code"], [m for m in result["ran"] if m in ON_DEMAND]) == _RUNS[argv]
+    assert result["at_import"] == AT_IMPORT
+    assert (result["code"], result["ran"]) == _RUNS[argv]
     # importing the CLI registers every module of the package, run or not
-    modules = sorted(f"spiderweb.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
-    assert result["registered"] == modules
+    assert result["registered"] == [f"spiderweb.{m}" for m in MODULES]
+    assert sorted(ON_DEMAND) == [m for m in MODULES if m not in AT_IMPORT]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_imports_first(name):
+    """A module imported before any other finds no import cycle: ``config`` holds
+    the section records that ``model``, ``electronics``, ``power`` and ``schedule`` read."""
+    result = _probe(f"import spiderweb.{name} as m\n"
+                    "print(json.dumps([n for n in getattr(m, '__all__', ()) if not hasattr(m, n)]))")
+    assert result == []
 
 
 def test_a_module_imported_before_the_cli_is_reused():

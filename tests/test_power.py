@@ -5,12 +5,10 @@ import scipy.constants
 from scipy.constants import epsilon_0
 
 from spiderweb import electronics, power
-from spiderweb.config import ToolConfig
-from spiderweb.electronics import ElectronicsParams, refresh_rate
+from spiderweb.config import ElectronicsParams, InterconnectGrid, SignalParams, ToolConfig
+from spiderweb.electronics import refresh_rate
 from spiderweb.model import ArrayConfig
 from spiderweb.power import (
-    InterconnectGrid,
-    SignalParams,
     demux_power,
     dynamic_power,
     parasitic_capacitance,

@@ -8,16 +8,16 @@ import pkgutil
 import pytest
 
 import spiderweb
-from spiderweb import electronics, model, power, qgates, report, schedule
+from spiderweb import config, electronics, model, power, qgates, report, schedule
 from spiderweb.config import ToolConfig
 
 # section -> (a field, a value other than its default)
 CONFIG_SECTIONS = {
     model.ArrayConfig: ("crossbars", 5),
-    electronics.ElectronicsParams: ("temperature_k", 4.0),
-    power.InterconnectGrid: ("line_width_m", 160e-9),
-    power.SignalParams: ("line_length_m", 26e-6),
-    schedule.TimingParams: ("readout_s", 2e-6),
+    config.ElectronicsParams: ("temperature_k", 4.0),
+    config.InterconnectGrid: ("line_width_m", 160e-9),
+    config.SignalParams: ("line_length_m", 26e-6),
+    config.TimingParams: ("readout_s", 2e-6),
     ToolConfig: ("array", model.ArrayConfig(crossbars=5)),
 }
 
@@ -37,7 +37,7 @@ def _records() -> list:
     """One instance of every result record, as the model stages build them."""
     design = report.compute(ToolConfig())
     table = schedule.default_step_table()
-    trace = schedule.simulate_cycle(table, schedule.TimingParams())
+    trace = schedule.simulate_cycle(table, config.TimingParams())
     step = next(s for s in table.steps if s.kind == "two_qubit")
     placed = qgates.PlacedGate("x", (1,))
     inventory = model.default_gate_inventory()

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spiderweb import cli, electronics, model, power, report, schedule, wiring
+from spiderweb import cli, electronics, model, power, report, wiring
 from spiderweb.config import (
     _KEYMAP,
     SECTIONS,
+    ElectronicsParams,
+    SignalParams,
     ToolConfig,
     apply_entries,
     load_config,
@@ -22,17 +24,15 @@ from spiderweb.config import (
     resolve_override,
 )
 from spiderweb.electronics import (
-    ElectronicsParams,
     demux_clock,
     footprint,
     min_hold_capacitance,
     refresh_rate,
 )
-from spiderweb.model import default_gate_inventory, derive_geometry
-from spiderweb.power import SignalParams, parasitic_capacitance, total_power
+from spiderweb.model import READOUT_MODES, cycle_time, default_gate_inventory, derive_geometry
+from spiderweb.power import parasitic_capacitance, total_power
 from spiderweb.errors import ConfigParseError
 from spiderweb.report import Design, compute, sweep_record
-from spiderweb.schedule import READOUT_MODES, cycle_time
 from spiderweb.units import parse_quantity
 from spiderweb.wiring import (
     LEVELS,
@@ -222,7 +222,7 @@ def test_a_timing_sweep_reruns_only_the_timing_stage(monkeypatch):
     values = ",".join(f"{20 * k}ns" for k in range(1, 65))
     counts = _sweep_counts(monkeypatch, ["sweep", "t_r", values, "--format", "json"], [
         (electronics, "footprint"), (power, "parasitic_capacitance"), (power, "total_power"),
-        (schedule, "cycle_time"), (model, "validate_config"),
+        (model, "cycle_time"), (model, "validate_config"),
     ])
     assert counts == {"footprint": 1, "parasitic_capacitance": 1, "total_power": 1,
                       "cycle_time": 3 * 64, "validate_config": 1}
@@ -231,7 +231,7 @@ def test_a_timing_sweep_reruns_only_the_timing_stage(monkeypatch):
 def test_a_crossbar_sweep_reruns_only_the_line_counts(monkeypatch):
     values = ",".join(str(k) for k in range(64))
     counts = _sweep_counts(monkeypatch, ["sweep", "x", values, "--format", "json"], [
-        (model, "derive_geometry"), (electronics, "footprint"), (schedule, "cycle_time"),
+        (model, "derive_geometry"), (electronics, "footprint"), (model, "cycle_time"),
         (power, "parasitic_capacitance"), (power, "total_power"), (wiring, "lines_at"),
     ])
     assert counts == {"derive_geometry": 1, "footprint": 1, "cycle_time": 3, "parasitic_capacitance": 1,
@@ -254,7 +254,7 @@ def test_a_rejected_point_keeps_the_reuse(monkeypatch):
     assert counts == {"validate_config": 3, "validate": 1}
     # no point is valid: each one checks every section up to the array rule it breaks
     counts = _sweep_counts(monkeypatch, ["sweep", "--set", "n_b=7", "--", "t_r", "1us,2us"], [
-        (model, "validate_config"), (ElectronicsParams, "validate"), (schedule, "cycle_time"),
+        (model, "validate_config"), (ElectronicsParams, "validate"), (model, "cycle_time"),
     ])
     assert counts == {"validate_config": 2, "validate": 0, "cycle_time": 0}
 

@@ -11,11 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spiderweb.errors import ScheduleConflictError
-from spiderweb.model import ArrayConfig
+from spiderweb.config import TimingParams
+from spiderweb.model import CYCLE_EXCHANGES, CYCLE_ONE_QUBIT_GATES, CYCLE_SHUTTLES, ArrayConfig, cycle_time
 from spiderweb.schedule import (
-    CYCLE_EXCHANGES,
-    CYCLE_ONE_QUBIT_GATES,
-    CYCLE_SHUTTLES,
     HOME_QUBITS,
     Event,
     EventTrace,
@@ -23,8 +21,6 @@ from spiderweb.schedule import (
     SoloGate,
     Step,
     StepTable,
-    TimingParams,
-    cycle_time,
     default_step_table,
     _windows,
     simulate_cycle,
