@@ -168,14 +168,14 @@ def _cmd_verify(args) -> int:
     validate_config(config.array).raise_if_invalid()
     checks: list[dict[str, object]] = []
 
-    for check in qgates.verify_identities(corrupt=args.corrupt):
+    for check in qgates.verify_identities(corrupt=args.corrupt if args.corrupt == "sp-sign" else None):
         checks.append({
             "check": f"identity:{check.name}",
             "passed": check.passed,
             "residual": check.residual,
         })
     for kind in ("X", "Z"):
-        ok = qgates.verify_plaquette(kind)
+        ok = qgates.verify_plaquette(kind, corrupt=args.corrupt == "plaquette")
         checks.append({"check": f"plaquette:{kind}", "passed": ok, "residual": None})
 
     table = schedule.default_step_table()
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run gate-algebra and schedule verification")
     _common_options(p_verify, formats=("text", "json"))
-    p_verify.add_argument("--corrupt", choices=("sp-sign",), default=None,
+    p_verify.add_argument("--corrupt", choices=("sp-sign", "plaquette"), default=None,
                           help="negative-control hook: inject a known fault")
     p_verify.add_argument("--json", dest="format", action="store_const", const="json",
                           help="shorthand for --format json")

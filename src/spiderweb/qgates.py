@@ -11,7 +11,9 @@ R_a(theta) = exp(-i*theta*sigma_a/2), so R_z(theta) = diag(e^{-i theta/2},
 e^{i theta/2}) and a 2*pi rotation is -I.  Qubit indices are 1-based.
 
 Matrices are lists of rows of Python complex numbers: at 32x32 at most, plain
-Python costs less than importing an array package.
+Python costs less than importing an array package.  The two plaquette
+references depend on nothing but their kind, so each is built once per process
+and kept as an immutable tuple of row tuples.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 from functools import partial, reduce
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = ["Circuit", "IdentityCheck", "PlacedGate", "build_plaquette", "compose", "concurrence", "expand",
@@ -96,7 +98,8 @@ def _layout(n_qubits: int, targets: tuple[int, ...]) -> tuple[int, list[int]]:
     offsets = [0]
     for t in targets:
         offsets = [o | b for o in offsets for b in (0, 1 << (n_qubits - t))]
-    return offsets[-1], [offsets.index(i & offsets[-1]) for i in range(1 << n_qubits)]
+    position = {o: g for g, o in reversed(list(enumerate(offsets)))}  # a repeated target: the first wins
+    return offsets[-1], [position[i & offsets[-1]] for i in range(1 << n_qubits)]
 
 
 def expand(matrix: Matrix, n_qubits: int, targets: tuple[int, ...]) -> list[list[complex]]:
@@ -235,7 +238,7 @@ class IdentityCheck(NamedTuple):
 
 
 def _residual(u: Matrix, v: Matrix, phase: complex = 1) -> float:
-    return max(abs(x - phase * y) for ru, rv in zip(u, v) for x, y in zip(ru, rv))
+    return max(map(abs, map(sub, chain.from_iterable(u), map(mul, repeat(phase), chain.from_iterable(v)))))
 
 
 def _phase_residual(u: Matrix, v: Matrix) -> float:
@@ -339,18 +342,24 @@ def build_plaquette(kind: str, corrupt: bool = False) -> Circuit:
     return Circuit(n_qubits=5, steps=steps)
 
 
-def reference_plaquette(kind: str) -> list[list[complex]]:
+_references: dict[str, tuple[tuple[complex, ...], ...]] = {}
+
+
+def reference_plaquette(kind: str) -> tuple[tuple[complex, ...], ...]:
     """Textbook stabilizer-measurement unitary the plaquette circuit must match.
 
     Both kinds reduce to controlled-phase interactions between the ancilla
     and each data qubit, conjugated by Hadamards: on every qubit for the X
-    stabilizer, on the ancilla alone for the Z stabilizer.
+    stabilizer, on the ancilla alone for the Z stabilizer.  Composed on the
+    first call for each kind; later calls return that same tuple.
     """
-    if kind not in ("X", "Z"):
-        raise ValueError(f"unknown plaquette kind {kind!r}; expected 'X' or 'Z'")
-    h_wall = _wall("h", _QUBITS if kind == "X" else (_ANCILLA,))
-    cz_chain = tuple((PlacedGate("cz", (_ANCILLA, d)),) for d in _DATA)
-    return compose(Circuit(n_qubits=5, steps=(h_wall, *cz_chain, h_wall)))
+    if kind not in _references:
+        if kind not in ("X", "Z"):
+            raise ValueError(f"unknown plaquette kind {kind!r}; expected 'X' or 'Z'")
+        h_wall = _wall("h", _QUBITS if kind == "X" else (_ANCILLA,))
+        cz_chain = tuple((PlacedGate("cz", (_ANCILLA, d)),) for d in _DATA)
+        _references[kind] = tuple(map(tuple, compose(Circuit(n_qubits=5, steps=(h_wall, *cz_chain, h_wall)))))
+    return _references[kind]
 
 
 def verify_plaquette(kind: str, corrupt: bool = False) -> bool:

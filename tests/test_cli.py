@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiderweb
-from spiderweb import cli, config, electronics, power, report, schedule, wiring
+from spiderweb import cli, config, electronics, power, qgates, report, schedule, wiring
 from spiderweb.cli import _sweep_csv, _sweep_json, main
 from spiderweb.config import load_config
 from spiderweb.report import SWEEP_FIELDS, sweep_record
@@ -384,6 +384,33 @@ class TestVerify:
             "schedule:steps-3-13-single-shuttle",
             "schedule:conflict-free",
         }
+
+    def test_corrupt_plaquette_fails_both_kinds(self, capsys):
+        code, out, _ = run(capsys, "verify", "--corrupt", "plaquette", "--json")
+        assert code == 2
+        failed = [c["check"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == ["plaquette:X", "plaquette:Z"]
+
+    def test_references_composed_once_per_process(self, capsys, monkeypatch):
+        # each verify composes both plaquette circuits and embeds six identity
+        # gates; only the two references are kept from the first verify
+        monkeypatch.setattr(qgates, "_references", {})
+        calls = {"compose": 0, "expand": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(qgates, name, counted(name, getattr(qgates, name)))
+        counts = []
+        for argv in (["verify"], ["verify", "--json"], ["verify"]):
+            before = dict(calls)
+            assert run(capsys, *argv)[0] == 0
+            counts.append({name: calls[name] - before[name] for name in calls})
+        assert counts == [{"compose": 4, "expand": 6}, {"compose": 2, "expand": 6}, {"compose": 2, "expand": 6}]
 
     def test_invalid_array_exits_1(self, capsys):
         code, out, err = run(capsys, "verify", "--set", "n_b=7")

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spiderweb import qgates
 from spiderweb.qgates import (
     Circuit,
     PlacedGate,
     build_plaquette,
     compose,
+    _layout,
     _phase_residual,
+    _residual,
     concurrence,
     expand,
     gate,
@@ -338,6 +341,28 @@ class TestPlaquettes:
             reference_plaquette("Y")
 
 
+class TestReferenceMemo:
+    @pytest.mark.parametrize("kind", ["X", "Z"])
+    def test_built_once_as_row_tuples(self, kind):
+        reference = reference_plaquette(kind)
+        assert reference is reference_plaquette(kind)
+        assert type(reference) is tuple and all(type(row) is tuple for row in reference)
+
+    @pytest.mark.parametrize("kind", ["X", "Z"])
+    def test_entries_are_those_of_a_fresh_composition(self, kind):
+        h_wall = tuple(PlacedGate("h", (q,)) for q in ((1, 2, 3, 4, 5) if kind == "X" else (1,)))
+        cz_chain = tuple((PlacedGate("cz", (1, d)),) for d in (2, 3, 4, 5))
+        fresh = compose(Circuit(5, (h_wall, *cz_chain, h_wall)))
+        assert repr(reference_plaquette(kind)) == repr(tuple(map(tuple, fresh)))
+
+    @pytest.mark.parametrize("kind", ["X", "Z"])
+    def test_kept_reference_still_catches_a_faulty_circuit(self, kind, monkeypatch):
+        monkeypatch.setattr(qgates, "_references", {})  # the first call builds it
+        assert verify_plaquette(kind)
+        assert not verify_plaquette(kind, corrupt=True)
+        assert verify_plaquette(kind)
+
+
 # Property tests against an oracle built here with numpy: a k-qubit gate acts
 # on the leading qubits of np.kron(u, I), and an axis permutation moves those
 # qubits to the targets.
@@ -413,3 +438,54 @@ def test_rotations_match_math(theta):
     }
     for name, matrix in expected.items():
         assert np.max(np.abs(np.asarray(gate(name, theta)) - np.asarray(matrix))) < 1e-15
+
+
+# Plain definitions of ``_layout`` (a list search) and ``_residual`` (a generator
+# over row pairs), kept as oracles.
+
+def index_search_layout(n_qubits, targets):
+    offsets = [0]
+    for t in targets:
+        offsets = [o | b for o in offsets for b in (0, 1 << (n_qubits - t))]
+    return offsets[-1], [offsets.index(i & offsets[-1]) for i in range(1 << n_qubits)]
+
+
+def generator_residual(u, v, phase=1):
+    return max(abs(x - phase * y) for ru, rv in zip(u, v) for x, y in zip(ru, rv))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_layout_matches_index_search(n):
+    # every tuple of targets, repeats included: a diagonal gate reaches _layout unchecked
+    for k in range(1, n + 1):
+        for targets in itertools.product(range(1, n + 1), repeat=k):
+            assert _layout(n, targets) == index_search_layout(n, targets)
+
+
+COMPLEX = st.complex_numbers(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def matrix_pairs(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = st.lists(st.lists(COMPLEX, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return draw(entries), draw(entries)
+
+
+def outcome(residual, *args) -> str:
+    try:
+        return repr(residual(*args))
+    except OverflowError as exc:  # abs() of a complex entry beyond the float range
+        return repr(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=matrix_pairs(), phase=st.one_of(st.just(1), COMPLEX))
+@example(pair=([[0j]], [[complex(1.3e308, 1.3e308)]]), phase=1)
+def test_residual_bit_identical_to_generator(pair, phase):
+    u, v = pair
+    assert outcome(_residual, u, v, phase) == outcome(generator_residual, u, v, phase)
+    a, b = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    with np.errstate(all="ignore"):  # numpy scalars warn where Python complex gives inf or nan quietly
+        assert outcome(_residual, a, b, phase) == outcome(generator_residual, a, b, phase)
+        assert outcome(_residual, a, v) == outcome(generator_residual, a, v)
