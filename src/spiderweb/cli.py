@@ -143,14 +143,30 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n    ", ": "))
+_FLAT_ENCODERS = [json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n" + "  " * depth, ": "))
+                  for depth in range(1, 5)]
+
+
+def _flat_json(record: dict[str, object], depth: int) -> str:
+    """``json.dumps(record, indent=2, sort_keys=True, allow_nan=False)`` for a dict of scalars ``depth``
+    levels into an indent-2 document, written by the C encoder, which ``indent`` would switch off."""
+    text = _FLAT_ENCODERS[depth].encode(record)
+    return "{\n" + "  " * (depth + 1) + text[1:-1] + "\n" + "  " * depth + "}" if record else "{}"
 
 
 def _sweep_json(records: list[dict[str, object]]) -> str:
-    """``json.dumps(records, indent=2, sort_keys=True, allow_nan=False)`` for flat records,
-    each written by the C encoder, which ``indent`` would switch off."""
-    items = ["{\n    " + _RECORD_ENCODER.encode(r)[1:-1] + "\n  }" if r else "{}" for r in records]
+    """``json.dumps(records, indent=2, sort_keys=True, allow_nan=False)`` for flat records."""
+    items = [_flat_json(r, 1) for r in records]
     return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+
+
+def _verify_json(passed: bool, checks: list[dict[str, object]]) -> str:
+    """``json.dumps({"checks": checks, "passed": passed}, indent=2, sort_keys=True, allow_nan=False)``
+    for checks of scalars, but for a ``detail`` dict of scalars."""
+    items = [_flat_json({**c, "detail": 0}, 2).replace('"detail": 0', '"detail": ' + _flat_json(c["detail"], 3), 1)
+             if "detail" in c else _flat_json(c, 2) for c in checks]
+    listed = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    return f'{{\n  "checks": {listed},\n  "passed": {json.dumps(passed)}\n}}'
 
 
 def _sweep_csv(records: list[dict[str, object]]) -> str:
@@ -166,14 +182,9 @@ def _csv(rows) -> str:
 def _cmd_verify(args) -> int:
     config = load_config(_config_path(args), args.overrides)
     validate_config(config.array).raise_if_invalid()
-    checks: list[dict[str, object]] = []
-
-    for check in qgates.verify_identities(corrupt=args.corrupt if args.corrupt == "sp-sign" else None):
-        checks.append({
-            "check": f"identity:{check.name}",
-            "passed": check.passed,
-            "residual": check.residual,
-        })
+    checks: list[dict[str, object]] = [
+        {"check": f"identity:{check.name}", "passed": check.passed, "residual": check.residual}
+        for check in qgates.verify_identities(corrupt=args.corrupt if args.corrupt == "sp-sign" else None)]
     for kind in ("X", "Z"):
         ok = qgates.verify_plaquette(kind, corrupt=args.corrupt == "plaquette")
         checks.append({"check": f"plaquette:{kind}", "passed": ok, "residual": None})
@@ -187,12 +198,7 @@ def _cmd_verify(args) -> int:
         "readout_phases": 1,
         "steps": CYCLE_STEPS,
     }
-    checks.append({
-        "check": "schedule:census",
-        "passed": census == expected,
-        "residual": None,
-        "detail": census,
-    })
+    checks.append({"check": "schedule:census", "passed": census == expected, "residual": None, "detail": census})
     # the README's contract: exactly two steps move only data qubit D1
     solo_ok = sum(s.home_shuttling_qubits() == ("D1",) for s in table.steps) == 2
     checks.append({"check": "schedule:steps-3-13-single-shuttle", "passed": solo_ok, "residual": None})
@@ -210,8 +216,7 @@ def _cmd_verify(args) -> int:
 
     all_ok = all(c["passed"] for c in checks)
     if args.format == "json":
-        doc = {"passed": all_ok, "checks": checks}
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _emit(args, _verify_json(all_ok, checks), "\n")
     else:
         width = max(len(str(c["check"])) for c in checks)
         lines = []

@@ -13,7 +13,8 @@ e^{i theta/2}) and a 2*pi rotation is -I.  Qubit indices are 1-based.
 Matrices are lists of rows of Python complex numbers: at 32x32 at most, plain
 Python costs less than importing an array package.  The two plaquette
 references depend on nothing but their kind, so each is built once per process
-and kept as an immutable tuple of row tuples.
+and kept as an immutable tuple of row tuples; so is the layout of a gate's
+targets in a register of up to five qubits, up to a bound.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ _CZ = _m((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1))
 _CNOT = _m((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 _FIXED_GATES = {"i": _I2, "x": _X, "y": _Y, "z": _Z, "h": _H, "sqrt_swap": _SQRT_SWAP, "sp": _SP,
                 "sp_dag": _dagger(_SP), "swap": _SWAP, "cz": _CZ, "cnot": _CNOT}
+_ARITY = {**{name: len(m) // 2 for name, m in _FIXED_GATES.items()}, "rx": 1, "ry": 1, "rz": 1}  # qubits acted on
 
 
 def gate(name: str, *params: float) -> list[list[complex]]:
@@ -92,14 +94,23 @@ def _diagonal(matrix: Matrix) -> list[complex] | None:
     return [row[i] for i, row in enumerate(matrix)]
 
 
-def _layout(n_qubits: int, targets: tuple[int, ...]) -> tuple[int, list[int]]:
+_layouts: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
+LAYOUTS_KEPT = 512  # above the 414 valid layouts of up to five qubits; larger registers are never kept
+
+
+def _layout(n_qubits: int, targets: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Bit mask of the targets in a register index, and for each register index
     the gate index its target bits form (the first target most significant)."""
-    offsets = [0]
-    for t in targets:
-        offsets = [o | b for o in offsets for b in (0, 1 << (n_qubits - t))]
-    position = {o: g for g, o in reversed(list(enumerate(offsets)))}  # a repeated target: the first wins
-    return offsets[-1], [position[i & offsets[-1]] for i in range(1 << n_qubits)]
+    layout = _layouts.get(key := (n_qubits, tuple(targets)))
+    if layout is None:
+        offsets = [0]
+        for t in targets:
+            offsets = [o | b for o in offsets for b in (0, 1 << (n_qubits - t))]
+        position = {o: g for g, o in reversed(list(enumerate(offsets)))}  # a repeated target: the first wins
+        layout = offsets[-1], tuple([position[i & offsets[-1]] for i in range(1 << n_qubits)])
+        if n_qubits <= 5 and len(_layouts) < LAYOUTS_KEPT:
+            _layouts[key] = layout
+    return layout
 
 
 def expand(matrix: Matrix, n_qubits: int, targets: tuple[int, ...]) -> list[list[complex]]:
@@ -143,6 +154,9 @@ class Circuit(NamedTuple):
         if not 1 <= self.n_qubits <= 5:
             raise ValueError("circuits support 1 to 5 qubits")
         for step_index, step in enumerate(self.steps, start=1):
+            for placed in step:  # as expand checks them; an unknown name fails in gate()
+                if not len(set(placed.targets)) == len(placed.targets) == _ARITY.get(placed.name, len(placed.targets)):
+                    raise ValueError(f"step {step_index}: gate {placed.name!r} does not fit targets {placed.targets}")
             targets = [t for placed in step for t in placed.targets]
             for t in targets:
                 if not 1 <= t <= self.n_qubits:

@@ -19,10 +19,11 @@ interleaving of the dressing pulses is a free choice.
 
 A long program repeats a few distinct step bodies (a step without its index),
 so the parser reads each distinct body once, and the simulator lowers and
-checks each once, at the first step that carries it; every step then stamps
-its own index and times on the body's events.  This is exact: the lanes and
-the region, channel and two-region checks read only the body, and the clock
-only the integer window counts so far.
+checks each once per process, at the first step that carries it; every step
+then stamps its own index and times on the body's events.  This is exact: the
+lanes and the region, channel and two-region checks read only the body, and
+the clock only the integer window counts so far.  A body that fails its
+checks is never kept: its error names its first step in the table at hand.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ HOME_QUBITS = ("D1", "D2", "A1", "A2")
 
 REGION_CAPACITY = 2   # electrons per operation region
 CHANNEL_CAPACITY = 1  # electrons per shuttling channel
+PLANS_KEPT = 1024     # step-body plans kept per process; the oldest goes first
+_plans: dict[tuple, tuple] = {}  # step body (a step without its index) -> its checked plan
 
 
 class SoloGate(NamedTuple):
@@ -281,14 +284,16 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s, "readout": timing.readout_s}
     half_trip = timing.shuttle_s / 2.0
     counts = _zero_counts()
-    plans: dict[tuple, tuple] = {}
     runs: list[tuple] = []
     parked: list[tuple[int, tuple]] = []  # (step, the return trips it parks)
     for step in table.steps:
         body = step[1:]
-        plan = plans.get(body)
+        plan = _plans.get(body)
         if plan is None:
-            plan = plans[body] = _plan(step)
+            plan = _plan(step)
+            if len(_plans) >= PLANS_KEPT:
+                del _plans[next(iter(_plans))]
+            _plans[body] = plan
         kinds, template, returns = plan
         times = []  # the events of a window share these time objects
         for kind in kinds:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import spiderweb
 from spiderweb import cli, config, electronics, power, qgates, report, schedule, wiring
-from spiderweb.cli import _sweep_csv, _sweep_json, main
+from spiderweb.cli import _sweep_csv, _sweep_json, _verify_json, main
 from spiderweb.config import load_config
 from spiderweb.report import SWEEP_FIELDS, sweep_record
 
@@ -359,6 +359,52 @@ class TestSweepWriters:
         assert _sweep_csv(records) == _dictwriter_csv(records)
 
 
+_DETAILS = st.dictionaries(st.one_of(st.text(), _NASTY), _SCALARS, max_size=5)
+_CHECKS = st.lists(st.one_of(
+    st.fixed_dictionaries({"check": st.one_of(st.text(), _NASTY), "passed": st.booleans(), "residual": _SCALARS}),
+    st.fixed_dictionaries({"check": st.one_of(st.text(), _NASTY), "passed": st.booleans(), "residual": _SCALARS,
+                           "detail": _DETAILS}),
+), max_size=6)
+
+
+class TestVerifyWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(passed=st.booleans(), checks=_CHECKS)
+    @example(passed=True, checks=[])
+    @example(passed=False, checks=[{"check": "a", "passed": False, "residual": None, "detail": {}},
+                                   {"check": '"detail": 0', "passed": True, "residual": 1e-17,
+                                    "detail": {"detail": 0, '"detail": 0': "µ \"q\""}}])
+    def test_is_the_indent_2_sorted_document(self, passed, checks):
+        expected = json.dumps({"passed": passed, "checks": checks}, indent=2, sort_keys=True, allow_nan=False)
+        assert _verify_json(passed, checks) == expected
+
+    @pytest.mark.parametrize("check", [
+        {"check": "identity:x", "passed": True, "residual": math.inf},
+        {"check": "schedule:x", "passed": True, "residual": None, "detail": {"makespan_s": -math.inf}},
+    ], ids=["residual", "detail"])
+    def test_rejects_non_finite(self, check):
+        with pytest.raises(ValueError):
+            _verify_json(True, [check])
+
+    def test_infinite_residual_exits_1(self, capsys, monkeypatch):
+        inf = qgates.IdentityCheck("sp-squared", math.inf, 1e-12)
+        monkeypatch.setattr(qgates, "verify_identities", lambda corrupt=None: [inf])
+        code, out, err = run(capsys, "verify", "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+
+    # sha256 of each document as json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) wrote it
+    @pytest.mark.parametrize("argv, code, digest", [
+        ((), 0, "31f62402bb0d380ccd27d3f7f9caa2c8d021e287117eed7c54d61d0570a46e35"),
+        (("--corrupt", "sp-sign"), 2, "c16fdcbd213ac9a5c3f140da259d442f2edae4f90b3c5d000de9665fadc5aaab"),
+        (("--corrupt", "plaquette"), 2, "95ad408cdc4c79fe762b3c8ad2335a487488fafdb59db529f0d11891918fc561"),
+    ], ids=["clean", "sp-sign", "plaquette"])
+    def test_output_bytes(self, capsys, argv, code, digest):
+        result = run(capsys, "verify", "--json", *argv)
+        assert result[0] == code
+        assert hashlib.sha256(result[1].encode("utf-8")).hexdigest() == digest
+
+
 class TestVerify:
     def test_clean_build_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -450,25 +496,27 @@ class TestSimulate:
         assert {"time_s", "step", "qubit", "op", "resource"} == set(rows[0])
         assert any(r["op"] == "readout" for r in rows)
 
-    def test_custom_table_conflict_exits_2(self, capsys, tmp_path):
+    def test_custom_table_conflict_exits_2(self, capsys, tmp_path, cold_caches):
         table = tmp_path / "bad.steps"
         table.write_text("1 one_qubit D1@op1:ry(-90) D2@op1:ry(-90) A1@op1:ry(-90)\n")
-        code, _, err = run(capsys, "simulate", "--table", str(table))
-        assert code == 2
-        assert "step 1" in err and "op1" in err
+        for _ in ("cold", "warm"):
+            code, _, err = run(capsys, "simulate", "--table", str(table))
+            assert code == 2
+            assert "step 1" in err and "op1" in err
 
     @pytest.mark.parametrize("line", [
         "1 one_qubit D1@op1:x D1@op2:x",
         "1 two_qubit D1+A1@op1:rz=D1 D1+A2@op2:rz=A2",
         "1 readout D1@op1 D1@op2",
     ], ids=["one-qubit", "two-pairs", "readout"])
-    def test_qubit_in_two_regions_exits_2(self, capsys, tmp_path, line):
+    def test_qubit_in_two_regions_exits_2(self, capsys, tmp_path, line, cold_caches):
         table = tmp_path / "twice.steps"
         table.write_text(line + "\n")
-        code, out, err = run(capsys, "simulate", "--table", str(table))
-        assert code == 2
-        assert out == ""
-        assert err == "schedule conflict: step 1: qubit 'D1' is in 2 regions (op1, op2) in one window\n"
+        for _ in ("cold", "warm"):
+            code, out, err = run(capsys, "simulate", "--table", str(table))
+            assert code == 2
+            assert out == ""
+            assert err == "schedule conflict: step 1: qubit 'D1' is in 2 regions (op1, op2) in one window\n"
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_non_finite_times_exit_1(self, capsys, fmt):

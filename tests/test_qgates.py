@@ -179,6 +179,18 @@ class TestCompose:
         with pytest.raises(ValueError, match="out of range"):
             compose(Circuit(2, ((PlacedGate("z", (5,)),),)))
 
+    @pytest.mark.parametrize("placed", [
+        PlacedGate("cz", (1,)),
+        PlacedGate("cz", (1, 1)),
+        PlacedGate("rz", (1, 2), (0.3,)),
+    ], ids=["two-qubit-gate-one-target", "duplicate-targets", "one-qubit-gate-two-targets"])
+    def test_gate_that_does_not_fit_its_targets_rejected(self, placed, cold_caches):
+        # as expand rejects them, before any target reaches the layout memo
+        with pytest.raises(ValueError) as err:
+            compose(Circuit(2, ((placed,),)))
+        assert str(err.value) == f"step 1: gate {placed.name!r} does not fit targets {placed.targets}"
+        assert qgates._layouts == {}
+
 
 class TestGlobalPhase:
     def test_negated_matrix_equal(self):
@@ -455,11 +467,45 @@ def generator_residual(u, v, phase=1):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_layout_matches_index_search(n):
-    # every tuple of targets, repeats included: a diagonal gate reaches _layout unchecked
+def test_layout_matches_index_search(n, cold_caches):
+    # every tuple of targets, repeats included (a direct call can pass one), built and then kept
     for k in range(1, n + 1):
         for targets in itertools.product(range(1, n + 1), repeat=k):
-            assert _layout(n, targets) == index_search_layout(n, targets)
+            mask, index = index_search_layout(n, targets)
+            assert _layout(n, targets) == _layout(n, targets) == (mask, tuple(index))
+
+
+class TestLayoutMemo:
+    def test_kept_as_tuples(self, cold_caches):
+        layout = _layout(5, (1, 3))
+        assert type(layout) is tuple and type(layout[1]) is tuple
+        assert _layout(5, (1, 3)) is layout and _layout(5, [1, 3]) is layout
+
+    def test_never_grows_past_its_bound(self, cold_caches):
+        keys = list(itertools.product(range(1, 6), repeat=5))
+        assert len(keys) > qgates.LAYOUTS_KEPT
+        for targets in keys:
+            _layout(5, targets)
+        assert len(qgates._layouts) == qgates.LAYOUTS_KEPT
+        mask, index = index_search_layout(5, keys[-1])
+        assert _layout(5, keys[-1]) == (mask, tuple(index))  # past the bound: built, not kept
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_large_registers_are_not_kept(self, n, cold_caches):
+        mask, index = index_search_layout(n, (1, n))
+        assert _layout(n, (1, n)) == (mask, tuple(index))
+        assert qgates._layouts == {}
+        expand(gate("x"), 7, (3,))
+        assert qgates._layouts == {}
+
+    def test_verify_fills_it_once(self, cold_caches):
+        verify_identities()
+        verify_plaquette("X")
+        kept = dict(qgates._layouts)
+        assert kept and all(n <= 5 for n, _ in kept)
+        verify_identities()
+        verify_plaquette("X")
+        assert qgates._layouts == kept and all(qgates._layouts[key] is value for key, value in kept.items())
 
 
 COMPLEX = st.complex_numbers(allow_nan=True, allow_infinity=True)

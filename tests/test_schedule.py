@@ -2,14 +2,15 @@ import csv
 import hashlib
 import io
 import itertools
-import json
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+import schedule_oracle
+from spiderweb import schedule
 from spiderweb.errors import ScheduleConflictError
 from spiderweb.config import TimingParams
 from spiderweb.model import CYCLE_EXCHANGES, CYCLE_ONE_QUBIT_GATES, CYCLE_SHUTTLES, ArrayConfig, cycle_time
@@ -22,7 +23,6 @@ from spiderweb.schedule import (
     Step,
     StepTable,
     default_step_table,
-    _windows,
     simulate_cycle,
     step_table_from_text,
     step_table_to_text,
@@ -77,6 +77,19 @@ class TestDefaultTable:
 
     def test_home_qubit_roles(self):
         assert HOME_QUBITS == ("D1", "D2", "A1", "A2")
+
+
+def conflict_cold_and_warm(table: StepTable) -> ScheduleConflictError:
+    """Simulate a conflicting table twice: first on the caches the test left (empty,
+    under ``cold_caches``), then on the plans the first run kept.  Both runs must
+    raise the same error; the second one is returned."""
+    seen = []
+    for _ in ("cold", "warm"):
+        with pytest.raises(ScheduleConflictError) as err:
+            simulate_cycle(table, TIMING)
+        seen.append((str(err.value), err.value.step, err.value.resource, err.value.occupants, err.value.capacity))
+    assert seen[0] == seen[1]
+    return err.value
 
 
 class TestCycleTime:
@@ -154,38 +167,34 @@ class TestSimulation:
         trace = simulate_cycle(default_step_table(), TIMING)
         assert any("lattice_surgery_interrupt" in a for a in trace.annotations)
 
-    def test_region_overload_rejected_with_location(self):
+    def test_region_overload_rejected_with_location(self, cold_caches):
         text = step_table_to_text(default_step_table())
         corrupted = text.replace("D2@op2:ry(-90)", "D2@op1:ry(-90)", 1)
-        table = step_table_from_text(corrupted)
-        with pytest.raises(ScheduleConflictError) as err:
-            simulate_cycle(table, TIMING)
-        assert err.value.step == 1
-        assert err.value.resource == "op1"
-        assert len(err.value.occupants) == 3
+        err = conflict_cold_and_warm(step_table_from_text(corrupted))
+        assert err.step == 1
+        assert err.resource == "op1"
+        assert len(err.occupants) == 3
 
-    def test_channel_overuse_rejected(self):
+    def test_channel_overuse_rejected(self, cold_caches):
         step = Step(1, "one_qubit", solo_gates=(
             SoloGate("D1", "op1", "ry(-90)"),
             SoloGate("D1", "op1", "rz(90)"),
         ))
-        with pytest.raises(ScheduleConflictError) as err:
-            simulate_cycle(StepTable((step,)), TIMING)
-        assert err.value.resource == "D1~op1"
-        assert err.value.capacity == 1
+        err = conflict_cold_and_warm(StepTable((step,)))
+        assert err.resource == "D1~op1"
+        assert err.capacity == 1
 
     @pytest.mark.parametrize("text", [
         "1 one_qubit D1@op1:x D1@op2:x\n",
         "1 two_qubit D1+A1@op1:rz=D1 D1+A2@op2:rz=A2\n",
         "1 readout D1@op1 D1@op2\n",
     ], ids=["one-qubit", "two-pairs", "readout"])
-    def test_qubit_in_two_regions_rejected(self, text):
-        with pytest.raises(ScheduleConflictError) as err:
-            simulate_cycle(step_table_from_text(text), TIMING)
-        assert err.value.step == 1
-        assert err.value.resource == "D1"
-        assert err.value.occupants == ("op1", "op2")
-        assert "qubit 'D1' is in 2 regions (op1, op2)" in str(err.value)
+    def test_qubit_in_two_regions_rejected(self, text, cold_caches):
+        err = conflict_cold_and_warm(step_table_from_text(text))
+        assert err.step == 1
+        assert err.resource == "D1"
+        assert err.occupants == ("op1", "op2")
+        assert "qubit 'D1' is in 2 regions (op1, op2)" in str(err)
 
     def test_csv_export_shape(self):
         trace = simulate_cycle(default_step_table(), TIMING)
@@ -306,16 +315,8 @@ def _labelled_step(draw, index: int) -> Step:
 
 
 def _trace_document_json(trace) -> str:
-    doc = {
-        "makespan_s": trace.makespan_s,
-        "counters": trace.counters,
-        "annotations": list(trace.annotations),
-        "events": [
-            {"time_s": e.time_s, "step": e.step, "qubit": e.qubit, "op": e.op, "resource": e.resource}
-            for e in trace.events
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    """The trace's own events, written by the oracle's ``json.dumps(indent=2, sort_keys=True)``."""
+    return schedule_oracle.OracleTrace(trace.events, trace.counters, trace.makespan_s, trace.annotations).to_json()
 
 
 @settings(max_examples=200, deadline=None)
@@ -385,6 +386,7 @@ def test_generated_table_output_bytes(steps, csv_digest, json_digest):
     assert hashlib.sha256(trace.to_json().encode("utf-8")).hexdigest() == json_digest
 
 
+@pytest.mark.usefixtures("cold_caches")
 class TestRepeatedBodies:
     """Each distinct step body is lowered, checked and parsed once."""
 
@@ -392,10 +394,26 @@ class TestRepeatedBodies:
 
     def test_conflicting_body_raises_at_its_first_step(self):
         text = f"1 one_qubit D1@op1:x\n4 {self.OVERLOAD}\n5 hook\n7 {self.OVERLOAD}\n"
-        with pytest.raises(ScheduleConflictError) as err:
-            simulate_cycle(step_table_from_text(text), TIMING)
-        assert err.value.step == 4
-        assert str(err.value) == "step 4: resource 'op1' holds 3 electrons (D1, A1, D2), capacity 2"
+        err = conflict_cold_and_warm(step_table_from_text(text))
+        assert err.step == 4
+        assert str(err) == "step 4: resource 'op1' holds 3 electrons (D1, A1, D2), capacity 2"
+
+    def test_conflict_names_the_first_step_of_each_table(self):
+        # a body that fails its checks is never kept, so another table names its own step
+        for text, step in ((f"1 one_qubit D1@op1:x\n4 {self.OVERLOAD}\n", 4),
+                           (f"2 {self.OVERLOAD}\n3 one_qubit D1@op1:x\n", 2),
+                           (f"1 one_qubit D1@op1:x\n9 {self.OVERLOAD}\n", 9)):
+            err = conflict_cold_and_warm(step_table_from_text(text))
+            assert str(err) == f"step {step}: resource 'op1' holds 3 electrons (D1, A1, D2), capacity 2"
+
+    def test_plans_are_kept_across_calls_and_tables(self):
+        shipped = simulate_cycle(default_step_table(), TIMING)
+        again = simulate_cycle(default_step_table(), random_timing(random.Random(7)))
+        assert all(a is b for (_, _, a), (_, _, b) in zip(shipped.runs, again.runs))
+        # a generated table draws the shipped bodies at other indices: their templates are reused
+        templates = {id(template) for _, _, template in shipped.runs}
+        generated = simulate_cycle(generated_table(random.Random(3), 64), TIMING)
+        assert {id(template) for _, _, template in generated.runs} <= templates
 
     def test_repeated_body_events_carry_each_steps_index(self):
         body = "two_qubit A1+D1@op1:rz=A1"
@@ -478,38 +496,123 @@ def _crowded_step(draw, index: int) -> Step:
     return Step(index, kind, measured=gates) if kind == "readout" else Step(index, kind, solo_gates=gates)
 
 
-def _first_conflict(table: StepTable) -> str | None:
-    """The first window rule the table breaks, written out plainly: within a window, each
-    region in the order it is first used, then each channel, then a qubit in two regions."""
-    for step in table.steps:
-        for _, movers, actors, _ in _windows(step):
-            regions, channels, places = {}, {}, {}
-            for qubit, _, region in actors:
-                regions.setdefault(region, []).append(qubit)
-                places.setdefault(qubit, {})[region] = None
-            for qubit, region in movers:
-                channels.setdefault(f"{qubit}~{region}", []).append(qubit)
-            for used, capacity in ((regions, 2), (channels, 1)):
-                for resource, occupants in used.items():
-                    if len(occupants) > capacity:
-                        return (f"step {step.index}: resource {resource!r} holds {len(occupants)} "
-                                f"electrons ({', '.join(occupants)}), capacity {capacity}")
-            for qubit, where in places.items():
-                if len(where) > 1:
-                    return (f"step {step.index}: qubit {qubit!r} is in {len(where)} regions "
-                            f"({', '.join(where)}) in one window")
-    return None
-
-
-@settings(max_examples=300, deadline=None)
+# ``cold_caches`` empties the caches once per test; each example empties them itself
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(steps=st.integers(1, 4).flatmap(lambda n: st.tuples(*(_crowded_step(i) for i in range(1, n + 1)))))
 @example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D1", "op1", "x"), SoloGate("D1", "op1", "x"),
                                                   SoloGate("A1", "op1", "x"))),))
-def test_window_checks_keep_their_order_and_text(steps):
-    expected = _first_conflict(StepTable(steps))
+def test_window_checks_keep_their_order_and_text(cold_caches, steps):
+    """The first broken rule within a window: each region in the order it is first
+    used, then each channel, then a qubit in two regions, as the oracle checks them."""
+    table = StepTable(steps)
     try:
-        simulate_cycle(StepTable(steps), TIMING)
-    except ScheduleConflictError as err:
-        assert str(err) == expected
+        schedule_oracle.simulate(table, TIMING)
+    except schedule_oracle.Conflict as conflict:
+        expected = str(conflict)
     else:
-        assert expected is None
+        expected = None
+    cold_caches()
+    for _ in ("cold", "warm"):
+        try:
+            simulate_cycle(table, TIMING)
+        except ScheduleConflictError as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
+
+
+# Labels that a writer splicing text could mistake for its own syntax: csv
+# separators and quotes, %-format fields, str.format braces, line breaks.
+_ORACLE_QUBITS = st.sampled_from(["D1", "A1", 'q"1', "q,2", "q%s", "{q}", "q\n4"])
+_ORACLE_REGIONS = st.sampled_from(["op1", "op%", 'r"', "r,\r\n", "{}"])
+_ORACLE_LABELS = st.sampled_from(["x", "ry(-90)", "%", "%s", "%%", "%(a)s", '"', ",", "\n", "{}", "{0}", "µ", ""])
+
+
+@st.composite
+def _oracle_body(draw) -> Step:
+    """One step body (index 0) whose gates may share qubits, regions and channels."""
+    kind = draw(st.sampled_from(("one_qubit", "one_qubit+park", "two_qubit", "readout", "hook")))
+    size = draw(st.integers(0, 3))
+    if kind == "hook":
+        return Step(0, "hook", note=draw(_ORACLE_LABELS))
+    if kind == "two_qubit":
+        pairs = [(draw(_ORACLE_QUBITS), draw(_ORACLE_QUBITS), draw(_ORACLE_REGIONS)) for _ in range(size)]
+        return Step(0, kind, pair_gates=tuple(PairGate(a, b, r, draw(st.sampled_from((a, b)))) for a, b, r in pairs))
+    gates = tuple(SoloGate(draw(_ORACLE_QUBITS), draw(_ORACLE_REGIONS), draw(_ORACLE_LABELS)) for _ in range(size))
+    if kind == "readout":
+        return Step(0, kind, measured=gates)
+    return Step(0, "one_qubit", solo_gates=gates, park=kind.endswith("+park"))
+
+
+def _tables_over(pool: list[Step]):
+    """Tables that draw the pool's bodies again and again, with gaps in the indices."""
+    return st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), max_size=12).map(
+        lambda picks: StepTable(tuple(body._replace(index=index) for (body, _), index in
+                                      zip(picks, itertools.accumulate(gap for _, gap in picks)))))
+
+
+def assert_matches_oracle(table: StepTable, timing: TimingParams) -> None:
+    try:
+        expected = schedule_oracle.simulate(table, timing)
+    except schedule_oracle.Conflict as conflict:
+        with pytest.raises(ScheduleConflictError) as err:
+            simulate_cycle(table, timing)
+        assert str(err.value) == str(conflict)
+        assert (err.value.step, err.value.resource, err.value.occupants, err.value.capacity) == (
+            conflict.step, conflict.resource, conflict.occupants, conflict.capacity)
+        return
+    trace = simulate_cycle(table, timing)
+    assert trace.events == expected.events
+    assert (trace.makespan_s, trace.counters, trace.annotations) == (
+        expected.makespan_s, expected.counters, expected.annotations)
+    assert trace.to_csv() == expected.to_csv()
+    assert trace.to_json() == expected.to_json()
+
+
+_PARKING = Step(0, "one_qubit", solo_gates=(SoloGate("q%s", "op%", "%(a)s"), SoloGate('q"1', "r,\r\n", "{0}")),
+                park=True)
+_READ = Step(0, "readout", measured=(SoloGate("q%s", "op%", "readout"), SoloGate('q"1', "r,\r\n", "readout")))
+
+
+def _placed(*bodies: Step) -> StepTable:
+    return StepTable(tuple(body._replace(index=i) for i, body in enumerate(bodies, start=1)))
+
+
+# ``cold_caches`` empties the caches once per test; each example empties them itself
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables=st.lists(_oracle_body(), min_size=1, max_size=4).flatmap(
+    lambda pool: st.tuples(_tables_over(pool), _tables_over(pool))), timing=_TIMINGS)
+@example(tables=(_placed(_PARKING, _READ), _placed(Step(0, "hook"), _PARKING, _PARKING._replace(park=False), _READ)),
+         timing=TIMING)
+def test_simulator_matches_the_per_event_oracle(cold_caches, tables, timing):
+    """Events, makespan, counters, annotations, both documents' bytes and the first
+    conflict's text, on an empty cache, then with the same bodies at other indices."""
+    cold_caches()
+    for table in (tables[0], tables[1], tables[0]):
+        assert_matches_oracle(table, timing)
+
+
+def test_oracle_matches_the_shipped_and_generated_tables(cold_caches):
+    for table in (default_step_table(), generated_table(random.Random(5), 128), default_step_table()):
+        assert_matches_oracle(table, random_timing(random.Random(len(table.steps))))
+
+
+class TestPlanCache:
+    def test_never_grows_past_its_bound(self, cold_caches):
+        # one-qubit steps with distinct labels: one body each, more than the cache keeps
+        steps = tuple(Step(i, "one_qubit", solo_gates=(SoloGate("D1", "op1", f"g{i}"),))
+                      for i in range(1, schedule.PLANS_KEPT + 41))
+        trace = simulate_cycle(StepTable(steps), TIMING)
+        assert len(schedule._plans) == schedule.PLANS_KEPT
+        assert list(schedule._plans)[-1] == steps[-1][1:]  # the oldest plans went first
+        assert [e.op for e in trace.events[-3:]] == ["shuttle_out", f"1q_gate:g{len(steps)}", "shuttle_back"]
+        simulate_cycle(default_step_table(), TIMING)
+        assert len(schedule._plans) == schedule.PLANS_KEPT
+
+    def test_a_conflicting_body_leaves_the_cache_unchanged(self, cold_caches):
+        simulate_cycle(default_step_table(), TIMING)
+        kept = dict(schedule._plans)
+        text = "1 one_qubit D1@op1:x A1@op1:x D2@op1:x\n"
+        with pytest.raises(ScheduleConflictError):
+            simulate_cycle(step_table_from_text(text), TIMING)
+        assert schedule._plans == kept and all(schedule._plans[body] is plan for body, plan in kept.items())
