@@ -81,7 +81,12 @@ def _config_path(args) -> str | None:
 
 
 def _pinned(args) -> float | None:
-    return parse_quantity(args.pin_cp) if args.pin_cp else None
+    if not args.pin_cp:
+        return None
+    pinned = parse_quantity(args.pin_cp)
+    if pinned < 0:
+        raise ValueError("pinned parasitic capacitance must be non-negative")
+    return pinned
 
 
 def _require_finite(values: dict[str, object], label: str) -> None:
@@ -115,10 +120,6 @@ def _flatten(doc, prefix: str = "") -> dict[str, object]:
     return flat
 
 
-# the sweep-record fields a valid point can leave non-finite, in ``report.SWEEP_FIELDS`` order
-_SWEEP_FLOATS = ("rent_exponent", "min_pitch_um", "cycle_mixed_s", "array_total_w")
-
-
 def _cmd_sweep(args) -> int:
     # the file, the base overrides, --pin-cp and the swept key are read once; the base values are
     # parsed into the first point, and each later point parses only its own value into the last
@@ -135,7 +136,7 @@ def _cmd_sweep(args) -> int:
         try:  # a section rule or the non-finite rule fails: name the point
             record = report.sweep_record(args.parameter, value, config, pinned, sweep)
             if record["valid"]:
-                _require_finite({field: record[field] for field in _SWEEP_FLOATS}, "value")
+                _require_finite(record, "value")
         except ValueError as exc:
             raise ValueError(f"sweep point {point}: {exc}") from exc
         records.append(record)

@@ -154,13 +154,9 @@ def total_power(
     pinned_parasitic_f: float | None = None,
 ) -> PowerReport:
     """Array power report from the grid's :func:`parasitic_capacitance` and the
-    hold capacitors' refresh rate; ``pinned_parasitic_f`` overrides the grid model."""
-    if pinned_parasitic_f is not None:
-        if pinned_parasitic_f < 0:
-            raise ValueError("pinned parasitic capacitance must be non-negative")
-        parasitic = pinned_parasitic_f
-    else:
-        parasitic = grid_capacitance.total_f
+    hold capacitors' refresh rate; ``pinned_parasitic_f`` (non-negative, as the CLI
+    checks) overrides the grid model."""
+    parasitic = grid_capacitance.total_f if pinned_parasitic_f is None else pinned_parasitic_f
     resolved = signals.resolved(cfg)
     line = transmission_line_power(resolved)
     return PowerReport(

@@ -7,13 +7,18 @@ budget.  Values are kept in SI units in the machine-readable document; the
 text renderer converts to engineering units.
 
 ``compute`` validates a configuration and runs every model stage once,
-returning the typed results; ``build_report`` lays them out as the document
-and ``sweep_record`` reads the few a sweep row needs.
+returning the typed results.  Each reported quantity is one row of
+``QUANTITIES``: its document path, how it is read from the results, its text
+label and formatter, and its sweep column if it is swept.  ``build_report``,
+``render_text``, ``SWEEP_FIELDS`` and ``sweep_record`` all read that table, so
+adding a quantity means adding one row.
 """
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from collections import namedtuple
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 from . import electronics, power, wiring
 from .config import _KEYMAP, ToolConfig
@@ -22,7 +27,7 @@ from .model import (READOUT_MODES, CycleTime, GeometrySummary, cycle_time, defau
                     validate_config)
 from .units import si_format
 
-__all__ = ["Design", "Sweep", "compute", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
+__all__ = ["Design", "Sweep", "compute", "QUANTITIES", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
 
 
 class Design(NamedTuple):
@@ -133,10 +138,113 @@ def compute(config: ToolConfig, pinned_parasitic_f: float | None = None, sweep: 
     return design
 
 
+def _si(unit: str) -> Callable[[float], str]:
+    return lambda value: si_format(value, unit)
+
+
+def _scaled(factor: float, unit: str) -> Callable[[float], str]:
+    return lambda value: f"{value * factor:.4g} {unit}"
+
+
+def _counts(level: str) -> Callable[[dict], str]:
+    return lambda doc: "{dc_biasing}/{shuttling}/{pulsed_mw}/{logical_ops}/{readout} = {total}".format(
+        **doc["lines"][level])
+
+
+def _cycle(mode: str) -> Callable[[dict], str]:
+    return lambda doc: "{}  (dephasing/cycle {:.2f})".format(
+        si_format(doc["timing"][mode]["cycle_s"], "s"), doc["timing"][mode]["coherence_ratio"])
+
+
+# One row of QUANTITIES; each field defaults to None.
+#   path    the dotted document path that ``build_report`` sets (``lines`` and ``timing`` are whole blocks)
+#   label   the label of one ``render_text`` line; a row without ``text`` prints it alone, as a heading
+#   text    formats the value at ``path`` for that line, or the whole document when there is no path
+#   column  the ``sweep_record`` field that holds the value
+#   get     reads the value from Design: a dotted attribute path (``path`` when omitted) or a function
+Quantity = namedtuple("Quantity", ("path", "label", "text", "column", "get"), defaults=(None,) * 5)
+
+# Every reported quantity, in text order.
+QUANTITIES = (
+    Quantity(label="geometry"),
+    Quantity("geometry.unit_cells", "  unit cells", str, "unit_cells"),
+    Quantity("geometry.qubit_count", "  qubits", str),
+    Quantity("geometry.plane_edge_m", "  plane edge", _si("m")),
+    Quantity("geometry.plane_area_m2", "  plane area", _scaled(1e6, "mm^2")),
+    Quantity("geometry.plane_perimeter_m", "  plane perimeter", _si("m")),
+    Quantity("geometry.gates_per_arm", "  gates per arm", str),
+    Quantity(label="line counts (dc/shuttle/pulsed/logical/readout = total)"),
+    Quantity("lines", get=lambda d: {level: count.to_dict() for level, count in d.lines.items()}),
+    Quantity(None, "  unit_cell", _counts("unit_cell"), "lines_unit_cell", lambda d: d.lines["unit_cell"].total),
+    Quantity(None, "  module", _counts("module")),
+    Quantity(None, "  quantum_plane", _counts("quantum_plane"), "lines_quantum_plane",
+             lambda d: d.lines["quantum_plane"].total),
+    Quantity("rent_exponent", "rent exponent", "{:.2f}".format, "rent_exponent"),
+    Quantity(label="logical qubit capacity"),
+    Quantity("capacity.defect", "  defect encoding", str, "capacity_defect", "capacity_defect"),
+    Quantity("capacity.lattice_surgery", "  lattice surgery", str, "capacity_lattice_surgery",
+             "capacity_lattice_surgery"),
+    Quantity("capacity.fabrication_crossbar_limit", "  crossbar fab limit", str, "crossbar_fab_limit",
+             "fabrication_crossbar_limit"),
+    Quantity(label="electronics"),
+    Quantity("electronics.coarse_hold_capacitance_f", "  coarse hold cap", _si("F"),
+             get="coarse_hold_capacitance_f"),
+    Quantity("electronics.fine_hold_capacitance_f", "  fine hold cap", _si("F"), get="fine_hold_capacitance_f"),
+    Quantity("electronics.refresh_rate_hz", "  refresh rate", _si("Hz"), get="refresh_rate_hz"),
+    Quantity("electronics.demux_clock_hz", "  demux clock", _si("Hz"), get="demux_clock_hz"),
+    Quantity(label="footprint per unit cell"),
+    Quantity("footprint.hold_capacitance_f", "  hold capacitance", _si("F")),
+    Quantity("footprint.capacitor_area_m2", "  capacitor area", _scaled(1e12, "um^2")),
+    Quantity("footprint.demux_area_m2", "  demux area", _scaled(1e12, "um^2")),
+    Quantity("footprint.total_area_m2", "  total area", _scaled(1e12, "um^2")),
+    Quantity("footprint.min_pitch_m", "  minimum pitch", _si("m")),
+    Quantity(column="min_pitch_um", get="footprint.min_pitch_um"),
+    Quantity("footprint.pitch_feasible", "  pitch feasible", lambda ok: "yes" if ok else "NO", "pitch_feasible"),
+    Quantity(label="cycle time"),
+    Quantity("timing", get=lambda d: {mode: {"cycle_s": ct.total_s, "coherence_ratio": ct.coherence_ratio}
+                                      for mode, ct in d.cycles.items()}),
+    Quantity(None, "  parallel", _cycle("parallel")),
+    Quantity(None, "  mixed", _cycle("mixed"), "cycle_mixed_s", lambda d: d.cycles["mixed"].total_s),
+    Quantity(None, "  sequential", _cycle("sequential")),
+    Quantity(label="power"),
+    Quantity("power.grid_parasitic_f", get="grid.total_f"),
+    Quantity("power.used_parasitic_f", get="power.parasitic_capacitance_f"),
+    Quantity("power.parasitic_pinned", get="power.parasitic_pinned"),
+    Quantity(None, "  parasitic cap", lambda doc: si_format(doc["power"]["used_parasitic_f"], "F")
+             + (" (pinned)" if doc["power"]["parasitic_pinned"] else "")),
+    Quantity("power.per_cell.pulsed_w", "  per cell pulsed", _si("W"), get="power.pulsed_w"),
+    Quantity("power.per_cell.demux_w", "  per cell demux", _si("W"), get="power.demux_w"),
+    Quantity("power.per_cell.line_w", "  per cell line loss", _si("W"), get="power.line_w"),
+    Quantity("power.array.pulsed_w", "  array pulsed", _si("W"), get="power.array_pulsed_w"),
+    Quantity("power.array.demux_w", "  array demux", _si("W"), get="power.array_demux_w"),
+    Quantity("power.array.line_w", "  array line loss", _si("W"), get="power.array_line_w"),
+    Quantity("power.array.total_w", "  array total", _si("W"), "array_total_w", "power.total_w"),
+    Quantity("power.line_constant_w_s2_per_v2", "  line-loss constant", _scaled(1e27, "nW*ns^2/V^2"),
+             get="power.line_constant_w_s2_per_v2"),
+)
+
+
+def _getter(row: Quantity) -> Callable[[Design], Any]:
+    get = row.get or row.path
+    return attrgetter(get) if isinstance(get, str) else get
+
+
+def _keys(path: str | None) -> tuple[str, ...]:
+    return tuple(path.split(".")) if path else ()
+
+
+# each path split once: (parent keys, leaf, getter) to build; (heading, or label padded to the
+# 24-column value start, keys, text) to print
+_LEAVES = tuple((keys[:-1], keys[-1], _getter(row)) for row in QUANTITIES if (keys := _keys(row.path)))
+_LINES = tuple((row.label if row.text is None else f"{row.label:<24}", _keys(row.path), row.text)
+               for row in QUANTITIES if row.label)
+_COLUMNS = tuple((row.column, _getter(row)) for row in QUANTITIES if row.column)
+SWEEP_FIELDS = ("parameter", "value", "valid", "violations", *(column for column, _ in _COLUMNS))
+
+
 def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, Any]:
     design = compute(config, pinned_parasitic_f)
-    fp, pw = design.footprint, design.power
-    return {
+    doc: dict[str, Any] = {
         "config": {
             "array": config.array._asdict(),
             "electronics": config.electronics._asdict(),
@@ -144,144 +252,32 @@ def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) ->
             "signals": config.signals.resolved(config.array)._asdict(),
             "interconnect": config.interconnect._asdict(),
         },
-        "geometry": design.geometry._asdict(),
-        "lines": {level: count.to_dict() for level, count in design.lines.items()},
-        "rent_exponent": design.rent_exponent,
-        "capacity": {
-            "defect": design.capacity_defect,
-            "lattice_surgery": design.capacity_lattice_surgery,
-            "fabrication_crossbar_limit": design.fabrication_crossbar_limit,
-        },
-        "electronics": {
-            "coarse_hold_capacitance_f": design.coarse_hold_capacitance_f,
-            "fine_hold_capacitance_f": design.fine_hold_capacitance_f,
-            "refresh_rate_hz": design.refresh_rate_hz,
-            "demux_clock_hz": design.demux_clock_hz,
-        },
-        "footprint": {
-            "capacitor_area_m2": fp.capacitor_area_m2,
-            "demux_area_m2": fp.demux_area_m2,
-            "total_area_m2": fp.total_area_m2,
-            "hold_capacitance_f": fp.hold_capacitance_f,
-            "min_pitch_m": fp.min_pitch_m,
-            "pitch_feasible": fp.pitch_feasible,
-        },
-        "timing": {
-            mode: {
-                "cycle_s": ct.total_s,
-                "coherence_ratio": ct.coherence_ratio,
-            }
-            for mode, ct in design.cycles.items()
-        },
-        "power": {
-            "grid_parasitic_f": design.grid.total_f,
-            "used_parasitic_f": pw.parasitic_capacitance_f,
-            "parasitic_pinned": pw.parasitic_pinned,
-            "per_cell": {
-                "pulsed_w": pw.pulsed_w,
-                "demux_w": pw.demux_w,
-                "line_w": pw.line_w,
-            },
-            "array": {
-                "pulsed_w": pw.array_pulsed_w,
-                "demux_w": pw.array_demux_w,
-                "line_w": pw.array_line_w,
-                "total_w": pw.total_w,
-            },
-            "line_constant_w_s2_per_v2": pw.line_constant_w_s2_per_v2,
-        },
     }
+    for parents, leaf, get in _LEAVES:
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = get(design)
+    return doc
 
 
 def render_text(doc: dict[str, Any]) -> str:
-    geo = doc["geometry"]
-    cap = doc["capacity"]
-    el = doc["electronics"]
-    fp = doc["footprint"]
-    pw = doc["power"]
     out: list[str] = []
-    out.append("geometry")
-    out.append(f"  unit cells            {geo['unit_cells']}")
-    out.append(f"  qubits                {geo['qubit_count']}")
-    out.append(f"  plane edge            {si_format(geo['plane_edge_m'], 'm')}")
-    out.append(f"  plane area            {geo['plane_area_m2'] * 1e6:.4g} mm^2")
-    out.append(f"  plane perimeter       {si_format(geo['plane_perimeter_m'], 'm')}")
-    out.append(f"  gates per arm         {geo['gates_per_arm']}")
-    out.append("line counts (dc/shuttle/pulsed/logical/readout = total)")
-    for level in ("unit_cell", "module", "quantum_plane"):
-        c = doc["lines"][level]
-        out.append(
-            f"  {level:<14}        {c['dc_biasing']}/{c['shuttling']}/{c['pulsed_mw']}"
-            f"/{c['logical_ops']}/{c['readout']} = {c['total']}"
-        )
-    out.append(f"rent exponent           {doc['rent_exponent']:.2f}")
-    out.append("logical qubit capacity")
-    out.append(f"  defect encoding       {cap['defect']}")
-    out.append(f"  lattice surgery       {cap['lattice_surgery']}")
-    out.append(f"  crossbar fab limit    {cap['fabrication_crossbar_limit']}")
-    out.append("electronics")
-    out.append(f"  coarse hold cap       {si_format(el['coarse_hold_capacitance_f'], 'F')}")
-    out.append(f"  fine hold cap         {si_format(el['fine_hold_capacitance_f'], 'F')}")
-    out.append(f"  refresh rate          {si_format(el['refresh_rate_hz'], 'Hz')}")
-    out.append(f"  demux clock           {si_format(el['demux_clock_hz'], 'Hz')}")
-    out.append("footprint per unit cell")
-    out.append(f"  hold capacitance      {si_format(fp['hold_capacitance_f'], 'F')}")
-    out.append(f"  capacitor area        {fp['capacitor_area_m2'] * 1e12:.4g} um^2")
-    out.append(f"  demux area            {fp['demux_area_m2'] * 1e12:.4g} um^2")
-    out.append(f"  total area            {fp['total_area_m2'] * 1e12:.4g} um^2")
-    out.append(f"  minimum pitch         {si_format(fp['min_pitch_m'], 'm')}")
-    out.append(f"  pitch feasible        {'yes' if fp['pitch_feasible'] else 'NO'}")
-    out.append("cycle time")
-    for mode in ("parallel", "mixed", "sequential"):
-        t = doc["timing"][mode]
-        out.append(
-            f"  {mode:<10}            {si_format(t['cycle_s'], 's')}"
-            f"  (dephasing/cycle {t['coherence_ratio']:.2f})"
-        )
-    out.append("power")
-    pinned = " (pinned)" if pw["parasitic_pinned"] else ""
-    out.append(f"  parasitic cap         {si_format(pw['used_parasitic_f'], 'F')}{pinned}")
-    out.append(f"  per cell pulsed       {si_format(pw['per_cell']['pulsed_w'], 'W')}")
-    out.append(f"  per cell demux        {si_format(pw['per_cell']['demux_w'], 'W')}")
-    out.append(f"  per cell line loss    {si_format(pw['per_cell']['line_w'], 'W')}")
-    out.append(f"  array pulsed          {si_format(pw['array']['pulsed_w'], 'W')}")
-    out.append(f"  array demux           {si_format(pw['array']['demux_w'], 'W')}")
-    out.append(f"  array line loss       {si_format(pw['array']['line_w'], 'W')}")
-    out.append(f"  array total           {si_format(pw['array']['total_w'], 'W')}")
-    out.append(
-        f"  line-loss constant    {pw['line_constant_w_s2_per_v2'] * 1e27:.4g} nW*ns^2/V^2"
-    )
+    for label, keys, text in _LINES:
+        if text is None:
+            out.append(label)
+            continue
+        value = doc
+        for key in keys:
+            value = value[key]
+        out.append(label + text(value))
     return "\n".join(out) + "\n"
 
 
-SWEEP_FIELDS = (
-    "parameter",
-    "value",
-    "valid",
-    "violations",
-    "unit_cells",
-    "lines_unit_cell",
-    "lines_quantum_plane",
-    "rent_exponent",
-    "capacity_defect",
-    "capacity_lattice_surgery",
-    "crossbar_fab_limit",
-    "min_pitch_um",
-    "pitch_feasible",
-    "cycle_mixed_s",
-    "array_total_w",
-)
-
-
-def sweep_record(
-    parameter: str,
-    raw_value: str,
-    config: ToolConfig,
-    pinned_parasitic_f: float | None = None,
-    sweep: Sweep | None = None,
-) -> dict[str, Any]:
+def sweep_record(parameter: str, raw_value: str, config: ToolConfig, pinned_parasitic_f: float | None = None,
+                 sweep: Sweep | None = None) -> dict[str, Any]:
     """One sweep-point record; infeasible or invalid points are flagged, not dropped."""
-    record: dict[str, Any] = {f: None for f in SWEEP_FIELDS}
+    record: dict[str, Any] = dict.fromkeys(SWEEP_FIELDS)
     record["parameter"] = parameter
     record["value"] = raw_value
     try:
@@ -289,19 +285,7 @@ def sweep_record(
     except InvalidConfigError as exc:
         record.update(valid=False, violations=str(exc))
         return record
-    record.update(
-        valid=True,
-        violations="",
-        unit_cells=design.geometry.unit_cells,
-        lines_unit_cell=design.lines["unit_cell"].total,
-        lines_quantum_plane=design.lines["quantum_plane"].total,
-        rent_exponent=design.rent_exponent,
-        capacity_defect=design.capacity_defect,
-        capacity_lattice_surgery=design.capacity_lattice_surgery,
-        crossbar_fab_limit=design.fabrication_crossbar_limit,
-        min_pitch_um=design.footprint.min_pitch_um,
-        pitch_feasible=design.footprint.pitch_feasible,
-        cycle_mixed_s=design.cycles["mixed"].total_s,
-        array_total_w=design.power.total_w,
-    )
+    record.update(valid=True, violations="")
+    for column, get in _COLUMNS:
+        record[column] = get(design)
     return record

@@ -62,6 +62,7 @@ def _records() -> list:
         qgates.Circuit(1, ((placed,),)),
         qgates.verify_identities()[0],
         design,
+        report.QUANTITIES[1],  # a row of the report's quantity table, not a stage result
     ]
 
 

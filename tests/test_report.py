@@ -159,6 +159,37 @@ def test_compute_equals_public_stages(name):
     assert compute(config, pinned) == _rebuilt(config, pinned)
 
 
+def _leaf_paths(doc: dict, prefix: str = "") -> list[str]:
+    return [path for key, value in doc.items()
+            for path in (_leaf_paths(value, f"{prefix}{key}.") if isinstance(value, dict) else [prefix + key])]
+
+
+def test_every_report_leaf_comes_from_one_quantity_row():
+    paths = [row.path for row in report.QUANTITIES if row.path]
+    leaves = [leaf for leaf in _leaf_paths(report.build_report(ToolConfig())) if not leaf.startswith("config.")]
+    for leaf in leaves:
+        owners = [p for p in paths if leaf == p or leaf.startswith(p + ".")]
+        assert owners == [leaf] or owners in (["lines"], ["timing"]), leaf
+    assert all(any(leaf == p or leaf.startswith(p + ".") for leaf in leaves) for p in paths)
+
+
+def test_quantity_paths_labels_and_columns_are_unique():
+    for field in ("path", "label", "column"):
+        named = [getattr(row, field) for row in report.QUANTITIES if getattr(row, field)]
+        assert len(named) == len(set(named)), field
+    # every row sets a leaf, prints a line or fills a column; only a printed line has a formatter
+    assert all(row.path or row.label or row.column for row in report.QUANTITIES)
+    assert all(row.text is None or row.label for row in report.QUANTITIES)
+
+
+def test_sweep_fields_are_the_csv_header_contract():
+    assert report.SWEEP_FIELDS == (
+        "parameter", "value", "valid", "violations", "unit_cells", "lines_unit_cell", "lines_quantum_plane",
+        "rent_exponent", "capacity_defect", "capacity_lattice_surgery", "crossbar_fab_limit", "min_pitch_um",
+        "pitch_feasible", "cycle_mixed_s", "array_total_w",
+    )
+
+
 # The stages a later sweep point reruns: by swept key for the array section, whose stages read
 # single fields, and for each other section the same stages whichever of its keys is swept.
 @pytest.mark.parametrize("section, stages", [
