@@ -22,7 +22,7 @@ from itertools import chain
 
 from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
-from .model import CYCLE_EXCHANGES, CYCLE_ONE_QUBIT_GATES, CYCLE_SHUTTLES, CYCLE_STEPS, cycle_time, validate_config
+from .model import CYCLE_CENSUS, CYCLE_STEPS, cycle_time, validate_config
 from .units import parse_quantity, si_format
 
 EXIT_OK = 0
@@ -81,7 +81,7 @@ def _config_path(args) -> str | None:
 
 
 def _pinned(args) -> float | None:
-    if not args.pin_cp:
+    if args.pin_cp is None:
         return None
     pinned = parse_quantity(args.pin_cp)
     if pinned < 0:
@@ -185,20 +185,14 @@ def _cmd_verify(args) -> int:
     validate_config(config.array).raise_if_invalid()
     checks: list[dict[str, object]] = [
         {"check": f"identity:{check.name}", "passed": check.passed, "residual": check.residual}
-        for check in qgates.verify_identities(corrupt=args.corrupt if args.corrupt == "sp-sign" else None)]
+        for check in qgates.verify_identities(corrupt=args.corrupt == "sp-sign")]
     for kind in ("X", "Z"):
         ok = qgates.verify_plaquette(kind, corrupt=args.corrupt == "plaquette")
         checks.append({"check": f"plaquette:{kind}", "passed": ok, "residual": None})
 
     table = schedule.default_step_table()
     census = table.census()
-    expected = {
-        "shuttle_round_trips": CYCLE_SHUTTLES,
-        "one_qubit_gates": CYCLE_ONE_QUBIT_GATES,
-        "exchanges": CYCLE_EXCHANGES,
-        "readout_phases": 1,
-        "steps": CYCLE_STEPS,
-    }
+    expected = {**CYCLE_CENSUS, "steps": CYCLE_STEPS}
     checks.append({"check": "schedule:census", "passed": census == expected, "residual": None, "detail": census})
     # the README's contract: exactly two steps move only data qubit D1
     solo_ok = sum(s.home_shuttling_qubits() == ("D1",) for s in table.steps) == 2

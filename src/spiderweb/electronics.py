@@ -47,11 +47,9 @@ def min_hold_capacitance(kind: str, params: ElectronicsParams) -> float:
     raise ValueError(f"unknown capacitor kind {kind!r}; expected 'coarse' or 'fine'")
 
 
-def refresh_rate(params: ElectronicsParams, resolution_v: float) -> float:
-    """Minimum refresh rate [Hz] keeping leakage drift within one resolution step."""
-    if resolution_v <= 0:
-        raise ValueError("resolution must be positive")
-    return params.drift_v_per_s / resolution_v
+def refresh_rate(params: ElectronicsParams) -> float:
+    """Minimum refresh rate [Hz] keeping leakage drift within one fine resolution step."""
+    return params.drift_v_per_s / params.fine_resolution_v
 
 
 def demux_clock(cfg: ArrayConfig, refresh_hz: float) -> float:
@@ -79,18 +77,6 @@ class FootprintReport(NamedTuple):
     @property
     def pitch_feasible(self) -> bool:
         return self.pitch_m >= self.min_pitch_m
-
-    @property
-    def capacitor_area_um2(self) -> float:
-        return self.capacitor_area_m2 * 1e12
-
-    @property
-    def demux_area_um2(self) -> float:
-        return self.demux_area_m2 * 1e12
-
-    @property
-    def total_area_um2(self) -> float:
-        return self.total_area_m2 * 1e12
 
     @property
     def min_pitch_um(self) -> float:

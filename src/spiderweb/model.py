@@ -24,9 +24,7 @@ if TYPE_CHECKING:  # config imports this module
 
 __all__ = [
     "ArrayConfig",
-    "CYCLE_EXCHANGES",
-    "CYCLE_ONE_QUBIT_GATES",
-    "CYCLE_SHUTTLES",
+    "CYCLE_CENSUS",
     "CYCLE_STEPS",
     "CycleTime",
     "GateInventory",
@@ -82,10 +80,6 @@ class ArrayConfig(NamedTuple):
 class ValidationReport(NamedTuple):
     violations: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def raise_if_invalid(self) -> None:
         if self.violations:
             raise InvalidConfigError(self.violations)
@@ -137,10 +131,6 @@ class GeometrySummary(NamedTuple):
     plane_area_m2: float
     plane_perimeter_m: float
     gates_per_arm: int
-
-    @property
-    def plane_area_mm2(self) -> float:
-        return self.plane_area_m2 * 1e6
 
 
 def derive_geometry(cfg: ArrayConfig) -> GeometrySummary:
@@ -213,10 +203,9 @@ def default_gate_inventory() -> GateInventory:
     return GateInventory(_DEFAULT_INVENTORY_ROWS)
 
 
-# Window census of one error-correction cycle (the closed-form coefficients).
-CYCLE_SHUTTLES = 22
-CYCLE_ONE_QUBIT_GATES = 14
-CYCLE_EXCHANGES = 8
+# Window census of one error-correction cycle: the closed-form coefficients, and the keys, in order, of
+# every census count.
+CYCLE_CENSUS = {"shuttle_round_trips": 22, "one_qubit_gates": 14, "exchanges": 8, "readout_phases": 1}
 CYCLE_STEPS = 16  # steps of the shipped program
 
 READOUT_MODES = ("parallel", "sequential", "mixed")
@@ -252,11 +241,6 @@ def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "para
         "sequential": cfg.readout_module_edge,
         "mixed": cfg.sequential_readouts,
     }[readout_mode]
-    total = _duration(timing, {
-        "shuttle_round_trips": CYCLE_SHUTTLES,
-        "one_qubit_gates": CYCLE_ONE_QUBIT_GATES,
-        "exchanges": CYCLE_EXCHANGES,
-        "readout_phases": readout_multiplier,
-    })
+    total = _duration(timing, {**CYCLE_CENSUS, "readout_phases": readout_multiplier})
     ratio = timing.dephasing_s / total if total > 0 else float("inf")
     return CycleTime(total, readout_mode, ratio)

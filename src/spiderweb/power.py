@@ -86,14 +86,8 @@ def demux_power(params: ElectronicsParams, refresh_hz: float) -> float:
 
 class TransmissionLineResult(NamedTuple):
     power_w: float
-    resistance_ohm: float
-    capacitance_f: float
     # constant k such that power = k * (amplitude * frequency)^2
     constant_w_s2_per_v2: float
-
-    @property
-    def constant_nw_ns2_per_v2(self) -> float:
-        return self.constant_w_s2_per_v2 * 1e27
 
 
 def transmission_line_power(signals: SignalParams) -> TransmissionLineResult:
@@ -115,7 +109,7 @@ def transmission_line_power(signals: SignalParams) -> TransmissionLineResult:
     vf = signals.line_amplitude_v * signals.line_frequency_hz
     constant = 2.0 * resistance * (pc * pc)
     power = constant * (vf * vf)
-    return TransmissionLineResult(power, resistance, capacitance, constant)
+    return TransmissionLineResult(power, constant)
 
 
 class PowerReport(NamedTuple):

@@ -14,7 +14,7 @@ Matrices are lists of rows of Python complex numbers: at 32x32 at most, plain
 Python costs less than importing an array package.  The two plaquette
 references depend on nothing but their kind, so each is built once per process
 and kept as an immutable tuple of row tuples; so is the layout of a gate's
-targets in a register of up to five qubits, up to a bound.
+targets in a register of up to five qubits.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import math
 from functools import partial, reduce
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-__all__ = ["Circuit", "IdentityCheck", "PlacedGate", "build_plaquette", "compose", "concurrence", "expand",
+__all__ = ["Circuit", "IdentityCheck", "PlacedGate", "build_plaquette", "compose", "expand",
            "gate", "reference_plaquette", "verify_identities", "verify_plaquette"]
 
 Matrix = Sequence[Sequence[complex]]
@@ -94,8 +94,8 @@ def _diagonal(matrix: Matrix) -> list[complex] | None:
     return [row[i] for i, row in enumerate(matrix)]
 
 
+# every caller checks the targets first, so this keeps at most the 414 valid layouts of up to five qubits
 _layouts: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
-LAYOUTS_KEPT = 512  # above the 414 valid layouts of up to five qubits; larger registers are never kept
 
 
 def _layout(n_qubits: int, targets: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -108,7 +108,7 @@ def _layout(n_qubits: int, targets: tuple[int, ...]) -> tuple[int, tuple[int, ..
             offsets = [o | b for o in offsets for b in (0, 1 << (n_qubits - t))]
         position = {o: g for g, o in reversed(list(enumerate(offsets)))}  # a repeated target: the first wins
         layout = offsets[-1], tuple([position[i & offsets[-1]] for i in range(1 << n_qubits)])
-        if n_qubits <= 5 and len(_layouts) < LAYOUTS_KEPT:
+        if 0 < n_qubits <= 5:
             _layouts[key] = layout
     return layout
 
@@ -145,10 +145,6 @@ class Circuit(NamedTuple):
 
     n_qubits: int
     steps: tuple[tuple[PlacedGate, ...], ...] = ()
-
-    def gates(self) -> Iterable[PlacedGate]:
-        for step in self.steps:
-            yield from step
 
     def validate(self) -> None:
         if not 1 <= self.n_qubits <= 5:
@@ -232,23 +228,13 @@ def _take_up(rows, layer, phases, n: int) -> list[list[complex]]:
     return [[p * x for x in row] for p, row in zip(phases, rows)] if phases else rows
 
 
-def concurrence(state: Sequence[complex]) -> float:
-    """Concurrence of a pure two-qubit state (1 for maximally entangled)."""
-    if len(state) != 4:
-        raise ValueError("expected a 4-component state vector")
-    a, b, c, d = map(complex, state)
-    return 2 * abs(a * d - b * c)
-
-
 class IdentityCheck(NamedTuple):
     name: str
     residual: float
-    tol: float
-    up_to_phase: bool = False
 
     @property
     def passed(self) -> bool:
-        return self.residual < self.tol
+        return self.residual < _IDENTITY_TOL
 
 
 def _residual(u: Matrix, v: Matrix, phase: complex = 1) -> float:
@@ -284,20 +270,18 @@ def _kron(a: Matrix, b: Matrix) -> list[list[complex]]:
              for x in ra for y in rb] for ra in a for rb in b]
 
 
-def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
+def verify_identities(corrupt: bool = False) -> list[IdentityCheck]:
     """Check every gate-construction identity; failures are reported, not raised.
 
-    ``corrupt='sp-sign'`` flips the sign of the phase gate used in the checks
+    ``corrupt=True`` flips the sign of the phase gate used in the checks
     (a negative-control hook for the verification driver).
     """
     def times(c: complex, matrix: Matrix) -> list[list[complex]]:  # exact for c = +-1, +-i
         return [[c * v for v in row] for row in matrix]
 
     sq, sp = _SQRT_SWAP, _SP
-    if corrupt == "sp-sign":
+    if corrupt:
         sp = times(-1, sp)
-    elif corrupt is not None:
-        raise ValueError(f"unknown corruption {corrupt!r}")
     sp_dag = _dagger(sp)
     rx, ry, rz = (partial(gate, axis) for axis in ("rx", "ry", "rz"))
     pi = math.pi
@@ -316,8 +300,7 @@ def verify_identities(corrupt: str | None = None) -> list[IdentityCheck]:
         "sp-squared": (_matmul(sp, sp), _kron(_Z, _Z)),
     }
     # only the CNOT construction carries a free global phase
-    return [IdentityCheck(name, _phase_residual(u, v), _IDENTITY_TOL, up_to_phase=True)
-            if name == "cnot-from-sp" else IdentityCheck(name, _residual(u, v), _IDENTITY_TOL)
+    return [IdentityCheck(name, _phase_residual(u, v) if name == "cnot-from-sp" else _residual(u, v))
             for name, (u, v) in pairs.items()]
 
 

@@ -78,7 +78,7 @@ def _electronics(config: ToolConfig, out: dict, pinned: float | None, sections: 
     cfg, elec = config.array, config.electronics
     coarse = out["coarse_hold_capacitance_f"] = electronics.min_hold_capacitance("coarse", elec)
     fine = out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", elec)
-    refresh = out["refresh_rate_hz"] = electronics.refresh_rate(elec, elec.fine_resolution_v)
+    refresh = out["refresh_rate_hz"] = electronics.refresh_rate(elec)
     out["demux_clock_hz"] = electronics.demux_clock(cfg, refresh)
     out["footprint"] = electronics.footprint(cfg, elec, _INVENTORY, fine, coarse)
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .config import TimingParams
 from .errors import ScheduleConflictError
-from .model import _duration, cycle_time  # the benchmark traces cycle_time under this module's name
+from .model import CYCLE_CENSUS, _duration, cycle_time  # the benchmark traces cycle_time under this module's name
 
 __all__ = [
     "Event",
@@ -90,7 +90,7 @@ class StepTable(NamedTuple):
     steps: tuple[Step, ...]
 
     def census(self) -> dict[str, int]:
-        counts = _zero_counts()
+        counts = dict.fromkeys(CYCLE_CENSUS, 0)
         for step in self.steps:
             for kind, _, _, _ in _windows(step):
                 _tally(counts, kind)
@@ -125,10 +125,6 @@ def _windows(step: Step) -> tuple[tuple, ...]:
 
 
 _CENSUS_KEY = {"one_qubit": "one_qubit_gates", "exchange": "exchanges", "readout": "readout_phases"}
-
-
-def _zero_counts() -> dict[str, int]:
-    return {"shuttle_round_trips": 0, "one_qubit_gates": 0, "exchanges": 0, "readout_phases": 0}
 
 
 def _tally(counts: dict[str, int], kind: str) -> None:
@@ -283,7 +279,7 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     timing.validate()
     pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s, "readout": timing.readout_s}
     half_trip = timing.shuttle_s / 2.0
-    counts = _zero_counts()
+    counts = dict.fromkeys(CYCLE_CENSUS, 0)
     runs: list[tuple] = []
     parked: list[tuple[int, tuple]] = []  # (step, the return trips it parks)
     for step in table.steps:

@@ -25,7 +25,6 @@ from spiderweb.power import (
     transmission_line_power,
 )
 from spiderweb.qgates import (
-    concurrence,
     gate,
     verify_identities,
     verify_plaquette,
@@ -85,8 +84,8 @@ def test_criterion_03_logical_capacities():
 def test_criterion_04_electronics_constraints():
     coarse = min_hold_capacitance("coarse", ELEC)
     fine = min_hold_capacitance("fine", ELEC)
-    fast = refresh_rate(ELEC, ELEC.fine_resolution_v)
-    slow = refresh_rate(ELEC._replace(drift_v_per_s=2e-6), ELEC.fine_resolution_v)
+    fast = refresh_rate(ELEC)
+    slow = refresh_rate(ELEC._replace(drift_v_per_s=2e-6))
     clock = demux_clock(REFERENCE, fast)
     report(
         "criterion 4: C_coarse 0.160 fF +-1%, C_fine 13.8 pF +-1%, refresh 2 Hz..100 kHz, "
@@ -103,13 +102,13 @@ def test_criterion_04_electronics_constraints():
 def test_criterion_05_footprint_and_plane_area():
     fine, coarse = min_hold_capacitance("fine", ELEC), min_hold_capacitance("coarse", ELEC)
     fp = footprint(REFERENCE, ELEC, default_gate_inventory(), fine, coarse)
-    area = derive_geometry(REFERENCE).plane_area_mm2
+    area = derive_geometry(REFERENCE).plane_area_m2 * 1e6
     report(
         "criterion 5: A_cap in [440, 460] um^2, A_demux = 180 um^2, A_total in [620, 640] um^2, "
         "min pitch in [12.4, 13.0] um, plane area 177.2 mm^2 +-0.5%",
-        440.0 <= fp.capacitor_area_um2 <= 460.0
-        and fp.demux_area_um2 == pytest.approx(180.0, rel=1e-12)
-        and 620.0 <= fp.total_area_um2 <= 640.0
+        440.0 <= fp.capacitor_area_m2 * 1e12 <= 460.0
+        and fp.demux_area_m2 * 1e12 == pytest.approx(180.0, rel=1e-12)
+        and 620.0 <= fp.total_area_m2 * 1e12 <= 640.0
         and 12.4 <= fp.min_pitch_um <= 13.0
         and abs(area - 177.2) <= 0.005 * 177.2,
     )
@@ -134,7 +133,7 @@ def test_criterion_06_cycle_timing():
 
 
 def test_criterion_07_power_budget_with_pinned_parasitic():
-    grid, refresh = parasitic_capacitance(GRID), refresh_rate(ELEC, ELEC.fine_resolution_v)
+    grid, refresh = parasitic_capacitance(GRID), refresh_rate(ELEC)
     pw = total_power(REFERENCE, SignalParams(), ELEC, grid, refresh, pinned_parasitic_f=700e-15)
     additive = pw.total_w == pw.unit_cells * (pw.pulsed_w + pw.demux_w + pw.line_w)
     report(
@@ -149,7 +148,7 @@ def test_criterion_07_power_budget_with_pinned_parasitic():
 
 def test_criterion_08_transmission_line_constant():
     constants = [
-        transmission_line_power(SignalParams(line_length_m=um * 1e-6)).constant_nw_ns2_per_v2
+        transmission_line_power(SignalParams(line_length_m=um * 1e-6)).constant_w_s2_per_v2 * 1e27
         for um in (24, 25, 26)
     ]
     report(
@@ -194,10 +193,11 @@ def test_criterion_10_gate_algebra():
     sq = np.asarray(gate("sqrt_swap"))
     swap_ok = float(np.max(np.abs(sq @ sq - gate("swap")))) < 1e-12
     plus_plus = np.ones(4, dtype=complex) / 2.0
-    entangled = abs(concurrence(np.asarray(gate("sp")) @ plus_plus) - 1.0) <= 1e-10
+    a, b, c, d = map(complex, np.asarray(gate("sp")) @ plus_plus)
+    entangled = abs(2 * abs(a * d - b * c) - 1.0) <= 1e-10  # the concurrence of sp|++> is 2|ad - bc|
     plaquettes_ok = verify_plaquette("X") and verify_plaquette("Z")
     negatives_fail = not verify_plaquette("X", corrupt=True) and not verify_plaquette("Z", corrupt=True)
-    corrupt_identities = verify_identities(corrupt="sp-sign")
+    corrupt_identities = verify_identities(corrupt=True)
     corrupt_fails = not all(c.passed for c in corrupt_identities)
     report(
         "criterion 10: all gate identities at 1e-12, sqrt(SWAP)^2 = SWAP, phase gate "

@@ -266,7 +266,8 @@ class TestSweep:
         (("--set", "foo=1"), "error: unknown key 'foo' in any section\n"),
         (("--pin-cp", "abc"), "error: cannot parse quantity 'abc'\n"),
         (("--pin-cp=-1fF",), "error: pinned parasitic capacitance must be non-negative\n"),
-    ], ids=["base-override", "pin-cp", "negative-pin-cp"])
+        (("--pin-cp=",), "error: cannot parse quantity ''\n"),
+    ], ids=["base-override", "pin-cp", "negative-pin-cp", "empty-pin-cp"])
     def test_bad_base_fails_before_first_point(self, capsys, option, message):
         code, out, err = run(capsys, "sweep", "x", ",", *option)
         assert code == 1
@@ -278,6 +279,9 @@ class TestSweep:
     def test_negative_pin_cp_exits_1_with_one_line(self, capsys, argv):
         message = "error: pinned parasitic capacitance must be non-negative\n"
         assert run(capsys, *argv, "--pin-cp=-1fF") == (1, "", message)
+
+    def test_empty_pin_cp_exits_1_with_one_line(self, capsys):
+        assert run(capsys, "report", "--pin-cp=") == (1, "", "error: cannot parse quantity ''\n")
 
     def test_base_value_of_the_swept_key_is_never_parsed(self, capsys):
         code, out, err = run(capsys, "sweep", "x", "1,2", "--set", "x=abc")
@@ -394,8 +398,8 @@ class TestVerifyWriter:
             _verify_json(True, [check])
 
     def test_infinite_residual_exits_1(self, capsys, monkeypatch):
-        inf = qgates.IdentityCheck("sp-squared", math.inf, 1e-12)
-        monkeypatch.setattr(qgates, "verify_identities", lambda corrupt=None: [inf])
+        inf = qgates.IdentityCheck("sp-squared", math.inf)
+        monkeypatch.setattr(qgates, "verify_identities", lambda corrupt=False: [inf])
         code, out, err = run(capsys, "verify", "--json")
         assert (code, out) == (1, "")
         assert err.startswith("error: Out of range float values are not JSON compliant")
@@ -422,6 +426,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--corrupt", "sp-sign")
         assert code == 2
         assert "FAIL" in out
+
+    def test_unknown_corruption_exits_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--corrupt", "swap-sign")
+        assert (code, out) == (1, "")
+        assert "argument --corrupt: invalid choice: 'swap-sign'" in err
 
     def test_json_residual_report(self, capsys):
         code, out, _ = run(capsys, "verify", "--json")

@@ -21,7 +21,6 @@ REFERENCE = ArrayConfig()
 
 def test_reference_config_is_valid():
     report = validate_config(REFERENCE)
-    assert report.ok
     assert report.violations == ()
 
 
@@ -31,13 +30,13 @@ def test_minimal_config_is_valid():
         readout_module_edge=1, readout_grid_edge=1,
         sequential_readouts=1, parallel_readouts=1,
     )
-    assert validate_config(cfg).ok
+    assert not validate_config(cfg).violations
 
 
 def test_mismatched_tilings_reported():
     cfg = REFERENCE._replace(readout_grid_edge=100)
     report = validate_config(cfg)
-    assert not report.ok
+    assert report.violations
     assert len(report.violations) == 1
     assert "512 != " in report.violations[0]
     with pytest.raises(InvalidConfigError):
@@ -58,7 +57,7 @@ def test_nonpositive_fields_reported():
 
 def test_validation_never_raises_on_bad_config():
     cfg = ArrayConfig(qubit_pitch_nm=0, bias_module_edge=-3)
-    assert not validate_config(cfg).ok
+    assert validate_config(cfg).violations
 
 
 def test_reference_geometry():
@@ -66,7 +65,7 @@ def test_reference_geometry():
     assert geo.unit_cells == 262144
     assert geo.qubit_count == 1048576
     # (2 * 13 um * 512)^2
-    assert geo.plane_area_mm2 == pytest.approx(177.209344, rel=1e-12)
+    assert geo.plane_area_m2 * 1e6 == pytest.approx(177.209344, rel=1e-12)
     assert geo.plane_edge_m == pytest.approx(13312e-6)
     assert geo.plane_perimeter_m == pytest.approx(4 * 13312e-6)
     assert geo.gates_per_arm == 260
@@ -125,7 +124,7 @@ def small_arrays(draw) -> ArrayConfig:
 @given(small_arrays())
 def test_validation_decides_whether_report_builds(cfg):
     report = validate_config(cfg)
-    if report.ok:
+    if not report.violations:
         try:
             build_report(ToolConfig(array=cfg))
         except ValueError as exc:

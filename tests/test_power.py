@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 import scipy.constants
@@ -24,7 +25,7 @@ ELEC = ElectronicsParams()
 
 def _total_power(cfg: ArrayConfig, signals: SignalParams, elec: ElectronicsParams, pinned: float | None = None):
     """The power report with the grid capacitance of ``GRID`` and the fine refresh rate of ``elec`` passed in."""
-    refresh = refresh_rate(elec, elec.fine_resolution_v)
+    refresh = refresh_rate(elec)
     return total_power(cfg, signals, elec, parasitic_capacitance(GRID), refresh, pinned)
 
 
@@ -158,11 +159,10 @@ class TestTransmissionLine:
     def test_constant_at_24um(self):
         s = SignalParams(line_length_m=24e-6)
         r = transmission_line_power(s)
-        assert r.resistance_ohm == pytest.approx(2.4)
-        assert r.capacitance_f == pytest.approx(4.8e-15)
-        # oracle: 2 * 2.4 * (pi * 4.8 fF)^2, in nW ns^2/V^2
-        assert r.constant_nw_ns2_per_v2 == pytest.approx(1.0915, rel=1e-3)
-        assert r.constant_nw_ns2_per_v2 == pytest.approx(1.1, rel=0.02)
+        # oracle: 2 * R * (pi * C)^2 with R = 2.4 ohm and C = 4.8 fF, in nW ns^2/V^2
+        assert r.constant_w_s2_per_v2 == pytest.approx(2 * 2.4 * (math.pi * 4.8e-15) ** 2, rel=1e-12)
+        assert r.constant_w_s2_per_v2 * 1e27 == pytest.approx(1.0915, rel=1e-3)
+        assert r.constant_w_s2_per_v2 * 1e27 == pytest.approx(1.1, rel=0.02)
 
     def test_power_from_constant(self):
         s = SignalParams(line_length_m=24e-6)
@@ -190,7 +190,7 @@ class TestTransmissionLine:
     @pytest.mark.parametrize("length_um", [24, 25, 26])
     def test_constant_near_lumped_value(self, length_um):
         r = transmission_line_power(SignalParams(line_length_m=length_um * 1e-6))
-        assert 1.1 / 1.5 <= r.constant_nw_ns2_per_v2 <= 1.1 * 1.5
+        assert 1.1 / 1.5 <= r.constant_w_s2_per_v2 * 1e27 <= 1.1 * 1.5
 
     def test_length_resolves_to_cell_span(self):
         s = SignalParams().resolved(REFERENCE)

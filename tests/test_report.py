@@ -132,7 +132,7 @@ def _rebuilt(config: ToolConfig, pinned: float | None) -> Design:
     cfg, elec = config.array, config.electronics
     plane, cell = lines_at("quantum_plane", cfg).total, lines_at("unit_cell", cfg).total
     fine, coarse = min_hold_capacitance("fine", elec), min_hold_capacitance("coarse", elec)
-    refresh = refresh_rate(elec, elec.fine_resolution_v)
+    refresh = refresh_rate(elec)
     grid = parasitic_capacitance(config.interconnect)
     return Design(
         geometry=derive_geometry(cfg),

@@ -102,7 +102,7 @@ class TestLineCounts:
 
     def test_invalid_config_rejected(self):
         cfg = REFERENCE._replace(readout_grid_edge=5)
-        assert not validate_config(cfg).ok
+        assert validate_config(cfg).violations
         with pytest.raises(InvalidConfigError):
             build_report(ToolConfig(array=cfg))
 
