@@ -22,7 +22,7 @@ from itertools import chain
 
 from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
-from .model import CYCLE_CENSUS, CYCLE_STEPS, cycle_time, validate_config
+from .model import CYCLE_CENSUS, CYCLE_STEPS, cycle_time
 from .units import parse_quantity, si_format
 
 EXIT_OK = 0
@@ -182,7 +182,7 @@ def _csv(rows) -> str:
 
 def _cmd_verify(args) -> int:
     config = load_config(_config_path(args), args.overrides)
-    validate_config(config.array).raise_if_invalid()
+    config.validate()
     checks: list[dict[str, object]] = [
         {"check": f"identity:{check.name}", "passed": check.passed, "residual": check.residual}
         for check in qgates.verify_identities(corrupt=args.corrupt == "sp-sign")]
@@ -226,6 +226,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_config(_config_path(args), args.overrides)
+    config.validate()
     table = schedule.load_step_table(args.table) if args.table else schedule.default_step_table()
     try:
         trace = schedule.simulate_cycle(table, config.timing)
@@ -329,7 +330,3 @@ def main(argv: list[str] | None = None) -> int:
     except (SpiderwebError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

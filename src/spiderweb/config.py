@@ -49,6 +49,9 @@ class ElectronicsParams(NamedTuple):
             raise ValueError("fine resolution must be below the coarse resolution")
         if not 0 < self.fine_resolution_v * self.fine_resolution_v < inf:  # kB*T/dV^2 needs dV^2
             raise ValueError(f"fine_resolution_v squared leaves the float range (got {self.fine_resolution_v})")
+        if self.drift_v_per_s / self.fine_resolution_v == 0:  # electronics.refresh_rate: 0 clocks no demux
+            raise ValueError(f"drift_v_per_s / fine_resolution_v underflows to a zero refresh rate "
+                             f"(got {self.drift_v_per_s} / {self.fine_resolution_v})")
 
 
 class TimingParams(NamedTuple):
@@ -127,6 +130,10 @@ class InterconnectGrid(NamedTuple):
             raise ValueError(f"line_width_m ({self.line_width_m}) is negligible against line_gap_m ({gap})")
 
 
+# The order ToolConfig.validate checks the sections in: a config with errors in several names the first.
+VALIDATION_ORDER = ("array", "electronics", "timing", "interconnect", "signals")
+
+
 # A section left at its defaults is one frozen instance, shared by every config.
 class ToolConfig(NamedTuple):
     array: ArrayConfig = ArrayConfig()
@@ -134,6 +141,13 @@ class ToolConfig(NamedTuple):
     timing: TimingParams = TimingParams()
     signals: SignalParams = SignalParams()
     interconnect: InterconnectGrid = InterconnectGrid()
+
+    def validate(self, sections: tuple[str, ...] = VALIDATION_ORDER) -> None:
+        """The one check of a configuration, before any model runs: each of ``sections`` in turn raises
+        on its first broken rule, :class:`~spiderweb.errors.InvalidConfigError` with every violation
+        for ``array`` and ``ValueError`` for the others."""
+        for section in sections:
+            getattr(self, section).validate()
 
 
 def _length_nm(text: str) -> int:
@@ -267,7 +281,7 @@ def read_entries(path: str | None = None, overrides: list[str] | None = None) ->
     entries: Entries = {}
     if path is not None and os.path.exists(path):
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigParseError(f"cannot read config file {path!r}: {exc.strerror}") from exc

@@ -58,8 +58,6 @@ def demux_clock(cfg: ArrayConfig, refresh_hz: float) -> float:
     One module refresh visits all 64 held gates of each of the module's
     edge^2 unit cells; modules refresh in parallel across the plane.
     """
-    if refresh_hz <= 0:
-        raise ValueError("refresh rate must be positive")
     return _HELD_GATES * cfg.bias_module_edge**2 * refresh_hz
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "GeometrySummary",
     "READOUT_MODES",
     "RegionGates",
-    "ValidationReport",
     "cycle_time",
     "default_gate_inventory",
     "derive_geometry",
@@ -76,20 +75,14 @@ class ArrayConfig(NamedTuple):
         edge = self.bias_module_edge * self.bias_grid_edge
         return edge * edge
 
-
-class ValidationReport(NamedTuple):
-    violations: tuple[str, ...] = ()
-
-    def raise_if_invalid(self) -> None:
-        if self.violations:
-            raise InvalidConfigError(self.violations)
+    def validate(self) -> None:
+        validate_config(self)  # through the module global, so a rebinding of it sees every check
 
 
-def validate_config(cfg: ArrayConfig) -> ValidationReport:
-    """Collect every violated invariant, the readout power-of-two rule of the
-    wiring ``log2`` terms included; every model function assumes a config
-    with an empty report.  Validation never raises; callers that need a hard failure use
-    :meth:`ValidationReport.raise_if_invalid`.
+def validate_config(cfg: ArrayConfig) -> None:
+    """Raise :class:`InvalidConfigError` listing every violated invariant, the
+    readout power-of-two rule of the wiring ``log2`` terms included; every model
+    function assumes a config that passes.
     """
     v: list[str] = []
     for name, value in zip(cfg._fields, cfg):
@@ -106,6 +99,8 @@ def validate_config(cfg: ArrayConfig) -> ValidationReport:
             f"bias_module_edge*bias_grid_edge = {bias_edge} != "
             f"readout_module_edge*readout_grid_edge = {readout_edge}"
         )
+    if cfg.bias_module_edge == cfg.bias_grid_edge == 1:  # log(unit cells) = 0
+        v.append("a plane of one unit cell has no Rent exponent: bias_module_edge*bias_grid_edge = 1")
     cells = cfg.readout_module_edge**2
     split = cfg.sequential_readouts * cfg.parallel_readouts
     if cells != split:
@@ -121,7 +116,8 @@ def validate_config(cfg: ArrayConfig) -> ValidationReport:
             "readout_module_edge must be a power of two so readout address-line "
             f"counts are integral (got {n_r})"
         )
-    return ValidationReport(tuple(v))
+    if v:
+        raise InvalidConfigError(tuple(v))
 
 
 class GeometrySummary(NamedTuple):

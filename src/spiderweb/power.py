@@ -72,15 +72,11 @@ def parasitic_capacitance(grid: InterconnectGrid) -> GridCapacitance:
 
 def dynamic_power(capacitance_f: float, amplitude_v: float, frequency_hz: float) -> float:
     """Dynamic dissipation [W] of pulsing a capacitive load: C*V^2*f/2."""
-    if capacitance_f < 0 or amplitude_v < 0 or frequency_hz < 0:
-        raise ValueError("capacitance, amplitude and frequency must be non-negative")
     return 0.5 * capacitance_f * (amplitude_v * amplitude_v) * frequency_hz
 
 
 def demux_power(params: ElectronicsParams, refresh_hz: float) -> float:
     """Transient power [W] of a unit cell's demultiplexers at a refresh rate."""
-    if refresh_hz < 0:
-        raise ValueError("refresh rate must be non-negative")
     return params.demux_energy_j * refresh_hz * params.demux_per_cell
 
 
@@ -97,10 +93,8 @@ def transmission_line_power(signals: SignalParams) -> TransmissionLineResult:
     capacitor draws a current of amplitude 2*pi*V*f*C, dissipating
     2*R*(pi*V*f*C)^2 in the resistance.  The implied lumped constant k is
     reported so the quadratic amplitude-frequency scaling can be compared
-    directly across geometries.
+    directly across geometries.  ``signals`` has its line length resolved.
     """
-    if signals.line_length_m is None:
-        raise ValueError("line length unresolved; call SignalParams.resolved(cfg) first")
     length = signals.line_length_m
     resistance = signals.sheet_resistance_ohm * length / signals.line_width_m
     capacitance = signals.cap_per_length_f_per_m * length

@@ -21,10 +21,9 @@ from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 from . import electronics, power, wiring
-from .config import _KEYMAP, ToolConfig
+from .config import _KEYMAP, VALIDATION_ORDER, ToolConfig
 from .errors import InvalidConfigError
-from .model import (READOUT_MODES, CycleTime, GeometrySummary, cycle_time, default_gate_inventory, derive_geometry,
-                    validate_config)
+from .model import READOUT_MODES, CycleTime, GeometrySummary, cycle_time, default_gate_inventory, derive_geometry
 from .units import si_format
 
 __all__ = ["Design", "Sweep", "compute", "QUANTITIES", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
@@ -53,11 +52,7 @@ _INVENTORY = default_gate_inventory()
 
 
 def _validate(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
-    for section in sections:
-        if section == "array":
-            validate_config(config.array).raise_if_invalid()
-        else:
-            getattr(config, section).validate()
+    config.validate(sections)
 
 
 def _geometry(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
@@ -96,7 +91,7 @@ def _power(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[
 # The model stages in run order: name -> (config sections or ``section.field``s read, upstream stages
 # read, run).  A run adds its Design fields to ``out``; ``validate`` checks the given sections, in order.
 STAGES = {
-    "validate": (("array", "electronics", "timing", "interconnect", "signals"), (), _validate),
+    "validate": (VALIDATION_ORDER, (), _validate),
     "geometry": (("array.qubit_pitch_nm", "array.gate_pitch_nm", "array.bias_module_edge",
                   "array.bias_grid_edge"), (), _geometry),
     "lines": (("array",), (), _lines),

@@ -219,33 +219,29 @@ def _json_block(open_: str, body: str, close: str) -> str:
     return f"{open_}\n{body}\n  {close}" if body else open_ + close
 
 
+def _grouped(pairs) -> dict:
+    """Each key of the ``(key, value)`` pairs with its values, both in first-seen order."""
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
 def _check_window(index: int, movers: list[tuple[str, str]], lanes: list[str],
                   actors: list[tuple[str, str, str]]) -> None:
     """Raise :class:`ScheduleConflictError` at step ``index`` if the window
     over-fills a region or a channel, or places one qubit in two regions."""
-    # only more actors than one region holds, or a repeated lane, can overflow; regions are
-    # counted from the actors (a readout has no path), occupants gathered only to name one
-    if len(actors) > REGION_CAPACITY:
-        regions: dict[str, int] = {}
-        for _, _, region in actors:
-            regions[region] = regions.get(region, 0) + 1
-        for region, count in regions.items():
-            if count > REGION_CAPACITY:
-                occupants = tuple(q for q, _, r in actors if r == region)
-                raise ScheduleConflictError(index, region, occupants, REGION_CAPACITY)
-    if len(set(lanes)) < len(lanes):
-        for lane in lanes:
-            if lanes.count(lane) > CHANNEL_CAPACITY:
-                occupants = tuple(q for (q, _), other in zip(movers, lanes) if other == lane)
-                raise ScheduleConflictError(index, lane, occupants, CHANNEL_CAPACITY)
-    # the actors place every qubit of the window, a measured one too
-    if len({qubit for qubit, _, _ in actors}) < len(actors):
-        placed = dict.fromkeys((qubit, region) for qubit, _, region in actors)
-        qubits = [q for q, _ in placed]
-        for qubit in (q for q in qubits if qubits.count(q) > 1):
-            places = tuple(r for q, r in placed if q == qubit)
+    # regions are filled by the actors (a readout has no path), which place every qubit of the window
+    for region, occupants in _grouped((region, q) for q, _, region in actors).items():
+        if len(occupants) > REGION_CAPACITY:
+            raise ScheduleConflictError(index, region, tuple(occupants), REGION_CAPACITY)
+    for lane, occupants in _grouped((lane, q) for (q, _), lane in zip(movers, lanes)).items():
+        if len(occupants) > CHANNEL_CAPACITY:
+            raise ScheduleConflictError(index, lane, tuple(occupants), CHANNEL_CAPACITY)
+    for qubit, places in _grouped(dict.fromkeys((q, region) for q, _, region in actors)).items():
+        if len(places) > 1:
             detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
-            raise ScheduleConflictError(index, qubit, places, 1, detail)
+            raise ScheduleConflictError(index, qubit, tuple(places), 1, detail)
 
 
 def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...]]:
@@ -274,9 +270,9 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     :class:`ScheduleConflictError` naming the first step with that body and
     the resource.  Time is kept as integer window counts per kind and
     re-expanded into seconds for every window, so the makespan is
-    bit-identical to the closed-form census-weighted sum.
+    bit-identical to the closed-form census-weighted sum.  ``timing`` is a
+    validated section (see :meth:`spiderweb.config.ToolConfig.validate`).
     """
-    timing.validate()
     pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s, "readout": timing.readout_s}
     half_trip = timing.shuttle_s / 2.0
     counts = dict.fromkeys(CYCLE_CENSUS, 0)
@@ -388,7 +384,7 @@ def step_table_to_text(table: StepTable) -> str:
 
 
 def load_step_table(path) -> StepTable:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         return step_table_from_text(fh.read())
 
 

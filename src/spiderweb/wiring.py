@@ -6,8 +6,10 @@ operation crossbars, and readout.  Counts are evaluated at three levels:
 a single unit cell, one module, and the full quantum plane boundary.
 
 Readout counts contain log2 terms because sequential readout addressing uses
-binary decoders, so the readout module edge must be a power of two.  That rule
-lives in :func:`spiderweb.model.validate_config`; the functions here assume a
+binary decoders, so the readout module edge must be a power of two, and
+Rent's exponent divides by the log of the unit-cell count, so the plane must
+hold more than one cell.  Those rules live in
+:func:`spiderweb.model.validate_config`; the functions here assume a
 configuration that passes it.
 """
 
@@ -88,10 +90,6 @@ def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
 def rent_exponent(plane_total: int, cell_total: int, unit_cells: int) -> float:
     """Rent exponent p solving plane_total = cell_total * unit_cells**p, from the
     quantum-plane and unit-cell line totals that :func:`lines_at` counts."""
-    if unit_cells <= 1:
-        raise ValueError("Rent's exponent is undefined for a single unit cell")
-    if plane_total < cell_total:
-        raise ValueError("plane-level line count below the unit-cell count")
     return math.log(plane_total / cell_total) / math.log(unit_cells)
 
 

@@ -139,6 +139,8 @@ class TestReport:
             pytest.param(["sweep", "w", "1e-300"], "line_width_m", id="sweep-w=1e-300"),
             pytest.param(["report", "--set", "dv_coarse=1e300", "--set", "dv_fine=1e200"], "fine_resolution_v",
                          id="dv_fine=1e200-squared-overflows"),
+            pytest.param(["report", "--set", "drift=5e-324", "--set", "dv_fine=10", "--set", "dv_coarse=100"],
+                         "drift_v_per_s / fine_resolution_v underflows to a zero refresh rate", id="zero-refresh"),
         ],
     )
     def test_out_of_range_value_exits_1(self, capsys, argv, named):
@@ -300,6 +302,17 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "x", "--set", "drift=-1", "--", "-1,5")
         assert (code, out) == (1, "")
         assert err == "error: sweep point x=5: drift_v_per_s must be strictly positive (got -1.0)\n"
+
+    def test_one_cell_point_is_recorded_as_rejected(self, capsys):
+        one_cell = ["--set", "n_b=1", "--set", "m_b=1", "--set", "n_r=1", "--set", "q=1", "--set", "r=1"]
+        code, out, err = run(capsys, "sweep", "m_r", "2,1", *one_cell)
+        assert (code, err) == (0, "")
+        records = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["value"], r["valid"]) for r in records] == [("2", "False"), ("1", "False")]
+        message = "a plane of one unit cell has no Rent exponent: bias_module_edge*bias_grid_edge = 1"
+        assert records[1]["violations"] == message
+        assert records[0]["violations"].startswith("bias and readout tilings")
+        assert records[0]["violations"].endswith("; " + message)
 
     def test_leading_negative_value_needs_the_separator(self, capsys):
         code, out, err = run(capsys, "sweep", "x", "-1,5")
@@ -614,6 +627,36 @@ class TestDumpUnitary:
         code, _, err = run(capsys, "dump-unitary", "toffoli")
         assert code == 1
         assert "unknown gate" in err
+
+
+# a value of each config section that breaks one of its rules, and the error it gives
+_BROKEN_SECTIONS = {
+    "array": ("n_b=7", "bias and readout tilings cover different plane edges: "),
+    "electronics": ("dv_fine=0", "fine_resolution_v must be strictly positive (got 0.0)"),
+    "timing": ("t_r=-1ns", "readout_s must be non-negative"),
+    "signals": ("v_p=-1", "pulse_amplitude_v must be non-negative (got -1.0)"),
+    "interconnect": ("fringe_mode=full", "fringe_mode must be one of ('printed_magnitude', 'disabled')"),
+}
+
+
+@pytest.mark.parametrize("section", _BROKEN_SECTIONS)
+@pytest.mark.parametrize("command", ["report", "sweep", "verify", "simulate"])
+def test_every_command_checks_every_section_first(capsys, command, section):
+    """A broken rule of any section stops every command before a model runs; only a sweep
+    records a point the array rules reject, and goes on."""
+    override, message = _BROKEN_SECTIONS[section]
+    swept = ["t_sh", "50ns,60ns"] if command == "sweep" else []
+    code, out, err = run(capsys, command, "--set", override, *swept)
+    if command == "sweep" and section == "array":
+        assert (code, err) == (0, "")
+        records = list(csv.DictReader(io.StringIO(out)))
+        assert [r["valid"] for r in records] == ["False", "False"]
+        assert all(r["violations"].startswith(message) for r in records)
+        return
+    prefix = "error: sweep point t_sh=50ns: " if command == "sweep" else "error: "
+    assert (code, out) == (1, "")
+    assert err.startswith(prefix + message)
+    assert len(err.splitlines()) == 1
 
 
 class TestExitCodes:

@@ -226,6 +226,12 @@ class TestLoadConfig:
         assert config.array.crossbars == 0
         assert config.timing.shuttle_s == pytest.approx(50e-9)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "design.cfg"
+        path.write_text(SAMPLE, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(str(path)) == apply_entries(parse_config_text(SAMPLE))
+
     def test_alias_and_canonical_equivalent(self):
         by_alias = load_config(overrides=["d=20um"])
         by_name = load_config(overrides=["array.qubit_pitch=20um"])
@@ -287,13 +293,6 @@ class TestKeymap:
                 assert config.resolve_override(f"{section}.{alias}=1") == ((section, key), "1")
 
 
-def _check(section) -> None:
-    if isinstance(section, ArrayConfig):
-        validate_config(section).raise_if_invalid()
-    else:
-        section.validate()
-
-
 # (section, field, a value past the field's bound, the message that names it)
 BOUNDS = [
     *((ArrayConfig, f, 0, f"{f} must be strictly positive (got 0)")
@@ -318,9 +317,9 @@ class TestSectionBounds:
         "section, field, value, message", BOUNDS, ids=[f"{c.__name__}.{f}" for c, f, _, _ in BOUNDS],
     )
     def test_value_past_its_bound_names_the_field(self, section, field, value, message):
-        _check(section())
+        section().validate()
         with pytest.raises((ValueError, InvalidConfigError), match=re.escape(message)):
-            _check(section()._replace(**{field: value}))
+            section()._replace(**{field: value}).validate()
 
     def test_every_field_bound_is_checked(self):
         checked = {(c, f) for c, f, _, _ in BOUNDS}
@@ -329,7 +328,9 @@ class TestSectionBounds:
 
     def test_array_violations_in_field_order_crossbars_last(self):
         past = {f: v for c, f, v, _ in BOUNDS if c is ArrayConfig}
-        violations = validate_config(ArrayConfig(**past)).violations
+        with pytest.raises(InvalidConfigError) as err:
+            validate_config(ArrayConfig(**past))
+        violations = err.value.violations
         assert violations == tuple(m for c, _, _, m in BOUNDS if c is ArrayConfig)
         assert violations[-1].startswith("crossbars")
 
@@ -339,3 +340,21 @@ class TestSectionBounds:
         with pytest.raises(ValueError) as err:
             section(**{f: v for f, v, _ in rows}).validate()
         assert str(err.value) == rows[0][2]
+
+    def test_sections_are_checked_in_validation_order(self):
+        assert sorted(config.VALIDATION_ORDER) == sorted(config.SECTIONS)
+        broken = {c: c()._replace(**{f: v}) for c, f, v, _ in BOUNDS}
+        sections = {name: broken[cls] for name, cls in config.SECTIONS.items()}
+        for section in config.VALIDATION_ORDER:  # the first broken section in order is named
+            with pytest.raises((ValueError, InvalidConfigError)) as err:
+                ToolConfig(**sections).validate()
+            with pytest.raises(type(err.value), match=re.escape(str(err.value))):
+                sections[section].validate()
+            sections[section] = type(sections[section])()
+        ToolConfig(**sections).validate()
+
+    def test_only_the_given_sections_are_checked(self):
+        bad = ToolConfig(timing=TimingParams(readout_s=-1.0))
+        bad.validate(("array", "electronics", "interconnect", "signals"))
+        with pytest.raises(ValueError, match="readout_s"):
+            bad.validate(("timing",))

@@ -62,6 +62,14 @@ class TestRefreshRate:
         with pytest.raises(ValueError):
             PARAMS._replace(fine_resolution_v=0.0).validate()
 
+    def test_zero_refresh_rate_rejected(self):
+        # drift / resolution underflows: no refresh, and a demux clock of 0 Hz
+        p = PARAMS._replace(drift_v_per_s=5e-324, fine_resolution_v=10.0, coarse_resolution_v=100.0)
+        assert refresh_rate(p) == 0.0
+        with pytest.raises(ValueError, match="underflows to a zero refresh rate"):
+            p.validate()
+        p._replace(drift_v_per_s=5e-323, fine_resolution_v=2.0).validate()  # 2.5e-323 is still positive
+
 
 class TestDemuxClock:
     def test_reference_module(self):

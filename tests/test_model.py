@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spiderweb.config import ToolConfig
+from spiderweb.config import ElectronicsParams, TimingParams, ToolConfig
 from spiderweb.electronics import demux_clock
 from spiderweb.errors import InvalidConfigError
 from spiderweb.model import (
@@ -13,51 +13,72 @@ from spiderweb.model import (
     derive_geometry,
     validate_config,
 )
-from spiderweb.report import SWEEP_FIELDS, build_report, sweep_record
+from spiderweb.report import SWEEP_FIELDS, build_report, compute, sweep_record
 from spiderweb.wiring import LEVELS, lines_at
 
 REFERENCE = ArrayConfig()
 
 
+def _violations(cfg: ArrayConfig) -> tuple[str, ...]:
+    """The violations ``validate_config`` raises for ``cfg``, or () when it passes."""
+    try:
+        validate_config(cfg)
+    except InvalidConfigError as exc:
+        return exc.violations
+    return ()
+
+
 def test_reference_config_is_valid():
-    report = validate_config(REFERENCE)
-    assert report.violations == ()
+    assert validate_config(REFERENCE) is None
+    assert REFERENCE.validate() is None
 
 
 def test_minimal_config_is_valid():
+    # a plane of two unit cells on a side: one cell has no Rent exponent
     cfg = ArrayConfig(
-        bias_module_edge=1, bias_grid_edge=1,
-        readout_module_edge=1, readout_grid_edge=1,
+        bias_module_edge=2, bias_grid_edge=1,
+        readout_module_edge=1, readout_grid_edge=2,
         sequential_readouts=1, parallel_readouts=1,
     )
-    assert not validate_config(cfg).violations
+    assert _violations(cfg) == ()
+
+
+@pytest.mark.parametrize("edges", [(1, 1, 1, 1), (1, 1, 1, 2)])
+def test_one_cell_plane_is_rejected(edges):
+    n_b, m_b, n_r, m_r = edges
+    cfg = ArrayConfig(bias_module_edge=n_b, bias_grid_edge=m_b, readout_module_edge=n_r, readout_grid_edge=m_r,
+                      sequential_readouts=1, parallel_readouts=1)
+    violations = _violations(cfg)
+    assert "a plane of one unit cell has no Rent exponent: bias_module_edge*bias_grid_edge = 1" in violations
+    assert len(violations) == (1 if m_r == 1 else 2)  # a mismatched readout tiling is named too
 
 
 def test_mismatched_tilings_reported():
     cfg = REFERENCE._replace(readout_grid_edge=100)
-    report = validate_config(cfg)
-    assert report.violations
-    assert len(report.violations) == 1
-    assert "512 != " in report.violations[0]
-    with pytest.raises(InvalidConfigError):
-        report.raise_if_invalid()
+    violations = _violations(cfg)
+    assert len(violations) == 1
+    assert "512 != " in violations[0]
+    with pytest.raises(InvalidConfigError, match="512 != "):
+        cfg.validate()
 
 
 def test_uncovered_readout_split_reported():
     cfg = REFERENCE._replace(sequential_readouts=3)
-    report = validate_config(cfg)
-    assert any("multiplexing split" in v for v in report.violations)
+    assert any("multiplexing split" in v for v in _violations(cfg))
 
 
 def test_nonpositive_fields_reported():
     cfg = REFERENCE._replace(code_distance=0, crossbars=-1)
-    report = validate_config(cfg)
-    assert len(report.violations) == 2
+    assert len(_violations(cfg)) == 2
 
 
-def test_validation_never_raises_on_bad_config():
+def test_validation_raises_every_violation_at_once():
     cfg = ArrayConfig(qubit_pitch_nm=0, bias_module_edge=-3)
-    assert validate_config(cfg).violations
+    with pytest.raises(InvalidConfigError) as err:
+        validate_config(cfg)
+    assert err.value.violations == _violations(cfg)
+    assert str(err.value) == "; ".join(err.value.violations)
+    assert len(err.value.violations) == 3  # two fields and the tiling they break
 
 
 def test_reference_geometry():
@@ -93,47 +114,77 @@ def test_geometry_rejects_invalid_config():
 
 @st.composite
 def small_arrays(draw) -> ArrayConfig:
-    """Small arrays, biased so that the two tilings and the readout split often match."""
-    small = st.integers(-1, 8)
-    n_b, m_b, n_r = draw(small), draw(small), draw(small)
+    """Small arrays, biased so that the two tilings and the readout split often match.  Half are
+    tidy: every field in range, a power-of-two readout edge and matched tilings, so all that can
+    still fail is a plane of one unit cell."""
+    tidy = draw(st.booleans())
+    low = 1 if tidy else 0
+    small = st.integers(1 if tidy else -1, 8)
+    n_b, m_b = draw(small), draw(small)
+    n_r = draw(st.sampled_from([k for k in (1, 2, 4, 8) if n_b * m_b % k == 0]) if tidy else small)
     tiles = n_r > 0 and (n_b * m_b) % n_r == 0
-    m_r = (n_b * m_b) // n_r if tiles and draw(st.booleans()) else draw(small)
+    m_r = (n_b * m_b) // n_r if tiles and (tidy or draw(st.booleans())) else draw(small)
     cells = max(n_r * n_r, 1)
-    if draw(st.booleans()):
+    if tidy or draw(st.booleans()):
         q = draw(st.sampled_from([k for k in range(1, cells + 1) if cells % k == 0]))
         r = cells // q
     else:
         q, r = draw(small), draw(small)
     return ArrayConfig(
-        qubit_pitch_nm=draw(st.integers(0, 20_000)),
-        gate_pitch_nm=draw(st.integers(0, 100)),
+        qubit_pitch_nm=draw(st.integers(low, 20_000)),
+        gate_pitch_nm=draw(st.integers(low, 100)),
         bias_module_edge=n_b,
         bias_grid_edge=m_b,
         readout_module_edge=n_r,
         readout_grid_edge=m_r,
         sequential_readouts=q,
         parallel_readouts=r,
-        crossbars=draw(st.integers(-1, 5)),
-        code_distance=draw(st.integers(0, 5)),
-        metal_layers=draw(st.integers(0, 12)),
-        interconnect_pitch_nm=draw(st.integers(0, 100)),
+        crossbars=draw(st.integers(low - 1, 5)),
+        code_distance=draw(st.integers(low, 5)),
+        metal_layers=draw(st.integers(low, 12)),
+        interconnect_pitch_nm=draw(st.integers(low, 100)),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_arrays())
 def test_validation_decides_whether_report_builds(cfg):
-    report = validate_config(cfg)
-    if not report.violations:
-        try:
-            build_report(ToolConfig(array=cfg))
-        except ValueError as exc:
-            # a 1-cell plane has no Rent exponent; that is not an array violation
-            assert "single unit cell" in str(exc)
+    violations = _violations(cfg)
+    if not violations:
+        build_report(ToolConfig(array=cfg))
     else:
         with pytest.raises(InvalidConfigError) as err:
             build_report(ToolConfig(array=cfg))
-        assert err.value.violations == report.violations
+        assert err.value.violations == violations
+
+
+# finite floats from 0 up, which hypothesis often draws at the edges of the float range; every
+# config value is finite, as parse_quantity rejects the rest
+_EDGE_FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def edge_electronics(draw) -> ElectronicsParams:
+    """Positive electronics values at the edges of the float range, the fine resolution not above the
+    coarse one (a zero value breaks a rule that ``test_config`` checks)."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    fine, coarse = sorted((draw(positive), draw(positive)))
+    return ElectronicsParams(coarse, fine, *(draw(positive) for _ in range(4)), draw(st.integers(1, 64)),
+                             draw(positive))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_arrays(), edge_electronics(), st.builds(TimingParams, *[_EDGE_FLOATS] * len(TimingParams._fields)))
+@example(ArrayConfig(bias_module_edge=1, bias_grid_edge=1, readout_module_edge=1, readout_grid_edge=1,
+                     sequential_readouts=1, parallel_readouts=1), ElectronicsParams(), TimingParams())
+def test_every_valid_config_computes(cfg, electronics, timing):
+    config = ToolConfig(array=cfg, electronics=electronics, timing=timing)
+    try:
+        config.validate()
+    except (InvalidConfigError, ValueError):
+        return
+    design = compute(config)
+    assert design.geometry.unit_cells == cfg.unit_cells
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,12 +197,6 @@ def test_sweep_record_matches_report(cfg):
         record = sweep_record("x", "0", config)
         assert record["valid"] is False
         assert record["violations"] == str(exc)
-        return
-    except ValueError as exc:
-        # a 1-cell plane has no Rent exponent, on either path
-        with pytest.raises(ValueError) as err:
-            sweep_record("x", "0", config)
-        assert str(err.value) == str(exc)
         return
     record = sweep_record("x", "0", config)
     expected = {

@@ -138,10 +138,6 @@ class TestDynamicPower:
         for v in (0.5, 2.0, 3.0):
             assert dynamic_power(700e-15, v, 1e6) == pytest.approx(v**2 * base, rel=1e-12)
 
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            dynamic_power(-1e-15, 1.0, 1e6)
-
 
 class TestDemuxPower:
     def test_worst_case_refresh(self):
@@ -195,10 +191,6 @@ class TestTransmissionLine:
     def test_length_resolves_to_cell_span(self):
         s = SignalParams().resolved(REFERENCE)
         assert s.line_length_m == pytest.approx(26e-6)
-
-    def test_unresolved_length_rejected(self):
-        with pytest.raises(ValueError, match="unresolved"):
-            transmission_line_power(SignalParams())
 
 
 class TestTotalPower:

@@ -42,7 +42,6 @@ def _records() -> list:
     placed = qgates.PlacedGate("x", (1,))
     inventory = model.default_gate_inventory()
     return [
-        model.validate_config(model.ArrayConfig()),
         design.geometry,
         inventory.rows[0],
         inventory,

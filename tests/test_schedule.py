@@ -289,6 +289,13 @@ class TestStepTableFormat:
         assert len(table.steps) == 1
         assert table.steps[0].solo_gates[0].gate == "ry(-90)"
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "cycle.steps"
+        text = step_table_to_text(default_step_table())
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert schedule.load_step_table(path) == default_step_table()
+
 
 _LABELS = st.one_of(st.text(max_size=6), st.sampled_from([
     '"', "\\", '", "', "µm Ω ü 中", "\U0001f600\U00010348", "\x00\x1f\n\r\t\x7f", "\u2028", "",

@@ -88,8 +88,9 @@ class TestLineCounts:
             readout_module_edge=3, readout_grid_edge=2,
             sequential_readouts=3, parallel_readouts=3,
         )
-        report = validate_config(cfg)
-        assert report.violations == (
+        with pytest.raises(InvalidConfigError) as err:
+            validate_config(cfg)
+        assert err.value.violations == (
             "readout_module_edge must be a power of two so readout address-line "
             "counts are integral (got 3)",
         )
@@ -102,7 +103,8 @@ class TestLineCounts:
 
     def test_invalid_config_rejected(self):
         cfg = REFERENCE._replace(readout_grid_edge=5)
-        assert validate_config(cfg).violations
+        with pytest.raises(InvalidConfigError):
+            validate_config(cfg)
         with pytest.raises(InvalidConfigError):
             build_report(ToolConfig(array=cfg))
 
@@ -156,8 +158,11 @@ class TestRentExponent:
         assert rent_exponent(74, 74, 2**18) == 0.0
 
     def test_single_cell_undefined(self):
-        with pytest.raises(ValueError, match="single unit cell"):
-            rent_exponent(74, 74, 1)
+        # log(1 cell) = 0, so validation rejects the plane before any line is counted
+        cfg = ArrayConfig(bias_module_edge=1, bias_grid_edge=1, readout_module_edge=1, readout_grid_edge=1,
+                          sequential_readouts=1, parallel_readouts=1)
+        with pytest.raises(InvalidConfigError, match="one unit cell has no Rent exponent"):
+            build_report(ToolConfig(array=cfg))
 
     def test_grid_shape_saturates_below_half(self):
         values = [
