@@ -34,6 +34,7 @@ __all__ = [
     "cycle_time",
     "default_gate_inventory",
     "derive_geometry",
+    "readout_windows",
     "validate_config",
 ]
 
@@ -203,18 +204,27 @@ def default_gate_inventory() -> GateInventory:
 # every census count.
 CYCLE_CENSUS = {"shuttle_round_trips": 22, "one_qubit_gates": 14, "exchanges": 8, "readout_phases": 1}
 CYCLE_STEPS = 16  # steps of the shipped program
+_GATE_WINDOWS = tuple(CYCLE_CENSUS.values())[:3]  # the census's shuttle, one-qubit and exchange windows
 
 READOUT_MODES = ("parallel", "sequential", "mixed")
 
 
-def _duration(timing: TimingParams, counts: dict[str, int]) -> float:
-    """Census-weighted duration: the simulator's clock and the closed-form cycle time."""
-    return (
-        counts["shuttle_round_trips"] * timing.shuttle_s
-        + counts["one_qubit_gates"] * timing.single_qubit_s
-        + counts["exchanges"] * timing.exchange_s
-        + counts["readout_phases"] * timing.readout_s
-    )
+def _duration(timing: TimingParams, shuttles: int, one_qubit: int, exchanges: int, readouts: int) -> float:
+    """Census-weighted duration of window counts in CYCLE_CENSUS order: the simulator's clock and cycle_time."""
+    return (shuttles * timing.shuttle_s + one_qubit * timing.single_qubit_s + exchanges * timing.exchange_s
+            + readouts * timing.readout_s)
+
+
+def readout_windows(cfg: ArrayConfig, readout_mode: str) -> int:
+    """Readout windows per cycle: parallel takes one; sequential one per module-edge group; mixed one
+    per sequential readout slot of the q*r split."""
+    if readout_mode == "parallel":
+        return 1
+    if readout_mode == "sequential":
+        return cfg.readout_module_edge
+    if readout_mode == "mixed":
+        return cfg.sequential_readouts
+    raise ValueError(f"unknown readout mode {readout_mode!r}; expected one of {READOUT_MODES}")
 
 
 class CycleTime(NamedTuple):
@@ -224,19 +234,8 @@ class CycleTime(NamedTuple):
 
 
 def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "parallel") -> CycleTime:
-    """Closed-form cycle duration for a readout multiplexing mode.
-
-    parallel: one readout window; sequential: one window per module-edge
-    group; mixed: one window per sequential readout slot of the q*r split.
-    Also reports how many cycles fit into the dephasing time.
-    """
-    if readout_mode not in READOUT_MODES:
-        raise ValueError(f"unknown readout mode {readout_mode!r}; expected one of {READOUT_MODES}")
-    readout_multiplier = {
-        "parallel": 1,
-        "sequential": cfg.readout_module_edge,
-        "mixed": cfg.sequential_readouts,
-    }[readout_mode]
-    total = _duration(timing, {**CYCLE_CENSUS, "readout_phases": readout_multiplier})
+    """Closed-form cycle duration for a readout multiplexing mode (see :func:`readout_windows`).
+    Also reports how many cycles fit into the dephasing time."""
+    total = _duration(timing, *_GATE_WINDOWS, readout_windows(cfg, readout_mode))
     ratio = timing.dephasing_s / total if total > 0 else float("inf")
     return CycleTime(total, readout_mode, ratio)

@@ -116,6 +116,11 @@ class Sweep:
             if section in reads or field in reads or set(after) & set(reached):
                 reached.append(name)
         self.plan = ((section,), tuple(STAGES[name][2] for name in reached))
+        # Until a valid point every stage runs.  A sweep records an array violation as a rejected point,
+        # so its first point checks every other section before the array; once they have passed (else the
+        # sweep has failed), the next points check only the swept section and the array.
+        self.pending = (tuple(s for s in VALIDATION_ORDER if s != "array") + ("array",), _FULL_PLAN[1])
+        self.retry = (tuple(dict.fromkeys((section, "array"))), _FULL_PLAN[1])
         self.last: Design | None = None
 
 
@@ -123,7 +128,9 @@ def compute(config: ToolConfig, pinned_parasitic_f: float | None = None, sweep: 
     """Validate ``config`` and run every model stage on it.  After a valid point of ``sweep``, only the
     sweep's plan runs, and every other result is that point's; a valid result becomes its last point."""
     last = sweep.last if sweep else None
-    sections, runs = sweep.plan if last else _FULL_PLAN
+    sections, runs = sweep.plan if last else sweep.pending if sweep else _FULL_PLAN
+    if sweep:
+        sweep.pending = sweep.retry
     out = last._asdict() if last else {}
     for run in runs:
         run(config, out, pinned_parasitic_f, sections)

@@ -20,10 +20,12 @@ interleaving of the dressing pulses is a free choice.
 A long program repeats a few distinct step bodies (a step without its index),
 so the parser reads each distinct body once, and the simulator lowers and
 checks each once per process, at the first step that carries it; every step
-then stamps its own index and times on the body's events.  This is exact: the
-lanes and the region, channel and two-region checks read only the body, and
-the clock only the integer window counts so far.  A body that fails its
-checks is never kept: its error names its first step in the table at hand.
+then stamps its own index and times on the body's events.  The clock is four
+integer window counts, in ``CYCLE_CENSUS`` order, and each window starts at
+``model._duration`` of the counts so far.  This is exact: the lanes and the
+region, channel and two-region checks read only the body, and the clock only
+the window counts.  A body that fails its checks is never kept: its error
+names its first step in the table at hand.
 """
 
 from __future__ import annotations
@@ -90,12 +92,10 @@ class StepTable(NamedTuple):
     steps: tuple[Step, ...]
 
     def census(self) -> dict[str, int]:
-        counts = dict.fromkeys(CYCLE_CENSUS, 0)
-        for step in self.steps:
-            for kind, _, _, _ in _windows(step):
-                _tally(counts, kind)
-        counts["steps"] = len(self.steps)
-        return counts
+        kinds = [kind for step in self.steps for kind, _, _, _ in _windows(step)]
+        one_qubit, exchanges, readouts = map(kinds.count, ("one_qubit", "exchange", "readout"))
+        counts = (one_qubit + exchanges, one_qubit, exchanges, readouts)  # a round trip per non-readout window
+        return dict(zip(CYCLE_CENSUS, counts), steps=len(self.steps))
 
 
 # A window is (kind, movers, actors, park): ``movers`` are (qubit, region)
@@ -122,15 +122,6 @@ def _windows(step: Step) -> tuple[tuple, ...]:
     if step.kind == "hook":
         return ()
     raise ValueError(f"unknown step kind {step.kind!r}")
-
-
-_CENSUS_KEY = {"one_qubit": "one_qubit_gates", "exchange": "exchanges", "readout": "readout_phases"}
-
-
-def _tally(counts: dict[str, int], kind: str) -> None:
-    if kind != "readout":  # every other window is bracketed by one shuttle round trip
-        counts["shuttle_round_trips"] += 1
-    counts[_CENSUS_KEY[kind]] += 1
 
 
 def _channel(qubit: str, region: str) -> str:
@@ -273,9 +264,9 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     bit-identical to the closed-form census-weighted sum.  ``timing`` is a
     validated section (see :meth:`spiderweb.config.ToolConfig.validate`).
     """
-    pulse_s = {"one_qubit": timing.single_qubit_s, "exchange": timing.exchange_s, "readout": timing.readout_s}
+    one_qubit_s, exchange_s, readout_s = timing.single_qubit_s, timing.exchange_s, timing.readout_s
     half_trip = timing.shuttle_s / 2.0
-    counts = dict.fromkeys(CYCLE_CENSUS, 0)
+    shuttles = one_qubit = exchanges = readouts = 0  # the census counts so far, in CYCLE_CENSUS order
     runs: list[tuple] = []
     parked: list[tuple[int, tuple]] = []  # (step, the return trips it parks)
     for step in table.steps:
@@ -289,54 +280,66 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
         kinds, template, returns = plan
         times = []  # the events of a window share these time objects
         for kind in kinds:
-            start = _duration(timing, counts)
-            # a shuttled pulse lands half a round trip in; a readout at the window start
-            pulse = start if kind == "readout" else start + half_trip
-            times += (start, pulse, pulse + pulse_s[kind])
-            _tally(counts, kind)
+            start = _duration(timing, shuttles, one_qubit, exchanges, readouts)
+            if kind == "readout":  # at the window start, with no round trip
+                times += (start, start, start + readout_s)
+                readouts += 1
+                continue
+            pulse = start + half_trip  # a shuttled pulse lands half a round trip in
+            shuttles += 1
+            if kind == "exchange":
+                times += (start, pulse, pulse + exchange_s)
+                exchanges += 1
+            else:
+                times += (start, pulse, pulse + one_qubit_s)
+                one_qubit += 1
         runs.append((step.index, tuple(times), template))
         parked.append((step.index, returns))
     # Return trips of parked (measured) qubits complete at the cycle
     # boundary; their round-trip time was charged by the parking step.
-    end = _duration(timing, counts)
+    counts = (shuttles, one_qubit, exchanges, readouts)
+    end = _duration(timing, *counts)
     runs += [(index, (end,), returns) for index, returns in parked if returns]
     annotations = tuple(f"step {s.index}: {s.note}" for s in table.steps if s.kind == "hook")
-    return EventTrace(tuple(runs), {**counts, "steps": len(table.steps)}, end, annotations)
+    return EventTrace(tuple(runs), dict(zip(CYCLE_CENSUS, counts), steps=len(table.steps)), end, annotations)
 
 
 # ---------------------------------------------------------------------------
 # Step-table text format
 
 def step_table_from_text(text: str) -> StepTable:
-    """Parse the step-table text.  Each distinct body (the tokens after the
-    index) is parsed once; the index and its order are checked on every line."""
+    """Parse the step-table text.  Each distinct body (the text after the index) is
+    parsed once, at its first line; the index and its order are checked on every line."""
     steps: list[Step] = []
-    bodies: dict[tuple[str, ...], tuple] = {}
+    bodies: dict[str, tuple] = {}
+    new = tuple.__new__  # skips Step's Python-level __new__, as EventTrace.events does for Event
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        if len(tokens) < 2:
+        head = line.split(None, 1)
+        if len(head) < 2:
             raise ValueError(f"line {line_no}: expected '<index> <kind> ...'")
         try:
-            index = int(tokens[0])
+            index = int(head[0])
         except ValueError as exc:
-            raise ValueError(f"line {line_no}: bad step index {tokens[0]!r}") from exc
-        if steps and index <= steps[-1].index:
+            raise ValueError(f"line {line_no}: bad step index {head[0]!r}") from exc
+        if steps and index <= steps[-1][0]:
             raise ValueError(f"line {line_no}: step index {index} repeats or is out of order")
-        key = tuple(tokens[1:])
-        body = bodies.get(key)
+        body = bodies.get(head[1])
         if body is None:
-            body = bodies[key] = _parse_body(line_no, tokens[1], tokens[2:])
-        steps.append(Step(index, *body))
+            body = bodies[head[1]] = _parse_body(line_no, head[1])
+        steps.append(new(Step, (index, *body)))
     return StepTable(tuple(steps))
 
 
-def _parse_body(line_no: int, kind_token: str, items: list[str]) -> tuple:
-    """The fields of a step after its index, from its kind token and items."""
+def _parse_body(line_no: int, text: str) -> tuple:
+    """The fields of a step after its index, from the text of its body."""
+    kind_token, *items = text.split()
     park = kind_token.endswith("+park")
     kind = kind_token.removesuffix("+park")
+    if park and kind in ("two_qubit", "readout", "hook"):
+        raise ValueError(f"line {line_no}: +park applies only to one_qubit steps, not {kind}")
     if kind == "hook":
         return "hook", (), (), (), False, " ".join(items)
     if kind not in ("one_qubit", "two_qubit", "readout"):

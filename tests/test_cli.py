@@ -298,10 +298,28 @@ class TestSweep:
         message = "error: override 'x=abc': bad value for array.crossbars: cannot parse quantity 'abc'\n"
         assert run(capsys, "sweep", "x", "1,abc") == (1, "", message)
 
-    def test_rejected_point_then_section_rule_names_the_later_point(self, capsys):
+    def test_section_rule_fails_a_point_the_array_rules_reject(self, capsys):
+        # until its first valid point a sweep checks every other section before the array
         code, out, err = run(capsys, "sweep", "x", "--set", "drift=-1", "--", "-1,5")
         assert (code, out) == (1, "")
-        assert err == "error: sweep point x=5: drift_v_per_s must be strictly positive (got -1.0)\n"
+        assert err == "error: sweep point x=-1: drift_v_per_s must be strictly positive (got -1.0)\n"
+
+    @pytest.mark.parametrize("values", ["7", "7,32"])
+    def test_invalid_unswept_section_is_named_at_an_array_rejection(self, capsys, values):
+        message = "error: sweep point n_b=7: readout_s must be non-negative\n"
+        assert run(capsys, "sweep", "n_b", values, "--set", "t_r=-1") == (1, "", message)
+
+    def test_array_rejection_under_valid_sections_is_a_rejected_row(self, capsys):
+        code, out, err = run(capsys, "sweep", "t_r", "1ns", "--set", "n_b=7")
+        assert (code, err) == (0, "")
+        records = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["value"], r["valid"]) for r in records] == [("1ns", "False")]
+        assert records[0]["violations"].startswith("bias and readout tilings")
+
+    def test_report_names_the_array_first(self, capsys):
+        code, out, err = run(capsys, "report", "--set", "t_r=-1", "--set", "n_b=7")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bias and readout tilings") and len(err.splitlines()) == 1
 
     def test_one_cell_point_is_recorded_as_rejected(self, capsys):
         one_cell = ["--set", "n_b=1", "--set", "m_b=1", "--set", "n_r=1", "--set", "q=1", "--set", "r=1"]
@@ -606,6 +624,13 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err == "error: line 3: step index 2 repeats or is out of order\n"
+
+    @pytest.mark.parametrize("kind, items", [("two_qubit", "A1+D1@op1:rz=A1"), ("readout", "A1@op1"), ("hook", "x")])
+    def test_park_on_a_kind_other_than_one_qubit_exits_1(self, capsys, tmp_path, kind, items):
+        table = tmp_path / "park.steps"
+        table.write_text(f"# header\n1 one_qubit+park A1@op1:x\n2 {kind}+park {items}\n")
+        message = f"error: line 3: +park applies only to one_qubit steps, not {kind}\n"
+        assert run(capsys, "simulate", "--table", str(table)) == (1, "", message)
 
 
 class TestDumpUnitary:

@@ -283,11 +283,12 @@ def test_a_rejected_point_keeps_the_reuse(monkeypatch):
         (model, "validate_config"), (ElectronicsParams, "validate"),
     ])
     assert counts == {"validate_config": 3, "validate": 1}
-    # no point is valid: each one checks every section up to the array rule it breaks
+    # no point is valid: the first checks every other section, then breaks the array rule; the
+    # second checks only the swept section and the array
     counts = _sweep_counts(monkeypatch, ["sweep", "--set", "n_b=7", "--", "t_r", "1us,2us"], [
         (model, "validate_config"), (ElectronicsParams, "validate"), (model, "cycle_time"),
     ])
-    assert counts == {"validate_config": 2, "validate": 0, "cycle_time": 0}
+    assert counts == {"validate_config": 2, "validate": 1, "cycle_time": 0}
 
 
 # Every array key and a swept key from every other section, each with values that are valid, that
@@ -322,7 +323,8 @@ _FILES = {None: None, "small": _SMALL_FILE, "large": _LARGE_FILE}
 def _fresh_sweep(key: str, values: list[str], path: str | None, base: list[str],
                  pinned: float | None) -> tuple[int, list[dict] | None, str]:
     """Exit code, records and stderr of the sweep, each point's record built by a fresh
-    ``sweep_record`` on a fresh ``load_config``, a failure reported as the CLI reports it."""
+    ``sweep_record`` on a fresh ``load_config`` as a sweep's first point, which checks the
+    array last, a failure reported as the CLI reports it."""
     records = []
     for value in values:
         point = f"{key}={value}"
@@ -331,7 +333,7 @@ def _fresh_sweep(key: str, values: list[str], path: str | None, base: list[str],
         except ConfigParseError as exc:
             return 1, None, f"error: {exc}\n"
         try:
-            record = sweep_record(key, value, config, pinned)
+            record = sweep_record(key, value, config, pinned, report.Sweep(resolve_override(point)[0]))
         except ValueError as exc:
             return 1, None, f"error: sweep point {point}: {exc}\n"
         for field, v in record.items():

@@ -4,6 +4,7 @@ import io
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -13,7 +14,7 @@ import schedule_oracle
 from spiderweb import schedule
 from spiderweb.errors import ScheduleConflictError
 from spiderweb.config import TimingParams
-from spiderweb.model import CYCLE_CENSUS, ArrayConfig, cycle_time
+from spiderweb.model import CYCLE_CENSUS, ArrayConfig, cycle_time, readout_windows
 from spiderweb.schedule import (
     HOME_QUBITS,
     Event,
@@ -111,6 +112,18 @@ class TestCycleTime:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="readout mode"):
             cycle_time(TIMING, REFERENCE, "serial")
+
+    def test_each_mode_is_the_census_sum_bit_for_bit(self):
+        rng = random.Random(25)
+        split = REFERENCE._replace(sequential_readouts=2, parallel_readouts=8)  # mixed and sequential differ
+        for _ in range(100):
+            t = random_timing(rng)
+            for cfg in (REFERENCE, split):
+                for mode, m in (("parallel", 1), ("mixed", cfg.sequential_readouts),
+                                ("sequential", cfg.readout_module_edge)):
+                    assert readout_windows(cfg, mode) == m
+                    total = 22 * t.shuttle_s + 14 * t.single_qubit_s + 8 * t.exchange_s + m * t.readout_s
+                    assert cycle_time(t, cfg, mode).total_s == total
 
     def test_readout_mode_monotonicity_over_random_timings(self):
         rng = random.Random(20260808)
@@ -284,6 +297,12 @@ class TestStepTableFormat:
             step_table_from_text(text)
         assert str(err.value) == f"line {line}: step index {index} repeats or is out of order"
 
+    @pytest.mark.parametrize("kind", ["two_qubit", "readout", "hook"])
+    def test_park_applies_only_to_one_qubit_steps(self, kind):
+        with pytest.raises(ValueError) as err:
+            step_table_from_text(f"1 one_qubit+park D1@op1:x\n\n3 {kind}+park\n")
+        assert str(err.value) == f"line 3: +park applies only to one_qubit steps, not {kind}"
+
     def test_comments_and_blanks_ignored(self):
         table = step_table_from_text("# header\n\n1 one_qubit D1@op1:ry(-90)  # inline\n")
         assert len(table.steps) == 1
@@ -391,6 +410,23 @@ def test_generated_table_output_bytes(steps, csv_digest, json_digest):
     assert hashlib.sha256(trace.to_json().encode("utf-8")).hexdigest() == json_digest
 
 
+def test_text_table_output_bytes():
+    """A 512-step table parsed from text in the benchmark's layout: one '<index> <body>' line
+    per step, the shipped gate bodies drawn at random, then its park and readout bodies."""
+    shipped = (Path(schedule.__file__).parent / "data" / "unit_cell_cycle.steps").read_text(encoding="utf-8")
+    bodies = [line.split(None, 1)[1] for line in shipped.splitlines() if line and not line.startswith("#")]
+    pool = [b for b in bodies if b.split()[0] in ("one_qubit", "two_qubit")]
+    tail = [b for b in bodies if b.split()[0] in ("one_qubit+park", "readout")]
+    rng = random.Random(5120)
+    drawn = [rng.choice(pool) for _ in range(512 - len(tail))] + tail
+    text = "".join(f"{i} {body}\n" for i, body in enumerate(drawn, start=1))
+    trace = simulate_cycle(step_table_from_text(text), random_timing(rng))
+    assert hashlib.sha256(trace.to_csv().encode("utf-8")).hexdigest() == (
+        "0930b511ec712dba010eb8722ebdbe5ad944564d930f3cdca53c31896ef88791")
+    assert hashlib.sha256(trace.to_json().encode("utf-8")).hexdigest() == (
+        "f77f1dd35fe671fbc7a4553f02538084e532bc382112f645bd6d6dc4793187e1")
+
+
 @pytest.mark.usefixtures("cold_caches")
 class TestRepeatedBodies:
     """Each distinct step body is lowered, checked and parsed once."""
@@ -454,16 +490,26 @@ def _repeating_tables(draw) -> StepTable:
 
 
 @settings(max_examples=200, deadline=None)
-@given(table=_repeating_tables(), data=st.data())
-def test_text_round_trip_over_generated_tables(table, data):
-    text = step_table_to_text(table)
-    assert step_table_from_text(text) == table
-    # the same bodies spaced and commented differently on each line parse to the same table
-    spaces = st.sampled_from([" ", "  ", "\t", " \t "])
-    lines = [data.draw(st.sampled_from(["", " ", "\t"])) + data.draw(spaces).join(line.split())
-             + data.draw(st.sampled_from(["", " ", "  # note", "\t# a # b"]))
-             for line in text.splitlines()]
-    assert step_table_from_text("\n".join(lines)) == table
+@given(table=_repeating_tables())
+def test_text_round_trip_over_generated_tables(table):
+    assert step_table_from_text(step_table_to_text(table)) == table
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_repeating_tables(), timing=_TIMINGS, data=st.data())
+def test_respaced_text_parses_and_simulates_the_same(table, timing, data):
+    """Runs of spaces or tabs between tokens, trailing comments and blank lines change
+    neither the parsed table nor a byte of its simulated csv and json."""
+    indents, gaps = st.sampled_from(["", " ", "\t"]), st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = []
+    for tokens in map(str.split, step_table_to_text(table).splitlines()):
+        lines += data.draw(st.lists(st.sampled_from(["", " \t", "# a comment"]), max_size=2))
+        spaced = [data.draw(gaps if i else indents) + token for i, token in enumerate(tokens)]
+        lines.append("".join(spaced) + data.draw(st.sampled_from(["", " ", "  # note", "\t# a # b"])))
+    parsed = step_table_from_text("\n".join(lines))
+    assert parsed == table
+    trace, expected = simulate_cycle(parsed, timing), simulate_cycle(table, timing)
+    assert (trace.to_csv(), trace.to_json()) == (expected.to_csv(), expected.to_json())
 
 
 @settings(max_examples=200, deadline=None)
