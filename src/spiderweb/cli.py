@@ -190,24 +190,24 @@ def _cmd_verify(args) -> int:
         ok = qgates.verify_plaquette(kind, corrupt=args.corrupt == "plaquette")
         checks.append({"check": f"plaquette:{kind}", "passed": ok, "residual": None})
 
-    table = schedule.default_step_table()
-    census = table.census()
-    expected = {**CYCLE_CENSUS, "steps": CYCLE_STEPS}
-    checks.append({"check": "schedule:census", "passed": census == expected, "residual": None, "detail": census})
-    # the README's contract: exactly two steps move only data qubit D1
-    solo_ok = sum(s.home_shuttling_qubits() == ("D1",) for s in table.steps) == 2
-    checks.append({"check": "schedule:steps-3-13-single-shuttle", "passed": solo_ok, "residual": None})
-
+    # the census and the D1-only steps are read from the one simulated trace; a conflict fails all three
     try:
-        trace = schedule.simulate_cycle(table, config.timing)
+        trace = schedule.simulate_cycle(schedule.default_step_table(), config.timing)
+    except ScheduleConflictError as exc:
+        census, solo_ok, sim_ok, detail = {}, False, False, {"conflict": str(exc)}
+    else:
+        census = trace.counters
+        # the README's contract: exactly two steps (the first runs) move only data qubit D1
+        solo_ok = sum({q for _, q, op, _ in template if op == "shuttle_out" and q in schedule.HOME_QUBITS} == {"D1"}
+                      for _, _, template in trace.runs[:census["steps"]]) == 2
         formula = cycle_time(config.timing, config.array, "parallel").total_s
         sim_ok = trace.makespan_s == formula
         detail = {"makespan_s": trace.makespan_s, "formula_s": formula}
-    except ScheduleConflictError as exc:
-        sim_ok = False
-        detail = {"conflict": str(exc)}
     _require_finite(detail, "verify value")  # an overflowing cycle would pass as inf == inf
-    checks.append({"check": "schedule:conflict-free", "passed": sim_ok, "residual": None, "detail": detail})
+    census_ok = census == {**CYCLE_CENSUS, "steps": CYCLE_STEPS}
+    checks += [{"check": "schedule:census", "passed": census_ok, "residual": None, "detail": census},
+               {"check": "schedule:steps-3-13-single-shuttle", "passed": solo_ok, "residual": None},
+               {"check": "schedule:conflict-free", "passed": sim_ok, "residual": None, "detail": detail}]
 
     all_ok = all(c["passed"] for c in checks)
     if args.format == "json":

@@ -55,8 +55,8 @@ def refresh_rate(params: ElectronicsParams) -> float:
 def demux_clock(cfg: ArrayConfig, refresh_hz: float) -> float:
     """Minimum demultiplexer clock [Hz] to refresh a whole biasing module.
 
-    One module refresh visits all 64 held gates of each of the module's
-    edge^2 unit cells; modules refresh in parallel across the plane.
+    One module refresh visits every held gate (``GateInventory.dc_biased_total``) of each of
+    the module's edge^2 unit cells; modules refresh in parallel across the plane.
     """
     return _HELD_GATES * cfg.bias_module_edge**2 * refresh_hz
 

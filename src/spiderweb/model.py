@@ -196,7 +196,7 @@ _DEFAULT_INVENTORY_ROWS = (
 
 
 def default_gate_inventory() -> GateInventory:
-    """Gate inventory of the reference unit cell (32 fine / 32 coarse / 58 pulsed)."""
+    """Gate inventory of the reference unit cell; its counts are the ``GateInventory`` totals."""
     return GateInventory(_DEFAULT_INVENTORY_ROWS)
 
 

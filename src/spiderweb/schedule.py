@@ -11,10 +11,12 @@ exactly the closed-form cycle time that :func:`spiderweb.model.cycle_time`
 evaluates: 22 shuttle round trips, 14 single-qubit gates, 8 exchange pulses
 and one readout.
 
-The shipped default program is one consistent reconstruction of the cycle:
-its window census, step count, the two steps that only move data qubit D1,
-resource capacities (two electrons per operation region, one per channel)
-and per-qubit electron conservation are the checked contract; the exact
+The shipped default program is one consistent reconstruction of the cycle.
+Its checked contract is its window census, step count and the two steps that
+only move data qubit D1, which ``verify`` reads from its one simulated trace,
+and the resource capacities (two electrons per operation region, one per
+channel) that every simulation checks.  Per-qubit electron conservation holds
+for it, but only a test checks that; the simulator does not.  The exact
 interleaving of the dressing pulses is a free choice.
 
 A long program repeats a few distinct step bodies (a step without its index),
@@ -84,18 +86,9 @@ class Step(NamedTuple):
     park: bool = False              # defer the return trip past the readout
     note: str = ""
 
-    def home_shuttling_qubits(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(q for _, movers, _, _ in _windows(self) for q, _ in movers if q in HOME_QUBITS))
-
 
 class StepTable(NamedTuple):
     steps: tuple[Step, ...]
-
-    def census(self) -> dict[str, int]:
-        kinds = [kind for step in self.steps for kind, _, _, _ in _windows(step)]
-        one_qubit, exchanges, readouts = map(kinds.count, ("one_qubit", "exchange", "readout"))
-        counts = (one_qubit + exchanges, one_qubit, exchanges, readouts)  # a round trip per non-readout window
-        return dict(zip(CYCLE_CENSUS, counts), steps=len(self.steps))
 
 
 # A window is (kind, movers, actors, park): ``movers`` are (qubit, region)

@@ -58,10 +58,10 @@ def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
     """Local connection count at one level of the array hierarchy.
 
     Per unit cell, DC biasing needs 4 address + 4 enable lines plus one
-    voltage-source feed; shuttling needs the 4 phase-shifted drives; all 58
-    pulsed/MW signals are globally shared; each crossbar contributes 2
-    horizontal + 2 vertical lines; readout needs 2 sensor plunger lines and
-    one shared drain line.  Address and drive lines are shared upward, while
+    voltage-source feed; shuttling needs the 4 phase-shifted drives; the
+    pulsed/MW signals (``GateInventory.pulsed_total``) are globally shared;
+    each crossbar contributes 2 horizontal + 2 vertical lines; readout needs
+    2 sensor plunger lines and one shared drain line.  Address and drive lines are shared upward, while
     enable lines, crossbar lines, voltage-source feeds and drain lines scale
     with the module edge and grid size.
     """

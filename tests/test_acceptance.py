@@ -117,9 +117,8 @@ def test_criterion_05_footprint_and_plane_area():
 def test_criterion_06_cycle_timing():
     mixed = cycle_time(TIMING, REFERENCE, "mixed").total_s
     parallel = cycle_time(TIMING, REFERENCE, "parallel").total_s
-    table = default_step_table()
-    trace = simulate_cycle(table, TIMING)
-    census = table.census()
+    trace = simulate_cycle(default_step_table(), TIMING)
+    census = trace.counters
     report(
         "criterion 6: mixed-readout cycle 5.65 us, simulated makespan equals the "
         "parallel formula exactly, census 22/14/8 over 16 steps",

@@ -19,6 +19,7 @@ import spiderweb
 from spiderweb import cli, config, electronics, power, qgates, report, schedule, wiring
 from spiderweb.cli import _sweep_csv, _sweep_json, _verify_json, main
 from spiderweb.config import load_config
+from spiderweb.errors import ScheduleConflictError
 from spiderweb.report import SWEEP_FIELDS, sweep_record
 
 REPORT_DEFAULT_JSON = ["report", "--format", "json"]
@@ -518,6 +519,28 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: verify value makespan_s is not finite (inf)\n"
 
+    @pytest.mark.parametrize("old, new, failed", [
+        ("3 one_qubit D1@b", "3 one_qubit D2@b", ["schedule:steps-3-13-single-shuttle"]),
+        ("16 readout", "16 hook extra\n17 readout", ["schedule:census"]),
+        ("1 one_qubit D1@op1:ry(-90)", "1 one_qubit D2@op1:x D1@op1:ry(-90)",
+         ["schedule:census", "schedule:steps-3-13-single-shuttle", "schedule:conflict-free"]),
+    ], ids=["step-3-moves-D2", "extra-hook", "conflict"])
+    def test_each_schedule_check_fails_on_its_own_mutation(self, capsys, monkeypatch, old, new, failed):
+        text = schedule.step_table_to_text(schedule.default_step_table())
+        assert old in text
+        table = schedule.step_table_from_text(text.replace(old, new, 1))
+        monkeypatch.setattr(schedule, "default_step_table", lambda: table)
+        code, out, err = run(capsys, "verify", "--json")
+        assert (code, err) == (2, "")
+        checks = json.loads(out)["checks"]
+        assert [c["check"] for c in checks[-3:]] == [
+            "schedule:census", "schedule:steps-3-13-single-shuttle", "schedule:conflict-free"]
+        assert [c["check"] for c in checks if not c["passed"]] == failed
+        if "schedule:conflict-free" in failed:
+            with pytest.raises(ScheduleConflictError) as conflict:
+                schedule.simulate_cycle(table, config.TimingParams())
+            assert checks[-1]["detail"] == {"conflict": str(conflict.value)}
+
 
 class TestSimulate:
     def test_summary(self, capsys):
@@ -573,7 +596,7 @@ class TestSimulate:
         assert err == "error: simulate value makespan_s is not finite (inf)\n"
 
     def test_commands_never_expand_the_events(self, capsys, monkeypatch, tmp_path):
-        """The writers and every simulate format read the per-step runs only."""
+        """The writers, every simulate format and verify read the per-step runs only."""
         def refuse(trace):
             raise AssertionError("EventTrace.events was expanded")
 
@@ -588,6 +611,10 @@ class TestSimulate:
                 code, out, err = run(capsys, "simulate", "--format", fmt, *argv)
                 assert (code, err) == (0, "")
                 assert out
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "verify", "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out
 
     def test_json_to_a_file_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "trace.json"
