@@ -283,8 +283,8 @@ def read_entries(path: str | None = None, overrides: list[str] | None = None) ->
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ConfigParseError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+        except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+            raise ConfigParseError(f"cannot read config file {path!r}: {getattr(exc, 'strerror', exc)}") from exc
         entries.update(parse_config_text(text))
     for override in overrides or []:
         resolved, value = resolve_override(override)

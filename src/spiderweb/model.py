@@ -229,13 +229,12 @@ def readout_windows(cfg: ArrayConfig, readout_mode: str) -> int:
 
 class CycleTime(NamedTuple):
     total_s: float
-    readout_mode: str
     coherence_ratio: float
 
 
-def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str = "parallel") -> CycleTime:
+def cycle_time(timing: TimingParams, cfg: ArrayConfig, readout_mode: str) -> CycleTime:
     """Closed-form cycle duration for a readout multiplexing mode (see :func:`readout_windows`).
     Also reports how many cycles fit into the dephasing time."""
     total = _duration(timing, *_GATE_WINDOWS, readout_windows(cfg, readout_mode))
     ratio = timing.dephasing_s / total if total > 0 else float("inf")
-    return CycleTime(total, readout_mode, ratio)
+    return CycleTime(total, ratio)

@@ -21,13 +21,13 @@ interleaving of the dressing pulses is a free choice.
 
 A long program repeats a few distinct step bodies (a step without its index),
 so the parser reads each distinct body once, and the simulator lowers and
-checks each once per process, at the first step that carries it; every step
-then stamps its own index and times on the body's events.  The clock is four
-integer window counts, in ``CYCLE_CENSUS`` order, and each window starts at
-``model._duration`` of the counts so far.  This is exact: the lanes and the
-region, channel and two-region checks read only the body, and the clock only
-the window counts.  A body that fails its checks is never kept: its error
-names its first step in the table at hand.
+checks each in one pass, once per process, at the first step that carries it;
+every step then stamps its own index and times on the body's events.  The
+clock is four integer window counts, in ``CYCLE_CENSUS`` order, and each
+window starts at ``model._duration`` of the counts so far.  This is exact: the
+lanes and the region, channel and two-region checks read only the body, and
+the clock only the window counts.  A body that fails its checks is never kept:
+its error names its first step in the table at hand.
 """
 
 from __future__ import annotations
@@ -89,36 +89,6 @@ class Step(NamedTuple):
 
 class StepTable(NamedTuple):
     steps: tuple[Step, ...]
-
-
-# A window is (kind, movers, actors, park): ``movers`` are (qubit, region)
-# pairs that ride their channels, ``actors`` are (qubit, op_label, region)
-# receiving the window's pulse, and ``park`` defers the movers' return trip
-# past the readout.
-def _windows(step: Step) -> tuple[tuple, ...]:
-    """The windows one step lowers to; the one definition of the cycle rule."""
-    if step.kind == "one_qubit":
-        movers = [(g.qubit, g.region) for g in step.solo_gates]
-        actors = [(g.qubit, f"1q_gate:{g.gate}", g.region) for g in step.solo_gates]
-        return (("one_qubit", movers, actors, step.park),)
-    if step.kind == "two_qubit":
-        # exchange, interleaved rz on the carrier, exchange
-        both = [(q, p.region) for p in step.pair_gates for q in (p.qubit_a, p.qubit_b)]
-        swaps = [(q, f"sqrt_swap:{p.qubit_a}+{p.qubit_b}", p.region)
-                 for p in step.pair_gates for q in (p.qubit_a, p.qubit_b)]
-        carriers = [(p.rz_carrier, p.region) for p in step.pair_gates]
-        rz = [(p.rz_carrier, "1q_gate:rz(180)", p.region) for p in step.pair_gates]
-        exchange = ("exchange", both, swaps, False)
-        return (exchange, ("one_qubit", carriers, rz, False), exchange)
-    if step.kind == "readout":
-        return (("readout", [], [(g.qubit, "readout", g.region) for g in step.measured], False),)
-    if step.kind == "hook":
-        return ()
-    raise ValueError(f"unknown step kind {step.kind!r}")
-
-
-def _channel(qubit: str, region: str) -> str:
-    return f"{qubit}~{region}"
 
 
 class Event(NamedTuple):
@@ -211,15 +181,14 @@ def _grouped(pairs) -> dict:
     return groups
 
 
-def _check_window(index: int, movers: list[tuple[str, str]], lanes: list[str],
-                  actors: list[tuple[str, str, str]]) -> None:
+def _check_window(index: int, lanes: list[str], actors: list[tuple[str, str, str]]) -> None:
     """Raise :class:`ScheduleConflictError` at step ``index`` if the window
     over-fills a region or a channel, or places one qubit in two regions."""
     # regions are filled by the actors (a readout has no path), which place every qubit of the window
     for region, occupants in _grouped((region, q) for q, _, region in actors).items():
         if len(occupants) > REGION_CAPACITY:
             raise ScheduleConflictError(index, region, tuple(occupants), REGION_CAPACITY)
-    for lane, occupants in _grouped((lane, q) for (q, _), lane in zip(movers, lanes)).items():
+    for lane, occupants in _grouped((lane, q) for (q, _, _), lane in zip(actors, lanes)).items():
         if len(occupants) > CHANNEL_CAPACITY:
             raise ScheduleConflictError(index, lane, tuple(occupants), CHANNEL_CAPACITY)
     for qubit, places in _grouped(dict.fromkeys((q, region) for q, _, region in actors)).items():
@@ -229,18 +198,32 @@ def _check_window(index: int, movers: list[tuple[str, str]], lanes: list[str],
 
 
 def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...]]:
-    """Lower and check one step body: its window kinds, its events as
-    (time slot, qubit, op, resource) with slots 3w, 3w+1, 3w+2 for window w's
-    start, pulse and return, and the return trips it parks, at slot 0."""
+    """Lower and check one step body in one pass: the one definition of the cycle rule.  A window is
+    (kind, actors), each actor (qubit, op, region) receiving its pulse; each actor of a shuttled
+    (non-readout) window rides its own channel, and a parking ``one_qubit`` step defers the return
+    trips past the readout.  Returns the window kinds, the events as (time slot, qubit, op, resource)
+    with slots 3w, 3w+1, 3w+2 for window w's start, pulse and return, and the parked returns at slot 0."""
+    windows = []
+    if step.kind == "one_qubit":
+        windows = [("one_qubit", [(g.qubit, f"1q_gate:{g.gate}", g.region) for g in step.solo_gates])]
+    elif step.kind == "two_qubit":  # exchange, interleaved rz on the carrier, exchange
+        swaps = [(q, f"sqrt_swap:{p.qubit_a}+{p.qubit_b}", p.region)
+                 for p in step.pair_gates for q in (p.qubit_a, p.qubit_b)]
+        rz = [(p.rz_carrier, "1q_gate:rz(180)", p.region) for p in step.pair_gates]
+        windows = [("exchange", swaps), ("one_qubit", rz), ("exchange", swaps)]
+    elif step.kind == "readout":
+        windows = [("readout", [(g.qubit, "readout", g.region) for g in step.measured])]
+    elif step.kind != "hook":
+        raise ValueError(f"unknown step kind {step.kind!r}")
     kinds, template, parked = [], [], []
-    for w, (kind, movers, actors, park) in enumerate(_windows(step)):
-        lanes = [_channel(qubit, region) for qubit, region in movers]
-        _check_window(step.index, movers, lanes, actors)
+    for w, (kind, actors) in enumerate(windows):
+        lanes = [] if kind == "readout" else [f"{qubit}~{region}" for qubit, _, region in actors]
+        _check_window(step.index, lanes, actors)
         kinds.append(kind)
-        template += [(3 * w, qubit, "shuttle_out", lane) for (qubit, _), lane in zip(movers, lanes)]
-        template += [(3 * w + 1, qubit, label, region) for qubit, label, region in actors]
-        returns = [(qubit, "shuttle_back", lane) for (qubit, _), lane in zip(movers, lanes)]
-        if park:
+        template += [(3 * w, qubit, "shuttle_out", lane) for (qubit, _, _), lane in zip(actors, lanes)]
+        template += [(3 * w + 1, *actor) for actor in actors]
+        returns = [(qubit, "shuttle_back", lane) for (qubit, _, _), lane in zip(actors, lanes)]
+        if step.park and step.kind == "one_qubit":
             parked += [(0, *event) for event in returns]
         else:
             template += [(3 * w + 2, *event) for event in returns]
@@ -338,21 +321,20 @@ def _parse_body(line_no: int, text: str) -> tuple:
     if kind not in ("one_qubit", "two_qubit", "readout"):
         raise ValueError(f"line {line_no}: unknown step kind {kind!r}")
     gates = []
-    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION
-        try:
-            placement, label = (item, "readout") if kind == "readout" else item.split(":", 1)
-            target, region = placement.split("@", 1)
-            if kind == "two_qubit":
-                qubit_a, qubit_b = target.split("+", 1)
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: bad {kind} item {item!r}") from exc
+    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION, with no part empty
+        placement, colon, label = (item, ":", "readout") if kind == "readout" else item.partition(":")
+        target, at, region = placement.partition("@")
+        qubits = target.split("+", 1) if kind == "two_qubit" else [target]
+        pair_ok = kind != "two_qubit" or len(qubits) == 2 and label.startswith("rz=")
+        if not (colon and at and region and label and all(qubits) and pair_ok):
+            raise ValueError(f"line {line_no}: bad {kind} item {item!r}")
         if kind != "two_qubit":
             gates.append(SoloGate(target, region, label))
             continue
         carrier = label.removeprefix("rz=")
-        if carrier not in (qubit_a, qubit_b):
+        if carrier not in qubits:
             raise ValueError(f"line {line_no}: rz carrier {carrier!r} is not part of pair {target!r}")
-        gates.append(PairGate(qubit_a, qubit_b, region, carrier))
+        gates.append(PairGate(*qubits, region, carrier))
     if kind == "one_qubit":
         return kind, tuple(gates), (), (), park, ""
     if kind == "two_qubit":
@@ -380,8 +362,12 @@ def step_table_to_text(table: StepTable) -> str:
 
 
 def load_step_table(path) -> StepTable:
-    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
-        return step_table_from_text(fh.read())
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read step table {path!r}: {getattr(exc, 'strerror', exc)}") from exc
+    return step_table_from_text(text)
 
 
 _shipped: list[StepTable] = []

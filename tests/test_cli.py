@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiderweb
-from spiderweb import cli, config, electronics, power, qgates, report, schedule, wiring
+from spiderweb import cli, config, electronics, model, power, qgates, report, schedule, wiring
 from spiderweb.cli import _sweep_csv, _sweep_json, _verify_json, main
 from spiderweb.config import load_config
 from spiderweb.errors import ScheduleConflictError
@@ -107,6 +107,16 @@ class TestReport:
         code, _, err = run(capsys, "report", "--config", str(bad))
         assert code == 1
         assert "line 3" in err
+
+    @pytest.mark.parametrize("argv", [["report"], ["sweep", "x", "1"], ["verify"], ["simulate"]],
+                             ids=["report", "sweep", "verify", "simulate"])
+    def test_config_file_that_is_not_utf8_is_named(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"[array]\n# caf\xe9\nx = 200\n")
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read config file {str(path)!r}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("error:") == 1 and err.count("\n") == 1
 
     def test_invalid_config_exits_1(self, capsys):
         code, _, err = run(capsys, "report", "--set", "m_r=100")
@@ -448,6 +458,68 @@ class TestVerifyWriter:
         assert hashlib.sha256(result[1].encode("utf-8")).hexdigest() == digest
 
 
+def _shipped_table_with(old: str, new: str):
+    """Mutation: the shipped step table with its first ``old`` text replaced by ``new``."""
+    def mutate(monkeypatch):
+        text = schedule.step_table_to_text(schedule.default_step_table())
+        assert old in text
+        table = schedule.step_table_from_text(text.replace(old, new, 1))
+        monkeypatch.setattr(schedule, "default_step_table", lambda: table)
+    return mutate
+
+
+def _patched(module, name: str, make):
+    """Mutation: ``module.name`` replaced by ``make(old value)``."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, make(getattr(module, name)))
+
+
+def _signed(module, name: str, when):
+    """Mutation: the matrix that ``module.name`` returns picks up a sign on the calls whose arguments
+    pass ``when``.  A sign is a global phase: it fails only the identities compared without one."""
+    def make(build):
+        def signed(*args):
+            matrix = build(*args)
+            return [[-v for v in row] for row in matrix] if when(*args) else matrix
+        return signed
+    return _patched(module, name, make)
+
+
+def _without_last_wall(kind: str):
+    """Mutation: the ``kind`` plaquette circuit loses its closing rotation wall."""
+    def make(build):
+        def without(k, corrupt=False):
+            circuit = build(k, corrupt)
+            return circuit._replace(steps=circuit.steps[:-1]) if k == kind else circuit
+        return without
+    return _patched(qgates, "build_plaquette", make)
+
+
+# Every check that ``verify --json`` prints, in its order, with one mutation of the program,
+# applied with monkeypatch, that fails that check and no other.
+_VERIFY_MUTATIONS = {
+    # one-qubit gates embedded on qubit 1, then on qubit 2, of a pair
+    "identity:sp-from-sqrt-swap": _signed(qgates, "expand", lambda m, n, targets: (n, targets) == (2, (1,))),
+    "identity:sp-dagger-from-sqrt-swap": _signed(qgates, "expand", lambda m, n, targets: (n, targets) == (2, (2,))),
+    # the Kronecker products rz(90) x rz(-90), rz(-90) x rz(90) and Z x Z, told apart by their first factor
+    "identity:cz-from-sp": _signed(qgates, "_kron", lambda a, b: a[0][0].imag < 0),
+    "identity:cz-from-sp-dagger": _signed(qgates, "_kron", lambda a, b: a[0][0].imag > 0),
+    "identity:sp-squared": _signed(qgates, "_kron", lambda a, b: a[0][0].imag == 0),
+    # cnot-from-sp compares up to a global phase, so its rx rotates the other way
+    "identity:cnot-from-sp": _patched(qgates, "gate", lambda gate: lambda name, *p: gate(
+        name, *(-a for a in p) if name == "rx" else p)),
+    "identity:hadamard-ry-z": _signed(qgates, "gate", lambda name, *p: name == "ry" and p[0] > 0),
+    "identity:hadamard-z-ry": _signed(qgates, "gate", lambda name, *p: name == "ry" and p[0] < 0),
+    "identity:sqrt-swap-squared": _patched(qgates, "_SWAP", lambda swap: [[float(i == j) for j in range(4)]
+                                                                          for i in range(4)]),
+    "plaquette:X": _without_last_wall("X"),
+    "plaquette:Z": _without_last_wall("Z"),
+    "schedule:census": _shipped_table_with("16 readout", "16 hook extra\n17 readout"),
+    "schedule:steps-3-13-single-shuttle": _shipped_table_with("3 one_qubit D1@b", "3 one_qubit D2@b"),
+    # one more shuttle round trip in the closed-form census than the program runs
+    "schedule:conflict-free": _patched(model, "_GATE_WINDOWS", lambda windows: (windows[0] + 1, *windows[1:])),
+}
+
+
 class TestVerify:
     def test_clean_build_passes(self, capsys):
         code, out, _ = run(capsys, "verify")
@@ -519,27 +591,29 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: verify value makespan_s is not finite (inf)\n"
 
-    @pytest.mark.parametrize("old, new, failed", [
-        ("3 one_qubit D1@b", "3 one_qubit D2@b", ["schedule:steps-3-13-single-shuttle"]),
-        ("16 readout", "16 hook extra\n17 readout", ["schedule:census"]),
-        ("1 one_qubit D1@op1:ry(-90)", "1 one_qubit D2@op1:x D1@op1:ry(-90)",
-         ["schedule:census", "schedule:steps-3-13-single-shuttle", "schedule:conflict-free"]),
-    ], ids=["step-3-moves-D2", "extra-hook", "conflict"])
-    def test_each_schedule_check_fails_on_its_own_mutation(self, capsys, monkeypatch, old, new, failed):
-        text = schedule.step_table_to_text(schedule.default_step_table())
-        assert old in text
-        table = schedule.step_table_from_text(text.replace(old, new, 1))
-        monkeypatch.setattr(schedule, "default_step_table", lambda: table)
+    def test_every_check_has_a_mutation(self, capsys):
+        code, out, _ = run(capsys, "verify", "--json")
+        assert code == 0
+        assert sorted(c["check"] for c in json.loads(out)["checks"]) == sorted(_VERIFY_MUTATIONS)
+
+    @pytest.mark.parametrize("check", list(_VERIFY_MUTATIONS))
+    def test_each_check_fails_on_its_own_mutation(self, capsys, monkeypatch, check):
+        _VERIFY_MUTATIONS[check](monkeypatch)
+        code, out, err = run(capsys, "verify", "--json")
+        assert (code, err) == (2, "")
+        assert [c["check"] for c in json.loads(out)["checks"] if not c["passed"]] == [check]
+
+    def test_a_conflict_fails_every_schedule_check(self, capsys, monkeypatch):
+        # no schedule check is read without the trace, so a conflicting shipped table fails all three
+        _shipped_table_with("1 one_qubit D1@op1:ry(-90)", "1 one_qubit D2@op1:x D1@op1:ry(-90)")(monkeypatch)
         code, out, err = run(capsys, "verify", "--json")
         assert (code, err) == (2, "")
         checks = json.loads(out)["checks"]
-        assert [c["check"] for c in checks[-3:]] == [
+        assert [c["check"] for c in checks if not c["passed"]] == [
             "schedule:census", "schedule:steps-3-13-single-shuttle", "schedule:conflict-free"]
-        assert [c["check"] for c in checks if not c["passed"]] == failed
-        if "schedule:conflict-free" in failed:
-            with pytest.raises(ScheduleConflictError) as conflict:
-                schedule.simulate_cycle(table, config.TimingParams())
-            assert checks[-1]["detail"] == {"conflict": str(conflict.value)}
+        with pytest.raises(ScheduleConflictError) as conflict:
+            schedule.simulate_cycle(schedule.default_step_table(), config.TimingParams())
+        assert checks[-1]["detail"] == {"conflict": str(conflict.value)}
 
 
 class TestSimulate:
@@ -651,6 +725,25 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err == "error: line 3: step index 2 repeats or is out of order\n"
+
+    @pytest.mark.parametrize("kind, item", [
+        ("one_qubit", "@op1:x"), ("one_qubit", "D1@:x"), ("one_qubit", "D1@op1:"), ("two_qubit", "A+@op1:rz=A"),
+        ("two_qubit", "+B@op1:rz=B"), ("two_qubit", "A+B@op1:A"), ("readout", "@op1"), ("readout", "D1@"),
+    ], ids=["empty-qubit", "empty-region", "empty-gate", "empty-second-member", "empty-first-member",
+            "pair-without-rz", "readout-empty-qubit", "readout-empty-region"])
+    def test_item_that_breaks_the_grammar_exits_1(self, capsys, tmp_path, kind, item):
+        table = tmp_path / "bad.steps"
+        table.write_text(f"# header\n1 {kind} {item}\n")
+        message = f"error: line 2: bad {kind} item {item!r}\n"
+        assert run(capsys, "simulate", "--table", str(table)) == (1, "", message)
+
+    def test_table_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        table = tmp_path / "latin1.steps"
+        table.write_bytes(b"1 hook caf\xe9\n")
+        code, out, err = run(capsys, "simulate", "--table", str(table))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read step table {str(table)!r}: 'utf-8' codec can't decode byte 0xe9")
+        assert err.count("error:") == 1 and err.count("\n") == 1
 
     @pytest.mark.parametrize("kind, items", [("two_qubit", "A1+D1@op1:rz=A1"), ("readout", "A1@op1"), ("hook", "x")])
     def test_park_on_a_kind_other_than_one_qubit_exits_1(self, capsys, tmp_path, kind, items):

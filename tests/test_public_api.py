@@ -57,3 +57,59 @@ def test_every_public_name_is_reached_in_the_package():
             if uses < 1:
                 unreached.append(f"{module}.{qualified}")
     assert sorted(set(unreached) - TEST_ONLY) == []
+
+
+# Record fields that no package code reads, each with the reason it stays.
+UNREAD_FIELDS = {
+    "model.RegionGates.region_kind": "names a data row of the gate inventory",
+    "schedule.Event.op": "a column of the expanded trace that EventTrace.events returns to its callers",
+}
+
+
+def _records(trees: dict[str, ast.Module]):
+    """(module, class node) of each ``NamedTuple`` record the package defines."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "NamedTuple" for b in node.bases):
+                yield module, node
+
+
+def _asdict_records(trees: dict[str, ast.Module], records: set[str]) -> set[str]:
+    """The records whose ``_asdict()`` the package calls: on ``self`` in the record's own body, or on a
+    field or a method result whose annotation names the record, as in ``config.array._asdict()``."""
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    typed: dict[str, set[str]] = {}  # a field or function name -> the records its annotation names
+    for node in nodes:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name, annotation = node.target.id, node.annotation
+        elif isinstance(node, ast.FunctionDef) and node.returns:
+            name, annotation = node.name, node.returns
+        else:
+            continue
+        typed.setdefault(name, set()).update(set(re.findall(r"\w+", ast.unparse(annotation))) & records)
+    called = {record.name for _, record in _records(trees) if "self._asdict()" in ast.unparse(record)}
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and node.attr == "_asdict":
+            target = node.value.func if isinstance(node.value, ast.Call) else node.value
+            called |= typed.get(getattr(target, "attr", ""), set())
+    return called
+
+
+def test_every_record_field_is_read_in_the_package():
+    """Each field of a package record is read by package code: as an attribute (``x.field``, in its
+    own methods too), as a segment of a dotted-path string (an ``attrgetter`` path such as
+    ``"power.parasitic_pinned"``), or through ``_asdict()`` of its record; so no field is carried for
+    the tests alone."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(spiderweb.__file__).parent.glob("*.py")}
+    docstrings = {id(node.value) for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read |= {segment for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+             and re.fullmatch(r"\w+(\.\w+)*", node.value) for segment in node.value.split(".")}
+    records = list(_records(trees))
+    asdict = _asdict_records(trees, {record.name for _, record in records})
+    unread = [f"{module}.{record.name}.{item.target.id}" for module, record in records if record.name not in asdict
+              for item in record.body if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    assert sorted(set(unread) - set(UNREAD_FIELDS)) == []
+    assert sorted(set(UNREAD_FIELDS) - set(unread)) == []  # a listed field that is now read leaves the list

@@ -479,6 +479,22 @@ class TestRepeatedBodies:
                                      Event(end, 2, "A1", "shuttle_back", "A1~op2"),
                                      Event(end, 2, "D2", "shuttle_back", "D2~op1"))
 
+    @pytest.mark.parametrize("step", [
+        Step(1, "two_qubit", pair_gates=(PairGate("A1", "D1", "op1", "A1"),)),
+        Step(1, "readout", measured=(SoloGate("A1", "op1", "readout"),)),
+        Step(1, "hook", note="mark"),
+    ], ids=["two_qubit", "readout", "hook"])
+    def test_park_lowers_only_a_one_qubit_step(self, step, cold_caches):
+        # the parser rejects +park on these kinds; a hand-built Step may still carry it
+        parked = simulate_cycle(StepTable((step._replace(park=True),)), TIMING)
+        assert parked == simulate_cycle(StepTable((step,)), TIMING)
+
+    def test_unknown_kind_of_a_built_step_raises(self, cold_caches):
+        for _ in ("cold", "warm"):
+            with pytest.raises(ValueError) as err:
+                simulate_cycle(StepTable((Step(1, "one_qubit"), Step(2, "teleport"))), TIMING)
+            assert str(err.value) == "unknown step kind 'teleport'"
+
     def test_bad_body_fails_at_its_first_line(self):
         text = "# header\n1 hook\n2 one_qubit D1-op1\n\n3 one_qubit   D1-op1  # again\n"
         with pytest.raises(ValueError) as err:
