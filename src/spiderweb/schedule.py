@@ -20,9 +20,9 @@ for it, but only a test checks that; the simulator does not.  The exact
 interleaving of the dressing pulses is a free choice.
 
 A long program repeats a few distinct step bodies (a step without its index),
-so the parser reads each distinct body once, and the simulator lowers and
-checks each in one pass, once per process, at the first step that carries it;
-every step then stamps its own index and times on the body's events.  The
+so a table holds each body once and each step as its index and body number.
+The parser reads each distinct body once; the simulator fetches a body's plan
+once per call and lowers and checks it in one pass once per process.  The
 clock is four integer window counts, in ``CYCLE_CENSUS`` order, and each
 window starts at ``model._duration`` of the counts so far.  This is exact: the
 lanes and the region, channel and two-region checks read only the body, and
@@ -33,6 +33,8 @@ its error names its first step in the table at hand.
 from __future__ import annotations
 
 import os
+from functools import cache
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import NamedTuple
@@ -87,8 +89,21 @@ class Step(NamedTuple):
     note: str = ""
 
 
-class StepTable(NamedTuple):
-    steps: tuple[Step, ...]
+class StepTable(NamedTuple("StepTable", [("bodies", tuple[tuple, ...]), ("order", tuple[tuple[int, int], ...])])):
+    """A step program: each distinct body (a step without its index) once, numbered in first-seen order,
+    and each step as (index, body number).  ``StepTable(steps)`` groups the steps once; ``steps``
+    rebuilds them on each access."""
+
+    __slots__ = ()
+
+    def __new__(cls, steps):
+        numbers: dict[tuple, int] = {}
+        order = tuple([(step[0], numbers.setdefault(step[1:], len(numbers))) for step in steps])
+        return tuple.__new__(cls, (tuple(numbers), order))
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple([tuple.__new__(Step, (index, *self.bodies[number])) for index, number in self.order])
 
 
 class Event(NamedTuple):
@@ -115,21 +130,24 @@ class EventTrace(NamedTuple):
         return tuple([new(Event, (times[slot], index, qubit, op, resource))
                       for index, times, template in self.runs for slot, qubit, op, resource in template])
 
-    def _fill(self, parts: list[str], rows, stamps) -> list[str]:
-        """Append each step's rows to ``parts``: ``rows(template)``, with a ``%s`` per event,
-        is built once per distinct body and filled by one ``%`` per step."""
-        bodies: dict[int, tuple] = {}
+    def _fill(self, parts: list[str], rows, stamp, first: tuple = (), last: tuple = ()) -> list[str]:
+        """Append each step's rows to ``parts``.  Per body, each run of events in one time slot becomes pieces
+        (``first``, the events' ``rows``, ``last``) that a step writes as ``stamp.join(pieces)``."""
+        bodies: dict[int, list] = {}
         for index, times, template in self.runs:
             if template:
-                if id(template) not in bodies:
-                    bodies[id(template)] = rows(template), itemgetter(*[event[0] for event in template])
-                text, pick = bodies[id(template)]
-                parts.append(text % pick(stamps(times, index)))
+                slots = bodies.get(id(template))
+                if slots is None:
+                    texts = iter(rows(template))
+                    slots = bodies[id(template)] = [(slot, (*first, *islice(texts, len(list(run))), *last))
+                                                    for slot, run in groupby(template, itemgetter(0))]
+                before, after = stamp(index)
+                parts += [f"{before}{times[slot]!r}{after}".join(pieces) for slot, pieces in slots]
         return parts
 
     def to_csv(self) -> str:
-        return "".join(self._fill(["time_s,step,qubit,op,resource\n"], _csv_rows,
-                                  lambda times, index: [f"{t!r},{index}" for t in times]))
+        return "".join(self._fill(["time_s,step,qubit,op,resource\n"], _csv_rows, lambda index: ("", f",{index}"),
+                                  first=("",)))
 
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2, sort_keys=True)`` of the trace document, written
@@ -138,31 +156,28 @@ class EventTrace(NamedTuple):
         counters = ",\n".join(f"    {_json_str(k)}: {v!r}" for k, v in sorted(self.counters.items()))
         parts = self._fill([f'{{\n  "annotations": {_json_block("[", annotations, "]")},\n'
                             f'  "counters": {_json_block("{", counters, "}")},\n  "events": ['], _json_rows,
-                           lambda times, index: [f'{index},\n      "time_s": {t!r}' for t in times])
+                           lambda index: (f'{index},\n      "time_s": ', ""), last=("",))
         if len(parts) > 1:
-            parts[1] = parts[1][1:]  # the first event follows the "[" without a comma
-        parts.append(("\n  ]" if len(parts) > 1 else "]") + f',\n  "makespan_s": {self.makespan_s!r}\n}}')
+            parts[1] = parts[1].removeprefix("\n    },")  # the first event closes no event before it
+        parts.append(("\n    }\n  ]" if len(parts) > 1 else "]") + f',\n  "makespan_s": {self.makespan_s!r}\n}}')
         return "".join(parts)
 
 
-def _csv_rows(template: tuple) -> str:
-    """One body's csv rows, ``%s`` for each row's time and step.  One check of the joined
-    rows finds a label that needs quoting or holds a ``%``; only then is each cell escaped."""
-    rows, n = "".join([f"%s,{q},{op},{r}\n" for _, q, op, r in template]), len(template)
-    if tuple(map(rows.count, ',\n%"\r')) == (3 * n, n, n, 0, 0):
+def _csv_rows(template: tuple) -> list[str]:
+    """One body's csv rows, each after its stamp (time and step).  One check of the joined rows
+    finds a label that needs quoting; only then is each cell quoted."""
+    rows = [f",{q},{op},{r}\n" for _, q, op, r in template]
+    text = "".join(rows)
+    if (text.count(","), text.count("\n"), '"' in text or "\r" in text) == (3 * len(rows), len(rows), False):
         return rows
-    return "".join(["%s" + f",{_csv_cell(q)},{_csv_cell(op)},{_csv_cell(r)}\n".replace("%", "%%")
-                    for _, q, op, r in template])
+    return [f",{_csv_cell(q)},{_csv_cell(op)},{_csv_cell(r)}\n" for _, q, op, r in template]
 
 
-def _json_rows(template: tuple) -> str:
-    """One body's json events, each led by a comma, ``%s`` for its step and time."""
-    rows = "".join([f',\n    {{\n      "op": {_json_str(op)},\n      "qubit": {_json_str(q)},\n'
-                    f'      "resource": {_json_str(r)},\n      "step": %s\n    }}'
-                    for _, q, op, r in template])
-    if rows.count("%") > len(template):  # a label's quotes are escaped: '"step": %%s' is a placeholder
-        rows = rows.replace("%", "%%").replace('"step": %%s', '"step": %s')
-    return rows
+def _json_rows(template: tuple) -> list[str]:
+    """One body's json events, each closing the event before it and opening its own up to its stamp
+    (step and time)."""
+    return [f'\n    }},\n    {{\n      "op": {_json_str(op)},\n      "qubit": {_json_str(q)},\n'
+            f'      "resource": {_json_str(r)},\n      "step": ' for _, q, op, r in template]
 
 
 def _csv_cell(text: str) -> str:
@@ -243,16 +258,18 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     one_qubit_s, exchange_s, readout_s = timing.single_qubit_s, timing.exchange_s, timing.readout_s
     half_trip = timing.shuttle_s / 2.0
     shuttles = one_qubit = exchanges = readouts = 0  # the census counts so far, in CYCLE_CENSUS order
+    bodies, plans = table.bodies, [None] * len(table.bodies)  # each body's plan, fetched at its first step
     runs: list[tuple] = []
     parked: list[tuple[int, tuple]] = []  # (step, the return trips it parks)
-    for step in table.steps:
-        body = step[1:]
-        plan = _plans.get(body)
+    for index, number in table.order:
+        plan = plans[number]
         if plan is None:
-            plan = _plan(step)
-            if len(_plans) >= PLANS_KEPT:
-                del _plans[next(iter(_plans))]
-            _plans[body] = plan
+            plan = plans[number] = _plans.get(bodies[number])
+            if plan is None:
+                plan = plans[number] = _plan(Step(index, *bodies[number]))
+                if len(_plans) >= PLANS_KEPT:
+                    del _plans[next(iter(_plans))]
+                _plans[bodies[number]] = plan
         kinds, template, returns = plan
         times = []  # the events of a window share these time objects
         for kind in kinds:
@@ -269,26 +286,27 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
             else:
                 times += (start, pulse, pulse + one_qubit_s)
                 one_qubit += 1
-        runs.append((step.index, tuple(times), template))
-        parked.append((step.index, returns))
+        runs.append((index, tuple(times), template))
+        parked.append((index, returns))
     # Return trips of parked (measured) qubits complete at the cycle
     # boundary; their round-trip time was charged by the parking step.
     counts = (shuttles, one_qubit, exchanges, readouts)
     end = _duration(timing, *counts)
     runs += [(index, (end,), returns) for index, returns in parked if returns]
-    annotations = tuple(f"step {s.index}: {s.note}" for s in table.steps if s.kind == "hook")
-    return EventTrace(tuple(runs), dict(zip(CYCLE_CENSUS, counts), steps=len(table.steps)), end, annotations)
+    notes = {number: body[-1] for number, body in enumerate(bodies) if body[0] == "hook"}  # (kind, ..., note)
+    annotations = tuple([f"step {index}: {notes[number]}" for index, number in table.order if number in notes])
+    return EventTrace(tuple(runs), dict(zip(CYCLE_CENSUS, counts), steps=len(table.order)), end, annotations)
 
 
 # ---------------------------------------------------------------------------
 # Step-table text format
 
 def step_table_from_text(text: str) -> StepTable:
-    """Parse the step-table text.  Each distinct body (the text after the index) is
-    parsed once, at its first line; the index and its order are checked on every line."""
-    steps: list[Step] = []
-    bodies: dict[str, tuple] = {}
-    new = tuple.__new__  # skips Step's Python-level __new__, as EventTrace.events does for Event
+    """Parse the step-table text.  Each distinct body text (the text after the index) is parsed once, at its
+    first line, and numbered by its body, which two texts can share; every line's index order is checked."""
+    order: list[tuple[int, int]] = []
+    numbers: dict[str, int] = {}   # body text -> body number
+    bodies: dict[tuple, int] = {}  # body -> body number, in first-seen order
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -300,13 +318,13 @@ def step_table_from_text(text: str) -> StepTable:
             index = int(head[0])
         except ValueError as exc:
             raise ValueError(f"line {line_no}: bad step index {head[0]!r}") from exc
-        if steps and index <= steps[-1][0]:
+        if order and index <= order[-1][0]:
             raise ValueError(f"line {line_no}: step index {index} repeats or is out of order")
-        body = bodies.get(head[1])
-        if body is None:
-            body = bodies[head[1]] = _parse_body(line_no, head[1])
-        steps.append(new(Step, (index, *body)))
-    return StepTable(tuple(steps))
+        number = numbers.get(head[1])
+        if number is None:
+            number = numbers[head[1]] = bodies.setdefault(_parse_body(line_no, head[1]), len(bodies))
+        order.append((index, number))
+    return tuple.__new__(StepTable, (tuple(bodies), tuple(order)))
 
 
 def _parse_body(line_no: int, text: str) -> tuple:
@@ -321,12 +339,14 @@ def _parse_body(line_no: int, text: str) -> tuple:
     if kind not in ("one_qubit", "two_qubit", "readout"):
         raise ValueError(f"line {line_no}: unknown step kind {kind!r}")
     gates = []
-    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION, with no part empty
+    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION; no name empty or with +@:
         placement, colon, label = (item, ":", "readout") if kind == "readout" else item.partition(":")
         target, at, region = placement.partition("@")
-        qubits = target.split("+", 1) if kind == "two_qubit" else [target]
-        pair_ok = kind != "two_qubit" or len(qubits) == 2 and label.startswith("rz=")
-        if not (colon and at and region and label and all(qubits) and pair_ok):
+        qubits = target.split("+")
+        pair_ok = (len(qubits) == 2 and qubits[0] != qubits[1] and label.startswith("rz=") if kind == "two_qubit"
+                   else len(qubits) == 1)
+        if not (colon and at and region and label and all(qubits) and pair_ok and "@" not in region
+                and ":" not in placement):
             raise ValueError(f"line {line_no}: bad {kind} item {item!r}")
         if kind != "two_qubit":
             gates.append(SoloGate(target, region, label))
@@ -343,22 +363,18 @@ def _parse_body(line_no: int, text: str) -> tuple:
 
 
 def step_table_to_text(table: StepTable) -> str:
-    lines = []
-    for step in table.steps:
-        kind = step.kind + ("+park" if step.park else "")
+    texts = []
+    for step in [Step(0, *body) for body in table.bodies]:
         if step.kind == "one_qubit":
             items = [f"{g.qubit}@{g.region}:{g.gate}" for g in step.solo_gates]
         elif step.kind == "two_qubit":
-            items = [
-                f"{p.qubit_a}+{p.qubit_b}@{p.region}:rz={p.rz_carrier}"
-                for p in step.pair_gates
-            ]
+            items = [f"{p.qubit_a}+{p.qubit_b}@{p.region}:rz={p.rz_carrier}" for p in step.pair_gates]
         elif step.kind == "readout":
             items = [f"{g.qubit}@{g.region}" for g in step.measured]
         else:
-            items = [step.note] if step.note else []
-        lines.append(" ".join([str(step.index), kind, *items]).rstrip())
-    return "\n".join(lines) + "\n"
+            items = [step.note]
+        texts.append(" ".join([step.kind + ("+park" if step.park else ""), *items]))
+    return "\n".join([f"{index} {texts[number]}".rstrip() for index, number in table.order]) + "\n"
 
 
 def load_step_table(path) -> StepTable:
@@ -370,14 +386,8 @@ def load_step_table(path) -> StepTable:
     return step_table_from_text(text)
 
 
-_shipped: list[StepTable] = []
-
-
+@cache
 def default_step_table() -> StepTable:
     """The shipped unit-cell cycle program (see module docstring); one
     immutable table, parsed once per process."""
-    if not _shipped:
-        _shipped.append(
-            load_step_table(os.path.join(os.path.dirname(__file__), "data", "unit_cell_cycle.steps"))
-        )
-    return _shipped[0]
+    return load_step_table(os.path.join(os.path.dirname(__file__), "data", "unit_cell_cycle.steps"))

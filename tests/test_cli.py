@@ -729,8 +729,11 @@ class TestSimulate:
     @pytest.mark.parametrize("kind, item", [
         ("one_qubit", "@op1:x"), ("one_qubit", "D1@:x"), ("one_qubit", "D1@op1:"), ("two_qubit", "A+@op1:rz=A"),
         ("two_qubit", "+B@op1:rz=B"), ("two_qubit", "A+B@op1:A"), ("readout", "@op1"), ("readout", "D1@"),
+        ("two_qubit", "A+B+C@op1:rz=A"), ("one_qubit", "D1@op1@op2:x"), ("readout", "D1@op1:x"),
+        ("two_qubit", "A+A@op1:rz=A"),
     ], ids=["empty-qubit", "empty-region", "empty-gate", "empty-second-member", "empty-first-member",
-            "pair-without-rz", "readout-empty-qubit", "readout-empty-region"])
+            "pair-without-rz", "readout-empty-qubit", "readout-empty-region", "plus-in-a-pair-member",
+            "at-in-a-region", "colon-in-a-readout-region", "self-pair"])
     def test_item_that_breaks_the_grammar_exits_1(self, capsys, tmp_path, kind, item):
         table = tmp_path / "bad.steps"
         table.write_text(f"# header\n1 {kind} {item}\n")
@@ -918,6 +921,67 @@ def test_extreme_key_sets_keep_the_exit_code_contract(command, values, fmt, in_f
         else:
             argv[1:1] = [f"--set={key}={value}" for key, value in entries]
         _assert_exit_code_contract(argv, fmt)
+
+
+# Step-table text from the grammar's tokens: whole items (two of them overfill a region or place a
+# qubit twice), and names and separators glued into items; kinds with and without +park; the line's
+# own number as its index, or another token; comments, blank and stray lines, four line ends, a
+# leading byte-order mark, and now and then a byte that is not UTF-8.
+_TABLE_ITEMS = st.one_of(
+    st.sampled_from(["D1@op1:x", "D2@op1:x", "A1@op1:rz(90)", "D1@op2:x", "A1+D1@op1:rz=A1", "A2+D2@op2:rz=D2",
+                     "A1@op1", "D1@b", "lattice", "D1@op1:x D2@op1:x A1@op1:x", "D1@op1:x D1@op2:x"]),
+    st.lists(st.sampled_from(["D1", "A1", "op1", "x", "rz(90)", "\x00", "中", "+", "@", ":", "=", "rz=", "+park",
+                              ",", '"', "#"]), max_size=7).map("".join),
+)
+_TABLE_KINDS = st.sampled_from(["one_qubit", "two_qubit", "readout", "hook", "one_qubit+park", "readout+park",
+                                "teleport"])
+_TABLE_INDICES = st.sampled_from([None, None, None, "1", "0", "-1", "01", "x", "1e3", "\u0661", "9" * 5000])
+_TABLE_LINES = st.one_of(
+    st.tuples(_TABLE_INDICES, _TABLE_KINDS, st.lists(_TABLE_ITEMS, max_size=4)),
+    st.sampled_from(["", "# comment", " \t ", "\ufeff1 hook", "#", "1", "hook", "1 one_qubit D1@op1:x"]),
+)
+
+
+@st.composite
+def _step_table_bytes(draw) -> bytes:
+    lines = [line if isinstance(line, str) else " ".join([line[0] or str(number), line[1], *line[2]])
+             for number, line in enumerate(draw(st.lists(_TABLE_LINES, max_size=8)), start=1)]
+    data = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c"])).join(lines)
+    data = (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + data.encode("utf-8")
+    if draw(st.sampled_from([False, False, False, True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x80", b"\xc3"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_table_bytes())
+@example(b"1 two_qubit A+B+C@op1:rz=A\n")
+@example(b"1 one_qubit D1@op1@op2:x\n")
+@example(b"1 readout D1@op1:x\n")
+@example(b"1 two_qubit A+A@op1:rz=A\n")
+@example(b"\xef\xbb\xbf1 one_qubit D1@op1:x D2@op1:x A1@op1:x\n")
+@example(b"\xef\xbb\xbf1 one_qubit+park D1@op1:a,b\n2 hook say \"hi\"\n3 readout D1@op1\n")
+def test_step_table_text_keeps_the_exit_code_contract(data):
+    """Exit 0, 1 or 2 with no traceback; a 1 or a 2 is one ``error:`` or ``schedule conflict:`` line
+    and no output; a json success is strict JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.steps")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for fmt in ("csv", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["simulate", "--table", path, "--format", fmt])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            if code:
+                lines = err.splitlines()
+                assert len(lines) == 1 and err.endswith("\n") and out == ""
+                assert lines[0].startswith("error: " if code == 1 else "schedule conflict: ")
+            elif fmt == "json":
+                json.loads(out, parse_constant=_reject_constant)
 
 
 class TestParserReuse:

@@ -220,7 +220,7 @@ class TestSimulation:
         assert len(lines) == len(trace.events) + 1
         assert all(line.count(",") == 4 for line in lines)
 
-    @pytest.mark.parametrize("label", ["a,b", 'a"b'])
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a,b+c@d:e"])  # a gate label may hold the separators
     def test_csv_quotes_a_label_that_needs_it(self, label):
         trace = simulate_cycle(step_table_from_text(f"1 one_qubit D1@op1:{label}\n"), TIMING)
         rows = list(csv.reader(io.StringIO(trace.to_csv())))
@@ -313,6 +313,13 @@ class TestStepTableFormat:
         table = step_table_from_text("# header\n\n1 one_qubit D1@op1:ry(-90)  # inline\n")
         assert len(table.steps) == 1
         assert table.steps[0].solo_gates[0].gate == "ry(-90)"
+
+    def test_each_distinct_body_is_held_once(self):
+        table = step_table_from_text("1 hook\n2  hook\n3 one_qubit D1@op1:x\n7 one_qubit  D1@op1:x  # again\n")
+        assert table.order == ((1, 0), (2, 0), (3, 1), (7, 1))
+        assert table.bodies == (Step(0, "hook")[1:], Step(0, "one_qubit", (SoloGate("D1", "op1", "x"),))[1:])
+        assert [s.index for s in table.steps] == [1, 2, 3, 7]
+        assert StepTable(table.steps) == table and table.steps is not table.steps
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         path = tmp_path / "cycle.steps"
@@ -494,6 +501,47 @@ class TestRepeatedBodies:
             with pytest.raises(ValueError) as err:
                 simulate_cycle(StepTable((Step(1, "one_qubit"), Step(2, "teleport"))), TIMING)
             assert str(err.value) == "unknown step kind 'teleport'"
+
+    def test_one_plan_lookup_per_distinct_body(self, monkeypatch):
+        class CountingPlans(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.lookups += 1
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                self.lookups += 1
+                return super().__contains__(key)
+
+        plans = CountingPlans()
+        monkeypatch.setattr(schedule, "_plans", plans)
+        table = generated_table(random.Random(512), 512)
+        overload = step_table_from_text(f"1 {self.OVERLOAD}\n").steps[0]
+        steps = list(table.steps)
+        steps[99], steps[299] = overload._replace(index=100), overload._replace(index=300)
+        for table, step in ((table, None), (StepTable(tuple(steps)), 100)):
+            bodies = len({s[1:] for s in table.steps})
+            assert len(table.bodies) == bodies < 20
+            for _ in ("cold", "warm"):
+                plans.lookups = 0
+                if step is None:
+                    assert simulate_cycle(table, TIMING).counters["steps"] == 512
+                else:
+                    with pytest.raises(ScheduleConflictError) as err:
+                        simulate_cycle(table, TIMING)
+                    assert err.value.step == step
+                assert 0 < plans.lookups <= bodies
+
+    def test_body_numbers_need_not_be_in_first_seen_order(self):
+        table = step_table_from_text(f"1 hook a\n2 one_qubit D1@op1:x\n3 hook a\n4 {self.OVERLOAD}\n")
+        reordered = table._replace(order=((1, 1), (2, 0), (3, 1)))
+        assert simulate_cycle(reordered, TIMING) == simulate_cycle(StepTable(reordered.steps), TIMING)
+        assert conflict_cold_and_warm(table._replace(order=((2, 2), (5, 0)))).step == 2
 
     def test_bad_body_fails_at_its_first_line(self):
         text = "# header\n1 hook\n2 one_qubit D1-op1\n\n3 one_qubit   D1-op1  # again\n"
