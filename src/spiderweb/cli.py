@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from itertools import chain
+from operator import itemgetter
 
 from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
@@ -233,9 +234,8 @@ def _cmd_simulate(args) -> int:
     except ScheduleConflictError as exc:
         sys.stderr.write(f"schedule conflict: {exc}\n")
         return EXIT_VERIFY
-    # every event time is a window time; the events are expanded only to name a non-finite one
-    window_times = chain.from_iterable(times for _, times, _ in trace.runs)
-    if not (math.isfinite(trace.makespan_s) and all(map(math.isfinite, window_times))):
+    # a non-finite window time (each event time is one) or an overflow spoils the sum; only then expand events
+    if not math.isfinite(sum(chain.from_iterable(map(itemgetter(1), trace.runs)), trace.makespan_s)):
         _require_finite({"makespan_s": trace.makespan_s, **{f"event {i} time_s": e.time_s for i, e in
                          enumerate(trace.events) if not math.isfinite(e.time_s)}}, "simulate value")
     if args.format == "csv":

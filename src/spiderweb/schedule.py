@@ -21,13 +21,13 @@ interleaving of the dressing pulses is a free choice.
 
 A long program repeats a few distinct step bodies (a step without its index),
 so a table holds each body once and each step as its index and body number.
-The parser reads each distinct body once; the simulator fetches a body's plan
-once per call and lowers and checks it in one pass once per process.  The
-clock is four integer window counts, in ``CYCLE_CENSUS`` order, and each
-window starts at ``model._duration`` of the counts so far.  This is exact: the
-lanes and the region, channel and two-region checks read only the body, and
-the clock only the window counts.  A body that fails its checks is never kept:
-its error names its first step in the table at hand.
+Per process (``PLANS_KEPT`` of each kept), a body text is parsed once, and a
+body lowered and checked in one pass and its csv and json rows formed once.
+The clock is four integer window counts, in ``CYCLE_CENSUS`` order; a window
+starts at ``model._duration`` of the counts so far.  This is exact: the lanes
+and the region, channel and two-region checks read only the body, and the
+clock only the window counts.  A body that fails its checks is never kept: its
+error names its first step in the table at hand.
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ HOME_QUBITS = ("D1", "D2", "A1", "A2")
 
 REGION_CAPACITY = 2   # electrons per operation region
 CHANNEL_CAPACITY = 1  # electrons per shuttling channel
-PLANS_KEPT = 1024     # step-body plans kept per process; the oldest goes first
-_plans: dict[tuple, tuple] = {}  # step body (a step without its index) -> its checked plan
+PLANS_KEPT = 1024     # entries kept per process in each cache below; the oldest goes first
+_plans: dict[tuple, tuple] = {}   # step body (a step without its index) -> its checked plan
+_parsed: dict[str, tuple] = {}    # step-body text -> its parsed body
+_pieces: dict[tuple, list] = {}   # (row writer, event template) -> the template's slot pieces
 
 
 class SoloGate(NamedTuple):
@@ -133,14 +135,12 @@ class EventTrace(NamedTuple):
     def _fill(self, parts: list[str], rows, stamp, first: tuple = (), last: tuple = ()) -> list[str]:
         """Append each step's rows to ``parts``.  Per body, each run of events in one time slot becomes pieces
         (``first``, the events' ``rows``, ``last``) that a step writes as ``stamp.join(pieces)``."""
-        bodies: dict[int, list] = {}
+        seen: dict[int, list] = {}  # id(template) -> its pieces, for this call; ``_pieces`` is keyed by value
         for index, times, template in self.runs:
             if template:
-                slots = bodies.get(id(template))
+                slots = seen.get(id(template))
                 if slots is None:
-                    texts = iter(rows(template))
-                    slots = bodies[id(template)] = [(slot, (*first, *islice(texts, len(list(run))), *last))
-                                                    for slot, run in groupby(template, itemgetter(0))]
+                    slots = seen[id(template)] = _kept(_pieces, (rows, template), _slots, template, rows, first, last)
                 before, after = stamp(index)
                 parts += [f"{before}{times[slot]!r}{after}".join(pieces) for slot, pieces in slots]
         return parts
@@ -161,6 +161,11 @@ class EventTrace(NamedTuple):
             parts[1] = parts[1].removeprefix("\n    },")  # the first event closes no event before it
         parts.append(("\n    }\n  ]" if len(parts) > 1 else "]") + f',\n  "makespan_s": {self.makespan_s!r}\n}}')
         return "".join(parts)
+
+
+def _slots(template: tuple, rows, first: tuple, last: tuple) -> list:
+    texts = iter(rows(template))
+    return [(slot, (*first, *islice(texts, len(list(run))), *last)) for slot, run in groupby(template, itemgetter(0))]
 
 
 def _csv_rows(template: tuple) -> list[str]:
@@ -186,6 +191,16 @@ def _csv_cell(text: str) -> str:
 
 def _json_block(open_: str, body: str, close: str) -> str:
     return f"{open_}\n{body}\n  {close}" if body else open_ + close
+
+
+def _kept(cache: dict, key, make, *args):
+    """``cache[key]``, else ``make(*args)``, kept unless it raises; past ``PLANS_KEPT`` the oldest entry goes."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = make(*args)
+        if len(cache) > PLANS_KEPT:
+            del cache[next(iter(cache))]
+    return value
 
 
 def _grouped(pairs) -> dict:
@@ -264,12 +279,7 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     for index, number in table.order:
         plan = plans[number]
         if plan is None:
-            plan = plans[number] = _plans.get(bodies[number])
-            if plan is None:
-                plan = plans[number] = _plan(Step(index, *bodies[number]))
-                if len(_plans) >= PLANS_KEPT:
-                    del _plans[next(iter(_plans))]
-                _plans[bodies[number]] = plan
+            plan = plans[number] = _kept(_plans, bodies[number], _plan, Step(index, *bodies[number]))
         kinds, template, returns = plan
         times = []  # the events of a window share these time objects
         for kind in kinds:
@@ -302,16 +312,15 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
 # Step-table text format
 
 def step_table_from_text(text: str) -> StepTable:
-    """Parse the step-table text.  Each distinct body text (the text after the index) is parsed once, at its
-    first line, and numbered by its body, which two texts can share; every line's index order is checked."""
+    """Parse the step-table text.  Each distinct body text (the text after the index) is parsed once per process,
+    and numbered by its body, which two texts can share; every line's index order is checked."""
     order: list[tuple[int, int]] = []
     numbers: dict[str, int] = {}   # body text -> body number
     bodies: dict[tuple, int] = {}  # body -> body number, in first-seen order
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        head = raw.partition("#")[0].split(None, 1)
+        if not head:
             continue
-        head = line.split(None, 1)
         if len(head) < 2:
             raise ValueError(f"line {line_no}: expected '<index> <kind> ...'")
         try:
@@ -320,9 +329,10 @@ def step_table_from_text(text: str) -> StepTable:
             raise ValueError(f"line {line_no}: bad step index {head[0]!r}") from exc
         if order and index <= order[-1][0]:
             raise ValueError(f"line {line_no}: step index {index} repeats or is out of order")
-        number = numbers.get(head[1])
+        rest = head[1].rstrip()  # the body text
+        number = numbers.get(rest)
         if number is None:
-            number = numbers[head[1]] = bodies.setdefault(_parse_body(line_no, head[1]), len(bodies))
+            number = numbers[rest] = bodies.setdefault(_kept(_parsed, rest, _parse_body, line_no, rest), len(bodies))
         order.append((index, number))
     return tuple.__new__(StepTable, (tuple(bodies), tuple(order)))
 

@@ -669,6 +669,22 @@ class TestSimulate:
         assert out == ""
         assert err == "error: simulate value makespan_s is not finite (inf)\n"
 
+    @pytest.mark.parametrize("fmt, value, digest", [
+        ("text", "1e306s", "74a5de06314f21b1d0bd886ab85b038cd27b267c0e46e3b9bf0462a3dfd06561"),
+        ("csv", "1e306s", "12ecd2a647f8a1a8838b7a21139013190064dcd0366f670ebead5d14c180ec7c"),
+        ("json", "1e306s", "e56a3a14a20e18df70b7134c45fab4067355051736c70a6b47b4f4403888a621"),
+        ("text", "1e307s", None), ("csv", "1e307s", None), ("json", "1e307s", None),
+    ])
+    def test_window_times_whose_sum_overflows(self, capsys, fmt, value, digest):
+        # at 1e306 s every window time is finite but their sum is not, so the check falls back to
+        # naming the non-finite events, and names none; at 1e307 s the makespan itself overflows
+        code, out, err = run(capsys, "simulate", "--format", fmt, "--set", f"t_sh={value}")
+        if digest is None:
+            assert (code, out, err) == (1, "", "error: simulate value makespan_s is not finite (inf)\n")
+        else:
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_commands_never_expand_the_events(self, capsys, monkeypatch, tmp_path):
         """The writers, every simulate format and verify read the per-step runs only."""
         def refuse(trace):

@@ -38,20 +38,22 @@ def _bench_module(name: str, monkeypatch):
 
 
 @needs_bench
-def test_first_verify_inproc_block_passes_the_benchmark_checks(monkeypatch, tmp_path):
+def test_first_verify_inproc_block_passes_the_benchmark_checks(monkeypatch, tmp_path, cold_caches):
     """Every op of the first ``verify_inproc`` block (seed 1): eight ``verify --json``,
     ``simulate`` on the shipped table and on generated tables of 16 to 512 steps, and
-    ``dump-unitary``, run in process and checked as the benchmark checks them."""
+    ``dump-unitary``, run in process and checked as the benchmark checks them: on empty
+    caches, then again on the caches the first pass filled, as the benchmark repeats it."""
     inputs = _bench_module("inputs", monkeypatch)
     program = _bench_module("program", monkeypatch)
     checks = _bench_module("checks", monkeypatch)
     checker = checks.Checker(checks.Goldens())
     block = next(inputs.blocks("verify_inproc", 1, inputs.Inputs(ROOT, tmp_path)))
     failures = []
-    for op in block:
-        _, code, out, err = program.run_inproc(cli, op.argv)
-        problem = checker.check(op, code, out, err)
-        if problem:
-            failures.append(f"{' '.join(op.argv)}: {problem}")
+    for run in ("cold", "warm"):
+        for op in block:
+            _, code, out, err = program.run_inproc(cli, op.argv)
+            problem = checker.check(op, code, out, err)
+            if problem:
+                failures.append(f"{run}: {' '.join(op.argv)}: {problem}")
     assert {op.command for op in block} == {"verify", "simulate", "dump-unitary"}
     assert failures == []

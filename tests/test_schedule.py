@@ -549,6 +549,32 @@ class TestRepeatedBodies:
             step_table_from_text(text)
         assert str(err.value) == "line 3: bad one_qubit item 'D1-op1'"
 
+    def test_each_body_text_is_tokenised_once_per_process(self, monkeypatch, cold_caches):
+        calls = Counter()
+
+        def counting(line_no, text):
+            calls[text] += 1
+            return parse(line_no, text)
+
+        parse = schedule._parse_body
+        text = step_table_to_text(generated_table(random.Random(512), 512))
+        cold_caches()  # the shipped table, parsed to draw this one, parsed its bodies
+        monkeypatch.setattr(schedule, "_parse_body", counting)
+        tables = [step_table_from_text(text) for _ in ("cold", "warm")]
+        texts = {line.split(None, 1)[1] for line in text.splitlines()}
+        assert tables[0] == tables[1] and len(tables[0].order) == 512 and len(texts) < 20
+        assert calls == Counter(texts)
+
+    def test_a_bad_body_names_its_line_in_each_table(self):
+        # a text that fails to parse is never kept, so each table names its own line
+        bad = "one_qubit D1@op1:x D2-op1"
+        for text, line in ((f"1 hook\n# note\n2 {bad}\n", 3),
+                           (f"1 hook\n\n\n2 hook\n3 one_qubit D1@op1:x\n\n4 {bad}\n5 {bad}\n", 7)):
+            with pytest.raises(ValueError) as err:
+                step_table_from_text(text)
+            assert str(err.value) == f"line {line}: bad one_qubit item 'D2-op1'"
+        assert bad not in schedule._parsed
+
 
 @st.composite
 def _repeating_tables(draw) -> StepTable:
@@ -729,6 +755,30 @@ class TestPlanCache:
         assert [e.op for e in trace.events[-3:]] == ["shuttle_out", f"1q_gate:g{len(steps)}", "shuttle_back"]
         simulate_cycle(default_step_table(), TIMING)
         assert len(schedule._plans) == schedule.PLANS_KEPT
+
+    def test_every_cache_stops_at_the_bound(self, cold_caches):
+        # more distinct body texts than any cache keeps, parsed, simulated and written in both formats
+        text = "".join(f"{i} one_qubit D1@op1:g{i}\n" for i in range(1, schedule.PLANS_KEPT + 41))
+        trace = simulate_cycle(step_table_from_text(text), TIMING)
+        assert trace.to_csv() and trace.to_json()
+        assert len(schedule._parsed) == len(schedule._plans) == len(schedule._pieces) == schedule.PLANS_KEPT
+        assert list(schedule._parsed)[-1] == f"one_qubit D1@op1:g{schedule.PLANS_KEPT + 40}"
+
+    def test_a_table_written_again_after_its_plans_are_dropped(self, cold_caches):
+        # the writers' pieces outlive the plans they were formed from, so they are found by the template's
+        # value: a template built after an eviction can sit where a dropped template of another body sat
+        table = generated_table(random.Random(9), 64)
+        filler = StepTable(tuple(Step(i, "one_qubit", solo_gates=(SoloGate("D1", "op1", f"g{i}"),))
+                                 for i in range(1, schedule.PLANS_KEPT + 1)))
+        expected = schedule_oracle.simulate(table, TIMING)
+        for _ in ("cold", "evicted"):
+            trace = simulate_cycle(table, TIMING)
+            assert (trace.to_csv(), trace.to_json()) == (expected.to_csv(), expected.to_json())
+            pieces = dict(schedule._pieces)
+            del trace
+            simulate_cycle(filler, TIMING)
+            assert not any(body in schedule._plans for body in table.bodies)
+        assert schedule._pieces == pieces and all(schedule._pieces[key] is p for key, p in pieces.items())
 
     def test_a_conflicting_body_leaves_the_cache_unchanged(self, cold_caches):
         simulate_cycle(default_step_table(), TIMING)
