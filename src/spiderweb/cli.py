@@ -18,7 +18,8 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
@@ -102,7 +103,7 @@ def _cmd_report(args) -> int:
     flat = _flatten(doc)
     _require_finite(flat, "report value")
     if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        _emit(args, _records([doc], 0)[0], "\n")
     elif args.format == "csv":
         _emit(args, _csv([("key", "value"), *sorted(flat.items())]))
     else:
@@ -113,11 +114,10 @@ def _cmd_report(args) -> int:
 def _flatten(doc, prefix: str = "") -> dict[str, object]:
     flat: dict[str, object] = {}
     for key, value in doc.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
         if isinstance(value, dict):
-            flat.update(_flatten(value, path))
+            flat.update(_flatten(value, f"{prefix}{key}."))
         else:
-            flat[path] = value
+            flat[f"{prefix}{key}"] = value
     return flat
 
 
@@ -145,34 +145,47 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_FLAT_ENCODERS = [json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n" + "  " * depth, ": "))
-                  for depth in range(1, 5)]
+def _value(value, level: int) -> str:
+    """``value`` as ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)`` writes it ``level`` levels into
+    an indent-2 document; types other than the exact JSON scalars and dict, and non-finite floats, go through it."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float and value - value == 0.0:
+        return repr(value)
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    if kind is dict:
+        return _records([value], level)[0]
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n" + "  " * level)
 
 
-def _flat_json(record: dict[str, object], depth: int) -> str:
-    """``json.dumps(record, indent=2, sort_keys=True, allow_nan=False)`` for a dict of scalars ``depth``
-    levels into an indent-2 document, written by the C encoder, which ``indent`` would switch off."""
-    text = _FLAT_ENCODERS[depth].encode(record)
-    return "{\n" + "  " * (depth + 1) + text[1:-1] + "\n" + "  " * depth + "}" if record else "{}"
+def _records(records: list[dict[str, object]], level: int) -> list[str]:
+    """Each dict of ``records``, str-keyed, as ``_value`` writes it: its sorted keys are escaped into a ``%`` layout
+    with one slot per value, which each next record with the same keys only fills."""
+    texts, keys, inner, deeper = [], None, ",\n" + "  " * (level + 1), repeat(level + 1)
+    for record in records:
+        if record.keys() != keys:
+            keys, names = record.keys(), sorted(record)
+            slots = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names)
+            layout = "{" + inner[1:] + inner.join(slots) + "\n" + "  " * level + "}" if names else "{}"
+            pick = itemgetter(*names) if len(names) > 1 else lambda r, names=names: tuple(map(r.__getitem__, names))
+        texts.append(layout % tuple(map(_value, pick(record), deeper)))
+    return texts
 
 
-def _sweep_json(records: list[dict[str, object]]) -> str:
-    """``json.dumps(records, indent=2, sort_keys=True, allow_nan=False)`` for flat records."""
-    items = [_flat_json(r, 1) for r in records]
-    return "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
+def _sweep_json(records: list[dict[str, object]], level: int = 0) -> str:
+    """``json.dumps(records, indent=2, sort_keys=True, allow_nan=False)``, ``level`` levels into an indent-2 doc."""
+    items, indent = _records(records, level + 1), "\n" + "  " * (level + 1)
+    return "[" + indent + ("," + indent).join(items) + "\n" + "  " * level + "]" if items else "[]"
 
 
 def _verify_json(passed: bool, checks: list[dict[str, object]]) -> str:
-    """``json.dumps({"checks": checks, "passed": passed}, indent=2, sort_keys=True, allow_nan=False)``
-    for checks of scalars, but for a ``detail`` dict of scalars."""
-    items = [_flat_json({**c, "detail": 0}, 2).replace('"detail": 0', '"detail": ' + _flat_json(c["detail"], 3), 1)
-             if "detail" in c else _flat_json(c, 2) for c in checks]
-    listed = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
-    return f'{{\n  "checks": {listed},\n  "passed": {json.dumps(passed)}\n}}'
+    return f'{{\n  "checks": {_sweep_json(checks, 1)},\n  "passed": {_value(passed, 1)}\n}}'
 
 
 def _sweep_csv(records: list[dict[str, object]]) -> str:
-    return _csv([report.SWEEP_FIELDS, *([r.get(f) for f in report.SWEEP_FIELDS] for r in records)])
+    return _csv([report.SWEEP_FIELDS, *map(itemgetter(*report.SWEEP_FIELDS), records)])
 
 
 def _csv(rows) -> str:
@@ -214,12 +227,9 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit(args, _verify_json(all_ok, checks), "\n")
     else:
-        width = max(len(str(c["check"])) for c in checks)
-        lines = []
-        for c in checks:
-            status = "pass" if c["passed"] else "FAIL"
-            residual = "" if c["residual"] is None else f"  residual {c['residual']:.3g}"
-            lines.append(f"{str(c['check']):<{width}}  {status}{residual}")
+        width = max(len(c["check"]) for c in checks)
+        lines = [f"{c['check']:<{width}}  {'pass' if c['passed'] else 'FAIL'}"
+                 + ("" if c["residual"] is None else f"  residual {c['residual']:.3g}") for c in checks]
         lines.append("all checks passed" if all_ok else "verification FAILED")
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_VERIFY

@@ -89,7 +89,7 @@ def parse_quantity(text: str) -> float:
         value *= scale
     if not math.isfinite(value):
         raise ValueError(f"quantity {text!r} is out of range")
-    return value
+    return value + 0.0  # a signed zero ("-0", "-1e-400") reads as 0.0, every other value as it is
 
 
 def parse_int(text: str) -> int:

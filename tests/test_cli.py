@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -21,6 +22,7 @@ from spiderweb.cli import _sweep_csv, _sweep_json, _verify_json, main
 from spiderweb.config import load_config
 from spiderweb.errors import ScheduleConflictError
 from spiderweb.report import SWEEP_FIELDS, sweep_record
+from spiderweb.units import parse_quantity
 
 REPORT_DEFAULT_JSON = ["report", "--format", "json"]
 
@@ -174,6 +176,12 @@ class TestReport:
         _, first, _ = run(capsys, *REPORT_DEFAULT_JSON)
         _, second, _ = run(capsys, *REPORT_DEFAULT_JSON)
         assert first == second
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_pin_cp_of_negative_zero_is_zero(self, capsys, fmt):
+        negative = run(capsys, "report", "--pin-cp=-0", "--format", fmt)
+        assert negative == run(capsys, "report", "--pin-cp=0", "--format", fmt)
+        assert negative[0] == 0 and "-0.0" not in negative[1]
 
 
 class TestSweep:
@@ -353,10 +361,11 @@ class TestSweep:
 
 
 # Strings that could break a writer that splices encoded text: the record
-# separator itself, quotes, backslashes, control characters and non-ASCII.
+# separator itself, quotes, backslashes, control characters, non-ASCII and the
+# ``%`` of a format layout.
 _NASTY = st.sampled_from([
     '},\n    {', '",\n  "', '", "', ", ", '"', "\\", "\\u0000", "\x00\x1f\n\r\t",
-    "µm Ω ü 中 \U0001f600", "",
+    "µm Ω ü 中 \U0001f600", "", "%", "%s", "%%d",
 ])
 _SCALARS = st.one_of(
     st.none(),
@@ -388,6 +397,8 @@ class TestSweepWriters:
     @example([])
     @example([{}])
     @example([{"a": 1}, {}, {"b": None}])
+    @example([{"a": 1}, {"b": 2}, {"a": 3}])
+    @example([{"list": [1, {"b": None, "a": [0.5]}], "nested": {"d": {"e": []}, "c": (True,)}}, {"nested": {}}])
     def test_json_is_the_indent_2_sorted_layout(self, records):
         expected = json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
         assert _sweep_json(records) == expected
@@ -410,6 +421,46 @@ class TestSweepWriters:
     def test_csv_of_real_records(self):
         records = _sweep_points("-1", "0", "200")
         assert _sweep_csv(records) == _dictwriter_csv(records)
+
+
+def _bench_config_pool() -> dict:
+    """The benchmark's report configs, ``bench/inputs.CONFIG_POOL``, or none in a checkout without ``bench/``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    if not path.is_file():
+        return {}
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # as its dataclasses look it up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.CONFIG_POOL
+
+
+_REPORT_CONFIGS = {
+    **{f"pool-{name}": (pool.overrides, pool.pin_cp, pool.file_text) for name, pool in _bench_config_pool().items()},
+    "pin-zero": ((), "0", None),
+    "no-crossbars": (("x=0",), None, None),
+    "pitch-infeasible": (("d=25um",), None, None),
+    "subnormal-readout": (("t_r=5e-324s",), None, None),
+    "tiny-line-capacitance": (("c_per_um=1e-300",), None, None),
+    "many-crossbars-one-line-per-layer": (("x=447", "lines_per_layer=1"), None, None),
+}
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("overrides, pin_cp, file_text", _REPORT_CONFIGS.values(), ids=_REPORT_CONFIGS)
+    def test_json_is_the_indent_2_sorted_document(self, capsys, tmp_path, overrides, pin_cp, file_text):
+        path = None
+        if file_text is not None:
+            path = tmp_path / "pool.cfg"
+            path.write_text(file_text, encoding="utf-8")
+        argv = [*(("--config", str(path)) if path else ()), *(f"--set={o}" for o in overrides),
+                *((f"--pin-cp={pin_cp}",) if pin_cp else ())]
+        code, out, err = run(capsys, "report", "--format", "json", *argv)
+        doc = report.build_report(load_config(path, list(overrides)), pin_cp and parse_quantity(pin_cp))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 _DETAILS = st.dictionaries(st.one_of(st.text(), _NASTY), _SCALARS, max_size=5)
@@ -770,6 +821,16 @@ class TestSimulate:
         table.write_text(f"# header\n1 one_qubit+park A1@op1:x\n2 {kind}+park {items}\n")
         message = f"error: line 3: +park applies only to one_qubit steps, not {kind}\n"
         assert run(capsys, "simulate", "--table", str(table)) == (1, "", message)
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--format", "json"), ("simulate", "--format", "csv"),
+                                  ("verify", "--json")], ids=["simulate-json", "simulate-csv", "verify"])
+def test_times_of_negative_zero_are_zero(capsys, argv):
+    """Every gate time set to ``-0ns`` reads as 0.0, so no time or makespan prints as ``-0.0``."""
+    negative = run(capsys, *argv, *(f"--set={key}=-0ns" for key in ("t_sh", "t_1q", "t_sw", "t_r")))
+    assert negative == run(capsys, *argv, *(f"--set={key}=0ns" for key in ("t_sh", "t_1q", "t_sw", "t_r")))
+    assert negative[0] == 0 and "-0.0" not in negative[1]
+    assert argv[-1] == "csv" or '"makespan_s": 0.0' in negative[1]
 
 
 class TestDumpUnitary:

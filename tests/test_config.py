@@ -124,6 +124,10 @@ class TestQuantityParsing:
         with pytest.raises(ValueError, match=f"ambiguous unit suffix '{text.split()[1]}' in '{text}'"):
             parse_quantity(text)
 
+    @pytest.mark.parametrize("text", ["-0", "-0.0ns", "-0e5um", "-1e-400", "-1e-320ns"])
+    def test_signed_zero_reads_as_zero(self, text):
+        assert math.copysign(1.0, parse_quantity(text)) == 1.0
+
     def test_text_past_the_float_range_is_out_of_range(self):
         # four digits of the largest float name a number past it
         text = si_format(sys.float_info.max, "W")
