@@ -11,17 +11,15 @@ Exit codes: 0 success, 1 config or usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
-import io
 import json
 import math
 import os
 import sys
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import chain
 from operator import itemgetter
 
+from . import writers
 from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
 from .model import CYCLE_CENSUS, CYCLE_STEPS, cycle_time
@@ -54,16 +52,12 @@ qgates, report, schedule, *_ = map(_registered, ("qgates", "report", "schedule",
 def _common_options(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "csv"),
                     pin_cp: bool = False) -> None:
     parser.add_argument("--config", metavar="PATH", help="config file (omit for the reference defaults)")
-    parser.add_argument(
-        "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
-        help="override one config key (repeatable); KEY may be section.key or a short alias",
-    )
+    parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                        help="override one config key (repeatable); KEY may be section.key or a short alias")
     parser.add_argument("--format", choices=formats, default="text")
     if pin_cp:
-        parser.add_argument(
-            "--pin-cp", metavar="FARADS", default=None,
-            help="pin the parasitic capacitance used in the power model (e.g. 700fF)",
-        )
+        parser.add_argument("--pin-cp", metavar="FARADS", default=None,
+                            help="pin the parasitic capacitance used in the power model (e.g. 700fF)")
     parser.add_argument("--out", metavar="PATH", help="write the output to a file instead of stdout")
 
 
@@ -103,9 +97,9 @@ def _cmd_report(args) -> int:
     flat = _flatten(doc)
     _require_finite(flat, "report value")
     if args.format == "json":
-        _emit(args, _records([doc], 0)[0], "\n")
+        _emit(args, writers.value(doc), "\n")
     elif args.format == "csv":
-        _emit(args, _csv([("key", "value"), *sorted(flat.items())]))
+        _emit(args, *writers.csv_lines([("key", "value"), *sorted(flat.items())]))
     else:
         _emit(args, report.render_text(doc))
     return EXIT_OK
@@ -114,10 +108,7 @@ def _cmd_report(args) -> int:
 def _flatten(doc, prefix: str = "") -> dict[str, object]:
     flat: dict[str, object] = {}
     for key, value in doc.items():
-        if isinstance(value, dict):
-            flat.update(_flatten(value, f"{prefix}{key}."))
-        else:
-            flat[f"{prefix}{key}"] = value
+        flat.update(_flatten(value, f"{prefix}{key}.") if isinstance(value, dict) else {f"{prefix}{key}": value})
     return flat
 
 
@@ -145,53 +136,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _value(value, level: int) -> str:
-    """``value`` as ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)`` writes it ``level`` levels into
-    an indent-2 document; types other than the exact JSON scalars and dict, and non-finite floats, go through it."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int or kind is float and value - value == 0.0:
-        return repr(value)
-    if value is None or kind is bool:
-        return "null" if value is None else "true" if value else "false"
-    if kind is dict:
-        return _records([value], level)[0]
-    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n" + "  " * level)
-
-
-def _records(records: list[dict[str, object]], level: int) -> list[str]:
-    """Each dict of ``records``, str-keyed, as ``_value`` writes it: its sorted keys are escaped into a ``%`` layout
-    with one slot per value, which each next record with the same keys only fills."""
-    texts, keys, inner, deeper = [], None, ",\n" + "  " * (level + 1), repeat(level + 1)
-    for record in records:
-        if record.keys() != keys:
-            keys, names = record.keys(), sorted(record)
-            slots = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names)
-            layout = "{" + inner[1:] + inner.join(slots) + "\n" + "  " * level + "}" if names else "{}"
-            pick = itemgetter(*names) if len(names) > 1 else lambda r, names=names: tuple(map(r.__getitem__, names))
-        texts.append(layout % tuple(map(_value, pick(record), deeper)))
-    return texts
-
-
-def _sweep_json(records: list[dict[str, object]], level: int = 0) -> str:
-    """``json.dumps(records, indent=2, sort_keys=True, allow_nan=False)``, ``level`` levels into an indent-2 doc."""
-    items, indent = _records(records, level + 1), "\n" + "  " * (level + 1)
-    return "[" + indent + ("," + indent).join(items) + "\n" + "  " * level + "]" if items else "[]"
+def _sweep_json(records: list[dict[str, object]]) -> str:
+    return writers.value(records)
 
 
 def _verify_json(passed: bool, checks: list[dict[str, object]]) -> str:
-    return f'{{\n  "checks": {_sweep_json(checks, 1)},\n  "passed": {_value(passed, 1)}\n}}'
+    return writers.value({"checks": checks, "passed": passed})
 
 
 def _sweep_csv(records: list[dict[str, object]]) -> str:
-    return _csv([report.SWEEP_FIELDS, *map(itemgetter(*report.SWEEP_FIELDS), records)])
-
-
-def _csv(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
+    return "".join(writers.csv_lines([report.SWEEP_FIELDS, *map(itemgetter(*report.SWEEP_FIELDS), records)]))
 
 
 def _cmd_verify(args) -> int:
@@ -267,14 +221,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dump_unitary(args) -> int:
-    params = [float(p) for p in args.params]
+    params = [parse_quantity(p) for p in args.params]
     matrix = qgates.gate(args.gate, *params)
-    doc = {
-        "gate": args.gate,
-        "params": params,
-        "dim": len(matrix),
-        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in matrix],
-    }
+    doc = {"gate": args.gate, "params": params, "dim": len(matrix),  # in this order, not sorted
+           "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in matrix]}
     _emit(args, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 

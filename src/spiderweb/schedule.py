@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import os
 from functools import cache
-from itertools import groupby, islice
-from json.encoder import encode_basestring_ascii as _json_str
+from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import writers
 from .config import TimingParams
 from .errors import ScheduleConflictError
 from .model import CYCLE_CENSUS, _duration, cycle_time  # the benchmark traces cycle_time under this module's name
@@ -132,65 +132,38 @@ class EventTrace(NamedTuple):
         return tuple([new(Event, (times[slot], index, qubit, op, resource))
                       for index, times, template in self.runs for slot, qubit, op, resource in template])
 
-    def _fill(self, parts: list[str], rows, stamp, first: tuple = (), last: tuple = ()) -> list[str]:
-        """Append each step's rows to ``parts``.  Per body, each run of events in one time slot becomes pieces
-        (``first``, the events' ``rows``, ``last``) that a step writes as ``stamp.join(pieces)``."""
+    def _fill(self, parts: list[str], rows, stamp) -> list[str]:
+        """Append each step's rows to ``parts``.  Per body, each run of events in one time slot becomes the pieces
+        that ``rows`` cuts where each event's step and time go, which a step writes as ``stamp.join(pieces)``."""
         seen: dict[int, list] = {}  # id(template) -> its pieces, for this call; ``_pieces`` is keyed by value
         for index, times, template in self.runs:
-            if template:
-                slots = seen.get(id(template))
-                if slots is None:
-                    slots = seen[id(template)] = _kept(_pieces, (rows, template), _slots, template, rows, first, last)
-                before, after = stamp(index)
-                parts += [f"{before}{times[slot]!r}{after}".join(pieces) for slot, pieces in slots]
+            slots = seen.get(id(template))
+            if slots is None:  # per time slot of the body, its run of events as ``rows`` writes it
+                slots = seen[id(template)] = _kept(_pieces, (rows, template), lambda: [
+                    (slot, rows(list(run))) for slot, run in groupby(template, itemgetter(0))])
+            before, after = stamp(index)
+            parts += [f"{before}{times[slot]!r}{after}".join(pieces) for slot, pieces in slots]
         return parts
 
     def to_csv(self) -> str:
-        return "".join(self._fill(["time_s,step,qubit,op,resource\n"], _csv_rows, lambda index: ("", f",{index}"),
-                                  first=("",)))
+        return "".join(self._fill(["time_s,step,qubit,op,resource\n"], _csv_rows, lambda index: ("", f",{index},")))
 
     def to_json(self) -> str:
-        """``json.dumps(doc, indent=2, sort_keys=True)`` of the trace document, written
-        directly; the caller checks that the times are finite."""
-        annotations = ",\n".join(f"    {_json_str(a)}" for a in self.annotations)
-        counters = ",\n".join(f"    {_json_str(k)}: {v!r}" for k, v in sorted(self.counters.items()))
-        parts = self._fill([f'{{\n  "annotations": {_json_block("[", annotations, "]")},\n'
-                            f'  "counters": {_json_block("{", counters, "}")},\n  "events": ['], _json_rows,
-                           lambda index: (f'{index},\n      "time_s": ', ""), last=("",))
-        if len(parts) > 1:
-            parts[1] = parts[1].removeprefix("\n    },")  # the first event closes no event before it
-        parts.append(("\n    }\n  ]" if len(parts) > 1 else "]") + f',\n  "makespan_s": {self.makespan_s!r}\n}}')
-        return "".join(parts)
+        """The trace document; the caller checks that the times are finite."""
+        between = writers.split([dict(zip(Event._fields, (writers.SLOT,) * 2))], 1)[1]  # from a step to its time
+        events = self._fill([], _json_rows, lambda index: (f"{index}{between}", ""))
+        return writers.document({"annotations": [*self.annotations], "counters": self.counters,
+                                 "makespan_s": self.makespan_s}, "events", events)
 
 
-def _slots(template: tuple, rows, first: tuple, last: tuple) -> list:
-    texts = iter(rows(template))
-    return [(slot, (*first, *islice(texts, len(list(run))), *last)) for slot, run in groupby(template, itemgetter(0))]
+def _csv_rows(run: list) -> list[str]:
+    """A run of one body's events as csv rows, each after its stamp (time and step)."""
+    return ["", *writers.csv_lines([event[1:] for event in run], "\n")]
 
 
-def _csv_rows(template: tuple) -> list[str]:
-    """One body's csv rows, each after its stamp (time and step).  One check of the joined rows
-    finds a label that needs quoting; only then is each cell quoted."""
-    rows = [f",{q},{op},{r}\n" for _, q, op, r in template]
-    text = "".join(rows)
-    if (text.count(","), text.count("\n"), '"' in text or "\r" in text) == (3 * len(rows), len(rows), False):
-        return rows
-    return [f",{_csv_cell(q)},{_csv_cell(op)},{_csv_cell(r)}\n" for _, q, op, r in template]
-
-
-def _json_rows(template: tuple) -> list[str]:
-    """One body's json events, each closing the event before it and opening its own up to its stamp
-    (step and time)."""
-    return [f'\n    }},\n    {{\n      "op": {_json_str(op)},\n      "qubit": {_json_str(q)},\n'
-            f'      "resource": {_json_str(r)},\n      "step": ' for _, q, op, r in template]
-
-
-def _csv_cell(text: str) -> str:
-    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
-
-
-def _json_block(open_: str, body: str, close: str) -> str:
-    return f"{open_}\n{body}\n  {close}" if body else open_ + close
+def _json_rows(run: list) -> list[str]:
+    """A run of one body's events as json list items, each an ``Event`` as a dict, cut where its step and time go."""
+    return writers.split([dict(zip(Event._fields, (writers.SLOT, writers.SLOT, *event[1:]))) for event in run], 1)[::2]
 
 
 def _kept(cache: dict, key, make, *args):

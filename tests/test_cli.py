@@ -853,6 +853,20 @@ class TestDumpUnitary:
         assert code == 1
         assert "unknown gate" in err
 
+    @pytest.mark.parametrize("argv", [("rz", "-0"), ("rz", "--", "-0.0")], ids=["minus-0", "minus-0.0"])
+    def test_signed_zero_angle_reads_as_zero(self, capsys, argv):
+        """Angles parse as every config quantity does, so a signed zero is the bytes of ``rz 0``."""
+        code, out, err = run(capsys, "dump-unitary", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"] == [0.0] and '"params": [\n    0.0\n  ]' in out
+        assert out == run(capsys, "dump-unitary", "rz", "0")[1]
+
+    @pytest.mark.parametrize("angle", ["nan", "inf", "1e400"])
+    def test_non_finite_angle_exits_1(self, capsys, angle):
+        code, out, err = run(capsys, "dump-unitary", "rz", angle)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 # a value of each config section that breaks one of its rules, and the error it gives
 _BROKEN_SECTIONS = {

@@ -20,7 +20,7 @@ PACKAGE = Path(spiderweb.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__"))
 ON_DEMAND = ("electronics", "power", "qgates", "report", "schedule", "wiring")
 # what ``import spiderweb.cli`` runs
-AT_IMPORT = ["__init__", "cli", "config", "errors", "model", "units"]
+AT_IMPORT = ["__init__", "cli", "config", "errors", "model", "units", "writers"]
 
 _RAN = """
 import contextlib, io, json, sys

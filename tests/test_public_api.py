@@ -113,3 +113,22 @@ def test_every_record_field_is_read_in_the_package():
               for item in record.body if isinstance(item, ast.AnnAssign) and item.target.id not in read]
     assert sorted(set(unread) - set(UNREAD_FIELDS)) == []
     assert sorted(set(UNREAD_FIELDS) - set(unread)) == []  # a listed field that is now read leaves the list
+
+
+def _dumps_owners(node: ast.AST, owner: str | None = None):
+    """The name of the function or class around each reference to ``dumps``, or None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Attribute, ast.Name, ast.alias)) and "dumps" in (
+                getattr(child, "attr", None), getattr(child, "id", None), getattr(child, "name", None)):
+            yield owner
+        yield from _dumps_owners(child, child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner)
+
+
+def test_the_document_format_lives_in_the_writer_module():
+    """Only ``writers`` escapes JSON strings itself, and outside it only ``dump-unitary``, whose key
+    order is a contract, calls ``json.dumps``; so each rule of the output formats has one home."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in Path(spiderweb.__file__).parent.glob("*.py")}
+    assert sorted(name for name, source in sources.items() if "encode_basestring" in source) == ["writers"]
+    dumps = {(name, owner) for name, source in sources.items() if name != "writers"
+             for owner in _dumps_owners(ast.parse(source))}
+    assert dumps == {("cli", "_cmd_dump_unitary")}

@@ -361,6 +361,7 @@ def _trace_document_json(trace) -> str:
        timing=_TIMINGS)
 @example(steps=(), timing=TIMING)
 @example(steps=(Step(1, "hook", note='say "\\ \U0001f600"'), Step(2, "one_qubit")), timing=TIMING)
+@example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("%s", "%%", '"'),)),), timing=TIMING)
 def test_trace_json_is_the_indent_2_sorted_document(steps, timing):
     try:
         trace = simulate_cycle(StepTable(steps), timing)
@@ -612,6 +613,7 @@ def test_respaced_text_parses_and_simulates_the_same(table, timing, data):
 @given(steps=st.integers(0, 6).flatmap(lambda n: st.tuples(*(_labelled_step(i) for i in range(1, n + 1)))),
        timing=_TIMINGS)
 @example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D,1", "op\n1", 'a"b'),)),), timing=TIMING)
+@example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D1", "op1", "a\rb"),)),), timing=TIMING)
 def test_trace_csv_reads_back_cell_for_cell(steps, timing):
     try:
         trace = simulate_cycle(StepTable(steps), timing)
