@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 from itertools import chain
 from operator import itemgetter
 
@@ -132,16 +133,8 @@ def _cmd_sweep(args) -> int:
         except ValueError as exc:
             raise ValueError(f"sweep point {point}: {exc}") from exc
         records.append(record)
-    _emit(args, _sweep_json(records) + "\n" if args.format == "json" else _sweep_csv(records))
+    _emit(args, writers.value(records) + "\n" if args.format == "json" else _sweep_csv(records))
     return EXIT_OK
-
-
-def _sweep_json(records: list[dict[str, object]]) -> str:
-    return writers.value(records)
-
-
-def _verify_json(passed: bool, checks: list[dict[str, object]]) -> str:
-    return writers.value({"checks": checks, "passed": passed})
 
 
 def _sweep_csv(records: list[dict[str, object]]) -> str:
@@ -179,7 +172,7 @@ def _cmd_verify(args) -> int:
 
     all_ok = all(c["passed"] for c in checks)
     if args.format == "json":
-        _emit(args, _verify_json(all_ok, checks), "\n")
+        _emit(args, writers.value({"checks": checks, "passed": all_ok}), "\n")
     else:
         width = max(len(c["check"]) for c in checks)
         lines = [f"{c['check']:<{width}}  {'pass' if c['passed'] else 'FAIL'}"
@@ -221,7 +214,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dump_unitary(args) -> int:
-    params = [parse_quantity(p) for p in args.params]
+    params = [parse_quantity(p, unit=False) for p in args.params]
     matrix = qgates.gate(args.gate, *params)
     doc = {"gate": args.gate, "params": params, "dim": len(matrix),  # in this order, not sorted
            "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in matrix]}
@@ -229,15 +222,11 @@ def _cmd_dump_unitary(args) -> int:
     return EXIT_OK
 
 
-_parser: list[argparse.ArgumentParser] = []
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on the first call and reused for the rest of the
     process: ``parse_args`` fills a fresh namespace and copies each ``--set``
     default list, so no call sees another's arguments."""
-    if _parser:
-        return _parser[0]
     parser = argparse.ArgumentParser(
         prog="spiderweb",
         description="Design-space exploration and verification for the spiderweb sparse spin-qubit array.",
@@ -273,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("params", nargs="*", help="rotation angle(s) in radians")
     p_dump.add_argument("--out", metavar="PATH")
     p_dump.set_defaults(func=_cmd_dump_unitary)
-
-    _parser.append(parser)
     return parser
 
 

@@ -15,7 +15,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from .config import ElectronicsParams
-from .model import ArrayConfig, GateInventory, default_gate_inventory
+from .model import GATE_INVENTORY, ArrayConfig, GateInventory
 
 ELECTRON_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
 BOLTZMANN = 1.380649e-23  # J/K, exact in the SI since 2019
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 # DC-biased (fine + coarse) gates of the unit cell, each on a hold capacitor.
-_HELD_GATES = default_gate_inventory().dc_biased_total
+_HELD_GATES = GATE_INVENTORY.dc_biased_total
 
 
 def min_hold_capacitance(kind: str, params: ElectronicsParams) -> float:

@@ -27,12 +27,12 @@ __all__ = [
     "CYCLE_CENSUS",
     "CYCLE_STEPS",
     "CycleTime",
+    "GATE_INVENTORY",
     "GateInventory",
     "GeometrySummary",
     "READOUT_MODES",
     "RegionGates",
     "cycle_time",
-    "default_gate_inventory",
     "derive_geometry",
     "readout_windows",
     "validate_config",
@@ -186,18 +186,13 @@ class GateInventory(NamedTuple):
         return self.fine_total + self.coarse_total
 
 
-# Reference unit cell: 4 qubit-idling regions, 2 full operation regions
+# Gate inventory of the reference unit cell: 4 qubit-idling regions, 2 full operation regions
 # (single-qubit control, exchange and readout) and 6 exchange-only regions.
-_DEFAULT_INVENTORY_ROWS = (
+GATE_INVENTORY = GateInventory((
     RegionGates("qubit_idling", 4, 0, 4, 4),
     RegionGates("qubit_operation", 2, 7, 2, 6),
     RegionGates("two_qubit_only", 6, 3, 2, 5),
-)
-
-
-def default_gate_inventory() -> GateInventory:
-    """Gate inventory of the reference unit cell; its counts are the ``GateInventory`` totals."""
-    return GateInventory(_DEFAULT_INVENTORY_ROWS)
+))
 
 
 # Window census of one error-correction cycle: the closed-form coefficients, and the keys, in order, of

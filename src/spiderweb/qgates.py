@@ -12,16 +12,17 @@ e^{i theta/2}) and a 2*pi rotation is -I.  Qubit indices are 1-based.
 
 Matrices are lists of rows of Python complex numbers: at 32x32 at most, plain
 Python costs less than importing an array package.  The two plaquette
-references depend on nothing but their kind, so each is built once per process
-and kept as an immutable tuple of row tuples; so is the layout of a gate's
-targets in a register of up to five qubits.
+references depend on nothing but their kind, and the layout of a gate's targets
+on nothing but the register size and the targets, so each is a
+``functools.cache``: built on its first call and kept for the process, a
+reference as an immutable tuple of row tuples.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from itertools import chain, repeat
 from operator import mul, sub
 from typing import NamedTuple, Sequence
@@ -94,23 +95,15 @@ def _diagonal(matrix: Matrix) -> list[complex] | None:
     return [row[i] for i, row in enumerate(matrix)]
 
 
-# every caller checks the targets first, so this keeps at most the 414 valid layouts of up to five qubits
-_layouts: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
-
-
+@cache
 def _layout(n_qubits: int, targets: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Bit mask of the targets in a register index, and for each register index
     the gate index its target bits form (the first target most significant)."""
-    layout = _layouts.get(key := (n_qubits, tuple(targets)))
-    if layout is None:
-        offsets = [0]
-        for t in targets:
-            offsets = [o | b for o in offsets for b in (0, 1 << (n_qubits - t))]
-        position = {o: g for g, o in reversed(list(enumerate(offsets)))}  # a repeated target: the first wins
-        layout = offsets[-1], tuple([position[i & offsets[-1]] for i in range(1 << n_qubits)])
-        if 0 < n_qubits <= 5:
-            _layouts[key] = layout
-    return layout
+    offsets = [0]
+    for t in targets:
+        offsets = [o | b for o in offsets for b in (0, 1 << (n_qubits - t))]
+    position = {o: g for g, o in reversed(list(enumerate(offsets)))}  # a repeated target: the first wins
+    return offsets[-1], tuple([position[i & offsets[-1]] for i in range(1 << n_qubits)])
 
 
 def expand(matrix: Matrix, n_qubits: int, targets: tuple[int, ...]) -> list[list[complex]]:
@@ -124,7 +117,7 @@ def expand(matrix: Matrix, n_qubits: int, targets: tuple[int, ...]) -> list[list
     for t in targets:
         if not 1 <= t <= n_qubits:
             raise ValueError(f"target {t} out of range 1..{n_qubits}")
-    mask, index = _layout(n_qubits, targets)
+    mask, index = _layout(n_qubits, tuple(targets))
     m = [[complex(v) for v in row] for row in matrix]
     return [[m[index[r]][index[c]] if r & ~mask == c & ~mask else 0j for c in range(len(index))]
             for r in range(len(index))]
@@ -216,7 +209,7 @@ def compose(circuit: Circuit) -> list[list[complex]]:
             for m, targets in dense:
                 rows = _matmul(expand(m, n, targets), rows)
         for d, targets in diagonal:
-            d = [d[g] for g in _layout(n, targets)[1]]
+            d = [d[g] for g in _layout(n, tuple(targets))[1]]
             phases = d if phases is None else list(map(mul, phases, d))
     return _take_up(rows, layer, phases, n)
 
@@ -339,9 +332,7 @@ def build_plaquette(kind: str, corrupt: bool = False) -> Circuit:
     return Circuit(n_qubits=5, steps=steps)
 
 
-_references: dict[str, tuple[tuple[complex, ...], ...]] = {}
-
-
+@cache
 def reference_plaquette(kind: str) -> tuple[tuple[complex, ...], ...]:
     """Textbook stabilizer-measurement unitary the plaquette circuit must match.
 
@@ -350,13 +341,11 @@ def reference_plaquette(kind: str) -> tuple[tuple[complex, ...], ...]:
     stabilizer, on the ancilla alone for the Z stabilizer.  Composed on the
     first call for each kind; later calls return that same tuple.
     """
-    if kind not in _references:
-        if kind not in ("X", "Z"):
-            raise ValueError(f"unknown plaquette kind {kind!r}; expected 'X' or 'Z'")
-        h_wall = _wall("h", _QUBITS if kind == "X" else (_ANCILLA,))
-        cz_chain = tuple((PlacedGate("cz", (_ANCILLA, d)),) for d in _DATA)
-        _references[kind] = tuple(map(tuple, compose(Circuit(n_qubits=5, steps=(h_wall, *cz_chain, h_wall)))))
-    return _references[kind]
+    if kind not in ("X", "Z"):
+        raise ValueError(f"unknown plaquette kind {kind!r}; expected 'X' or 'Z'")
+    h_wall = _wall("h", _QUBITS if kind == "X" else (_ANCILLA,))
+    cz_chain = tuple((PlacedGate("cz", (_ANCILLA, d)),) for d in _DATA)
+    return tuple(map(tuple, compose(Circuit(n_qubits=5, steps=(h_wall, *cz_chain, h_wall)))))
 
 
 def verify_plaquette(kind: str, corrupt: bool = False) -> bool:

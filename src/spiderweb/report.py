@@ -23,7 +23,7 @@ from typing import Any, Callable, NamedTuple
 from . import electronics, power, wiring
 from .config import _KEYMAP, VALIDATION_ORDER, ToolConfig
 from .errors import InvalidConfigError
-from .model import READOUT_MODES, CycleTime, GeometrySummary, cycle_time, default_gate_inventory, derive_geometry
+from .model import GATE_INVENTORY, READOUT_MODES, CycleTime, GeometrySummary, cycle_time, derive_geometry
 from .units import si_format
 
 __all__ = ["Design", "Sweep", "compute", "QUANTITIES", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
@@ -46,9 +46,6 @@ class Design(NamedTuple):
     cycles: dict[str, CycleTime]                # by readout mode
     grid: power.GridCapacitance
     power: power.PowerReport
-
-
-_INVENTORY = default_gate_inventory()
 
 
 def _validate(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
@@ -75,7 +72,7 @@ def _electronics(config: ToolConfig, out: dict, pinned: float | None, sections: 
     fine = out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", elec)
     refresh = out["refresh_rate_hz"] = electronics.refresh_rate(elec)
     out["demux_clock_hz"] = electronics.demux_clock(cfg, refresh)
-    out["footprint"] = electronics.footprint(cfg, elec, _INVENTORY, fine, coarse)
+    out["footprint"] = electronics.footprint(cfg, elec, GATE_INVENTORY, fine, coarse)
 
 
 def _timing(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:

@@ -68,12 +68,15 @@ def _normalize_suffix(suffix: str) -> str:
     )
 
 
-def parse_quantity(text: str) -> float:
-    """Parse ``text`` into an SI float, honouring a unit suffix if present."""
+def parse_quantity(text: str, unit: bool = True) -> float:
+    """Parse ``text`` into an SI float, honouring a unit suffix if present; with ``unit=False``
+    the text must be a bare number, such as an angle in radians."""
     m = _QUANTITY_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse quantity {text!r}")
     number, suffix = m.groups()
+    if suffix and not unit:
+        raise ValueError(f"unit suffix {suffix!r} in {text!r}: expected a bare number")
     value = float(number)
     if suffix:  # an M the any-case table reads as milli ("Mw", "MOHM") is ambiguous; "mhz" stays MHz
         key = _normalize_suffix(suffix)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .model import ArrayConfig, default_gate_inventory
+from .model import GATE_INVENTORY, ArrayConfig
 
 __all__ = [
     "LEVELS",
@@ -32,7 +32,7 @@ __all__ = [
 LEVELS = ("unit_cell", "module", "quantum_plane")
 
 # Every pulsed gate of the unit cell has its own globally shared signal line.
-_PULSED_LINES = default_gate_inventory().pulsed_total
+_PULSED_LINES = GATE_INVENTORY.pulsed_total
 
 
 class LineCount(NamedTuple):

@@ -18,7 +18,7 @@ from spiderweb.electronics import (
     refresh_rate,
 )
 from spiderweb.errors import ScheduleConflictError
-from spiderweb.model import ArrayConfig, cycle_time, default_gate_inventory, derive_geometry
+from spiderweb.model import GATE_INVENTORY, ArrayConfig, cycle_time, derive_geometry
 from spiderweb.power import (
     parasitic_capacitance,
     total_power,
@@ -101,7 +101,7 @@ def test_criterion_04_electronics_constraints():
 
 def test_criterion_05_footprint_and_plane_area():
     fine, coarse = min_hold_capacitance("fine", ELEC), min_hold_capacitance("coarse", ELEC)
-    fp = footprint(REFERENCE, ELEC, default_gate_inventory(), fine, coarse)
+    fp = footprint(REFERENCE, ELEC, GATE_INVENTORY, fine, coarse)
     area = derive_geometry(REFERENCE).plane_area_m2 * 1e6
     report(
         "criterion 5: A_cap in [440, 460] um^2, A_demux = 180 um^2, A_total in [620, 640] um^2, "

@@ -17,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spiderweb
-from spiderweb import cli, config, electronics, model, power, qgates, report, schedule, wiring
-from spiderweb.cli import _sweep_csv, _sweep_json, _verify_json, main
+from spiderweb import cli, config, electronics, model, power, qgates, report, schedule, wiring, writers
+from spiderweb.cli import _sweep_csv, main
 from spiderweb.config import load_config
 from spiderweb.errors import ScheduleConflictError
 from spiderweb.report import SWEEP_FIELDS, sweep_record
@@ -401,16 +401,16 @@ class TestSweepWriters:
     @example([{"list": [1, {"b": None, "a": [0.5]}], "nested": {"d": {"e": []}, "c": (True,)}}, {"nested": {}}])
     def test_json_is_the_indent_2_sorted_layout(self, records):
         expected = json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
-        assert _sweep_json(records) == expected
+        assert writers.value(records) == expected
 
     def test_json_of_real_records(self):
         records = _sweep_points("-1", "0", "200")
-        assert _sweep_json(records) == json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
+        assert writers.value(records) == json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_json_rejects_non_finite(self, value):
         with pytest.raises(ValueError):
-            _sweep_json([{"a": value}])
+            writers.value([{"a": value}])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.fixed_dictionaries({f: _SCALARS for f in SWEEP_FIELDS}), max_size=6))
@@ -480,7 +480,7 @@ class TestVerifyWriter:
                                     "detail": {"detail": 0, '"detail": 0': "µ \"q\""}}])
     def test_is_the_indent_2_sorted_document(self, passed, checks):
         expected = json.dumps({"passed": passed, "checks": checks}, indent=2, sort_keys=True, allow_nan=False)
-        assert _verify_json(passed, checks) == expected
+        assert writers.value({"checks": checks, "passed": passed}) == expected
 
     @pytest.mark.parametrize("check", [
         {"check": "identity:x", "passed": True, "residual": math.inf},
@@ -488,7 +488,7 @@ class TestVerifyWriter:
     ], ids=["residual", "detail"])
     def test_rejects_non_finite(self, check):
         with pytest.raises(ValueError):
-            _verify_json(True, [check])
+            writers.value({"checks": [check], "passed": True})
 
     def test_infinite_residual_exits_1(self, capsys, monkeypatch):
         inf = qgates.IdentityCheck("sp-squared", math.inf)
@@ -611,7 +611,7 @@ class TestVerify:
     def test_references_composed_once_per_process(self, capsys, monkeypatch):
         # each verify composes both plaquette circuits and embeds six identity
         # gates; only the two references are kept from the first verify
-        monkeypatch.setattr(qgates, "_references", {})
+        qgates.reference_plaquette.cache_clear()
         calls = {"compose": 0, "expand": 0}
 
         def counted(name, fn):
@@ -866,6 +866,20 @@ class TestDumpUnitary:
         code, out, err = run(capsys, "dump-unitary", "rz", angle)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("angle", ["5ns", "500m", "1V", "2 rad", "1e-3e"])
+    def test_unit_suffix_on_an_angle_exits_1(self, capsys, angle):
+        """An angle is a bare number of radians: ``500m`` is not 500 metres, nor 0.5."""
+        code, out, err = run(capsys, "dump-unitary", "rz", angle)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unit suffix ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("angle, value", [(".5", 0.5), ("1e-3", 1e-3), ("2.5E+0", 2.5)])
+    def test_bare_angle_is_radians(self, capsys, angle, value):
+        code, out, err = run(capsys, "dump-unitary", "rz", angle)
+        assert (code, err) == (0, "")
+        matrix = [[[v.real, v.imag] for v in row] for row in qgates.gate("rz", value)]
+        assert out == json.dumps({"gate": "rz", "params": [value], "dim": 2, "matrix": matrix}, indent=2) + "\n"
 
 
 # a value of each config section that breaks one of its rules, and the error it gives

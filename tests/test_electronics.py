@@ -9,12 +9,11 @@ from spiderweb.electronics import (
     min_hold_capacitance,
     refresh_rate,
 )
-from spiderweb.model import ArrayConfig, GateInventory, RegionGates, default_gate_inventory
+from spiderweb.model import GATE_INVENTORY, ArrayConfig, GateInventory, RegionGates
 from spiderweb.report import build_report
 
 REFERENCE = ArrayConfig()
 PARAMS = ElectronicsParams()
-INVENTORY = default_gate_inventory()
 
 
 def _footprint(cfg: ArrayConfig, params: ElectronicsParams, inventory: GateInventory):
@@ -91,7 +90,7 @@ class TestDemuxClock:
 
 class TestFootprint:
     def test_reference_values(self):
-        fp = _footprint(REFERENCE, PARAMS, INVENTORY)
+        fp = _footprint(REFERENCE, PARAMS, GATE_INVENTORY)
         assert 440.0 <= fp.capacitor_area_m2 * 1e12 <= 460.0
         assert fp.demux_area_m2 * 1e12 == pytest.approx(180.0)
         assert 620.0 <= fp.total_area_m2 * 1e12 <= 640.0
@@ -99,7 +98,7 @@ class TestFootprint:
         assert fp.pitch_feasible  # 13 um pitch clears the minimum
 
     def test_total_capacitance_reuses_hold_model(self):
-        fp = _footprint(REFERENCE, PARAMS, INVENTORY)
+        fp = _footprint(REFERENCE, PARAMS, GATE_INVENTORY)
         expected = 32 * min_hold_capacitance("fine", PARAMS) + 32 * min_hold_capacitance("coarse", PARAMS)
         assert fp.hold_capacitance_f == expected
         assert fp.hold_capacitance_f == pytest.approx(450e-12, rel=0.03)
@@ -110,7 +109,7 @@ class TestFootprint:
             RegionGates("qubit_operation", 2, 7, 2, 0),
             RegionGates("two_qubit_only", 6, 3, 2, 0),
         ))
-        assert _footprint(REFERENCE, PARAMS, no_pulsed) == _footprint(REFERENCE, PARAMS, INVENTORY)
+        assert _footprint(REFERENCE, PARAMS, no_pulsed) == _footprint(REFERENCE, PARAMS, GATE_INVENTORY)
 
     def test_zero_fine_gates_leaves_tiny_capacitor_area(self):
         coarse_only = GateInventory((RegionGates("coarse", 1, 0, 32, 0),))
@@ -120,19 +119,19 @@ class TestFootprint:
 
     def test_doubled_density_halves_capacitor_area(self):
         dense = PARAMS._replace(cap_density_f_per_m2=2.0)
-        base = _footprint(REFERENCE, PARAMS, INVENTORY)
-        halved = _footprint(REFERENCE, dense, INVENTORY)
+        base = _footprint(REFERENCE, PARAMS, GATE_INVENTORY)
+        halved = _footprint(REFERENCE, dense, GATE_INVENTORY)
         assert halved.capacitor_area_m2 == pytest.approx(base.capacitor_area_m2 / 2, rel=1e-12)
 
     def test_infeasible_pitch_flagged_not_fatal(self):
         tight = REFERENCE._replace(qubit_pitch_nm=10_000)
-        fp = _footprint(tight, PARAMS, INVENTORY)
+        fp = _footprint(tight, PARAMS, GATE_INVENTORY)
         assert not fp.pitch_feasible
         assert fp.min_pitch_um > 10.0
 
     def test_min_pitch_monotone_in_density(self):
         pitches = [
-            _footprint(REFERENCE, PARAMS._replace(cap_density_f_per_m2=rho), INVENTORY).min_pitch_m
+            _footprint(REFERENCE, PARAMS._replace(cap_density_f_per_m2=rho), GATE_INVENTORY).min_pitch_m
             for rho in (0.5, 1.0, 2.0, 4.0)
         ]
         assert pitches == sorted(pitches, reverse=True)

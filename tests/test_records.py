@@ -40,7 +40,7 @@ def _records() -> list:
     trace = schedule.simulate_cycle(table, config.TimingParams())
     step = next(s for s in table.steps if s.kind == "two_qubit")
     placed = qgates.PlacedGate("x", (1,))
-    inventory = model.default_gate_inventory()
+    inventory = model.GATE_INVENTORY
     return [
         design.geometry,
         inventory.rows[0],

@@ -29,7 +29,7 @@ from spiderweb.electronics import (
     min_hold_capacitance,
     refresh_rate,
 )
-from spiderweb.model import READOUT_MODES, cycle_time, default_gate_inventory, derive_geometry
+from spiderweb.model import GATE_INVENTORY, READOUT_MODES, cycle_time, derive_geometry
 from spiderweb.power import parasitic_capacitance, total_power
 from spiderweb.errors import ConfigParseError
 from spiderweb.report import Design, compute, sweep_record
@@ -145,7 +145,7 @@ def _rebuilt(config: ToolConfig, pinned: float | None) -> Design:
         fine_hold_capacitance_f=fine,
         refresh_rate_hz=refresh,
         demux_clock_hz=demux_clock(cfg, refresh),
-        footprint=footprint(cfg, elec, default_gate_inventory(), fine, coarse),
+        footprint=footprint(cfg, elec, GATE_INVENTORY, fine, coarse),
         cycles={mode: cycle_time(config.timing, cfg, mode) for mode in READOUT_MODES},
         grid=grid,
         power=total_power(cfg, config.signals, elec, grid, refresh, pinned),
