@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dump = sub.add_parser("dump-unitary", help="emit a gate matrix as JSON (row-major re/im pairs)")
     p_dump.add_argument("gate")
-    p_dump.add_argument("params", nargs="*", help="rotation angle(s) in radians")
+    p_dump.add_argument("params", nargs="*", help="rotation angle(s) in radians; a negative angle that argparse "
+                        "takes for an option, such as -1e-3, goes after '--', with every option before it")
     p_dump.add_argument("--out", metavar="PATH")
     p_dump.set_defaults(func=_cmd_dump_unitary)
     return parser

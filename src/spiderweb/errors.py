@@ -26,7 +26,7 @@ class ConfigParseError(SpiderwebError):
 
 
 class ScheduleConflictError(SpiderwebError):
-    """A step table over-subscribes a shared resource or puts a qubit in two regions at once."""
+    """A step table over-subscribes a shared resource or puts a qubit in two regions, or twice, in one window."""
 
     def __init__(self, step: int, resource: str, occupants: tuple[str, ...], capacity: int,
                  detail: str = ""):

@@ -88,13 +88,6 @@ def _matmul(a: Matrix, b: Matrix) -> list[list[complex]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _diagonal(matrix: Matrix) -> list[complex] | None:
-    """The diagonal of a matrix whose other entries are all exactly zero, else None."""
-    if any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(matrix)):
-        return None
-    return [row[i] for i, row in enumerate(matrix)]
-
-
 @cache
 def _layout(n_qubits: int, targets: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Bit mask of the targets in a register index, and for each register index
@@ -133,8 +126,7 @@ class PlacedGate(NamedTuple):
 
 
 class Circuit(NamedTuple):
-    """An ordered list of time steps, each holding gates that either act on
-    disjoint qubits or are mutually commuting diagonals."""
+    """An ordered list of time steps, each holding gates that act on disjoint qubits."""
 
     n_qubits: int
     steps: tuple[tuple[PlacedGate, ...], ...] = ()
@@ -150,8 +142,8 @@ class Circuit(NamedTuple):
             for t in targets:
                 if not 1 <= t <= self.n_qubits:
                     raise ValueError(f"step {step_index}: target {t} out of range 1..{self.n_qubits}")
-            if len(set(targets)) < len(targets) and any(_diagonal(p.matrix()) is None for p in step):
-                raise ValueError(f"step {step_index}: overlapping gates must all be diagonal")
+            if len(set(targets)) < len(targets):
+                raise ValueError(f"step {step_index}: gates overlap on a qubit, diagonal or not")
 
 
 def _sandwich(outer: list[Matrix], phases: list[complex], inner: list[Matrix]) -> list[list[complex]]:
@@ -182,43 +174,35 @@ def _sandwich(outer: list[Matrix], phases: list[complex], inner: list[Matrix]) -
 def compose(circuit: Circuit) -> list[list[complex]]:
     """Product of the circuit's step unitaries; later steps multiply on the left.
 
-    Diagonal gates collect into a phase vector.  A first layer of one-qubit
-    gates waits for the next, to make a ``_sandwich`` with the phases between;
-    other dense gates are matrix products.  A step's diagonals go last.
+    One form, the plaquette's: one-qubit gates, diagonal gates, one-qubit gates,
+    any part left out.  A step's non-diagonal gates, one qubit each, are the
+    inner layer if no gate came before them, else the outer; every diagonal gate
+    multiplies into one phase vector, after its step's layer, and one
+    ``_sandwich(outer, phases, inner)`` is the product.  Any other circuit
+    raises ``ValueError`` naming the step.
     """
     circuit.validate()
     n = circuit.n_qubits
-    # so far: diag(phases) @ (rows, else a first layer of one-qubit gates, else the identity)
-    rows = layer = phases = None
-    for step in circuit.steps:
-        diagonal, dense = [], []
+    inner = outer = phases = None
+    for step_index, step in enumerate(circuit.steps, start=1):
+        layer, diagonal = {}, []
         for placed in step:
             m = placed.matrix()
-            d = _diagonal(m)
-            (dense if d is None else diagonal).append((m if d is None else d, placed.targets))
-        if dense and rows is None and all(len(t) == 1 for _, t in dense):
-            by_qubit = {t[0]: m for m, t in dense}
-            new = [by_qubit.get(q, _I2) for q in range(1, n + 1)]
-            if layer is None and phases is None:
-                layer = new
+            if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(m)):  # diagonal: all else exactly 0
+                diagonal.append(([row[i] for i, row in enumerate(m)], tuple(placed.targets)))
+            elif len(placed.targets) == 1:
+                layer[placed.targets[0]] = m
             else:
-                rows = _sandwich(new, phases or [1 + 0j] * (1 << n), layer or [_I2] * n)
-                layer = phases = None
-        elif dense:
-            rows, layer, phases = _take_up(rows, layer, phases, n), None, None
-            for m, targets in dense:
-                rows = _matmul(expand(m, n, targets), rows)
+                raise ValueError(f"step {step_index}: gate {placed.name!r} is neither diagonal nor on one qubit")
+        if (outer and step) or (layer and diagonal and (inner or phases)):
+            raise ValueError(f"step {step_index}: a gate after the outer layer of one-qubit gates")
+        if layer:
+            new = [layer.get(q, _I2) for q in range(1, n + 1)]
+            inner, outer = (inner, new) if inner or phases else (new, None)
         for d, targets in diagonal:
-            d = [d[g] for g in _layout(n, tuple(targets))[1]]
+            d = [d[g] for g in _layout(n, targets)[1]]
             phases = d if phases is None else list(map(mul, phases, d))
-    return _take_up(rows, layer, phases, n)
-
-
-def _take_up(rows, layer, phases, n: int) -> list[list[complex]]:
-    """``diag(phases) @ M`` with M the rows, else the pending layer, else the identity."""
-    if rows is None:
-        return _sandwich([_I2] * n, phases or [1 + 0j] * (1 << n), layer or [_I2] * n)
-    return [[p * x for x in row] for p, row in zip(phases, rows)] if phases else rows
+    return _sandwich(outer or [_I2] * n, phases or [1 + 0j] * (1 << n), inner or [_I2] * n)
 
 
 class IdentityCheck(NamedTuple):

@@ -186,7 +186,7 @@ def _grouped(pairs) -> dict:
 
 def _check_window(index: int, lanes: list[str], actors: list[tuple[str, str, str]]) -> None:
     """Raise :class:`ScheduleConflictError` at step ``index`` if the window
-    over-fills a region or a channel, or places one qubit in two regions."""
+    over-fills a region or a channel, or places one qubit in two regions or twice."""
     # regions are filled by the actors (a readout has no path), which place every qubit of the window
     for region, occupants in _grouped((region, q) for q, _, region in actors).items():
         if len(occupants) > REGION_CAPACITY:
@@ -197,6 +197,10 @@ def _check_window(index: int, lanes: list[str], actors: list[tuple[str, str, str
     for qubit, places in _grouped(dict.fromkeys((q, region) for q, _, region in actors)).items():
         if len(places) > 1:
             detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
+            raise ScheduleConflictError(index, qubit, tuple(places), 1, detail)
+    for qubit, places in _grouped((q, region) for q, _, region in actors).items():  # readouts have no channel
+        if len(places) > 1:
+            detail = f"qubit {qubit!r} is listed {len(places)} times in one window"
             raise ScheduleConflictError(index, qubit, tuple(places), 1, detail)
 
 
@@ -236,9 +240,9 @@ def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, 
 def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     """Execute the step table, checking resource capacities window by window.
 
-    A capacity violation, or one qubit in two regions in one window, raises
-    :class:`ScheduleConflictError` naming the first step with that body and
-    the resource.  Time is kept as integer window counts per kind and
+    A capacity violation, or one qubit in two regions or twice in one window,
+    raises :class:`ScheduleConflictError` naming the first step with that body
+    and the resource.  Time is kept as integer window counts per kind and
     re-expanded into seconds for every window, so the makespan is
     bit-identical to the closed-form census-weighted sum.  ``timing`` is a
     validated section (see :meth:`spiderweb.config.ToolConfig.validate`).

@@ -33,6 +33,11 @@ LEVELS = ("unit_cell", "module", "quantum_plane")
 
 # Every pulsed gate of the unit cell has its own globally shared signal line.
 _PULSED_LINES = GATE_INVENTORY.pulsed_total
+_ADDRESS_LINES = _ENABLE_LINES = 4  # DC biasing: address lines, and enable lines per cell along the module edge
+
+
+def _dc_biasing(edge: int, modules: int) -> int:  # and one voltage-source feed per module
+    return _ADDRESS_LINES + _ENABLE_LINES * edge + modules
 
 
 class LineCount(NamedTuple):
@@ -57,13 +62,13 @@ class LineCount(NamedTuple):
 def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
     """Local connection count at one level of the array hierarchy.
 
-    Per unit cell, DC biasing needs 4 address + 4 enable lines plus one
-    voltage-source feed; shuttling needs the 4 phase-shifted drives; the
-    pulsed/MW signals (``GateInventory.pulsed_total``) are globally shared;
-    each crossbar contributes 2 horizontal + 2 vertical lines; readout needs
-    2 sensor plunger lines and one shared drain line.  Address and drive lines are shared upward, while
-    enable lines, crossbar lines, voltage-source feeds and drain lines scale
-    with the module edge and grid size.
+    DC biasing needs ``_ADDRESS_LINES`` (4) demultiplexer address lines, ``_ENABLE_LINES`` (4)
+    enable lines per cell along the module edge and one voltage-source feed per module, 9 for the
+    unit cell; shuttling needs the 4 phase-shifted drives; the pulsed/MW signals
+    (``GateInventory.pulsed_total``) are globally shared; each crossbar contributes 2 horizontal +
+    2 vertical lines; readout needs 2 sensor plunger lines and one shared drain line.  Address and
+    drive lines are shared upward, while enable lines, crossbar lines, voltage-source feeds and
+    drain lines scale with the module edge and grid size.
     """
     log2_nr = cfg.readout_module_edge.bit_length() - 1
     log2_r = cfg.parallel_readouts.bit_length() - 1
@@ -73,15 +78,15 @@ def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
     x = cfg.crossbars
 
     if level == "unit_cell":
-        return LineCount("unit_cell", 9, 4, _PULSED_LINES, 4 * x, 3)
+        return LineCount("unit_cell", _dc_biasing(1, 1), 4, _PULSED_LINES, 4 * x, 3)
     if level == "module":
         return LineCount(
-            "module", 4 * n_b + 5, 4, _PULSED_LINES, 4 * n_b * x,
+            "module", _dc_biasing(n_b, 1), 4, _PULSED_LINES, 4 * n_b * x,
             2 * log2_nr - log2_r + 1,
         )
     if level == "quantum_plane":
         return LineCount(
-            "quantum_plane", m_b**2 + 4 * n_b + 4, 4, _PULSED_LINES, 4 * n_b * m_b * x,
+            "quantum_plane", _dc_biasing(n_b, m_b**2), 4, _PULSED_LINES, 4 * n_b * m_b * x,
             m_r**2 + 2 * log2_nr - log2_r,
         )
     raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")

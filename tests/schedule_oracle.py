@@ -81,7 +81,8 @@ def windows(step: Step) -> list[tuple[str, list, list, bool]]:
 
 def check(index: int, movers: list, actors: list) -> None:
     """Raise :class:`Conflict` for the first broken rule of one window: each region in
-    the order of first use, then each channel, then a qubit placed in two regions."""
+    the order of first use, then each channel, then a qubit placed in two regions, then
+    a qubit listed twice."""
     regions: dict[str, list[str]] = {}
     for qubit, _, region in actors:
         regions.setdefault(region, []).append(qubit)
@@ -106,6 +107,12 @@ def check(index: int, movers: list, actors: list) -> None:
         if len(where) > 1:
             raise Conflict(index, qubit, tuple(where), 1,
                            f"qubit {qubit!r} is in {len(where)} regions ({', '.join(where)}) in one window")
+    listed: dict[str, list[str]] = {}
+    for qubit, _, region in actors:
+        listed.setdefault(qubit, []).append(region)
+    for qubit, where in listed.items():
+        if len(where) > 1:
+            raise Conflict(index, qubit, tuple(where), 1, f"qubit {qubit!r} is listed {len(where)} times in one window")
 
 
 def simulate(table: StepTable, timing) -> OracleTrace:

@@ -713,6 +713,19 @@ class TestSimulate:
             assert out == ""
             assert err == "schedule conflict: step 1: qubit 'D1' is in 2 regions (op1, op2) in one window\n"
 
+    @pytest.mark.parametrize("text, step", [
+        ("1 one_qubit+park A1@op1:x\n2 readout A1@op1 A1@op1\n", 2),
+        ("1 readout A1@op1 A1@op1 A1@op1\n", 1),
+    ], ids=["twice", "three-times"])
+    def test_readout_listing_a_qubit_again_exits_2(self, capsys, tmp_path, text, step, cold_caches):
+        table = tmp_path / "again.steps"
+        table.write_text(text)
+        for _ in ("cold", "warm"):
+            code, out, err = run(capsys, "simulate", "--table", str(table))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"schedule conflict: step {step}: ") and "A1" in err
+            assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_non_finite_times_exit_1(self, capsys, fmt):
         code, out, err = run(capsys, "simulate", "--format", fmt, "--set", "t_sh=1e307")
@@ -880,6 +893,18 @@ class TestDumpUnitary:
         assert (code, err) == (0, "")
         matrix = [[[v.real, v.imag] for v in row] for row in qgates.gate("rz", value)]
         assert out == json.dumps({"gate": "rz", "params": [value], "dim": 2, "matrix": matrix}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("angle, value", [("-1e-3", -1e-3), ("-2.5E+0", -2.5)])
+    def test_negative_angle_after_double_dash(self, capsys, angle, value):
+        code, out, err = run(capsys, "dump-unitary", "rz", "--", angle)
+        assert (code, err) == (0, "")
+        matrix = [[[v.real, v.imag] for v in row] for row in qgates.gate("rz", value)]
+        assert out == json.dumps({"gate": "rz", "params": [value], "dim": 2, "matrix": matrix}, indent=2) + "\n"
+
+    def test_help_says_a_negative_angle_goes_after_double_dash(self, capsys):
+        code, out, _ = run(capsys, "dump-unitary", "--help")
+        assert code == 0
+        assert "-1e-3, goes after '--'" in " ".join(out.split())
 
 
 # a value of each config section that breaks one of its rules, and the error it gives

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -138,21 +139,6 @@ class TestCompose:
     def test_empty_circuit(self):
         assert np.array_equal(compose(Circuit(2)), np.eye(4))
 
-    def test_double_sqrt_swap_is_swap(self):
-        circuit = Circuit(2, (
-            (PlacedGate("sqrt_swap", (1, 2)),),
-            (PlacedGate("sqrt_swap", (1, 2)),),
-        ))
-        assert np.max(np.abs(np.asarray(compose(circuit)) - gate("swap"))) < 1e-12
-
-    def test_interleaved_rotation_builds_phase_gate(self):
-        circuit = Circuit(2, (
-            (PlacedGate("sqrt_swap", (1, 2)),),
-            (PlacedGate("rz", (1,), (np.pi,)),),
-            (PlacedGate("sqrt_swap", (1, 2)),),
-        ))
-        assert np.max(np.abs(np.asarray(compose(circuit)) - (-1j) * np.asarray(gate("sp")))) < 1e-12
-
     def test_later_steps_left_multiply(self):
         circuit = Circuit(1, (
             (PlacedGate("h", (1,)),),
@@ -167,12 +153,31 @@ class TestCompose:
         with pytest.raises(ValueError, match="diagonal"):
             compose(circuit)
 
-    def test_overlapping_diagonal_step_allowed(self):
+    def test_overlapping_diagonal_step_rejected(self):
+        # a step's gates act on disjoint qubits, diagonal ones too
         circuit = Circuit(2, (
             (PlacedGate("sp", (1, 2)), PlacedGate("rz", (1,), (np.pi / 2,))),
         ))
-        expected = np.asarray(expand(gate("rz", np.pi / 2), 2, (1,))) @ gate("sp")
-        assert np.max(np.abs(np.asarray(compose(circuit)) - expected)) < 1e-12
+        with pytest.raises(ValueError) as err:
+            compose(circuit)
+        assert str(err.value) == "step 1: gates overlap on a qubit, diagonal or not"
+
+    @pytest.mark.parametrize("name", ["sqrt_swap", "swap", "cnot"])
+    def test_non_diagonal_two_qubit_gate_rejected(self, name):
+        circuit = Circuit(3, ((PlacedGate("h", (1,)),), (PlacedGate(name, (2, 3)),)))
+        with pytest.raises(ValueError) as err:
+            compose(circuit)
+        assert str(err.value) == f"step 2: gate {name!r} is neither diagonal nor on one qubit"
+
+    @pytest.mark.parametrize("steps, step", [
+        (((PlacedGate("h", (1,)),), (PlacedGate("x", (2,)),), (PlacedGate("z", (1,)),)), 3),
+        (((PlacedGate("h", (1,)),), (PlacedGate("x", (2,)),), (), (PlacedGate("y", (1,)),)), 4),
+        (((PlacedGate("cz", (1, 2)),), (PlacedGate("h", (1,)), PlacedGate("z", (2,)))), 2),
+    ], ids=["diagonal-after-outer", "layer-after-outer", "diagonal-beside-outer"])
+    def test_gate_after_the_outer_layer_rejected(self, steps, step):
+        with pytest.raises(ValueError) as err:
+            compose(Circuit(2, steps))
+        assert str(err.value) == f"step {step}: a gate after the outer layer of one-qubit gates"
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -372,6 +377,30 @@ class TestReferenceMemo:
         assert verify_plaquette(kind)
 
 
+def digest(matrix) -> str:
+    """The first 16 hex digits of the sha256 of the matrix's repr, as row tuples."""
+    return hashlib.sha256(repr(tuple(map(tuple, matrix))).encode()).hexdigest()[:16]
+
+
+class TestComposedBits:
+    """The six circuits ``verify`` composes give the very bits they gave when ``compose``
+    also multiplied dense products: same ``_sandwich`` call, same phase products."""
+
+    @pytest.mark.parametrize("kind, corrupt, pinned", [
+        ("X", False, "c536c922a3bb9c37"),
+        ("Z", False, "edca4c983e811ce1"),
+        ("X", True, "e73a39bd1b815f1f"),
+        ("Z", True, "7fa56fa892e69ce8"),
+    ])
+    def test_plaquette_circuit(self, kind, corrupt, pinned):
+        assert digest(compose(build_plaquette(kind, corrupt))) == pinned
+
+    @pytest.mark.parametrize("kind, pinned", [("X", "c2b533091d5daf3d"), ("Z", "e8b7765688acd04e")])
+    def test_reference(self, kind, pinned):
+        reference_plaquette.cache_clear()  # composed here, not kept from another test
+        assert digest(reference_plaquette(kind)) == pinned
+
+
 # Property tests against an oracle built here with numpy: a k-qubit gate acts
 # on the leading qubits of np.kron(u, I), and an axis permutation moves those
 # qubits to the targets.
@@ -401,22 +430,88 @@ def placed_gates(draw, n, targets):
     return PlacedGate(draw(st.sampled_from(ONE_QUBIT)), qubit)
 
 
+DIAGONAL_TWO = ["sp", "sp_dag", "cz"]
+DENSE_TWO = ["sqrt_swap", "swap", "cnot"]
+
+
+@st.composite
+def diagonal_gates(draw, n, targets):
+    """A diagonal gate on one of the targets, or on two of them."""
+    if len(targets) >= 2 and draw(st.booleans()):
+        return PlacedGate(draw(st.sampled_from(DIAGONAL_TWO)), tuple(draw(st.permutations(targets))[:2]))
+    qubit = (draw(st.sampled_from(targets)),)
+    if draw(st.booleans()):
+        return PlacedGate("rz", qubit, (draw(ANGLES),))
+    return PlacedGate(draw(st.sampled_from(["i", "z"])), qubit)
+
+
+@st.composite
+def dense_gates(draw, qubit):
+    """A one-qubit gate on the qubit with an off-diagonal entry."""
+    if draw(st.booleans()):
+        angle = draw(ANGLES.filter(lambda theta: math.sin(theta / 2)))
+        return PlacedGate(draw(st.sampled_from(["rx", "ry"])), (qubit,), (angle,))
+    return PlacedGate(draw(st.sampled_from(["x", "y", "h"])), (qubit,))
+
+
+def one_qubit_gates(n, free):
+    """Any one-qubit gate, diagonal or not, on one of the free qubits."""
+    return st.sampled_from(free).flatmap(lambda q: placed_gates(n, [q]))
+
+
+@st.composite
+def steps_of(draw, n, gates):
+    """One step: gates from ``gates(free qubits)`` on disjoint qubits."""
+    free, step = list(range(1, n + 1)), []
+    for _ in range(draw(st.integers(0, n))):
+        if free:
+            placed = draw(gates(free))
+            free = [q for q in free if q not in placed.targets]
+            step.append(placed)
+    return tuple(step)
+
+
+@st.composite
+def form_steps(draw, n):
+    """The one form ``compose`` takes, each part optional: a step of one-qubit gates
+    (diagonal ones included) beside two-qubit diagonals, steps of diagonal gates, and a
+    step of non-diagonal one-qubit gates; any step may be empty."""
+    first = draw(steps_of(n, lambda free: st.one_of(one_qubit_gates(n, free), diagonal_gates(n, free))))
+    middle = [draw(steps_of(n, lambda free: diagonal_gates(n, free))) for _ in range(draw(st.integers(0, 4)))]
+    last = draw(steps_of(n, lambda free: st.sampled_from(free).flatmap(dense_gates)))
+    return (first, *middle, last)
+
+
 @st.composite
 def circuits(draw):
-    """Up to five steps; each holds gates on disjoint qubits, so runs of
-    one-qubit layers, diagonal steps and two-qubit gates all come up."""
     n = draw(st.integers(1, 5))
-    steps = []
-    for _ in range(draw(st.integers(0, 5))):
-        free = list(range(1, n + 1))
-        step = []
-        for _ in range(draw(st.integers(0, n))):
-            if free:
-                placed = draw(placed_gates(n, free))
-                free = [q for q in free if q not in placed.targets]
-                step.append(placed)
-        steps.append(tuple(step))
-    return Circuit(n, tuple(steps))
+    return Circuit(n, draw(form_steps(n)))
+
+
+@st.composite
+def out_of_form(draw):
+    """A circuit ``compose`` refuses, and the step it names: a non-diagonal gate on two
+    qubits in any step, or a gate after (or beside) a layer that follows another gate."""
+    n = draw(st.integers(2, 5))
+    steps = list(draw(form_steps(n)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(steps)))
+        pair = tuple(draw(st.permutations(range(1, n + 1)))[:2])
+        steps.insert(at, (PlacedGate(draw(st.sampled_from(DENSE_TWO)), pair),))
+        return Circuit(n, tuple(steps)), at + 1
+    # the form's steps up to its outer layer, a diagonal gate, a layer (the outer one), a late gate
+    steps.pop()
+    ahead = (draw(diagonal_gates(n, list(range(1, n + 1)))),)
+    outer = [draw(dense_gates(q)) for q in draw(st.lists(st.integers(1, n), min_size=1, unique=True))]
+    late = draw(steps_of(n, lambda free: st.one_of(one_qubit_gates(n, free), diagonal_gates(n, free))))
+    if not late:
+        late = (draw(placed_gates(n, [1])),)
+    if len(outer) < n and draw(st.booleans()):  # the late gates in the outer layer's own step
+        spare = [q for q in range(1, n + 1) if q not in {p.targets[0] for p in outer}]
+        steps += [ahead, (*outer, draw(diagonal_gates(n, spare[:1])))]
+        return Circuit(n, tuple(steps)), len(steps)
+    steps += [ahead, tuple(outer), *[()] * draw(st.integers(0, 2)), late]
+    return Circuit(n, tuple(steps)), len(steps)
 
 
 @settings(max_examples=300, deadline=None)
@@ -435,6 +530,15 @@ def test_compose_matches_kron_oracle(circuit):
     for placed in itertools.chain.from_iterable(circuit.steps):
         expected = oracle_expand(placed.matrix(), n, placed.targets) @ expected
     assert np.max(np.abs(np.asarray(compose(circuit)) - expected)) < 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=out_of_form())
+def test_compose_rejects_a_circuit_out_of_form(case):
+    circuit, step = case
+    with pytest.raises(ValueError) as err:
+        compose(circuit)
+    assert str(err.value).startswith(f"step {step}: ")
 
 
 @given(theta=st.floats(allow_nan=False, allow_infinity=False))

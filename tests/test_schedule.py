@@ -213,6 +213,20 @@ class TestSimulation:
         assert err.occupants == ("op1", "op2")
         assert "qubit 'D1' is in 2 regions (op1, op2)" in str(err)
 
+    @pytest.mark.parametrize("text, step", [
+        ("1 one_qubit+park A1@op1:x\n2 readout A1@op1 A1@op1\n", 2),
+        ("1 readout A1@op1 A1@op1 A1@op1\n", 1),
+    ], ids=["twice", "three-times"])
+    def test_readout_listing_a_qubit_again_rejected(self, text, step, cold_caches):
+        # a readout window has no channel lane to catch the repeat
+        err = conflict_cold_and_warm(step_table_from_text(text))
+        assert err.step == step and "A1" in str(err)
+
+    def test_qubit_listed_twice_names_it(self, cold_caches):
+        err = conflict_cold_and_warm(step_table_from_text("1 readout D1@op1 A1@op2 A1@op2\n"))
+        assert (err.resource, err.occupants, err.capacity) == ("A1", ("op2", "op2"), 1)
+        assert str(err) == "step 1: qubit 'A1' is listed 2 times in one window"
+
     def test_csv_export_shape(self):
         trace = simulate_cycle(default_step_table(), TIMING)
         lines = trace.to_csv().strip().splitlines()
