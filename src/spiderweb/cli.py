@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import math
 import os
 import sys
@@ -24,7 +23,7 @@ from . import writers
 from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
 from .model import CYCLE_CENSUS, CYCLE_STEPS, cycle_time
-from .units import parse_quantity, si_format
+from .units import UnitError, parse_quantity, si_format
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -80,7 +79,10 @@ def _config_path(args) -> str | None:
 def _pinned(args) -> float | None:
     if args.pin_cp is None:
         return None
-    pinned = parse_quantity(args.pin_cp)
+    try:
+        pinned = parse_quantity(args.pin_cp, "F")
+    except UnitError as exc:
+        raise ValueError(f"--pin-cp: {exc}") from None
     if pinned < 0:
         raise ValueError("pinned parasitic capacitance must be non-negative")
     return pinned
@@ -214,6 +216,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dump_unitary(args) -> int:
+    import json  # the one command that writes through json.dumps, so the others load json only for JSON
     params = [parse_quantity(p, unit=False) for p in args.params]
     matrix = qgates.gate(args.gate, *params)
     doc = {"gate": args.gate, "params": params, "dim": len(matrix),  # in this order, not sorted

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import os
 from math import inf, isfinite
-from typing import NamedTuple
 
 from .errors import ConfigParseError
-from .model import ArrayConfig
-from .units import parse_int, parse_quantity
+from .model import ArrayConfig, record
+from .units import UNITS, parse_int, parse_quantity
 
 __all__ = [
     "ToolConfig", "load_config", "read_entries", "resolve_override", "apply_entries", "parse_config_text",
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 
-class ElectronicsParams(NamedTuple):
+class ElectronicsParams(metaclass=record):
     """Electrical parameters of the local biasing electronics (SI units).
 
     ``drift_v_per_s`` is the hold-capacitor leakage drift; demonstrated
@@ -54,7 +53,7 @@ class ElectronicsParams(NamedTuple):
                              f"(got {self.drift_v_per_s} / {self.fine_resolution_v})")
 
 
-class TimingParams(NamedTuple):
+class TimingParams(metaclass=record):
     """Operation durations [s]; the shuttle time covers a full round trip."""
 
     shuttle_s: float = 50e-9
@@ -69,7 +68,7 @@ class TimingParams(NamedTuple):
                 raise ValueError(f"{name} must be non-negative")
 
 
-class SignalParams(NamedTuple):
+class SignalParams(metaclass=record):
     """Drive amplitudes/frequencies and transmission-line properties.
 
     ``line_length_m=None`` resolves to twice the qubit pitch (one unit-cell
@@ -104,7 +103,7 @@ class SignalParams(NamedTuple):
 FRINGE_MODES = ("printed_magnitude", "disabled")
 
 
-class InterconnectGrid(NamedTuple):
+class InterconnectGrid(metaclass=record):
     """Geometry of the two densest interconnect layers, modelled as a regular
     grid: one layer of parallel lines crossed by an orthogonal layer above.
     """
@@ -135,7 +134,7 @@ VALIDATION_ORDER = ("array", "electronics", "timing", "interconnect", "signals")
 
 
 # A section left at its defaults is one frozen instance, shared by every config.
-class ToolConfig(NamedTuple):
+class ToolConfig(metaclass=record):
     array: ArrayConfig = ArrayConfig()
     electronics: ElectronicsParams = ElectronicsParams()
     timing: TimingParams = TimingParams()
@@ -151,7 +150,7 @@ class ToolConfig(NamedTuple):
 
 
 def _length_nm(text: str) -> int:
-    exact = parse_quantity(text) * 1e9
+    exact = parse_quantity(text, "m") * 1e9
     nm = round(exact) if isfinite(exact) else 0
     if nm <= 0 or abs(exact - nm) > 1e-6:
         raise ValueError(f"length {text!r} must be a positive whole number of nanometres")
@@ -160,6 +159,15 @@ def _length_nm(text: str) -> int:
 
 def _string(text: str) -> str:
     return text.strip()
+
+
+def _quantity(field: str):
+    """The parser of a float field: it takes only suffixes of the unit the field's name ends in, ``_per_`` read
+    as ``/`` (``shuttle_s``: s, ``drift_v_per_s``: V/s), and a bare number where the name ends in none (``eps_r``)."""
+    head, per, tail = field.rpartition("_per_")
+    name = f"{head.rpartition('_')[2]}/{tail}" if per else tail.rpartition("_")[2]
+    unit = next((unit for unit in UNITS if unit.lower() == name), False)
+    return lambda text: parse_quantity(text, unit)
 
 
 # (section, canonical key) -> (section field, parser, short alias from the
@@ -207,6 +215,9 @@ _KEYMAP: dict[tuple[str, str], tuple[str, object, str | None]] = {
     ("interconnect", "eps_r"): ("eps_r", parse_quantity, None),
     ("interconnect", "fringe_mode"): ("fringe_mode", _string, None),
 }
+# each parse_quantity key above takes only suffixes of its field's unit, written once, in the field's name
+_KEYMAP = {key: (field, _quantity(field) if parse is parse_quantity else parse, alias)
+           for key, (field, parse, alias) in _KEYMAP.items()}
 
 _ALIASES = {(s, alias): k for (s, k), (_, _, alias) in _KEYMAP.items() if alias}
 

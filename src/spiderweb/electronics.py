@@ -12,10 +12,9 @@ driven directly and hold no charge.
 from __future__ import annotations
 
 from math import sqrt
-from typing import NamedTuple
 
 from .config import ElectronicsParams
-from .model import GATE_INVENTORY, ArrayConfig, GateInventory
+from .model import GATE_INVENTORY, ArrayConfig, GateInventory, record
 
 ELECTRON_CHARGE = 1.602176634e-19  # C, exact in the SI since 2019
 BOLTZMANN = 1.380649e-23  # J/K, exact in the SI since 2019
@@ -61,7 +60,7 @@ def demux_clock(cfg: ArrayConfig, refresh_hz: float) -> float:
     return _HELD_GATES * cfg.bias_module_edge**2 * refresh_hz
 
 
-class FootprintReport(NamedTuple):
+class FootprintReport(metaclass=record):
     capacitor_area_m2: float
     demux_area_m2: float
     hold_capacitance_f: float

@@ -15,7 +15,8 @@ reports convert to µm/mm².
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .errors import InvalidConfigError
 
@@ -39,7 +40,19 @@ __all__ = [
 ]
 
 
-class ArrayConfig(NamedTuple):
+def record(name: str, bases: tuple, ns: dict) -> type:
+    """The metaclass of every record: its class body as a ``collections.namedtuple``, no annotation compiled."""
+    fields = ns.get("__annotations__", {})
+    defaults = [ns[field] for field in fields if field in ns]
+    if any(field in ns for field in [*fields][:len(fields) - len(defaults)]):
+        raise TypeError(f"record {name}: a field without a default follows one with a default")
+    cls = namedtuple(name, fields, defaults=defaults, module=ns["__module__"])
+    for key in ns.keys() - {"__module__", *fields}:
+        setattr(cls, key, ns[key])
+    return cls
+
+
+class ArrayConfig(metaclass=record):
     """All architectural free parameters of a spiderweb array.
 
     Defaults describe the million-qubit reference design: 13 µm qubit pitch,
@@ -121,7 +134,7 @@ def validate_config(cfg: ArrayConfig) -> None:
         raise InvalidConfigError(tuple(v))
 
 
-class GeometrySummary(NamedTuple):
+class GeometrySummary(metaclass=record):
     unit_cells: int
     qubit_count: int
     plane_edge_m: float
@@ -149,7 +162,7 @@ def derive_geometry(cfg: ArrayConfig) -> GeometrySummary:
     )
 
 
-class RegionGates(NamedTuple):
+class RegionGates(metaclass=record):
     """Gate electrode counts for one kind of operation region."""
 
     region_kind: str
@@ -159,7 +172,7 @@ class RegionGates(NamedTuple):
     pulsed_gates: int
 
 
-class GateInventory(NamedTuple):
+class GateInventory(metaclass=record):
     """Per-unit-cell gate counts split by biasing class.
 
     Fine and coarse gates carry a locally held DC bias (1 µV and 1 mV
@@ -222,7 +235,7 @@ def readout_windows(cfg: ArrayConfig, readout_mode: str) -> int:
     raise ValueError(f"unknown readout mode {readout_mode!r}; expected one of {READOUT_MODES}")
 
 
-class CycleTime(NamedTuple):
+class CycleTime(metaclass=record):
     total_s: float
     coherence_ratio: float
 

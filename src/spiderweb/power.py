@@ -10,10 +10,9 @@ capacitors themselves is omitted (it is at the fW-per-cell level).
 from __future__ import annotations
 
 from math import log, pi, sqrt
-from typing import NamedTuple
 
 from .config import ElectronicsParams, InterconnectGrid, SignalParams
-from .model import ArrayConfig
+from .model import ArrayConfig, record
 
 LIGHT_SPEED = 299792458.0  # m/s, exact by definition of the metre
 VACUUM_PERMITTIVITY = 8.8541878188e-12  # F/m, CODATA 2022 recommended value
@@ -30,7 +29,7 @@ __all__ = [
 ]
 
 
-class GridCapacitance(NamedTuple):
+class GridCapacitance(metaclass=record):
     """Parasitic capacitance of the interconnect grid, with the two
     per-crossing contributions exposed for inspection."""
 
@@ -80,7 +79,7 @@ def demux_power(params: ElectronicsParams, refresh_hz: float) -> float:
     return params.demux_energy_j * refresh_hz * params.demux_per_cell
 
 
-class TransmissionLineResult(NamedTuple):
+class TransmissionLineResult(metaclass=record):
     power_w: float
     # constant k such that power = k * (amplitude * frequency)^2
     constant_w_s2_per_v2: float
@@ -106,7 +105,7 @@ def transmission_line_power(signals: SignalParams) -> TransmissionLineResult:
     return TransmissionLineResult(power, constant)
 
 
-class PowerReport(NamedTuple):
+class PowerReport(metaclass=record):
     unit_cells: int
     pulsed_w: float
     demux_w: float

@@ -25,7 +25,9 @@ import math
 from functools import cache, partial, reduce
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import NamedTuple, Sequence
+from typing import Sequence
+
+from .model import record
 
 __all__ = ["Circuit", "IdentityCheck", "PlacedGate", "build_plaquette", "compose", "expand",
            "gate", "reference_plaquette", "verify_identities", "verify_plaquette"]
@@ -116,7 +118,7 @@ def expand(matrix: Matrix, n_qubits: int, targets: tuple[int, ...]) -> list[list
             for r in range(len(index))]
 
 
-class PlacedGate(NamedTuple):
+class PlacedGate(metaclass=record):
     name: str
     targets: tuple[int, ...]
     params: tuple[float, ...] = ()
@@ -125,7 +127,7 @@ class PlacedGate(NamedTuple):
         return gate(self.name, *self.params)
 
 
-class Circuit(NamedTuple):
+class Circuit(metaclass=record):
     """An ordered list of time steps, each holding gates that act on disjoint qubits."""
 
     n_qubits: int
@@ -205,7 +207,7 @@ def compose(circuit: Circuit) -> list[list[complex]]:
     return _sandwich(outer or [_I2] * n, phases or [1 + 0j] * (1 << n), inner or [_I2] * n)
 
 
-class IdentityCheck(NamedTuple):
+class IdentityCheck(metaclass=record):
     name: str
     residual: float
 

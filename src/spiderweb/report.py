@@ -18,18 +18,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from . import electronics, power, wiring
 from .config import _KEYMAP, VALIDATION_ORDER, ToolConfig
 from .errors import InvalidConfigError
-from .model import GATE_INVENTORY, READOUT_MODES, CycleTime, GeometrySummary, cycle_time, derive_geometry
+from .model import GATE_INVENTORY, READOUT_MODES, CycleTime, GeometrySummary, cycle_time, derive_geometry, record
 from .units import si_format
 
 __all__ = ["Design", "Sweep", "compute", "QUANTITIES", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
 
 
-class Design(NamedTuple):
+class Design(metaclass=record):
     """Typed stage results for one validated configuration."""
 
     geometry: GeometrySummary

@@ -14,8 +14,8 @@ and one readout.
 The shipped default program is one consistent reconstruction of the cycle.
 Its checked contract is its window census, step count and the two steps that
 only move data qubit D1, which ``verify`` reads from its one simulated trace,
-and the resource capacities (two electrons per operation region, one per
-channel) that every simulation checks.  Per-qubit electron conservation holds
+and the rules that every simulation checks: each qubit once per window, and
+two electrons per operation region.  Per-qubit electron conservation holds
 for it, but only a test checks that; the simulator does not.  The exact
 interleaving of the dressing pulses is a free choice.
 
@@ -25,9 +25,9 @@ Per process (``PLANS_KEPT`` of each kept), a body text is parsed once, and a
 body lowered and checked in one pass and its csv and json rows formed once.
 The clock is four integer window counts, in ``CYCLE_CENSUS`` order; a window
 starts at ``model._duration`` of the counts so far.  This is exact: the lanes
-and the region, channel and two-region checks read only the body, and the
-clock only the window counts.  A body that fails its checks is never kept: its
-error names its first step in the table at hand.
+and the window checks read only the body, and the clock only the window
+counts.  A body that fails its checks is never kept: its error names its first
+step in the table at hand.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ import os
 from functools import cache
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple
 
 from . import writers
 from .config import TimingParams
 from .errors import ScheduleConflictError
-from .model import CYCLE_CENSUS, _duration, cycle_time  # the benchmark traces cycle_time under this module's name
+from .model import CYCLE_CENSUS, _duration, cycle_time, record  # the benchmark traces cycle_time under this name
 
 __all__ = [
     "Event",
@@ -61,27 +60,26 @@ __all__ = [
 HOME_QUBITS = ("D1", "D2", "A1", "A2")
 
 REGION_CAPACITY = 2   # electrons per operation region
-CHANNEL_CAPACITY = 1  # electrons per shuttling channel
 PLANS_KEPT = 1024     # entries kept per process in each cache below; the oldest goes first
 _plans: dict[tuple, tuple] = {}   # step body (a step without its index) -> its checked plan
 _parsed: dict[str, tuple] = {}    # step-body text -> its parsed body
 _pieces: dict[tuple, list] = {}   # (row writer, event template) -> the template's slot pieces
 
 
-class SoloGate(NamedTuple):
+class SoloGate(metaclass=record):
     qubit: str
     region: str
     gate: str
 
 
-class PairGate(NamedTuple):
+class PairGate(metaclass=record):
     qubit_a: str
     qubit_b: str
     region: str
     rz_carrier: str
 
 
-class Step(NamedTuple):
+class Step(metaclass=record):
     index: int
     kind: str                       # one_qubit | two_qubit | readout | hook
     solo_gates: tuple[SoloGate, ...] = ()
@@ -91,12 +89,13 @@ class Step(NamedTuple):
     note: str = ""
 
 
-class StepTable(NamedTuple("StepTable", [("bodies", tuple[tuple, ...]), ("order", tuple[tuple[int, int], ...])])):
+class StepTable(metaclass=record):
     """A step program: each distinct body (a step without its index) once, numbered in first-seen order,
     and each step as (index, body number).  ``StepTable(steps)`` groups the steps once; ``steps``
     rebuilds them on each access."""
 
-    __slots__ = ()
+    bodies: tuple[tuple, ...]
+    order: tuple[tuple[int, int], ...]
 
     def __new__(cls, steps):
         numbers: dict[tuple, int] = {}
@@ -108,7 +107,7 @@ class StepTable(NamedTuple("StepTable", [("bodies", tuple[tuple, ...]), ("order"
         return tuple([tuple.__new__(Step, (index, *self.bodies[number])) for index, number in self.order])
 
 
-class Event(NamedTuple):
+class Event(metaclass=record):
     time_s: float
     step: int
     qubit: str
@@ -116,7 +115,7 @@ class Event(NamedTuple):
     resource: str
 
 
-class EventTrace(NamedTuple):
+class EventTrace(metaclass=record):
     """The simulated cycle as runs (step index, window times, body event template): one
     per step, then one per parking step for its return trips at the end time."""
 
@@ -184,24 +183,22 @@ def _grouped(pairs) -> dict:
     return groups
 
 
-def _check_window(index: int, lanes: list[str], actors: list[tuple[str, str, str]]) -> None:
-    """Raise :class:`ScheduleConflictError` at step ``index`` if the window
-    over-fills a region or a channel, or places one qubit in two regions or twice."""
-    # regions are filled by the actors (a readout has no path), which place every qubit of the window
-    for region, occupants in _grouped((region, q) for q, _, region in actors).items():
-        if len(occupants) > REGION_CAPACITY:
-            raise ScheduleConflictError(index, region, tuple(occupants), REGION_CAPACITY)
-    for lane, occupants in _grouped((lane, q) for (q, _, _), lane in zip(actors, lanes)).items():
-        if len(occupants) > CHANNEL_CAPACITY:
-            raise ScheduleConflictError(index, lane, tuple(occupants), CHANNEL_CAPACITY)
+def _check_window(index: int, actors: list[tuple[str, str, str]]) -> None:
+    """Raise :class:`ScheduleConflictError` at step ``index`` if the window places one qubit in two
+    regions or twice, or over-fills a region.  Each actor of a shuttled window rides its own channel
+    ``qubit~region``, so only a qubit listed twice in one region could share one: no channel rule."""
     for qubit, places in _grouped(dict.fromkeys((q, region) for q, _, region in actors)).items():
         if len(places) > 1:
             detail = f"qubit {qubit!r} is in {len(places)} regions ({', '.join(places)}) in one window"
             raise ScheduleConflictError(index, qubit, tuple(places), 1, detail)
-    for qubit, places in _grouped((q, region) for q, _, region in actors).items():  # readouts have no channel
+    for qubit, places in _grouped((q, region) for q, _, region in actors).items():
         if len(places) > 1:
             detail = f"qubit {qubit!r} is listed {len(places)} times in one window"
             raise ScheduleConflictError(index, qubit, tuple(places), 1, detail)
+    # regions are filled by the actors (a readout has no path), each now a distinct electron
+    for region, occupants in _grouped((region, q) for q, _, region in actors).items():
+        if len(occupants) > REGION_CAPACITY:
+            raise ScheduleConflictError(index, region, tuple(occupants), REGION_CAPACITY)
 
 
 def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, ...]]:
@@ -225,7 +222,7 @@ def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, 
     kinds, template, parked = [], [], []
     for w, (kind, actors) in enumerate(windows):
         lanes = [] if kind == "readout" else [f"{qubit}~{region}" for qubit, _, region in actors]
-        _check_window(step.index, lanes, actors)
+        _check_window(step.index, actors)
         kinds.append(kind)
         template += [(3 * w, qubit, "shuttle_out", lane) for (qubit, _, _), lane in zip(actors, lanes)]
         template += [(3 * w + 1, *actor) for actor in actors]
@@ -240,7 +237,7 @@ def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, 
 def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
     """Execute the step table, checking resource capacities window by window.
 
-    A capacity violation, or one qubit in two regions or twice in one window,
+    One qubit in two regions or twice in one window, or a region over-filled,
     raises :class:`ScheduleConflictError` naming the first step with that body
     and the resource.  Time is kept as integer window counts per kind and
     re-expanded into seconds for every window, so the makespan is

@@ -16,9 +16,8 @@ configuration that passes it.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
-from .model import GATE_INVENTORY, ArrayConfig
+from .model import GATE_INVENTORY, ArrayConfig, record
 
 __all__ = [
     "LEVELS",
@@ -40,7 +39,7 @@ def _dc_biasing(edge: int, modules: int) -> int:  # and one voltage-source feed 
     return _ADDRESS_LINES + _ENABLE_LINES * edge + modules
 
 
-class LineCount(NamedTuple):
+class LineCount(metaclass=record):
     level: str
     dc_biasing: int
     shuttling: int

@@ -2,16 +2,18 @@
 allow_nan=False)``, written by ``value`` without that call's pure-Python indenting encoder.  A csv cell is
 quoted as the csv module quotes it under its default CRLF line end: one holding ``,``, ``"``, CR or LF."""
 
-import csv
-import json
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import SimpleNamespace
 
 SLOT = object()  # a value left open, where ``split`` and ``document`` cut the text
 _CUT = "\0"  # what a SLOT writes; no other written text holds a raw NUL, as every control character is escaped
-_row = csv.writer(SimpleNamespace(write=str)).writerow  # one row's text, CRLF-ended, as ``write`` returns it
+
+
+def _escape(text: str) -> str:  # the first JSON string written imports json; this name then holds its escaper
+    global _escape
+    from json.encoder import encode_basestring_ascii as _escape
+    return _escape(text)
 
 
 def value(obj, level: int = 0) -> str:
@@ -19,7 +21,7 @@ def value(obj, level: int = 0) -> str:
     types other than the exact JSON scalars, dict and list, and non-finite floats, go through that call."""
     kind = type(obj)
     if kind is str:
-        return encode_basestring_ascii(obj)
+        return _escape(obj)
     if kind is int or kind is float and obj - obj == 0.0:
         return repr(obj)
     if obj is None or kind is bool:
@@ -31,6 +33,7 @@ def value(obj, level: int = 0) -> str:
         return f"[{indent}  {_joined(texts, level)}{indent}]" if texts else "[]"
     if obj is SLOT:
         return _CUT
+    import json
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n" + "  " * level)
 
 
@@ -64,7 +67,7 @@ def _texts(values, level: int) -> list[str]:
             continue
         if item.keys() != keys:
             keys, names = item.keys(), sorted(item)
-            slots = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names]
+            slots = [_escape(k).replace("%", "%%") + ": %s" for k in names]
             layout = f"{{{indent}  {_joined(slots, level)}{indent}}}" if names else "{}"
             pick = itemgetter(*names) if len(names) > 1 else lambda r, names=names: tuple(map(r.__getitem__, names))
         texts.append(layout % tuple(map(value, pick(item), deeper)))
@@ -73,4 +76,5 @@ def _texts(values, level: int) -> list[str]:
 
 def csv_lines(rows, end: str = "\r\n") -> list[str]:
     """Each row as the csv module writes it under its default CRLF line end, but ended by ``end``."""
-    return [line[:-2] + end for line in map(_row, rows)]
+    import csv  # with the first csv document; a writer whose ``write`` is ``str`` returns each row's text
+    return [line[:-2] + end for line in map(csv.writer(SimpleNamespace(write=str)).writerow, rows)]

@@ -17,7 +17,6 @@ from typing import NamedTuple
 from spiderweb.schedule import Event, Step, StepTable
 
 REGION_CAPACITY = 2
-CHANNEL_CAPACITY = 1
 
 
 class Conflict(Exception):
@@ -79,26 +78,11 @@ def windows(step: Step) -> list[tuple[str, list, list, bool]]:
     return []
 
 
-def check(index: int, movers: list, actors: list) -> None:
-    """Raise :class:`Conflict` for the first broken rule of one window: each region in
-    the order of first use, then each channel, then a qubit placed in two regions, then
-    a qubit listed twice."""
-    regions: dict[str, list[str]] = {}
-    for qubit, _, region in actors:
-        regions.setdefault(region, []).append(qubit)
-    for region, occupants in regions.items():
-        if len(occupants) > REGION_CAPACITY:
-            raise Conflict(index, region, tuple(occupants), REGION_CAPACITY,
-                           f"resource {region!r} holds {len(occupants)} electrons "
-                           f"({', '.join(occupants)}), capacity {REGION_CAPACITY}")
-    channels: dict[str, list[str]] = {}
-    for qubit, region in movers:
-        channels.setdefault(qubit + "~" + region, []).append(qubit)
-    for channel, occupants in channels.items():
-        if len(occupants) > CHANNEL_CAPACITY:
-            raise Conflict(index, channel, tuple(occupants), CHANNEL_CAPACITY,
-                           f"resource {channel!r} holds {len(occupants)} electrons "
-                           f"({', '.join(occupants)}), capacity {CHANNEL_CAPACITY}")
+def check(index: int, actors: list) -> None:
+    """Raise :class:`Conflict` for the first broken rule of one window: a qubit placed in
+    two regions, then a qubit listed twice, then each region in the order of first use.
+    A channel is ``qubit~region``, so only a qubit listed twice in one region could
+    fill one twice, and the listing rule comes first: there is no channel rule."""
     places: dict[str, list[str]] = {}
     for qubit, _, region in actors:
         if region not in places.setdefault(qubit, []):
@@ -113,6 +97,14 @@ def check(index: int, movers: list, actors: list) -> None:
     for qubit, where in listed.items():
         if len(where) > 1:
             raise Conflict(index, qubit, tuple(where), 1, f"qubit {qubit!r} is listed {len(where)} times in one window")
+    regions: dict[str, list[str]] = {}
+    for qubit, _, region in actors:
+        regions.setdefault(region, []).append(qubit)
+    for region, occupants in regions.items():
+        if len(occupants) > REGION_CAPACITY:
+            raise Conflict(index, region, tuple(occupants), REGION_CAPACITY,
+                           f"resource {region!r} holds {len(occupants)} electrons "
+                           f"({', '.join(occupants)}), capacity {REGION_CAPACITY}")
 
 
 def simulate(table: StepTable, timing) -> OracleTrace:
@@ -128,7 +120,7 @@ def simulate(table: StepTable, timing) -> OracleTrace:
     parked: list[Event] = []  # return trips deferred to the cycle's end, time filled in then
     for step in table.steps:
         for kind, movers, actors, park in windows(step):
-            check(step.index, movers, actors)
+            check(step.index, actors)
             start = clock()
             pulse = start if kind == "readout" else start + timing.shuttle_s / 2.0
             for qubit, region in movers:

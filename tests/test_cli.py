@@ -713,11 +713,11 @@ class TestSimulate:
             assert out == ""
             assert err == "schedule conflict: step 1: qubit 'D1' is in 2 regions (op1, op2) in one window\n"
 
-    @pytest.mark.parametrize("text, step", [
-        ("1 one_qubit+park A1@op1:x\n2 readout A1@op1 A1@op1\n", 2),
-        ("1 readout A1@op1 A1@op1 A1@op1\n", 1),
+    @pytest.mark.parametrize("text, step, message", [
+        ("1 one_qubit+park A1@op1:x\n2 readout A1@op1 A1@op1\n", 2, None),
+        ("1 readout A1@op1 A1@op1 A1@op1\n", 1, "qubit 'A1' is listed 3 times in one window"),
     ], ids=["twice", "three-times"])
-    def test_readout_listing_a_qubit_again_exits_2(self, capsys, tmp_path, text, step, cold_caches):
+    def test_readout_listing_a_qubit_again_exits_2(self, capsys, tmp_path, text, step, message, cold_caches):
         table = tmp_path / "again.steps"
         table.write_text(text)
         for _ in ("cold", "warm"):
@@ -725,6 +725,7 @@ class TestSimulate:
             assert (code, out) == (2, "")
             assert err.startswith(f"schedule conflict: step {step}: ") and "A1" in err
             assert len(err.splitlines()) == 1
+            assert message is None or err == f"schedule conflict: step {step}: {message}\n"
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_non_finite_times_exit_1(self, capsys, fmt):
@@ -935,6 +936,28 @@ def test_every_command_checks_every_section_first(capsys, command, section):
     assert (code, out) == (1, "")
     assert err.startswith(prefix + message)
     assert len(err.splitlines()) == 1
+
+
+class TestUnitSuffixes:
+    @pytest.mark.parametrize("option, message", [
+        (("--set", "t_sh=50nF"), "override 't_sh=50nF': bad value for timing.shuttle: unit suffix 'nF' in '50nF': "
+                                 "expected a unit of s"),
+        (("--set", "d=13us"), "override 'd=13us': bad value for array.qubit_pitch: unit suffix 'us' in '13us': "
+                              "expected a unit of m"),
+        (("--pin-cp", "700fs"), "--pin-cp: unit suffix 'fs' in '700fs': expected a unit of F"),
+        (("--set", "x=5k"), "override 'x=5k': bad value for array.crossbars: unit suffix 'k' in '5k': "
+                            "expected a bare number"),
+        (("--set", "eps_r=3.9V"), "override 'eps_r=3.9V': bad value for interconnect.eps_r: unit suffix 'V' in "
+                                  "'3.9V': expected a bare number"),
+    ], ids=["shuttle-in-farads", "pitch-in-seconds", "pin-cp-in-seconds", "crossbars-in-kelvin", "eps-r-in-volts"])
+    @pytest.mark.parametrize("command", [("report",), ("sweep", "t_r", "1us,2us")], ids=["report", "sweep"])
+    def test_a_suffix_of_another_unit_exits_1_naming_key_and_suffix(self, capsys, command, option, message):
+        assert run(capsys, *command, *option) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("option", [("--set", "t_sh=50ns"), ("--set", "d=13um"), ("--pin-cp", "700fF"),
+                                        ("--set", "x=5"), ("--set", "eps_r=3.9"), ("--set", "drift=2uV/s")])
+    def test_a_suffix_of_the_keys_unit_runs(self, capsys, option):
+        assert run(capsys, "report", *option)[0] == 0
 
 
 class TestExitCodes:

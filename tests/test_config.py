@@ -21,7 +21,7 @@ from spiderweb.config import (
 )
 from spiderweb.errors import ConfigParseError, InvalidConfigError
 from spiderweb.model import ArrayConfig, validate_config
-from spiderweb.units import parse_int, parse_quantity, si_format
+from spiderweb.units import UNITS, UnitError, parse_int, parse_quantity, si_format
 
 SAMPLE = """\
 # reference design with a few tweaks
@@ -295,6 +295,65 @@ class TestKeymap:
         for (section, key), (_, _, alias) in config._KEYMAP.items():
             if alias:
                 assert config.resolve_override(f"{section}.{alias}=1") == ((section, key), "1")
+
+
+# Each float key's unit, as its field name writes it; the integer keys and eps_r take a bare number.
+KEY_UNITS = {
+    "array.qubit_pitch": "m", "array.gate_pitch": "m", "array.interconnect_pitch": "m",
+    "electronics.coarse_resolution": "V", "electronics.fine_resolution": "V", "electronics.temperature": "K",
+    "electronics.drift": "V/s", "electronics.cap_density": "F/m2", "electronics.demux_area": "m2",
+    "electronics.demux_energy_per_cycle": "J", "timing.shuttle": "s", "timing.single_qubit": "s",
+    "timing.exchange": "s", "timing.readout": "s", "timing.dephasing": "s", "signals.pulse_amplitude": "V",
+    "signals.pulse_frequency": "Hz", "signals.line_amplitude": "V", "signals.line_frequency": "Hz",
+    "signals.cap_per_length": "F/m", "signals.sheet_resistance": "ohm", "signals.line_width": "m",
+    "signals.line_length": "m", "interconnect.line_length": "m", "interconnect.line_width": "m",
+    "interconnect.line_thickness": "m", "interconnect.line_gap": "m", "interconnect.dielectric_thickness": "m",
+}
+BARE_KEYS = sorted(set(config.KNOWN_KEYS) - set(KEY_UNITS) - {"interconnect.fringe_mode"})
+
+
+class TestKeyUnits:
+    @pytest.mark.parametrize("key", sorted(KEY_UNITS))
+    def test_a_key_takes_every_suffix_of_its_unit_and_no_other(self, key):
+        unit = KEY_UNITS[key]
+        for other, suffixes in UNITS.items():
+            for suffix in suffixes:
+                override = f"{key}=2{suffix}"
+                if other == unit:
+                    load_config(overrides=[override])
+                    continue
+                with pytest.raises(ConfigParseError) as err:
+                    load_config(overrides=[override])
+                assert str(err.value) == (f"override {override!r}: bad value for {key}: unit suffix {suffix!r} "
+                                          f"in '2{suffix}': expected a unit of {unit}")
+
+    @pytest.mark.parametrize("key", BARE_KEYS)
+    @pytest.mark.parametrize("suffix", ["k", "M", "m", "V", "s"])
+    def test_a_count_or_a_ratio_takes_no_suffix(self, key, suffix):
+        with pytest.raises(ConfigParseError, match=f"bad value for {key}: unit suffix '{suffix}' in '4{suffix}': "
+                                                   "expected a bare number"):
+            load_config(overrides=[f"{key}=4{suffix}"])
+
+    def test_bare_keys_are_the_counts_and_eps_r(self):
+        assert BARE_KEYS == sorted(["interconnect.eps_r", *(
+            f"{s}.{k}" for (s, k), (_, parse, _) in config._KEYMAP.items() if parse is parse_int)])
+
+    def test_a_file_line_names_its_key_and_suffix(self):
+        with pytest.raises(ConfigParseError, match=r"^line 2: bad value for timing\.shuttle: unit suffix 'nF' in "
+                                                   r"'50nF': expected a unit of s$"):
+            apply_entries(parse_config_text("[timing]\nt_sh = 50nF\n"))
+
+    @pytest.mark.parametrize("text, unit", [("5 MW", "W"), ("2 Mohm", "ohm"), ("1 mHz", "Hz"), ("3 M", "m"),
+                                            ("1 Kohm", "ohm"), ("4 mK", "K"), ("1 ks", "s")])
+    def test_si_case_and_any_case_spellings_keep_their_unit(self, text, unit):
+        assert parse_quantity(text, unit) == parse_quantity(text)
+        with pytest.raises(UnitError):
+            parse_quantity(text, "J")
+
+    @pytest.mark.parametrize("text", ["1 MS", "5 Mw"])
+    def test_the_ambiguous_m_rule_comes_before_the_unit(self, text):
+        with pytest.raises(ValueError, match="ambiguous unit suffix"):
+            parse_quantity(text, "J")
 
 
 # (section, field, a value past the field's bound, the message that names it)

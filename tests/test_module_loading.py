@@ -125,3 +125,59 @@ print(json.dumps({"patched": out[0], "restored": out[1].startswith("geometry\\n"
                   "runs": [p.stem for p in ran].count("report")}))
 """)
     assert result == {"patched": "patched\n", "restored": True, "runs": 1}
+
+
+# Under -S, as site's .pth files may import json or csv of their own; the result is printed without json.
+_FORMAT_PROBE = """
+import contextlib, io, sys
+import spiderweb.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = spiderweb.cli.main({argv!r})
+print(code, *[name for name in ("csv", "json") if name in sys.modules])
+"""
+
+# each command's exit code and the standard modules of the output formats it loads
+_FORMAT_MODULES = {
+    ("report",): "0",
+    ("simulate",): "0",
+    ("verify",): "0",
+    ("report", "--set", "bogus=1"): "1",
+    ("report", "--format", "csv"): "0 csv",
+    ("simulate", "--format", "csv"): "0 csv",
+    ("sweep", "x", "0,1"): "0 csv",
+    ("report", "--format", "json"): "0 json",
+    ("verify", "--json"): "0 json",
+    ("simulate", "--format", "json"): "0 json",
+    ("sweep", "x", "0,1", "--format", "json"): "0 json",
+    ("dump-unitary", "rz", "0.5"): "0 json",
+}
+
+
+@pytest.mark.parametrize("argv", list(_FORMAT_MODULES), ids=" ".join)
+def test_a_command_loads_json_and_csv_only_for_the_format_it_writes(argv):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", _FORMAT_PROBE.format(argv=list(argv))], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == _FORMAT_MODULES[argv]
+
+
+def test_no_annotation_is_compiled():
+    """Importing every module and running every command makes no ``typing.ForwardRef``: a record keeps
+    each annotation as the string written, where ``typing.NamedTuple`` compiles it."""
+    result = _probe(f"""
+import importlib, typing
+made = []
+init = typing.ForwardRef.__init__
+def counted(self, *args, **kwargs):
+    made.append(repr(args[:1]))
+    init(self, *args, **kwargs)
+typing.ForwardRef.__init__ = counted
+for name in {MODULES!r}:
+    importlib.import_module("spiderweb." + name)
+import spiderweb.cli
+for argv in {[list(argv) for argv in (*_RUNS, *_FORMAT_MODULES)]!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        spiderweb.cli.main(argv)
+print(json.dumps(made))
+""")
+    assert result == []

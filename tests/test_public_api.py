@@ -67,12 +67,15 @@ UNREAD_FIELDS = {
 }
 
 
-def _records(trees: dict[str, ast.Module]):
-    """(module, class node) of each ``NamedTuple`` record the package defines."""
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "NamedTuple" for b in node.bases):
-                yield module, node
+RECORDS = 25  # record classes the package declares
+
+
+def _records(trees: dict[str, ast.Module]) -> list:
+    """(module, class node) of each record the package declares, as ``class Name(metaclass=record)``."""
+    found = [(module, node) for module, tree in trees.items() for node in tree.body if isinstance(node, ast.ClassDef)
+             and any(k.arg == "metaclass" and getattr(k.value, "id", None) == "record" for k in node.keywords)]
+    assert len(found) == RECORDS  # so the field checks below cannot pass with nothing to check
+    return found
 
 
 def _asdict_records(trees: dict[str, ast.Module], records: set[str]) -> set[str]:

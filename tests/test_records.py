@@ -1,5 +1,6 @@
-"""The record contract: config sections and model results are ``NamedTuple``s,
-and a config section changes through ``_replace``; no class is a dataclass."""
+"""The record contract: config sections and model results are named tuples, each
+declared as ``class Name(metaclass=model.record)`` with its fields annotated in the
+class body, and a config section changes through ``_replace``; no class is a dataclass."""
 
 import dataclasses
 import importlib
@@ -120,3 +121,28 @@ def test_config_sections_change_through_replace(section):
         setattr(default, name, value)
     with pytest.raises(ValueError):
         default._replace(no_such_field=value)
+
+
+def test_a_field_without_a_default_after_one_with_a_default_is_rejected():
+    """As with ``typing.NamedTuple``: else the defaults would shift onto the fields before them."""
+    with pytest.raises(TypeError, match="record Late: a field without a default follows one with a default"):
+        class Late(metaclass=model.record):
+            first: int = 0
+            second: int
+
+
+def test_a_record_keeps_its_declaration():
+    class Point(metaclass=model.record):
+        """A point."""
+
+        x: "int"
+        y: "int" = 2  # a default
+
+        def total(self) -> int:
+            return self.x + self.y
+
+    assert (Point._fields, Point._field_defaults) == (("x", "y"), {"y": 2})
+    assert Point.__annotations__ == {"x": "int", "y": "int"}
+    assert (Point.__doc__, Point.__module__) == ("A point.", __name__)
+    assert Point.__qualname__.endswith("<locals>.Point")
+    assert Point(1).total() == 3 and Point(1) == (1, 2)

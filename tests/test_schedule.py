@@ -193,13 +193,14 @@ class TestSimulation:
         assert len(err.occupants) == 3
 
     def test_channel_overuse_rejected(self, cold_caches):
+        # the one way to fill channel D1~op1 twice is to list D1 twice in op1, which the listing rule names
         step = Step(1, "one_qubit", solo_gates=(
             SoloGate("D1", "op1", "ry(-90)"),
             SoloGate("D1", "op1", "rz(90)"),
         ))
         err = conflict_cold_and_warm(StepTable((step,)))
-        assert err.resource == "D1~op1"
-        assert err.capacity == 1
+        assert (err.resource, err.occupants, err.capacity) == ("D1", ("op1", "op1"), 1)
+        assert str(err) == "step 1: qubit 'D1' is listed 2 times in one window"
 
     @pytest.mark.parametrize("text", [
         "1 one_qubit D1@op1:x D1@op2:x\n",
@@ -213,14 +214,20 @@ class TestSimulation:
         assert err.occupants == ("op1", "op2")
         assert "qubit 'D1' is in 2 regions (op1, op2)" in str(err)
 
-    @pytest.mark.parametrize("text, step", [
-        ("1 one_qubit+park A1@op1:x\n2 readout A1@op1 A1@op1\n", 2),
-        ("1 readout A1@op1 A1@op1 A1@op1\n", 1),
+    @pytest.mark.parametrize("text, step, message", [
+        ("1 one_qubit+park A1@op1:x\n2 readout A1@op1 A1@op1\n", 2, None),
+        ("1 readout A1@op1 A1@op1 A1@op1\n", 1, "step 1: qubit 'A1' is listed 3 times in one window"),
     ], ids=["twice", "three-times"])
-    def test_readout_listing_a_qubit_again_rejected(self, text, step, cold_caches):
-        # a readout window has no channel lane to catch the repeat
+    def test_readout_listing_a_qubit_again_rejected(self, text, step, message, cold_caches):
+        # one electron listed three times is named once, not counted as three in its region
         err = conflict_cold_and_warm(step_table_from_text(text))
         assert err.step == step and "A1" in str(err)
+        assert message is None or str(err) == message
+
+    def test_distinct_qubits_whose_lane_labels_coincide_run(self, cold_caches):
+        # a lane is the label qubit~region: "a~" to "b" and "a" to "~b" are two electrons on two channels
+        trace = simulate_cycle(step_table_from_text("1 one_qubit a~@b:x a@~b:x\n"), TIMING)
+        assert [e.resource for e in trace.events if e.op == "shuttle_out"] == ["a~~b", "a~~b"]
 
     def test_qubit_listed_twice_names_it(self, cold_caches):
         err = conflict_cold_and_warm(step_table_from_text("1 readout D1@op1 A1@op2 A1@op2\n"))
@@ -380,7 +387,7 @@ def test_trace_json_is_the_indent_2_sorted_document(steps, timing):
     try:
         trace = simulate_cycle(StepTable(steps), timing)
     except ScheduleConflictError:
-        assume(False)  # two labels can still name one channel, as "a~" + "b" and "a" + "~b"
+        assume(False)  # a step may still list one qubit twice, or over-fill a region
     assert trace.to_json() == _trace_document_json(trace)
 
 
@@ -665,8 +672,8 @@ def _crowded_step(draw, index: int) -> Step:
 @example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D1", "op1", "x"), SoloGate("D1", "op1", "x"),
                                                   SoloGate("A1", "op1", "x"))),))
 def test_window_checks_keep_their_order_and_text(cold_caches, steps):
-    """The first broken rule within a window: each region in the order it is first
-    used, then each channel, then a qubit in two regions, as the oracle checks them."""
+    """The first broken rule within a window: a qubit in two regions, then a qubit
+    listed twice, then each region in the order it is first used, as the oracle checks them."""
     table = StepTable(steps)
     try:
         schedule_oracle.simulate(table, TIMING)
