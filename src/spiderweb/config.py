@@ -157,67 +157,49 @@ def _length_nm(text: str) -> int:
     return nm
 
 
-def _string(text: str) -> str:
-    return text.strip()
-
-
-def _quantity(field: str):
-    """The parser of a float field: it takes only suffixes of the unit the field's name ends in, ``_per_`` read
-    as ``/`` (``shuttle_s``: s, ``drift_v_per_s``: V/s), and a bare number where the name ends in none (``eps_r``)."""
-    head, per, tail = field.rpartition("_per_")
-    name = f"{head.rpartition('_')[2]}/{tail}" if per else tail.rpartition("_")[2]
-    unit = next((unit for unit in UNITS if unit.lower() == name), False)
-    return lambda text: parse_quantity(text, unit)
-
-
-# (section, canonical key) -> (section field, parser, short alias from the
-# design equations or None); an alias resolves within its section only
-_KEYMAP: dict[tuple[str, str], tuple[str, object, str | None]] = {
-    ("array", "qubit_pitch"): ("qubit_pitch_nm", _length_nm, "d"),
-    ("array", "gate_pitch"): ("gate_pitch_nm", _length_nm, None),
-    ("array", "bias_module_edge"): ("bias_module_edge", parse_int, "n_b"),
-    ("array", "bias_grid_edge"): ("bias_grid_edge", parse_int, "m_b"),
-    ("array", "readout_module_edge"): ("readout_module_edge", parse_int, "n_r"),
-    ("array", "readout_grid_edge"): ("readout_grid_edge", parse_int, "m_r"),
-    ("array", "sequential_readouts"): ("sequential_readouts", parse_int, "q"),
-    ("array", "parallel_readouts"): ("parallel_readouts", parse_int, "r"),
-    ("array", "crossbars"): ("crossbars", parse_int, "x"),
-    ("array", "code_distance"): ("code_distance", parse_int, "d_c"),
-    ("array", "metal_layers"): ("metal_layers", parse_int, "n_layers"),
-    ("array", "interconnect_pitch"): ("interconnect_pitch_nm", _length_nm, "delta_i"),
-    ("electronics", "coarse_resolution"): ("coarse_resolution_v", parse_quantity, "dv_coarse"),
-    ("electronics", "fine_resolution"): ("fine_resolution_v", parse_quantity, "dv_fine"),
-    ("electronics", "temperature"): ("temperature_k", parse_quantity, "t_op"),
-    ("electronics", "drift"): ("drift_v_per_s", parse_quantity, None),
-    ("electronics", "cap_density"): ("cap_density_f_per_m2", parse_quantity, None),
-    ("electronics", "demux_area"): ("demux_area_m2", parse_quantity, None),
-    ("electronics", "demux_count_per_cell"): ("demux_per_cell", parse_int, None),
-    ("electronics", "demux_energy_per_cycle"): ("demux_energy_j", parse_quantity, None),
-    ("timing", "shuttle"): ("shuttle_s", parse_quantity, "t_sh"),
-    ("timing", "single_qubit"): ("single_qubit_s", parse_quantity, "t_1q"),
-    ("timing", "exchange"): ("exchange_s", parse_quantity, "t_sw"),
-    ("timing", "readout"): ("readout_s", parse_quantity, "t_r"),
-    ("timing", "dephasing"): ("dephasing_s", parse_quantity, "t2_star"),
-    ("signals", "pulse_amplitude"): ("pulse_amplitude_v", parse_quantity, "v_p"),
-    ("signals", "pulse_frequency"): ("pulse_frequency_hz", parse_quantity, "f_p"),
-    ("signals", "line_amplitude"): ("line_amplitude_v", parse_quantity, "v_t"),
-    ("signals", "line_frequency"): ("line_frequency_hz", parse_quantity, "f_t"),
-    ("signals", "cap_per_length"): ("cap_per_length_f_per_m", parse_quantity, "c_per_um"),
-    ("signals", "sheet_resistance"): ("sheet_resistance_ohm", parse_quantity, "sheet_res"),
-    ("signals", "line_width"): ("line_width_m", parse_quantity, None),
-    ("signals", "line_length"): ("line_length_m", parse_quantity, None),
-    ("interconnect", "lines_per_layer"): ("lines_per_layer", parse_int, "n_l"),
-    ("interconnect", "line_length"): ("line_length_m", parse_quantity, "l"),
-    ("interconnect", "line_width"): ("line_width_m", parse_quantity, "w"),
-    ("interconnect", "line_thickness"): ("line_thickness_m", parse_quantity, "h"),
-    ("interconnect", "line_gap"): ("line_gap_m", parse_quantity, "d1"),
-    ("interconnect", "dielectric_thickness"): ("dielectric_thickness_m", parse_quantity, "d2"),
-    ("interconnect", "eps_r"): ("eps_r", parse_quantity, None),
-    ("interconnect", "fringe_mode"): ("fringe_mode", _string, None),
+# short aliases from the design equations, by section and key; an alias resolves within its section only
+_SHORT_ALIASES = {
+    "array": {"qubit_pitch": "d", "bias_module_edge": "n_b", "bias_grid_edge": "m_b", "readout_module_edge": "n_r",
+              "readout_grid_edge": "m_r", "sequential_readouts": "q", "parallel_readouts": "r", "crossbars": "x",
+              "code_distance": "d_c", "metal_layers": "n_layers", "interconnect_pitch": "delta_i"},
+    "electronics": {"coarse_resolution": "dv_coarse", "fine_resolution": "dv_fine", "temperature": "t_op"},
+    "timing": {"shuttle": "t_sh", "single_qubit": "t_1q", "exchange": "t_sw", "readout": "t_r",
+               "dephasing": "t2_star"},
+    "signals": {"pulse_amplitude": "v_p", "pulse_frequency": "f_p", "line_amplitude": "v_t",
+                "line_frequency": "f_t", "cap_per_length": "c_per_um", "sheet_resistance": "sheet_res"},
+    "interconnect": {"lines_per_layer": "n_l", "line_length": "l", "line_width": "w", "line_thickness": "h",
+                     "line_gap": "d1", "dielectric_thickness": "d2"},
 }
-# each parse_quantity key above takes only suffixes of its field's unit, written once, in the field's name
-_KEYMAP = {key: (field, _quantity(field) if parse is parse_quantity else parse, alias)
-           for key, (field, parse, alias) in _KEYMAP.items()}
+# the keys not named by their field's name without its unit (the report's config block prints the field names)
+_RENAMED = {"demux_per_cell": "demux_count_per_cell", "demux_energy_j": "demux_energy_per_cycle"}
+
+
+def _parser(field: str, default: object) -> tuple[str, object]:
+    """A section field's key and parser.  A ``_nm`` length is read in metres and an ``int`` or ``str`` default
+    as such; any other field is a quantity that takes only suffixes of the unit its name ends in, ``_per_``
+    read as ``/`` (``shuttle_s``: s, ``drift_v_per_s``: V/s), and a bare number where the name ends in none
+    (``eps_r``).  The key is the field's name without its unit."""
+    if field.endswith("_nm"):
+        key, parse = field.removesuffix("_nm"), _length_nm
+    elif isinstance(default, int):
+        key, parse = field, parse_int
+    elif isinstance(default, str):
+        key, parse = field, str.strip
+    else:
+        head, per, tail = field.rpartition("_per_")
+        stem, _, name = (head if per else field).rpartition("_")
+        unit = next((unit for unit in UNITS if unit.lower() == (f"{name}/{tail}" if per else name)), False)
+        key, parse = stem if unit else field, lambda text: parse_quantity(text, unit)
+    return _RENAMED.get(field, key), parse
+
+
+# (section, canonical key) -> (section field, parser, short alias or None), in section and field order
+_KEYMAP: dict[tuple[str, str], tuple[str, object, str | None]] = {
+    (section, key): (field, parse, _SHORT_ALIASES[section].get(key))
+    for section, fields in ToolConfig._field_defaults.items()
+    for field, default in fields._field_defaults.items()
+    for key, parse in [_parser(field, default)]
+}
 
 _ALIASES = {(s, alias): k for (s, k), (_, _, alias) in _KEYMAP.items() if alias}
 

@@ -16,12 +16,8 @@ reports convert to µm/mm².
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .errors import InvalidConfigError
-
-if TYPE_CHECKING:  # config imports this module
-    from .config import TimingParams
 
 __all__ = [
     "ArrayConfig",

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from functools import cache, partial, reduce
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import Sequence
 
 from .model import record
 

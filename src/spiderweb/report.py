@@ -17,8 +17,8 @@ adding a quantity means adding one row.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from operator import attrgetter
-from typing import Any, Callable
 
 from . import electronics, power, wiring
 from .config import _KEYMAP, VALIDATION_ORDER, ToolConfig
@@ -223,7 +223,7 @@ QUANTITIES = (
 )
 
 
-def _getter(row: Quantity) -> Callable[[Design], Any]:
+def _getter(row: Quantity) -> Callable[[Design], object]:
     get = row.get or row.path
     return attrgetter(get) if isinstance(get, str) else get
 
@@ -241,17 +241,10 @@ _COLUMNS = tuple((row.column, _getter(row)) for row in QUANTITIES if row.column)
 SWEEP_FIELDS = ("parameter", "value", "valid", "violations", *(column for column, _ in _COLUMNS))
 
 
-def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, Any]:
+def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, object]:
     design = compute(config, pinned_parasitic_f)
-    doc: dict[str, Any] = {
-        "config": {
-            "array": config.array._asdict(),
-            "electronics": config.electronics._asdict(),
-            "timing": config.timing._asdict(),
-            "signals": config.signals.resolved(config.array)._asdict(),
-            "interconnect": config.interconnect._asdict(),
-        },
-    }
+    resolved = config._replace(signals=config.signals.resolved(config.array))
+    doc: dict[str, object] = {"config": {name: part._asdict() for name, part in zip(ToolConfig._fields, resolved)}}
     for parents, leaf, get in _LEAVES:
         node = doc
         for key in parents:
@@ -260,7 +253,7 @@ def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) ->
     return doc
 
 
-def render_text(doc: dict[str, Any]) -> str:
+def render_text(doc: dict[str, object]) -> str:
     out: list[str] = []
     for label, keys, text in _LINES:
         if text is None:
@@ -274,9 +267,9 @@ def render_text(doc: dict[str, Any]) -> str:
 
 
 def sweep_record(parameter: str, raw_value: str, config: ToolConfig, pinned_parasitic_f: float | None = None,
-                 sweep: Sweep | None = None) -> dict[str, Any]:
+                 sweep: Sweep | None = None) -> dict[str, object]:
     """One sweep-point record; infeasible or invalid points are flagged, not dropped."""
-    record: dict[str, Any] = dict.fromkeys(SWEEP_FIELDS)
+    record: dict[str, object] = dict.fromkeys(SWEEP_FIELDS)
     record["parameter"] = parameter
     record["value"] = raw_value
     try:

@@ -102,6 +102,9 @@ class StepTable(metaclass=record):
         order = tuple([(step[0], numbers.setdefault(step[1:], len(numbers))) for step in steps])
         return tuple.__new__(cls, (tuple(numbers), order))
 
+    def __reduce__(self):  # copy and pickle rebuild the fields as they are, not through __new__(steps)
+        return StepTable._make, (tuple(self),)
+
     @property
     def steps(self) -> tuple[Step, ...]:
         return tuple([tuple.__new__(Step, (index, *self.bodies[number])) for index, number in self.order])
@@ -323,14 +326,14 @@ def _parse_body(line_no: int, text: str) -> tuple:
     if kind not in ("one_qubit", "two_qubit", "readout"):
         raise ValueError(f"line {line_no}: unknown step kind {kind!r}")
     gates = []
-    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION; no name empty or with +@:
+    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION; no name empty or with +@:~
         placement, colon, label = (item, ":", "readout") if kind == "readout" else item.partition(":")
         target, at, region = placement.partition("@")
         qubits = target.split("+")
         pair_ok = (len(qubits) == 2 and qubits[0] != qubits[1] and label.startswith("rz=") if kind == "two_qubit"
                    else len(qubits) == 1)
         if not (colon and at and region and label and all(qubits) and pair_ok and "@" not in region
-                and ":" not in placement):
+                and ":" not in placement and "~" not in placement):
             raise ValueError(f"line {line_no}: bad {kind} item {item!r}")
         if kind != "two_qubit":
             gates.append(SoloGate(target, region, label))

@@ -296,6 +296,41 @@ class TestKeymap:
             if alias:
                 assert config.resolve_override(f"{section}.{alias}=1") == ((section, key), "1")
 
+    # Each key is derived from its field's name, so renaming a field renames a user's key: these pin both.
+    def test_the_known_keys_are_pinned(self):
+        assert config.KNOWN_KEYS == (
+            "array.bias_grid_edge", "array.bias_module_edge", "array.code_distance", "array.crossbars",
+            "array.gate_pitch", "array.interconnect_pitch", "array.metal_layers", "array.parallel_readouts",
+            "array.qubit_pitch", "array.readout_grid_edge", "array.readout_module_edge",
+            "array.sequential_readouts", "electronics.cap_density", "electronics.coarse_resolution",
+            "electronics.demux_area", "electronics.demux_count_per_cell", "electronics.demux_energy_per_cycle",
+            "electronics.drift", "electronics.fine_resolution", "electronics.temperature",
+            "interconnect.dielectric_thickness", "interconnect.eps_r", "interconnect.fringe_mode",
+            "interconnect.line_gap", "interconnect.line_length", "interconnect.line_thickness",
+            "interconnect.line_width", "interconnect.lines_per_layer", "signals.cap_per_length",
+            "signals.line_amplitude", "signals.line_frequency", "signals.line_length", "signals.line_width",
+            "signals.pulse_amplitude", "signals.pulse_frequency", "signals.sheet_resistance", "timing.dephasing",
+            "timing.exchange", "timing.readout", "timing.shuttle", "timing.single_qubit",
+        )
+
+    def test_the_aliases_are_pinned(self):
+        assert config._ALIASES == {
+            ("array", "d"): "qubit_pitch", ("array", "n_b"): "bias_module_edge", ("array", "m_b"): "bias_grid_edge",
+            ("array", "n_r"): "readout_module_edge", ("array", "m_r"): "readout_grid_edge",
+            ("array", "q"): "sequential_readouts", ("array", "r"): "parallel_readouts", ("array", "x"): "crossbars",
+            ("array", "d_c"): "code_distance", ("array", "n_layers"): "metal_layers",
+            ("array", "delta_i"): "interconnect_pitch", ("electronics", "dv_coarse"): "coarse_resolution",
+            ("electronics", "dv_fine"): "fine_resolution", ("electronics", "t_op"): "temperature",
+            ("timing", "t_sh"): "shuttle", ("timing", "t_1q"): "single_qubit", ("timing", "t_sw"): "exchange",
+            ("timing", "t_r"): "readout", ("timing", "t2_star"): "dephasing", ("signals", "v_p"): "pulse_amplitude",
+            ("signals", "f_p"): "pulse_frequency", ("signals", "v_t"): "line_amplitude",
+            ("signals", "f_t"): "line_frequency", ("signals", "c_per_um"): "cap_per_length",
+            ("signals", "sheet_res"): "sheet_resistance", ("interconnect", "n_l"): "lines_per_layer",
+            ("interconnect", "l"): "line_length", ("interconnect", "w"): "line_width",
+            ("interconnect", "h"): "line_thickness", ("interconnect", "d1"): "line_gap",
+            ("interconnect", "d2"): "dielectric_thickness",
+        }
+
 
 # Each float key's unit, as its field name writes it; the integer keys and eps_r take a bare number.
 KEY_UNITS = {

@@ -127,16 +127,16 @@ print(json.dumps({"patched": out[0], "restored": out[1].startswith("geometry\\n"
     assert result == {"patched": "patched\n", "restored": True, "runs": 1}
 
 
-# Under -S, as site's .pth files may import json or csv of their own; the result is printed without json.
+# Under -S, as site's .pth files may import json, csv or typing of their own; the result is printed without json.
 _FORMAT_PROBE = """
 import contextlib, io, sys
 import spiderweb.cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = spiderweb.cli.main({argv!r})
-print(code, *[name for name in ("csv", "json") if name in sys.modules])
+print(code, *[name for name in ("csv", "json", "typing") if name in sys.modules])
 """
 
-# each command's exit code and the standard modules of the output formats it loads
+# each command's exit code and the standard modules of the output formats it loads; no command loads typing
 _FORMAT_MODULES = {
     ("report",): "0",
     ("simulate",): "0",

@@ -1,7 +1,9 @@
+import copy
 import csv
 import hashlib
 import io
 import itertools
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -224,10 +226,13 @@ class TestSimulation:
         assert err.step == step and "A1" in str(err)
         assert message is None or str(err) == message
 
-    def test_distinct_qubits_whose_lane_labels_coincide_run(self, cold_caches):
-        # a lane is the label qubit~region: "a~" to "b" and "a" to "~b" are two electrons on two channels
-        trace = simulate_cycle(step_table_from_text("1 one_qubit a~@b:x a@~b:x\n"), TIMING)
-        assert [e.resource for e in trace.events if e.op == "shuttle_out"] == ["a~~b", "a~~b"]
+    @pytest.mark.parametrize("item", ["a~@b:x", "a@~b:x", "a~b@op1", "a+b~@op1:rz=a"])
+    def test_a_name_holding_the_lane_separator_is_rejected(self, item):
+        # a lane is the label qubit~region, so "a~" to "b" and "a" to "~b" would print as one resource a~~b
+        kind = "readout" if ":" not in item else "two_qubit" if "+" in item else "one_qubit"
+        with pytest.raises(ValueError) as err:
+            step_table_from_text(f"1 {kind} {item}\n")
+        assert str(err.value) == f"line 1: bad {kind} item {item!r}"
 
     def test_qubit_listed_twice_names_it(self, cold_caches):
         err = conflict_cold_and_warm(step_table_from_text("1 readout D1@op1 A1@op2 A1@op2\n"))
@@ -558,6 +563,17 @@ class TestRepeatedBodies:
                         simulate_cycle(table, TIMING)
                     assert err.value.step == step
                 assert 0 < plans.lookups <= bodies
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda table: pickle.loads(pickle.dumps(table))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_table_copies_and_pickles_as_it_is(self, copy_of):
+        table = default_step_table()
+        reordered = table._replace(bodies=table.bodies[::-1],
+                                   order=tuple((index, len(table.bodies) - 1 - n) for index, n in table.order))
+        for original in (table, reordered):
+            copied = copy_of(original)
+            assert type(copied) is StepTable and copied == original and copied.steps == original.steps
+        assert reordered.order != StepTable(reordered.steps).order
 
     def test_body_numbers_need_not_be_in_first_seen_order(self):
         table = step_table_from_text(f"1 hook a\n2 one_qubit D1@op1:x\n3 hook a\n4 {self.OVERLOAD}\n")
