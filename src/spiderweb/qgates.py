@@ -283,7 +283,7 @@ def verify_identities(corrupt: bool = False) -> list[IdentityCheck]:
             for name, (u, v) in pairs.items()]
 
 
-# Plaquette circuits: qubit 1 is the measured ancilla, qubits 2..5 the data.
+# Plaquette circuits: qubit 1 is the ancilla read out, qubits 2..5 the data.
 _ANCILLA = 1
 _DATA = (2, 3, 4, 5)
 _QUBITS = (_ANCILLA, *_DATA)

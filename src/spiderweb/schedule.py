@@ -64,6 +64,9 @@ PLANS_KEPT = 1024     # entries kept per process in each cache below; the oldest
 _plans: dict[tuple, tuple] = {}   # step body (a step without its index) -> its checked plan
 _parsed: dict[str, tuple] = {}    # step-body text -> its parsed body
 _pieces: dict[tuple, list] = {}   # (row writer, event template) -> the template's slot pieces
+# Each gate kind's item in the step-table text, from its gate's fields; any other kind is a hook
+_ITEMS = {"one_qubit": "{0}@{1}:{2}", "two_qubit": "{0}+{1}@{2}:rz={3}", "readout": "{0}@{1}"}
+_SEPARATORS = frozenset("+@:~")  # no name (qubit, pair member, region) may hold one
 
 
 class SoloGate(metaclass=record):
@@ -82,9 +85,7 @@ class PairGate(metaclass=record):
 class Step(metaclass=record):
     index: int
     kind: str                       # one_qubit | two_qubit | readout | hook
-    solo_gates: tuple[SoloGate, ...] = ()
-    pair_gates: tuple[PairGate, ...] = ()
-    measured: tuple[SoloGate, ...] = ()
+    gates: tuple[SoloGate | PairGate, ...] = ()  # PairGates for two_qubit; a readout's SoloGates read "readout"
     park: bool = False              # defer the return trip past the readout
     note: str = ""
 
@@ -212,14 +213,14 @@ def _plan(step: Step) -> tuple[tuple[str, ...], tuple[tuple, ...], tuple[tuple, 
     with slots 3w, 3w+1, 3w+2 for window w's start, pulse and return, and the parked returns at slot 0."""
     windows = []
     if step.kind == "one_qubit":
-        windows = [("one_qubit", [(g.qubit, f"1q_gate:{g.gate}", g.region) for g in step.solo_gates])]
+        windows = [("one_qubit", [(g.qubit, f"1q_gate:{g.gate}", g.region) for g in step.gates])]
     elif step.kind == "two_qubit":  # exchange, interleaved rz on the carrier, exchange
         swaps = [(q, f"sqrt_swap:{p.qubit_a}+{p.qubit_b}", p.region)
-                 for p in step.pair_gates for q in (p.qubit_a, p.qubit_b)]
-        rz = [(p.rz_carrier, "1q_gate:rz(180)", p.region) for p in step.pair_gates]
+                 for p in step.gates for q in (p.qubit_a, p.qubit_b)]
+        rz = [(p.rz_carrier, "1q_gate:rz(180)", p.region) for p in step.gates]
         windows = [("exchange", swaps), ("one_qubit", rz), ("exchange", swaps)]
     elif step.kind == "readout":
-        windows = [("readout", [(g.qubit, "readout", g.region) for g in step.measured])]
+        windows = [("readout", [(g.qubit, "readout", g.region) for g in step.gates])]
     elif step.kind != "hook":
         raise ValueError(f"unknown step kind {step.kind!r}")
     kinds, template, parked = [], [], []
@@ -275,12 +276,12 @@ def simulate_cycle(table: StepTable, timing: TimingParams) -> EventTrace:
                 one_qubit += 1
         runs.append((index, tuple(times), template))
         parked.append((index, returns))
-    # Return trips of parked (measured) qubits complete at the cycle
+    # Return trips of parked (read-out) qubits complete at the cycle
     # boundary; their round-trip time was charged by the parking step.
     counts = (shuttles, one_qubit, exchanges, readouts)
     end = _duration(timing, *counts)
     runs += [(index, (end,), returns) for index, returns in parked if returns]
-    notes = {number: body[-1] for number, body in enumerate(bodies) if body[0] == "hook"}  # (kind, ..., note)
+    notes = {number: body[-1] for number, body in enumerate(bodies) if body[0] == "hook"}  # (kind, gates, park, note)
     annotations = tuple([f"step {index}: {notes[number]}" for index, number in table.order if number in notes])
     return EventTrace(tuple(runs), dict(zip(CYCLE_CENSUS, counts), steps=len(table.order)), end, annotations)
 
@@ -322,18 +323,18 @@ def _parse_body(line_no: int, text: str) -> tuple:
     if park and kind in ("two_qubit", "readout", "hook"):
         raise ValueError(f"line {line_no}: +park applies only to one_qubit steps, not {kind}")
     if kind == "hook":
-        return "hook", (), (), (), False, " ".join(items)
-    if kind not in ("one_qubit", "two_qubit", "readout"):
+        return "hook", (), False, " ".join(items)
+    if kind not in _ITEMS:
         raise ValueError(f"line {line_no}: unknown step kind {kind!r}")
     gates = []
-    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION; no name empty or with +@:~
+    for item in items:  # QUBIT@REGION:GATE, A+B@REGION:rz=CARRIER or QUBIT@REGION (see _ITEMS)
         placement, colon, label = (item, ":", "readout") if kind == "readout" else item.partition(":")
-        target, at, region = placement.partition("@")
-        qubits = target.split("+")
+        target, _, region = placement.partition("@")
+        names = (*target.split("+"), region)  # each qubit (two for a pair), then the region
+        qubits = names[:-1]
         pair_ok = (len(qubits) == 2 and qubits[0] != qubits[1] and label.startswith("rz=") if kind == "two_qubit"
                    else len(qubits) == 1)
-        if not (colon and at and region and label and all(qubits) and pair_ok and "@" not in region
-                and ":" not in placement and "~" not in placement):
+        if not (colon and label and pair_ok and all(names) and _SEPARATORS.isdisjoint("".join(names))):
             raise ValueError(f"line {line_no}: bad {kind} item {item!r}")
         if kind != "two_qubit":
             gates.append(SoloGate(target, region, label))
@@ -342,24 +343,13 @@ def _parse_body(line_no: int, text: str) -> tuple:
         if carrier not in qubits:
             raise ValueError(f"line {line_no}: rz carrier {carrier!r} is not part of pair {target!r}")
         gates.append(PairGate(*qubits, region, carrier))
-    if kind == "one_qubit":
-        return kind, tuple(gates), (), (), park, ""
-    if kind == "two_qubit":
-        return kind, (), tuple(gates), (), False, ""
-    return kind, (), (), tuple(gates), False, ""
+    return kind, tuple(gates), park, ""
 
 
 def step_table_to_text(table: StepTable) -> str:
     texts = []
     for step in [Step(0, *body) for body in table.bodies]:
-        if step.kind == "one_qubit":
-            items = [f"{g.qubit}@{g.region}:{g.gate}" for g in step.solo_gates]
-        elif step.kind == "two_qubit":
-            items = [f"{p.qubit_a}+{p.qubit_b}@{p.region}:rz={p.rz_carrier}" for p in step.pair_gates]
-        elif step.kind == "readout":
-            items = [f"{g.qubit}@{g.region}" for g in step.measured]
-        else:
-            items = [step.note]
+        items = [_ITEMS[step.kind].format(*gate) for gate in step.gates] if step.kind in _ITEMS else [step.note]
         texts.append(" ".join([step.kind + ("+park" if step.park else ""), *items]))
     return "\n".join([f"{index} {texts[number]}".rstrip() for index, number in table.order]) + "\n"
 

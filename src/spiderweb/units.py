@@ -12,30 +12,26 @@ from __future__ import annotations
 import math
 import re
 
-# Multiplier per recognised suffix, by the unit it measures in.  Compound units (drift rates, areal and
-# linear capacitance densities, sheet resistance) are listed explicitly.
-UNITS = {
-    "s": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12},
-    "m": {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9},
-    "V": {"v": 1.0, "mv": 1e-3, "uv": 1e-6},
-    "Hz": {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9},
-    "F": {"f": 1.0, "uf": 1e-6, "nf": 1e-9, "pf": 1e-12, "ff": 1e-15, "af": 1e-18},
-    "J": {"j": 1.0, "nj": 1e-9, "pj": 1e-12, "fj": 1e-15},
-    "W": {"w": 1.0, "mw": 1e-3, "uw": 1e-6, "nw": 1e-9, "pw": 1e-12},
-    "K": {"k": 1.0, "mk": 1e-3},
-    "V/s": {"v/s": 1.0, "mv/s": 1e-3, "uv/s": 1e-6},
-    "F/m2": {"f/m2": 1.0, "pf/um2": 1.0, "ff/um2": 1e-3},  # 1 pF/um^2 == 1 F/m^2
-    "F/m": {"f/m": 1.0, "pf/um": 1e-6, "ff/um": 1e-9, "af/um": 1e-12},
-    "ohm": {"ohm": 1.0, "mohm": 1e-3, "kohm": 1e3, "ohm/sq": 1.0},  # per square too
-    "m2": {"m2": 1.0, "mm2": 1e-6, "um2": 1e-12},
-}
-_SUFFIXES = {suffix: (scale, unit) for unit, scales in UNITS.items() for suffix, scale in scales.items()}
-
 _ENG_PREFIXES = [
     (1e12, "T"), (1e9, "G"), (1e6, "M"), (1e3, "k"), (1.0, ""),
     (1e-3, "m"), (1e-6, "u"), (1e-9, "n"), (1e-12, "p"), (1e-15, "f"),
     (1e-18, "a"),
 ]
+_SCALES = {prefix: scale for scale, prefix in _ENG_PREFIXES}
+
+# Multiplier per recognised suffix, by the unit it measures in: a linear unit with the SI prefixes it takes,
+# or a compound unit (areal and linear capacitance densities, areas) with its suffixes listed explicitly.
+UNITS = {unit: {(prefix + unit).lower(): _SCALES[prefix] for prefix in ("", *prefixes)}
+         if isinstance(prefixes, str) else prefixes for unit, prefixes in {
+    "s": "munp", "m": "mun", "V": "mu", "Hz": "kMG", "F": "unpfa", "J": "npf", "W": "munp", "K": "m",
+    "V/s": "mu",
+    "F/m2": {"f/m2": 1.0, "pf/um2": 1.0, "ff/um2": 1e-3},  # 1 pF/um^2 == 1 F/m^2
+    "F/m": {"f/m": 1.0, "pf/um": 1e-6, "ff/um": 1e-9, "af/um": 1e-12},
+    "ohm": "mk",
+    "m2": {"m2": 1.0, "mm2": 1e-6, "um2": 1e-12},
+}.items()}
+UNITS["ohm"]["ohm/sq"] = 1.0  # sheet resistance, per square
+_SUFFIXES = {suffix: (scale, unit) for unit, scales in UNITS.items() for suffix, scale in scales.items()}
 
 # Every prefixed linear unit in SI case, as ``si_format`` prints it: "MW" is
 # mega and "mW" milli.  Other spellings read from ``_SUFFIXES`` in any case.
@@ -75,7 +71,7 @@ def parse_quantity(text: str, unit: str | bool = True) -> float:
     value = float(number)
     if suffix:  # an M the any-case table reads as milli ("Mw", "MOHM") is ambiguous; "mhz" stays MHz
         key = _normalize_suffix(suffix)
-        scale, measured = _SI_SPELLINGS.get(key, (None, None))
+        scale, suffix_unit = _SI_SPELLINGS.get(key, (None, None))
         if scale is None:
             lower, rest = key.lower(), key[1:].lower()
             if lower not in _SUFFIXES:
@@ -83,8 +79,8 @@ def parse_quantity(text: str, unit: str | bool = True) -> float:
             if key.startswith("M") and rest in _SUFFIXES and _SUFFIXES[lower][0] != 1e6 * _SUFFIXES[rest][0]:
                 raise ValueError(f"ambiguous unit suffix {suffix!r} in {text!r}: "
                                  "write the unit in SI case, with M for mega or m for milli")
-            scale, measured = _SUFFIXES[lower]
-        if unit is not True and measured != unit:
+            scale, suffix_unit = _SUFFIXES[lower]
+        if unit is not True and suffix_unit != unit:
             raise UnitError(f"unit suffix {suffix!r} in {text!r}: expected a unit of {unit}")
         value *= scale
     if not math.isfinite(value):

@@ -60,11 +60,11 @@ def _csv_line(cells) -> str:
 def windows(step: Step) -> list[tuple[str, list, list, bool]]:
     """(kind, movers as (qubit, region), actors as (qubit, op, region), park) per window."""
     if step.kind == "one_qubit":
-        return [("one_qubit", [(g.qubit, g.region) for g in step.solo_gates],
-                 [(g.qubit, "1q_gate:" + g.gate, g.region) for g in step.solo_gates], step.park)]
+        return [("one_qubit", [(g.qubit, g.region) for g in step.gates],
+                 [(g.qubit, "1q_gate:" + g.gate, g.region) for g in step.gates], step.park)]
     if step.kind == "two_qubit":
         movers, swaps, carriers, rz = [], [], [], []
-        for p in step.pair_gates:
+        for p in step.gates:
             for qubit in (p.qubit_a, p.qubit_b):
                 movers.append((qubit, p.region))
                 swaps.append((qubit, "sqrt_swap:" + p.qubit_a + "+" + p.qubit_b, p.region))
@@ -73,7 +73,7 @@ def windows(step: Step) -> list[tuple[str, list, list, bool]]:
         return [("exchange", movers, swaps, False), ("one_qubit", carriers, rz, False),
                 ("exchange", movers, swaps, False)]
     if step.kind == "readout":
-        return [("readout", [], [(g.qubit, "readout", g.region) for g in step.measured], False)]
+        return [("readout", [], [(g.qubit, "readout", g.region) for g in step.gates], False)]
     assert step.kind == "hook", step.kind
     return []
 

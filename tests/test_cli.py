@@ -7,6 +7,8 @@ import itertools
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -811,10 +813,12 @@ class TestSimulate:
         ("one_qubit", "@op1:x"), ("one_qubit", "D1@:x"), ("one_qubit", "D1@op1:"), ("two_qubit", "A+@op1:rz=A"),
         ("two_qubit", "+B@op1:rz=B"), ("two_qubit", "A+B@op1:A"), ("readout", "@op1"), ("readout", "D1@"),
         ("two_qubit", "A+B+C@op1:rz=A"), ("one_qubit", "D1@op1@op2:x"), ("readout", "D1@op1:x"),
-        ("two_qubit", "A+A@op1:rz=A"),
+        ("two_qubit", "A+A@op1:rz=A"), ("one_qubit", "q@a+b:x"), ("two_qubit", "A1+D1@a+b:rz=A1"),
+        ("readout", "A1@a+b"),
     ], ids=["empty-qubit", "empty-region", "empty-gate", "empty-second-member", "empty-first-member",
             "pair-without-rz", "readout-empty-qubit", "readout-empty-region", "plus-in-a-pair-member",
-            "at-in-a-region", "colon-in-a-readout-region", "self-pair"])
+            "at-in-a-region", "colon-in-a-readout-region", "self-pair", "plus-in-a-region",
+            "plus-in-a-pair-region", "plus-in-a-readout-region"])
     def test_item_that_breaks_the_grammar_exits_1(self, capsys, tmp_path, kind, item):
         table = tmp_path / "bad.steps"
         table.write_text(f"# header\n1 {kind} {item}\n")
@@ -1202,3 +1206,21 @@ def test_commands_run_without_numpy():
     # the last run is the -S one: site's .pth files may load these themselves
     assert not result["resources"]
     assert result["records"] == []
+
+
+def _readme_commands() -> list[str]:
+    """Each ``spiderweb`` line of the fenced ``sh`` block under ``## Command line`` in the README."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("spiderweb ")]
+    assert commands, "the README's command block lists no spiderweb command"
+    return commands
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs_as_written(capsys, line):
+    """A command exits 0, or the ``exits N`` that its comment states."""
+    program, *argv = shlex.split(line, comments=True)
+    stated = re.search(r"\bexits (\d+)", line.partition("#")[2])
+    code, out, err = run(capsys, *argv)
+    assert (program, code) == ("spiderweb", int(stated[1]) if stated else 0), err

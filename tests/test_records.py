@@ -51,8 +51,8 @@ def _records() -> list:
         design.power,
         design.footprint,
         design.lines["unit_cell"],
-        table.steps[0].solo_gates[0],
-        step.pair_gates[0],
+        table.steps[0].gates[0],
+        step.gates[0],
         step,
         table,
         trace,
@@ -100,8 +100,8 @@ def test_flat_records_hash():
     design = report.compute(ToolConfig())
     records = [
         step,
-        table.steps[0].solo_gates[0],
-        step.pair_gates[0],
+        table.steps[0].gates[0],
+        step.gates[0],
         design.cycles["mixed"],
         design.lines["unit_cell"],
         qgates.verify_identities()[0],

@@ -5,6 +5,7 @@ import io
 import itertools
 import pickle
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -80,7 +81,7 @@ class TestDefaultTable:
     def test_readout_is_the_final_step(self):
         table = default_step_table()
         assert table.steps[-1].kind == "readout"
-        assert {g.qubit for g in table.steps[-1].measured} == {"A1", "A2"}
+        assert {g.qubit for g in table.steps[-1].gates} == {"A1", "A2"}
 
     def test_text_round_trip(self):
         table = default_step_table()
@@ -196,7 +197,7 @@ class TestSimulation:
 
     def test_channel_overuse_rejected(self, cold_caches):
         # the one way to fill channel D1~op1 twice is to list D1 twice in op1, which the listing rule names
-        step = Step(1, "one_qubit", solo_gates=(
+        step = Step(1, "one_qubit", gates=(
             SoloGate("D1", "op1", "ry(-90)"),
             SoloGate("D1", "op1", "rz(90)"),
         ))
@@ -271,14 +272,14 @@ def _valid_step(draw, index: int) -> Step:
     if kind == "two_qubit":
         pairs = [(qubits[0], qubits[1], regions[0]), (qubits[2], qubits[3], regions[1])]
         chosen = pairs[:draw(st.integers(1, 2))]
-        return Step(index, "two_qubit", pair_gates=tuple(
+        return Step(index, "two_qubit", gates=tuple(
             PairGate(a, b, region, draw(st.sampled_from((a, b)))) for a, b, region in chosen
         ))
     placed = [(q, regions[i % 2]) for i, q in enumerate(qubits[:draw(st.integers(0, 4))])]
     if kind == "readout":
-        return Step(index, "readout", measured=tuple(SoloGate(q, r, "readout") for q, r in placed))
+        return Step(index, "readout", gates=tuple(SoloGate(q, r, "readout") for q, r in placed))
     gate = draw(st.sampled_from(("ry(-90)", "rz(90)", "x")))
-    return Step(index, "one_qubit", solo_gates=tuple(SoloGate(q, r, gate) for q, r in placed),
+    return Step(index, "one_qubit", gates=tuple(SoloGate(q, r, gate) for q, r in placed),
                 park=draw(st.booleans()))
 
 
@@ -338,7 +339,7 @@ class TestStepTableFormat:
     def test_comments_and_blanks_ignored(self):
         table = step_table_from_text("# header\n\n1 one_qubit D1@op1:ry(-90)  # inline\n")
         assert len(table.steps) == 1
-        assert table.steps[0].solo_gates[0].gate == "ry(-90)"
+        assert table.steps[0].gates[0].gate == "ry(-90)"
 
     def test_each_distinct_body_is_held_once(self):
         table = step_table_from_text("1 hook\n2  hook\n3 one_qubit D1@op1:x\n7 one_qubit  D1@op1:x  # again\n")
@@ -353,6 +354,79 @@ class TestStepTableFormat:
         path.write_text(text, encoding="utf-8-sig")
         assert path.read_bytes().startswith(b"\xef\xbb\xbf")
         assert schedule.load_step_table(path) == default_step_table()
+
+
+# The README grammar, written here from its sentence: a name (qubit, pair member, region) is
+# non-empty and holds none of + @ : ~, a pair joins two different qubits and its label is
+# rz=CARRIER, a carrier of the pair, and a gate label is the non-empty text after the first ":".
+_NAME = r"[^+@:~]+"
+_GRAMMAR = {
+    "one_qubit": re.compile(rf"({_NAME})@({_NAME}):(.+)"),
+    "two_qubit": re.compile(rf"({_NAME})\+({_NAME})@({_NAME}):rz=(.*)"),
+    "readout": re.compile(rf"({_NAME})@({_NAME})"),
+}
+
+
+def _grammar_gates(kind: str, items: list[str]) -> tuple | None:
+    """The gates that the README grammar reads from a body's items, or None if it rejects one."""
+    gates = []
+    for item in items:
+        match = _GRAMMAR[kind].fullmatch(item)
+        if match is None:
+            return None
+        if kind == "two_qubit":
+            a, b, region, carrier = match.groups()
+            if a == b or carrier not in (a, b):
+                return None
+            gates.append(PairGate(a, b, region, carrier))
+        else:
+            gates.append(SoloGate(*match.groups(), *(() if kind == "one_qubit" else ("readout",))))
+    return tuple(gates)
+
+
+_GRAMMAR_NAMES = st.one_of(st.sampled_from(["a", "b"]), st.sampled_from(["", "+", "@", ":", "~"]).map("a{}b".format))
+_GRAMMAR_LABELS = st.sampled_from(["", "x", "rz=a", "rz=b", "rz=", "rz=c", "+@:~"])
+
+
+@st.composite
+def _grammar_body(draw) -> str:
+    """A body text over short names and the separators + @ : ~.  An item is mostly its kind's shape,
+    at times with a pair or label too many or too few, each name perhaps empty or holding a separator;
+    otherwise it is any string of names and separators."""
+    kind = draw(st.sampled_from(("one_qubit", "one_qubit+park", "two_qubit", "readout")))
+    items = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            items.append("".join(draw(st.lists(st.sampled_from(["a", "b", "rz=a", "+", "@", ":", "~"]), min_size=1,
+                                               max_size=7))))
+            continue
+        pair = (kind == "two_qubit") != (draw(st.integers(0, 5)) == 0)
+        labelled = (kind != "readout") != (draw(st.integers(0, 5)) == 0)
+        target = draw(_GRAMMAR_NAMES) + (f"+{draw(_GRAMMAR_NAMES)}" if pair else "")
+        items.append(f"{target}@{draw(_GRAMMAR_NAMES)}" + (f":{draw(_GRAMMAR_LABELS)}" if labelled else ""))
+    return " ".join([kind, *items])
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_grammar_body())
+@example(text="one_qubit q@a+b:x")
+@example(text="two_qubit A1+D1@a+b:rz=A1")
+@example(text="readout A1@a+b")
+@example(text="one_qubit+park a@b:+@:~ a@b:rz=a")
+def test_parser_accepts_exactly_the_readme_grammar(text):
+    """``_parse_body`` raises exactly where the grammar rejects an item, and every body it accepts
+    is the grammar's reading, which ``step_table_to_text`` writes back as it was."""
+    kind, *items = text.split(" ")
+    gates = _grammar_gates(kind.removesuffix("+park"), items)
+    if gates is None:
+        with pytest.raises(ValueError):
+            schedule._parse_body(1, text)
+        return
+    body = schedule._parse_body(1, text)
+    assert body == (kind.removesuffix("+park"), gates, kind.endswith("+park"), "")
+    table = StepTable((Step(1, *body),))
+    assert step_table_to_text(table) == f"1 {text}\n"
+    assert step_table_from_text(f"1 {text}\n") == table
 
 
 _LABELS = st.one_of(st.text(max_size=6), st.sampled_from([
@@ -370,11 +444,11 @@ def _labelled_step(draw, index: int) -> Step:
     if kind == "hook":
         return Step(index, "hook", note=draw(_LABELS))
     if kind == "two_qubit":
-        return Step(index, "two_qubit", pair_gates=(PairGate(*qubits, region, qubits[0]),))
+        return Step(index, "two_qubit", gates=(PairGate(*qubits, region, qubits[0]),))
     placed = tuple(SoloGate(q, draw(_LABELS), gate) for q in qubits[:draw(st.integers(0, 2))])
     if kind == "readout":
-        return Step(index, "readout", measured=placed)
-    return Step(index, "one_qubit", solo_gates=placed, park=draw(st.booleans()))
+        return Step(index, "readout", gates=placed)
+    return Step(index, "one_qubit", gates=placed, park=draw(st.booleans()))
 
 
 def _trace_document_json(trace) -> str:
@@ -387,7 +461,7 @@ def _trace_document_json(trace) -> str:
        timing=_TIMINGS)
 @example(steps=(), timing=TIMING)
 @example(steps=(Step(1, "hook", note='say "\\ \U0001f600"'), Step(2, "one_qubit")), timing=TIMING)
-@example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("%s", "%%", '"'),)),), timing=TIMING)
+@example(steps=(Step(1, "one_qubit", gates=(SoloGate("%s", "%%", '"'),)),), timing=TIMING)
 def test_trace_json_is_the_indent_2_sorted_document(steps, timing):
     try:
         trace = simulate_cycle(StepTable(steps), timing)
@@ -514,8 +588,8 @@ class TestRepeatedBodies:
                                      Event(end, 2, "D2", "shuttle_back", "D2~op1"))
 
     @pytest.mark.parametrize("step", [
-        Step(1, "two_qubit", pair_gates=(PairGate("A1", "D1", "op1", "A1"),)),
-        Step(1, "readout", measured=(SoloGate("A1", "op1", "readout"),)),
+        Step(1, "two_qubit", gates=(PairGate("A1", "D1", "op1", "A1"),)),
+        Step(1, "readout", gates=(SoloGate("A1", "op1", "readout"),)),
         Step(1, "hook", note="mark"),
     ], ids=["two_qubit", "readout", "hook"])
     def test_park_lowers_only_a_one_qubit_step(self, step, cold_caches):
@@ -649,8 +723,8 @@ def test_respaced_text_parses_and_simulates_the_same(table, timing, data):
 @settings(max_examples=200, deadline=None)
 @given(steps=st.integers(0, 6).flatmap(lambda n: st.tuples(*(_labelled_step(i) for i in range(1, n + 1)))),
        timing=_TIMINGS)
-@example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D,1", "op\n1", 'a"b'),)),), timing=TIMING)
-@example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D1", "op1", "a\rb"),)),), timing=TIMING)
+@example(steps=(Step(1, "one_qubit", gates=(SoloGate("D,1", "op\n1", 'a"b'),)),), timing=TIMING)
+@example(steps=(Step(1, "one_qubit", gates=(SoloGate("D1", "op1", "a\rb"),)),), timing=TIMING)
 def test_trace_csv_reads_back_cell_for_cell(steps, timing):
     try:
         trace = simulate_cycle(StepTable(steps), timing)
@@ -676,17 +750,15 @@ def _crowded_step(draw, index: int) -> Step:
     size = draw(st.integers(0, 5))
     if kind == "two_qubit":
         pairs = [(draw(_CROWD_QUBITS), draw(_CROWD_QUBITS), draw(_CROWD_REGIONS)) for _ in range(size)]
-        return Step(index, kind, pair_gates=tuple(PairGate(a, b, r, draw(st.sampled_from((a, b))))
-                                                  for a, b, r in pairs))
-    gates = tuple(SoloGate(draw(_CROWD_QUBITS), draw(_CROWD_REGIONS), "x") for _ in range(size))
-    return Step(index, kind, measured=gates) if kind == "readout" else Step(index, kind, solo_gates=gates)
+        return Step(index, kind, gates=tuple(PairGate(a, b, r, draw(st.sampled_from((a, b)))) for a, b, r in pairs))
+    return Step(index, kind, gates=tuple(SoloGate(draw(_CROWD_QUBITS), draw(_CROWD_REGIONS), "x") for _ in range(size)))
 
 
 # ``cold_caches`` empties the caches once per test; each example empties them itself
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(steps=st.integers(1, 4).flatmap(lambda n: st.tuples(*(_crowded_step(i) for i in range(1, n + 1)))))
-@example(steps=(Step(1, "one_qubit", solo_gates=(SoloGate("D1", "op1", "x"), SoloGate("D1", "op1", "x"),
-                                                  SoloGate("A1", "op1", "x"))),))
+@example(steps=(Step(1, "one_qubit", gates=(SoloGate("D1", "op1", "x"), SoloGate("D1", "op1", "x"),
+                                             SoloGate("A1", "op1", "x"))),))
 def test_window_checks_keep_their_order_and_text(cold_caches, steps):
     """The first broken rule within a window: a qubit in two regions, then a qubit
     listed twice, then each region in the order it is first used, as the oracle checks them."""
@@ -723,11 +795,9 @@ def _oracle_body(draw) -> Step:
         return Step(0, "hook", note=draw(_ORACLE_LABELS))
     if kind == "two_qubit":
         pairs = [(draw(_ORACLE_QUBITS), draw(_ORACLE_QUBITS), draw(_ORACLE_REGIONS)) for _ in range(size)]
-        return Step(0, kind, pair_gates=tuple(PairGate(a, b, r, draw(st.sampled_from((a, b)))) for a, b, r in pairs))
+        return Step(0, kind, gates=tuple(PairGate(a, b, r, draw(st.sampled_from((a, b)))) for a, b, r in pairs))
     gates = tuple(SoloGate(draw(_ORACLE_QUBITS), draw(_ORACLE_REGIONS), draw(_ORACLE_LABELS)) for _ in range(size))
-    if kind == "readout":
-        return Step(0, kind, measured=gates)
-    return Step(0, "one_qubit", solo_gates=gates, park=kind.endswith("+park"))
+    return Step(0, kind.removesuffix("+park"), gates=gates, park=kind.endswith("+park"))
 
 
 def _tables_over(pool: list[Step]):
@@ -755,9 +825,9 @@ def assert_matches_oracle(table: StepTable, timing: TimingParams) -> None:
     assert trace.to_json() == expected.to_json()
 
 
-_PARKING = Step(0, "one_qubit", solo_gates=(SoloGate("q%s", "op%", "%(a)s"), SoloGate('q"1', "r,\r\n", "{0}")),
+_PARKING = Step(0, "one_qubit", gates=(SoloGate("q%s", "op%", "%(a)s"), SoloGate('q"1', "r,\r\n", "{0}")),
                 park=True)
-_READ = Step(0, "readout", measured=(SoloGate("q%s", "op%", "readout"), SoloGate('q"1', "r,\r\n", "readout")))
+_READ = Step(0, "readout", gates=(SoloGate("q%s", "op%", "readout"), SoloGate('q"1', "r,\r\n", "readout")))
 
 
 def _placed(*bodies: Step) -> StepTable:
@@ -786,7 +856,7 @@ def test_oracle_matches_the_shipped_and_generated_tables(cold_caches):
 class TestPlanCache:
     def test_never_grows_past_its_bound(self, cold_caches):
         # one-qubit steps with distinct labels: one body each, more than the cache keeps
-        steps = tuple(Step(i, "one_qubit", solo_gates=(SoloGate("D1", "op1", f"g{i}"),))
+        steps = tuple(Step(i, "one_qubit", gates=(SoloGate("D1", "op1", f"g{i}"),))
                       for i in range(1, schedule.PLANS_KEPT + 41))
         trace = simulate_cycle(StepTable(steps), TIMING)
         assert len(schedule._plans) == schedule.PLANS_KEPT
@@ -807,7 +877,7 @@ class TestPlanCache:
         # the writers' pieces outlive the plans they were formed from, so they are found by the template's
         # value: a template built after an eviction can sit where a dropped template of another body sat
         table = generated_table(random.Random(9), 64)
-        filler = StepTable(tuple(Step(i, "one_qubit", solo_gates=(SoloGate("D1", "op1", f"g{i}"),))
+        filler = StepTable(tuple(Step(i, "one_qubit", gates=(SoloGate("D1", "op1", f"g{i}"),))
                                  for i in range(1, schedule.PLANS_KEPT + 1)))
         expected = schedule_oracle.simulate(table, TIMING)
         for _ in ("cold", "evicted"):
