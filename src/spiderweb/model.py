@@ -81,9 +81,8 @@ class ArrayConfig(metaclass=record):
 
     @property
     def unit_cells(self) -> int:
-        """Unit cells in the quantum plane, (n_b*m_b)^2."""
-        edge = self.bias_module_edge * self.bias_grid_edge
-        return edge * edge
+        """Unit cells in the quantum plane."""
+        return self.plane_edge_cells**2
 
     def validate(self) -> None:
         validate_config(self)  # through the module global, so a rebinding of it sees every check
@@ -101,7 +100,7 @@ def validate_config(cfg: ArrayConfig) -> None:
     if cfg.crossbars < 0:
         v.append(f"crossbars must be non-negative (got {cfg.crossbars})")
 
-    bias_edge = cfg.bias_module_edge * cfg.bias_grid_edge
+    bias_edge = cfg.plane_edge_cells
     readout_edge = cfg.readout_module_edge * cfg.readout_grid_edge
     if bias_edge != readout_edge:
         v.append(

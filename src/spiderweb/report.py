@@ -48,15 +48,11 @@ class Design(metaclass=record):
     power: power.PowerReport
 
 
-def _validate(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
-    config.validate(sections)
-
-
-def _geometry(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+def _geometry(config: ToolConfig, out: dict, pinned: float | None) -> None:
     out["geometry"] = derive_geometry(config.array)
 
 
-def _lines(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+def _lines(config: ToolConfig, out: dict, pinned: float | None) -> None:
     cfg = config.array
     lines = out["lines"] = {level: wiring.lines_at(level, cfg) for level in wiring.LEVELS}
     out["rent_exponent"] = wiring.rent_exponent(lines["quantum_plane"].total, lines["unit_cell"].total,
@@ -66,7 +62,7 @@ def _lines(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[
     out["fabrication_crossbar_limit"] = wiring.max_fab_crossbars(cfg)
 
 
-def _electronics(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+def _electronics(config: ToolConfig, out: dict, pinned: float | None) -> None:
     cfg, elec = config.array, config.electronics
     coarse = out["coarse_hold_capacitance_f"] = electronics.min_hold_capacitance("coarse", elec)
     fine = out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", elec)
@@ -75,44 +71,39 @@ def _electronics(config: ToolConfig, out: dict, pinned: float | None, sections: 
     out["footprint"] = electronics.footprint(cfg, elec, GATE_INVENTORY, fine, coarse)
 
 
-def _timing(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+def _timing(config: ToolConfig, out: dict, pinned: float | None) -> None:
     out["cycles"] = {m: cycle_time(config.timing, config.array, m) for m in READOUT_MODES}
 
 
-def _power(config: ToolConfig, out: dict, pinned: float | None, sections: tuple[str, ...]) -> None:
+def _power(config: ToolConfig, out: dict, pinned: float | None) -> None:
     grid = out["grid"] = power.parasitic_capacitance(config.interconnect)
     out["power"] = power.total_power(config.array, config.signals, config.electronics, grid,
                                      out["refresh_rate_hz"], pinned)
 
 
-# The model stages in run order: name -> (config sections or ``section.field``s read, upstream stages
-# read, run).  A run adds its Design fields to ``out``; ``validate`` checks the given sections, in order.
+# The model stages in run order: name -> (config sections or ``section.field``s read, run).  A run adds
+# its Design fields to ``out``.  A stage that reads another stage's result lists every read of that stage.
 STAGES = {
-    "validate": (VALIDATION_ORDER, (), _validate),
     "geometry": (("array.qubit_pitch_nm", "array.gate_pitch_nm", "array.bias_module_edge",
-                  "array.bias_grid_edge"), (), _geometry),
-    "lines": (("array",), (), _lines),
-    "electronics": (("array.bias_module_edge", "array.qubit_pitch_nm", "electronics"), (), _electronics),
-    "timing": (("array.readout_module_edge", "array.sequential_readouts", "timing"), (), _timing),
+                  "array.bias_grid_edge"), _geometry),
+    "lines": (("array",), _lines),
+    "electronics": (("array.bias_module_edge", "array.qubit_pitch_nm", "electronics"), _electronics),
+    "timing": (("array.readout_module_edge", "array.sequential_readouts", "timing"), _timing),
     "power": (("array.bias_module_edge", "array.bias_grid_edge", "array.qubit_pitch_nm", "electronics",
-               "signals", "interconnect"), ("electronics",), _power),
+               "signals", "interconnect"), _power),
 }
-_FULL_PLAN = (STAGES["validate"][0], tuple(run for _, _, run in STAGES.values()))
+_FULL_PLAN = (VALIDATION_ORDER, tuple(run for _, run in STAGES.values()))
 
 
 class Sweep:
     """A sweep's last valid Design, and what later points rerun: the swept section's checks and the
-    stages that read the swept key's field, directly or downstream.  ``key`` is the swept
-    ``(section, key)`` as :func:`~spiderweb.config.resolve_override` resolves it."""
+    stages that read the swept section or field.  ``key`` is the swept ``(section, key)`` as
+    :func:`~spiderweb.config.resolve_override` resolves it."""
 
     def __init__(self, key: tuple[str, str]):
         section = key[0]
         field = f"{section}.{_KEYMAP[key][0]}"
-        reached: list[str] = []
-        for name, (reads, after, _) in STAGES.items():
-            if section in reads or field in reads or set(after) & set(reached):
-                reached.append(name)
-        self.plan = ((section,), tuple(STAGES[name][2] for name in reached))
+        self.plan = ((section,), tuple(run for reads, run in STAGES.values() if section in reads or field in reads))
         # Until a valid point every stage runs.  A sweep records an array violation as a rejected point,
         # so its first point checks every other section before the array; once they have passed (else the
         # sweep has failed), the next points check only the swept section and the array.
@@ -128,9 +119,10 @@ def compute(config: ToolConfig, pinned_parasitic_f: float | None = None, sweep: 
     sections, runs = sweep.plan if last else sweep.pending if sweep else _FULL_PLAN
     if sweep:
         sweep.pending = sweep.retry
+    config.validate(sections)
     out = last._asdict() if last else {}
     for run in runs:
-        run(config, out, pinned_parasitic_f, sections)
+        run(config, out, pinned_parasitic_f)
     design = Design(**out)
     if sweep:
         sweep.last = design

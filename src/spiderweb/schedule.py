@@ -8,8 +8,7 @@ single-qubit or exchange pulse, and the readout window measures the parked
 ancillas.  The cycle census counts windows per kind; the makespan is the
 census-weighted sum of the window durations (``model._duration``), which is
 exactly the closed-form cycle time that :func:`spiderweb.model.cycle_time`
-evaluates: 22 shuttle round trips, 14 single-qubit gates, 8 exchange pulses
-and one readout.
+evaluates from the window counts of ``model.CYCLE_CENSUS``.
 
 The shipped default program is one consistent reconstruction of the cycle.
 Its checked contract is its window census, step count and the two steps that

@@ -61,9 +61,9 @@ class LineCount(metaclass=record):
 def lines_at(level: str, cfg: ArrayConfig) -> LineCount:
     """Local connection count at one level of the array hierarchy.
 
-    DC biasing needs ``_ADDRESS_LINES`` (4) demultiplexer address lines, ``_ENABLE_LINES`` (4)
-    enable lines per cell along the module edge and one voltage-source feed per module, 9 for the
-    unit cell; shuttling needs the 4 phase-shifted drives; the pulsed/MW signals
+    DC biasing (``_dc_biasing``) needs ``_ADDRESS_LINES`` demultiplexer address lines,
+    ``_ENABLE_LINES`` enable lines per cell along the module edge and one voltage-source feed per
+    module; shuttling needs the 4 phase-shifted drives; the pulsed/MW signals
     (``GateInventory.pulsed_total``) are globally shared; each crossbar contributes 2 horizontal +
     2 vertical lines; readout needs 2 sensor plunger lines and one shared drain line.  Address and
     drive lines are shared upward, while enable lines, crossbar lines, voltage-source feeds and

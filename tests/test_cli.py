@@ -112,6 +112,11 @@ class TestReport:
         assert code == 1
         assert "line 3" in err
 
+    def test_config_key_without_a_value_is_named(self, capsys, tmp_path):
+        path = tmp_path / "no_value.cfg"
+        path.write_text("[array]\nx =\n")
+        assert run(capsys, "report", "--config", str(path)) == (1, "", "error: line 2: missing value for key 'x'\n")
+
     @pytest.mark.parametrize("argv", [["report"], ["sweep", "x", "1"], ["verify"], ["simulate"]],
                              ids=["report", "sweep", "verify", "simulate"])
     def test_config_file_that_is_not_utf8_is_named(self, capsys, tmp_path, argv):

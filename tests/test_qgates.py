@@ -102,6 +102,9 @@ class TestExpand:
             expand(gate("cz"), 3, (1, 1))
         with pytest.raises(ValueError):
             expand(gate("z"), 2, (3,))
+        with pytest.raises(ValueError) as err:
+            expand(gate("cz"), 2, (1,))
+        assert str(err.value) == "gate of shape (4, 4) does not fit 1 target(s)"
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_kron_permutation_oracle(self, n):
@@ -182,6 +185,12 @@ class TestCompose:
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             compose(Circuit(2, ((PlacedGate("z", (5,)),),)))
+
+    @pytest.mark.parametrize("n", [0, 6])
+    def test_register_outside_one_to_five_qubits_rejected(self, n):
+        with pytest.raises(ValueError) as err:
+            Circuit(n).validate()
+        assert str(err.value) == "circuits support 1 to 5 qubits"
 
     @pytest.mark.parametrize("placed", [
         PlacedGate("cz", (1,)),

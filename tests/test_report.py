@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from spiderweb import cli, electronics, model, power, report, wiring
 from spiderweb.config import (
     _KEYMAP,
+    FRINGE_MODES,
     SECTIONS,
     ElectronicsParams,
     SignalParams,
@@ -193,13 +195,13 @@ def test_sweep_fields_are_the_csv_header_contract():
 # The stages a later sweep point reruns: by swept key for the array section, whose stages read
 # single fields, and for each other section the same stages whichever of its keys is swept.
 @pytest.mark.parametrize("section, stages", [
-    ("array", {"x": ["validate", "lines"],
-               "d": ["validate", "geometry", "lines", "electronics", "power"],
-               "n_r": ["validate", "lines", "timing"]}),
-    ("electronics", ["validate", "electronics", "power"]),
-    ("timing", ["validate", "timing"]),
-    ("signals", ["validate", "power"]),
-    ("interconnect", ["validate", "power"]),
+    ("array", {"x": ["lines"],
+               "d": ["geometry", "lines", "electronics", "power"],
+               "n_r": ["lines", "timing"]}),
+    ("electronics", ["electronics", "power"]),
+    ("timing", ["timing"]),
+    ("signals", ["power"]),
+    ("interconnect", ["power"]),
 ])
 def test_a_section_reruns_the_stages_it_feeds(section, stages):
     if isinstance(stages, dict):
@@ -209,36 +211,100 @@ def test_a_section_reruns_the_stages_it_feeds(section, stages):
     for key, names in by_key.items():
         checks, runs = report.Sweep(key).plan
         assert checks == (section,)
-        assert [name for name, (_, _, run) in report.STAGES.items() if run in runs] == names
+        assert [name for name, (_, run) in report.STAGES.items() if run in runs] == names
 
 
 def test_each_stage_read_names_a_section_or_field():
-    for reads, after, _ in report.STAGES.values():
+    for reads, _ in report.STAGES.values():
         for read in reads:
             section, _, field = read.partition(".")
             assert section in SECTIONS
             assert not field or field in SECTIONS[section]._fields, read
-        assert set(after) <= set(report.STAGES)
 
 
-# Each stage that names the array fields it reads, with every other array field
-_UNREAD = [(name, field) for name, (reads, _, _) in report.STAGES.items() if "array" not in reads
-           for field in model.ArrayConfig._fields if f"array.{field}" not in reads]
+def _readme_stage_rows() -> list[list[str]]:
+    """The cells of each row of the README's stage table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| stage | reads | reruns in a sweep of |\n|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()]
 
 
-@pytest.mark.parametrize("name, field", _UNREAD)
-def test_a_stage_does_not_read_the_array_fields_it_leaves_out(name, field):
-    run = report.STAGES[name][2]
+def _ticked(text: str) -> list[str]:
+    return text.split("`")[1::2]
+
+
+def test_the_readme_stage_table_is_the_stage_table():
+    # a reads cell is ``section`` or ``section`: `field`, ...`` parts, split by "; "; in the last cell a
+    # section stands for each of its keys
+    rows = _readme_stage_rows()
+    assert [_ticked(stage) for stage, _, _ in rows] == [[name] for name in report.STAGES]
+    for (stage, reads, swept), (name, (want, run)) in zip(rows, report.STAGES.items()):
+        got = []
+        for part in reads.split("; "):
+            section, *fields = _ticked(part)
+            got += [f"{section}.{field}" for field in fields] if ":" in part else [section, *fields]
+        assert tuple(got) == want, name
+        keys = {key for word in _ticked(swept)
+                for key in ([key for key in _KEYMAP if key[0] == word] if word in SECTIONS
+                            else [resolve_override(f"{word}=0")[0]])}
+        assert keys == {key for key in _KEYMAP if run in report.Sweep(key).plan[1]}, name
+
+
+def _covers(reads: tuple[str, ...], read: str) -> bool:
+    return read in reads or read.partition(".")[0] in reads
+
+
+class _ReadLog(dict):
+    """A stage's ``out`` that records the results a run reads from it."""
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", list(_CONFIGS))
+def test_a_stage_that_reads_another_stage_lists_every_read_of_it(name):
+    # Run the stages in order on an empty ``out``: each adds its results and reads only earlier ones.
+    text, overrides, pinned = _CONFIGS[name]
+    config = apply_entries({**parse_config_text(text), **read_entries(None, list(overrides))})
+    out, made, found = _ReadLog(), {}, set()
+    for stage, (reads, run) in report.STAGES.items():
+        before, out.read = set(out), set()
+        run(config, out, pinned)
+        made[stage] = set(out) - before
+        for upstream, results in made.items():
+            if upstream != stage and out.read & results:
+                found.add((stage, upstream))
+                assert all(_covers(reads, read) for read in report.STAGES[upstream][0]), (stage, upstream)
+    assert ("power", "electronics") in found  # power reads electronics' refresh rate
+
+
+def _changed(value) -> list:
+    if isinstance(value, str):
+        return [mode for mode in FRINGE_MODES if mode != value]
+    if value is None:  # signals.line_length_m, one unit-cell span until set
+        return [1e-3, 2e-3]
+    return [value + 1, 2 * value + 3]
+
+
+# Each stage with every field, of every section, that it does not read
+_UNREAD = [(name, section, field) for name, (reads, _) in report.STAGES.items()
+           for section, cls in SECTIONS.items() for field in cls._fields if not _covers(reads, f"{section}.{field}")]
+
+
+@pytest.mark.parametrize("name, section, field", _UNREAD)
+def test_a_stage_does_not_read_the_fields_it_leaves_out(name, section, field):
+    run = report.STAGES[name][1]
     for text, overrides, pinned in _CONFIGS.values():
         config = apply_entries({**parse_config_text(text), **read_entries(None, list(overrides))})
         base = compute(config, pinned)._asdict()
-        value = getattr(config.array, field)
-        for changed in (value + 1, 2 * value + 3):
-            other = config._replace(array=config.array._replace(**{field: changed}))
+        part = getattr(config, section)
+        for changed in _changed(getattr(part, field)):
+            other = config._replace(**{section: part._replace(**{field: changed})})
             want, got = dict(base), dict(base)
-            run(config, want, pinned, ())
-            run(other, got, pinned, ())
-            assert got == want, (name, field, changed)
+            run(config, want, pinned)
+            run(other, got, pinned)
+            assert got == want, (name, section, field, changed)
 
 
 def _sweep_counts(monkeypatch, argv, names) -> dict[str, int]:
