@@ -97,7 +97,7 @@ def _require_finite(values: dict[str, object], label: str) -> None:
 def _cmd_report(args) -> int:
     config = load_config(_config_path(args), args.overrides)
     doc = report.build_report(config, pinned_parasitic_f=_pinned(args))
-    flat = _flatten(doc)
+    flat = _flatten(doc, {})
     _require_finite(flat, "report value")
     if args.format == "json":
         _emit(args, writers.value(doc), "\n")
@@ -108,10 +108,12 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _flatten(doc, prefix: str = "") -> dict[str, object]:
-    flat: dict[str, object] = {}
+def _flatten(doc, flat: dict[str, object], prefix: str = "") -> dict[str, object]:
     for key, value in doc.items():
-        flat.update(_flatten(value, f"{prefix}{key}.") if isinstance(value, dict) else {f"{prefix}{key}": value})
+        if isinstance(value, dict):
+            _flatten(value, flat, f"{prefix}{key}.")
+        else:
+            flat[f"{prefix}{key}"] = value
     return flat
 
 

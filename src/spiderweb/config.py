@@ -254,18 +254,18 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
 
 
 def apply_entries(entries: Entries, base: ToolConfig = ToolConfig()) -> ToolConfig:
-    """``base`` with every value parsed in; an entry's origin is its file line or its override text."""
-    updates: dict[str, dict[str, object]] = {}
+    """``base`` with each value parsed into its section in turn; an entry's origin is its file line or override."""
     for (section, key), (raw, origin) in entries.items():
         attr, parser, _ = _KEYMAP[(section, key)]
         try:
-            updates.setdefault(section, {})[attr] = parser(raw)
+            value = parser(raw)
         except ValueError as exc:
             message = f"bad value for {section}.{key}: {exc}"
             if isinstance(origin, str):
                 raise ConfigParseError(f"override {origin!r}: {message}") from exc
             raise ConfigParseError(message, origin) from exc
-    return base._replace(**{s: getattr(base, s)._replace(**kw) for s, kw in updates.items()})
+        base = base._replace(**{section: getattr(base, section)._replace(**{attr: value})})
+    return base
 
 
 def read_entries(path: str | None = None, overrides: list[str] | None = None) -> Entries:

@@ -50,6 +50,7 @@ class Design(metaclass=record):
 
 def _geometry(config: ToolConfig, out: dict, pinned: float | None) -> None:
     out["geometry"] = derive_geometry(config.array)
+    out["fabrication_crossbar_limit"] = wiring.max_fab_crossbars(config.array)
 
 
 def _lines(config: ToolConfig, out: dict, pinned: float | None) -> None:
@@ -59,7 +60,6 @@ def _lines(config: ToolConfig, out: dict, pinned: float | None) -> None:
                                                 cfg.unit_cells)
     out["capacity_defect"] = wiring.logical_qubit_capacity(cfg, "defect")
     out["capacity_lattice_surgery"] = wiring.logical_qubit_capacity(cfg, "lattice_surgery")
-    out["fabrication_crossbar_limit"] = wiring.max_fab_crossbars(cfg)
 
 
 def _electronics(config: ToolConfig, out: dict, pinned: float | None) -> None:
@@ -75,20 +75,26 @@ def _timing(config: ToolConfig, out: dict, pinned: float | None) -> None:
     out["cycles"] = {m: cycle_time(config.timing, config.array, m) for m in READOUT_MODES}
 
 
+def _grid(config: ToolConfig, out: dict, pinned: float | None) -> None:
+    out["grid"] = power.parasitic_capacitance(config.interconnect)
+
+
 def _power(config: ToolConfig, out: dict, pinned: float | None) -> None:
-    grid = out["grid"] = power.parasitic_capacitance(config.interconnect)
-    out["power"] = power.total_power(config.array, config.signals, config.electronics, grid,
+    out["power"] = power.total_power(config.array, config.signals, config.electronics, out["grid"],
                                      out["refresh_rate_hz"], pinned)
 
 
 # The model stages in run order: name -> (config sections or ``section.field``s read, run).  A run adds
 # its Design fields to ``out``.  A stage that reads another stage's result lists every read of that stage.
 STAGES = {
-    "geometry": (("array.qubit_pitch_nm", "array.gate_pitch_nm", "array.bias_module_edge",
-                  "array.bias_grid_edge"), _geometry),
-    "lines": (("array",), _lines),
+    "geometry": (("array.qubit_pitch_nm", "array.gate_pitch_nm", "array.bias_module_edge", "array.bias_grid_edge",
+                  "array.metal_layers", "array.interconnect_pitch_nm"), _geometry),
+    "lines": (("array.bias_module_edge", "array.bias_grid_edge", "array.readout_module_edge",
+               "array.readout_grid_edge", "array.parallel_readouts", "array.crossbars", "array.code_distance"),
+              _lines),
     "electronics": (("array.bias_module_edge", "array.qubit_pitch_nm", "electronics"), _electronics),
     "timing": (("array.readout_module_edge", "array.sequential_readouts", "timing"), _timing),
+    "grid": (("interconnect",), _grid),
     "power": (("array.bias_module_edge", "array.bias_grid_edge", "array.qubit_pitch_nm", "electronics",
                "signals", "interconnect"), _power),
 }

@@ -177,6 +177,10 @@ class TestConfigText:
             parse_config_text("[array]\nd 13um\n")
 
 
+# raw values that parse for some keys and not for others
+_RAW_VALUES = ("5", "2.5", "0", "-1", "13um", "50ns", "1mV/s", "2k", "abc", "1e400", "", "disabled")
+
+
 class TestLoadConfig:
     def test_defaults_without_file(self):
         config = load_config()
@@ -215,6 +219,37 @@ class TestLoadConfig:
         with pytest.raises(AttributeError):
             shared.readout_s = 2e-6
         assert ToolConfig().timing.readout_s == 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(config._KEYMAP)), st.sampled_from(_RAW_VALUES),
+                              st.one_of(st.integers(1, 99), st.none())), max_size=12),
+           st.sampled_from([ToolConfig(), load_config(overrides=["x=8", "t_r=2us", "n_l=200"])]))
+    @example([(("array", "crossbars"), "3", 1), (("timing", "readout"), "abc", 2), (("array", "crossbars"), "x", 3)],
+             ToolConfig())
+    def test_entries_apply_as_a_per_section_replace(self, drawn, base):
+        # an origin of None stands for an override; a repeated key keeps its first place and its last value,
+        # as read_entries builds it
+        entries = {key: (raw, origin or f"{key[0]}.{key[1]}={raw}") for key, raw, origin in drawn}
+        parsed: dict[str, dict[str, object]] = {}
+        want: ToolConfig | str = ""
+        for (section, key), (raw, origin) in entries.items():
+            field, parse, _ = config._KEYMAP[(section, key)]
+            try:
+                parsed.setdefault(section, {})[field] = parse(raw)
+            except ValueError as exc:
+                where = f"override {origin!r}: " if isinstance(origin, str) else f"line {origin}: "
+                want = f"{where}bad value for {section}.{key}: {exc}"
+                break
+        if want:
+            with pytest.raises(ConfigParseError) as err:
+                apply_entries(entries, base)
+            assert str(err.value) == want
+            return
+        got = apply_entries(entries, base)
+        assert got == base._replace(**{s: getattr(base, s)._replace(**fields) for s, fields in parsed.items()})
+        for section in ToolConfig._fields:
+            if section not in parsed:
+                assert getattr(got, section) is getattr(base, section)
 
     def test_missing_file_falls_back_to_defaults(self):
         assert load_config("/nonexistent/design.cfg") == ToolConfig()

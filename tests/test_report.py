@@ -196,12 +196,12 @@ def test_sweep_fields_are_the_csv_header_contract():
 # single fields, and for each other section the same stages whichever of its keys is swept.
 @pytest.mark.parametrize("section, stages", [
     ("array", {"x": ["lines"],
-               "d": ["geometry", "lines", "electronics", "power"],
+               "d": ["geometry", "electronics", "power"],
                "n_r": ["lines", "timing"]}),
     ("electronics", ["electronics", "power"]),
     ("timing", ["timing"]),
     ("signals", ["power"]),
-    ("interconnect", ["power"]),
+    ("interconnect", ["grid", "power"]),
 ])
 def test_a_section_reruns_the_stages_it_feeds(section, stages):
     if isinstance(stages, dict):
@@ -279,6 +279,24 @@ def test_a_stage_that_reads_another_stage_lists_every_read_of_it(name):
     assert ("power", "electronics") in found  # power reads electronics' refresh rate
 
 
+class _WriteLog(dict):
+    """A stage's ``out`` that records the results a run sets in it."""
+
+    def __setitem__(self, key, value):
+        self.written.append(key)
+        super().__setitem__(key, value)
+
+
+def test_each_design_field_is_set_by_one_stage():
+    # a field moved into one stage but left in another is set twice
+    out, written = _WriteLog(), []
+    for _, run in report.STAGES.values():
+        out.written = []
+        run(ToolConfig(), out, None)
+        written += out.written
+    assert sorted(written) == sorted(Design._fields)
+
+
 def _changed(value) -> list:
     if isinstance(value, str):
         return [mode for mode in FRINGE_MODES if mode != value]
@@ -335,12 +353,22 @@ def test_a_crossbar_sweep_reruns_only_the_line_counts(monkeypatch):
                       "total_power": 1, "lines_at": 3 * 64}
 
 
+def test_a_pitch_sweep_counts_lines_and_the_grid_once(monkeypatch):
+    values = ",".join(f"{10 + k}um" for k in range(64))
+    counts = _sweep_counts(monkeypatch, ["sweep", "d", values, "--format", "json"], [
+        (model, "derive_geometry"), (electronics, "footprint"), (power, "total_power"), (wiring, "lines_at"),
+        (power, "parasitic_capacitance"),
+    ])
+    assert counts == {"derive_geometry": 64, "footprint": 64, "total_power": 64, "lines_at": len(LEVELS),
+                      "parasitic_capacitance": 1}
+
+
 def test_an_electronics_sweep_counts_lines_once(monkeypatch):
     values = ",".join(f"{k}mV/s" for k in range(1, 33))
     counts = _sweep_counts(monkeypatch, ["sweep", "drift", values, "--format", "csv"], [
-        (wiring, "lines_at"), (electronics, "footprint"), (power, "total_power"),
+        (wiring, "lines_at"), (electronics, "footprint"), (power, "total_power"), (power, "parasitic_capacitance"),
     ])
-    assert counts == {"lines_at": len(LEVELS), "footprint": 32, "total_power": 32}
+    assert counts == {"lines_at": len(LEVELS), "footprint": 32, "total_power": 32, "parasitic_capacitance": 1}
 
 
 def test_a_rejected_point_keeps_the_reuse(monkeypatch):
