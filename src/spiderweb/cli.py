@@ -20,10 +20,10 @@ from itertools import chain
 from operator import itemgetter
 
 from . import writers
-from .config import KNOWN_KEYS, ToolConfig, apply_entries, load_config, read_entries, resolve_override
+from .config import KNOWN_KEYS, apply_entries, apply_value, load_config, read_entries, resolve_override
 from .errors import ScheduleConflictError, SpiderwebError
 from .model import CYCLE_CENSUS, CYCLE_STEPS, cycle_time
-from .units import UnitError, parse_quantity, si_format
+from .units import parse_quantity, si_format
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,15 +81,16 @@ def _pinned(args) -> float | None:
         return None
     try:
         pinned = parse_quantity(args.pin_cp, "F")
-    except UnitError as exc:
+    except ValueError as exc:
         raise ValueError(f"--pin-cp: {exc}") from None
     if pinned < 0:
-        raise ValueError("pinned parasitic capacitance must be non-negative")
+        raise ValueError("--pin-cp: pinned parasitic capacitance must be non-negative")
     return pinned
 
 
-def _require_finite(values: dict[str, object], label: str) -> None:
-    for key, value in values.items():
+def _require_finite(values: dict[str, object], label: str, keys=None) -> None:  # only ``keys`` if given
+    for key in values if keys is None else keys:
+        value = values[key]
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{label} {key} is not finite ({value})")
 
@@ -119,21 +120,21 @@ def _flatten(doc, flat: dict[str, object], prefix: str = "") -> dict[str, object
 
 def _cmd_sweep(args) -> int:
     # the file, the base overrides, --pin-cp and the swept key are read once; the base values are
-    # parsed into the first point, and each later point parses only its own value into the last
+    # parsed into the first point, and each later point writes only its own value into the last
     entries = read_entries(_config_path(args), args.overrides)
     pinned = _pinned(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     points = [f"{args.parameter}={value}" for value in values]
     swept = resolve_override(points[0])[0] if points else None
     sweep = report.Sweep(swept) if points else None
-    config, records = ToolConfig(), []
+    config, records = None, []
     for value, point in zip(values, points):
-        entries[swept] = (point.split("=", 1)[1].strip(), point)  # the value as read_entries splits it
-        config, entries = apply_entries(entries, config), {}
-        try:  # a section rule or the non-finite rule fails: name the point
+        raw = point.split("=", 1)[1].strip()  # the value as read_entries splits it
+        config = apply_value(config, swept, raw, point) if config else apply_entries({**entries, swept: (raw, point)})
+        try:  # a section rule or the non-finite rule fails: name the point; only the re-read columns can fail
             record = report.sweep_record(args.parameter, value, config, pinned, sweep)
             if record["valid"]:
-                _require_finite(record, "value")
+                _require_finite(record, "value", sweep.read)
         except ValueError as exc:
             raise ValueError(f"sweep point {point}: {exc}") from exc
         records.append(record)

@@ -17,8 +17,8 @@ from .model import ArrayConfig, record
 from .units import UNITS, parse_int, parse_quantity
 
 __all__ = [
-    "ToolConfig", "load_config", "read_entries", "resolve_override", "apply_entries", "parse_config_text",
-    "KNOWN_KEYS", "ElectronicsParams", "TimingParams", "SignalParams", "InterconnectGrid", "FRINGE_MODES",
+    "ToolConfig", "load_config", "read_entries", "resolve_override", "apply_entries", "apply_value", "KNOWN_KEYS",
+    "parse_config_text", "ElectronicsParams", "TimingParams", "SignalParams", "InterconnectGrid", "FRINGE_MODES",
 ]
 
 
@@ -253,18 +253,26 @@ def parse_config_text(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
+def apply_value(base: ToolConfig, key: tuple[str, str], raw: str, origin: int | str) -> ToolConfig:
+    """``base`` with ``raw`` parsed into ``key``'s field; a parse error names ``origin``, its file line or override."""
+    field, parser, _ = _KEYMAP[key]
+    try:
+        value = parser(raw)
+    except ValueError as exc:
+        message = f"bad value for {key[0]}.{key[1]}: {exc}"
+        if isinstance(origin, str):
+            raise ConfigParseError(f"override {origin!r}: {message}") from exc
+        raise ConfigParseError(message, origin) from exc
+    at, part = ToolConfig._fields.index(key[0]), getattr(base, key[0])
+    i = part._fields.index(field)
+    part = tuple.__new__(type(part), (*part[:i], value, *part[i + 1:]))  # by position, without _replace's keyword pass
+    return tuple.__new__(ToolConfig, (*base[:at], part, *base[at + 1:]))
+
+
 def apply_entries(entries: Entries, base: ToolConfig = ToolConfig()) -> ToolConfig:
     """``base`` with each value parsed into its section in turn; an entry's origin is its file line or override."""
-    for (section, key), (raw, origin) in entries.items():
-        attr, parser, _ = _KEYMAP[(section, key)]
-        try:
-            value = parser(raw)
-        except ValueError as exc:
-            message = f"bad value for {section}.{key}: {exc}"
-            if isinstance(origin, str):
-                raise ConfigParseError(f"override {origin!r}: {message}") from exc
-            raise ConfigParseError(message, origin) from exc
-        base = base._replace(**{section: getattr(base, section)._replace(**{attr: value})})
+    for key, (raw, origin) in entries.items():
+        base = apply_value(base, key, raw, origin)
     return base
 
 

@@ -23,17 +23,18 @@ from operator import attrgetter
 from . import electronics, power, wiring
 from .config import _KEYMAP, VALIDATION_ORDER, ToolConfig
 from .errors import InvalidConfigError
-from .model import GATE_INVENTORY, READOUT_MODES, CycleTime, GeometrySummary, cycle_time, derive_geometry, record
+from .model import GATE_INVENTORY, READOUT_MODES, GeometrySummary, cycle_time, derive_geometry, record
 from .units import si_format
 
 __all__ = ["Design", "Sweep", "compute", "QUANTITIES", "build_report", "render_text", "sweep_record", "SWEEP_FIELDS"]
+Lines, Cycles = namedtuple("Lines", wiring.LEVELS), namedtuple("Cycles", READOUT_MODES)  # of Design.lines, .cycles
 
 
 class Design(metaclass=record):
     """Typed stage results for one validated configuration."""
 
     geometry: GeometrySummary
-    lines: dict[str, wiring.LineCount]          # by level, in ``wiring.LEVELS`` order
+    lines: Lines
     rent_exponent: float
     capacity_defect: int
     capacity_lattice_surgery: int
@@ -43,7 +44,7 @@ class Design(metaclass=record):
     refresh_rate_hz: float
     demux_clock_hz: float
     footprint: electronics.FootprintReport
-    cycles: dict[str, CycleTime]                # by readout mode
+    cycles: Cycles
     grid: power.GridCapacitance
     power: power.PowerReport
 
@@ -55,24 +56,26 @@ def _geometry(config: ToolConfig, out: dict, pinned: float | None) -> None:
 
 def _lines(config: ToolConfig, out: dict, pinned: float | None) -> None:
     cfg = config.array
-    lines = out["lines"] = {level: wiring.lines_at(level, cfg) for level in wiring.LEVELS}
-    out["rent_exponent"] = wiring.rent_exponent(lines["quantum_plane"].total, lines["unit_cell"].total,
-                                                cfg.unit_cells)
+    lines = out["lines"] = Lines._make([wiring.lines_at(level, cfg) for level in wiring.LEVELS])
+    out["rent_exponent"] = wiring.rent_exponent(lines.quantum_plane.total, lines.unit_cell.total, cfg.unit_cells)
     out["capacity_defect"] = wiring.logical_qubit_capacity(cfg, "defect")
     out["capacity_lattice_surgery"] = wiring.logical_qubit_capacity(cfg, "lattice_surgery")
 
 
+def _hold(config: ToolConfig, out: dict, pinned: float | None) -> None:
+    out["coarse_hold_capacitance_f"] = electronics.min_hold_capacitance("coarse", config.electronics)
+    out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", config.electronics)
+    out["refresh_rate_hz"] = electronics.refresh_rate(config.electronics)
+
+
 def _electronics(config: ToolConfig, out: dict, pinned: float | None) -> None:
-    cfg, elec = config.array, config.electronics
-    coarse = out["coarse_hold_capacitance_f"] = electronics.min_hold_capacitance("coarse", elec)
-    fine = out["fine_hold_capacitance_f"] = electronics.min_hold_capacitance("fine", elec)
-    refresh = out["refresh_rate_hz"] = electronics.refresh_rate(elec)
-    out["demux_clock_hz"] = electronics.demux_clock(cfg, refresh)
-    out["footprint"] = electronics.footprint(cfg, elec, GATE_INVENTORY, fine, coarse)
+    cfg, fine, coarse = config.array, out["fine_hold_capacitance_f"], out["coarse_hold_capacitance_f"]
+    out["demux_clock_hz"] = electronics.demux_clock(cfg, out["refresh_rate_hz"])
+    out["footprint"] = electronics.footprint(cfg, config.electronics, GATE_INVENTORY, fine, coarse)
 
 
 def _timing(config: ToolConfig, out: dict, pinned: float | None) -> None:
-    out["cycles"] = {m: cycle_time(config.timing, config.array, m) for m in READOUT_MODES}
+    out["cycles"] = Cycles._make([cycle_time(config.timing, config.array, mode) for mode in READOUT_MODES])
 
 
 def _grid(config: ToolConfig, out: dict, pinned: float | None) -> None:
@@ -92,6 +95,7 @@ STAGES = {
     "lines": (("array.bias_module_edge", "array.bias_grid_edge", "array.readout_module_edge",
                "array.readout_grid_edge", "array.parallel_readouts", "array.crossbars", "array.code_distance"),
               _lines),
+    "hold": (("electronics",), _hold),
     "electronics": (("array.bias_module_edge", "array.qubit_pitch_nm", "electronics"), _electronics),
     "timing": (("array.readout_module_edge", "array.sequential_readouts", "timing"), _timing),
     "grid": (("interconnect",), _grid),
@@ -102,9 +106,10 @@ _FULL_PLAN = (VALIDATION_ORDER, tuple(run for _, run in STAGES.values()))
 
 
 class Sweep:
-    """A sweep's last valid Design, and what later points rerun: the swept section's checks and the
-    stages that read the swept section or field.  ``key`` is the swept ``(section, key)`` as
-    :func:`~spiderweb.config.resolve_override` resolves it."""
+    """A sweep's last valid results and record, and what a later point redoes: the swept section's checks, the
+    stages that read the swept section or field, and the ``columns`` whose path starts at a field they set, known
+    from the first valid point; ``read`` are the columns the last valid point read.  ``key`` is the swept
+    ``(section, key)`` as :func:`~spiderweb.config.resolve_override` resolves it."""
 
     def __init__(self, key: tuple[str, str]):
         section = key[0]
@@ -115,24 +120,31 @@ class Sweep:
         # sweep has failed), the next points check only the swept section and the array.
         self.pending = (tuple(s for s in VALIDATION_ORDER if s != "array") + ("array",), _FULL_PLAN[1])
         self.retry = (tuple(dict.fromkeys((section, "array"))), _FULL_PLAN[1])
-        self.last: Design | None = None
+        self.last, self.record = None, None  # the last valid point's stage results, as ``out``, and record
+        self.columns = self.read = _COLUMNS
 
 
 def compute(config: ToolConfig, pinned_parasitic_f: float | None = None, sweep: Sweep | None = None) -> Design:
     """Validate ``config`` and run every model stage on it.  After a valid point of ``sweep``, only the
-    sweep's plan runs, and every other result is that point's; a valid result becomes its last point."""
+    sweep's plan runs, and every other result is that point's; a valid result becomes its last point.  At the
+    first, every stage runs on an empty ``out``, and the keys each plan stage adds give the sweep's columns."""
     last = sweep.last if sweep else None
     sections, runs = sweep.plan if last else sweep.pending if sweep else _FULL_PLAN
     if sweep:
         sweep.pending = sweep.retry
     config.validate(sections)
-    out = last._asdict() if last else {}
+    out = {**last} if last else {}
+    ends = []
     for run in runs:
         run(config, out, pinned_parasitic_f)
-    design = Design(**out)
+        ends.append(len(out))
+    if sweep and not last:
+        fields = {key for run, start, end in zip(runs, [0, *ends], ends) if run in sweep.plan[1]
+                  for key in [*out][start:end]}
+        sweep.columns = {column: read for column, read in _COLUMNS.items() if read[0] in fields}
     if sweep:
-        sweep.last = design
-    return design
+        sweep.last = out
+    return Design(**out)
 
 
 def _si(unit: str) -> Callable[[float], str]:
@@ -158,7 +170,7 @@ def _cycle(mode: str) -> Callable[[dict], str]:
 #   label   the label of one ``render_text`` line; a row without ``text`` prints it alone, as a heading
 #   text    formats the value at ``path`` for that line, or the whole document when there is no path
 #   column  the ``sweep_record`` field that holds the value
-#   get     reads the value from Design: a dotted attribute path (``path`` when omitted) or a function
+#   get     reads the value from Design: a dotted path (``path`` when omitted; every column's is one) or a function
 Quantity = namedtuple("Quantity", ("path", "label", "text", "column", "get"), defaults=(None,) * 5)
 
 # Every reported quantity, in text order.
@@ -171,11 +183,10 @@ QUANTITIES = (
     Quantity("geometry.plane_perimeter_m", "  plane perimeter", _si("m")),
     Quantity("geometry.gates_per_arm", "  gates per arm", str),
     Quantity(label="line counts (dc/shuttle/pulsed/logical/readout = total)"),
-    Quantity("lines", get=lambda d: {level: count.to_dict() for level, count in d.lines.items()}),
-    Quantity(None, "  unit_cell", _counts("unit_cell"), "lines_unit_cell", lambda d: d.lines["unit_cell"].total),
+    Quantity("lines", get=lambda d: {level: count.to_dict() for level, count in d.lines._asdict().items()}),
+    Quantity(None, "  unit_cell", _counts("unit_cell"), "lines_unit_cell", "lines.unit_cell.total"),
     Quantity(None, "  module", _counts("module")),
-    Quantity(None, "  quantum_plane", _counts("quantum_plane"), "lines_quantum_plane",
-             lambda d: d.lines["quantum_plane"].total),
+    Quantity(None, "  quantum_plane", _counts("quantum_plane"), "lines_quantum_plane", "lines.quantum_plane.total"),
     Quantity("rent_exponent", "rent exponent", "{:.2f}".format, "rent_exponent"),
     Quantity(label="logical qubit capacity"),
     Quantity("capacity.defect", "  defect encoding", str, "capacity_defect", "capacity_defect"),
@@ -199,9 +210,9 @@ QUANTITIES = (
     Quantity("footprint.pitch_feasible", "  pitch feasible", lambda ok: "yes" if ok else "NO", "pitch_feasible"),
     Quantity(label="cycle time"),
     Quantity("timing", get=lambda d: {mode: {"cycle_s": ct.total_s, "coherence_ratio": ct.coherence_ratio}
-                                      for mode, ct in d.cycles.items()}),
+                                      for mode, ct in d.cycles._asdict().items()}),
     Quantity(None, "  parallel", _cycle("parallel")),
-    Quantity(None, "  mixed", _cycle("mixed"), "cycle_mixed_s", lambda d: d.cycles["mixed"].total_s),
+    Quantity(None, "  mixed", _cycle("mixed"), "cycle_mixed_s", "cycles.mixed.total_s"),
     Quantity(None, "  sequential", _cycle("sequential")),
     Quantity(label="power"),
     Quantity("power.grid_parasitic_f", get="grid.total_f"),
@@ -221,22 +232,20 @@ QUANTITIES = (
 )
 
 
-def _getter(row: Quantity) -> Callable[[Design], object]:
-    get = row.get or row.path
-    return attrgetter(get) if isinstance(get, str) else get
-
-
 def _keys(path: str | None) -> tuple[str, ...]:
     return tuple(path.split(".")) if path else ()
 
 
 # each path split once: (parent keys, leaf, getter) to build; (heading, or label padded to the
-# 24-column value start, keys, text) to print
-_LEAVES = tuple((keys[:-1], keys[-1], _getter(row)) for row in QUANTITIES if (keys := _keys(row.path)))
+# 24-column value start, keys, text) to print; and each column's (Design field its path starts at, getter)
+_LEAVES = tuple((keys[:-1], keys[-1], row.get if callable(row.get) else attrgetter(row.get or row.path))
+                for row in QUANTITIES if (keys := _keys(row.path)))
 _LINES = tuple((row.label if row.text is None else f"{row.label:<24}", _keys(row.path), row.text)
                for row in QUANTITIES if row.label)
-_COLUMNS = tuple((row.column, _getter(row)) for row in QUANTITIES if row.column)
-SWEEP_FIELDS = ("parameter", "value", "valid", "violations", *(column for column, _ in _COLUMNS))
+_COLUMNS = {row.column: ((path := row.get or row.path).partition(".")[0], attrgetter(path))
+            for row in QUANTITIES if row.column}
+SWEEP_FIELDS = ("parameter", "value", "valid", "violations", *_COLUMNS)
+_BLANK = dict.fromkeys(SWEEP_FIELDS)
 
 
 def build_report(config: ToolConfig, pinned_parasitic_f: float | None = None) -> dict[str, object]:
@@ -266,16 +275,17 @@ def render_text(doc: dict[str, object]) -> str:
 
 def sweep_record(parameter: str, raw_value: str, config: ToolConfig, pinned_parasitic_f: float | None = None,
                  sweep: Sweep | None = None) -> dict[str, object]:
-    """One sweep-point record; infeasible or invalid points are flagged, not dropped."""
-    record: dict[str, object] = dict.fromkeys(SWEEP_FIELDS)
-    record["parameter"] = parameter
-    record["value"] = raw_value
+    """One sweep-point record; infeasible or invalid points are flagged, not dropped.  A valid point of
+    ``sweep`` after a valid one copies the last valid record and re-reads only ``sweep.columns``."""
     try:
         design = compute(config, pinned_parasitic_f, sweep)
     except InvalidConfigError as exc:
-        record.update(valid=False, violations=str(exc))
-        return record
-    record.update(valid=True, violations="")
-    for column, get in _COLUMNS:
+        return {**_BLANK, "parameter": parameter, "value": raw_value, "valid": False, "violations": str(exc)}
+    last = sweep.record if sweep else None
+    record = {**(last or _BLANK), "parameter": parameter, "value": raw_value, "valid": True, "violations": ""}
+    columns = sweep.columns if last else _COLUMNS
+    for column, (_, get) in columns.items():
         record[column] = get(design)
+    if sweep:
+        sweep.record, sweep.read = record, columns
     return record

@@ -292,10 +292,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("option, message", [
         (("--set", "foo=1"), "error: unknown key 'foo' in any section\n"),
-        (("--pin-cp", "abc"), "error: cannot parse quantity 'abc'\n"),
-        (("--pin-cp=-1fF",), "error: pinned parasitic capacitance must be non-negative\n"),
-        (("--pin-cp=",), "error: cannot parse quantity ''\n"),
-    ], ids=["base-override", "pin-cp", "negative-pin-cp", "empty-pin-cp"])
+        (("--pin-cp", "abc"), "error: --pin-cp: cannot parse quantity 'abc'\n"),
+        (("--pin-cp", "1e400F"), "error: --pin-cp: quantity '1e400F' is out of range\n"),
+        (("--pin-cp=-1fF",), "error: --pin-cp: pinned parasitic capacitance must be non-negative\n"),
+        (("--pin-cp=",), "error: --pin-cp: cannot parse quantity ''\n"),
+    ], ids=["base-override", "pin-cp", "out-of-range-pin-cp", "negative-pin-cp", "empty-pin-cp"])
     def test_bad_base_fails_before_first_point(self, capsys, option, message):
         code, out, err = run(capsys, "sweep", "x", ",", *option)
         assert code == 1
@@ -305,11 +306,11 @@ class TestSweep:
     @pytest.mark.parametrize("argv", [("sweep", "n_b", "0,7"), ("sweep", "t_r", "1ns,2ns"), ("report",)],
                              ids=["all-points-rejected", "all-points-valid", "report"])
     def test_negative_pin_cp_exits_1_with_one_line(self, capsys, argv):
-        message = "error: pinned parasitic capacitance must be non-negative\n"
+        message = "error: --pin-cp: pinned parasitic capacitance must be non-negative\n"
         assert run(capsys, *argv, "--pin-cp=-1fF") == (1, "", message)
 
     def test_empty_pin_cp_exits_1_with_one_line(self, capsys):
-        assert run(capsys, "report", "--pin-cp=") == (1, "", "error: cannot parse quantity ''\n")
+        assert run(capsys, "report", "--pin-cp=") == (1, "", "error: --pin-cp: cannot parse quantity ''\n")
 
     def test_base_value_of_the_swept_key_is_never_parsed(self, capsys):
         code, out, err = run(capsys, "sweep", "x", "1,2", "--set", "x=abc")

@@ -247,6 +247,7 @@ class TestLoadConfig:
             return
         got = apply_entries(entries, base)
         assert got == base._replace(**{s: getattr(base, s)._replace(**fields) for s, fields in parsed.items()})
+        assert [type(part) for part in (got, *got)] == [type(part) for part in (base, *base)]  # written by position
         for section in ToolConfig._fields:
             if section not in parsed:
                 assert getattr(got, section) is getattr(base, section)

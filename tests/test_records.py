@@ -50,14 +50,16 @@ def _records() -> list:
         power.transmission_line_power(power.SignalParams().resolved(model.ArrayConfig())),
         design.power,
         design.footprint,
-        design.lines["unit_cell"],
+        design.lines,
+        design.lines.unit_cell,
         table.steps[0].gates[0],
         step.gates[0],
         step,
         table,
         trace,
         trace.events[0],
-        design.cycles["mixed"],
+        design.cycles,
+        design.cycles.mixed,
         placed,
         qgates.Circuit(1, ((placed,),)),
         qgates.verify_identities()[0],
@@ -102,8 +104,8 @@ def test_flat_records_hash():
         step,
         table.steps[0].gates[0],
         step.gates[0],
-        design.cycles["mixed"],
-        design.lines["unit_cell"],
+        design.cycles.mixed,
+        design.lines.unit_cell,
         qgates.verify_identities()[0],
     ]
     for record in records:

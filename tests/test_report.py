@@ -138,7 +138,7 @@ def _rebuilt(config: ToolConfig, pinned: float | None) -> Design:
     grid = parasitic_capacitance(config.interconnect)
     return Design(
         geometry=derive_geometry(cfg),
-        lines={level: lines_at(level, cfg) for level in LEVELS},
+        lines=report.Lines(**{level: lines_at(level, cfg) for level in LEVELS}),
         rent_exponent=rent_exponent(plane, cell, cfg.unit_cells),
         capacity_defect=logical_qubit_capacity(cfg, "defect"),
         capacity_lattice_surgery=logical_qubit_capacity(cfg, "lattice_surgery"),
@@ -148,7 +148,7 @@ def _rebuilt(config: ToolConfig, pinned: float | None) -> Design:
         refresh_rate_hz=refresh,
         demux_clock_hz=demux_clock(cfg, refresh),
         footprint=footprint(cfg, elec, GATE_INVENTORY, fine, coarse),
-        cycles={mode: cycle_time(config.timing, cfg, mode) for mode in READOUT_MODES},
+        cycles=report.Cycles(**{mode: cycle_time(config.timing, cfg, mode) for mode in READOUT_MODES}),
         grid=grid,
         power=total_power(cfg, config.signals, elec, grid, refresh, pinned),
     )
@@ -198,7 +198,7 @@ def test_sweep_fields_are_the_csv_header_contract():
     ("array", {"x": ["lines"],
                "d": ["geometry", "electronics", "power"],
                "n_r": ["lines", "timing"]}),
-    ("electronics", ["electronics", "power"]),
+    ("electronics", ["hold", "electronics", "power"]),
     ("timing", ["timing"]),
     ("signals", ["power"]),
     ("interconnect", ["grid", "power"]),
@@ -276,7 +276,8 @@ def test_a_stage_that_reads_another_stage_lists_every_read_of_it(name):
             if upstream != stage and out.read & results:
                 found.add((stage, upstream))
                 assert all(_covers(reads, read) for read in report.STAGES[upstream][0]), (stage, upstream)
-    assert ("power", "electronics") in found  # power reads electronics' refresh rate
+    # power reads the hold stage's refresh rate, and electronics its hold capacitances and refresh rate
+    assert {("power", "hold"), ("electronics", "hold")} <= found
 
 
 class _WriteLog(dict):
@@ -354,13 +355,27 @@ def test_a_crossbar_sweep_reruns_only_the_line_counts(monkeypatch):
 
 
 def test_a_pitch_sweep_counts_lines_and_the_grid_once(monkeypatch):
+    # and the hold capacitors and refresh rate, which read only the electronics section
     values = ",".join(f"{10 + k}um" for k in range(64))
     counts = _sweep_counts(monkeypatch, ["sweep", "d", values, "--format", "json"], [
         (model, "derive_geometry"), (electronics, "footprint"), (power, "total_power"), (wiring, "lines_at"),
-        (power, "parasitic_capacitance"),
+        (power, "parasitic_capacitance"), (electronics, "min_hold_capacitance"), (electronics, "refresh_rate"),
     ])
     assert counts == {"derive_geometry": 64, "footprint": 64, "total_power": 64, "lines_at": len(LEVELS),
-                      "parasitic_capacitance": 1}
+                      "parasitic_capacitance": 1, "min_hold_capacitance": 2, "refresh_rate": 1}
+
+
+def test_a_later_point_rereads_only_its_columns(monkeypatch):
+    # the lines columns are read at the first point only; each later point finite-checks cycle_mixed_s alone
+    reads, checked = [], []
+    total, require = wiring.LineCount.total, cli._require_finite
+    monkeypatch.setattr(wiring.LineCount, "total", property(lambda count: reads.append(None) or total.fget(count)))
+    monkeypatch.setattr(cli, "_require_finite", lambda values, label, *keys: (
+        checked.append([*(keys[0] if keys else values)]), require(values, label, *keys)))
+    values = ",".join(f"{20 * k}ns" for k in range(1, 65))
+    assert _sweep_counts(monkeypatch, ["sweep", "t_r", values, "--format", "json"], []) == {}
+    assert len(reads) == 4  # the rent exponent's two, and the first record's two columns
+    assert checked == [list(report.SWEEP_FIELDS[4:])] + [["cycle_mixed_s"]] * 63
 
 
 def test_an_electronics_sweep_counts_lines_once(monkeypatch):
@@ -462,6 +477,10 @@ _KEY_AND_VALUES = st.sampled_from(sorted(_SWEPT)).flatmap(
 @example(("n_layers", ["12", "1", "0", "40"]), [], "large", None)
 @example(("delta_i", ["80nm", "1e290", "40nm"]), ["n_b=7"], None, None)
 @example(("drift", []), ["w=abc"], None, None)
+@example(("n_b", ["32", "7", "32"]), [], None, None)
+@example(("t_r", ["20ns", "1us", "abc"]), [], None, None)
+@example(("v_p", ["1", "1e300"]), [], None, "700fF")
+@example(("fringe_mode", ["disabled", "printed_magnitude", "bogus"]), [], None, None)
 def test_a_sweep_equals_fresh_points(key_and_values, base, file_name, pin_cp):
     """The CLI's incremental sweep prints the bytes, or the error and exit code, of fresh points."""
     key, values = key_and_values
