@@ -1,13 +1,13 @@
 """The output formats.  Every JSON document is the bytes of ``json.dumps(doc, indent=2, sort_keys=True,
-allow_nan=False)``, written by ``value`` without that call's pure-Python indenting encoder.  A csv cell is
-quoted as the csv module quotes it under its default CRLF line end: one holding ``,``, ``"``, CR or LF."""
+allow_nan=False)`` and every csv row those of the csv module's default writer, each written without that code;
+in a run of same-key records or of csv rows, a cell that holds the object of the one before reuses its text."""
 
 from itertools import repeat
 from operator import itemgetter
-from types import SimpleNamespace
 
 SLOT = object()  # a value left open, where ``split`` and ``document`` cut the text
 _CUT = "\0"  # what a SLOT writes; no other written text holds a raw NUL, as every control character is escaped
+_UNSET = object()  # the object "before" each cell of a run's first row, which no cell holds
 
 
 def _escape(text: str) -> str:  # the first JSON string written imports json; this name then holds its escaper
@@ -59,8 +59,9 @@ def _joined(texts: list[str], level: int) -> str:
 
 def _texts(values, level: int) -> list[str]:
     """Each of ``values`` as ``value`` writes it.  A dict, str-keyed, fills a ``%`` layout of its sorted keys,
-    escaped with their ``%`` doubled, with one slot per value; each next dict with the same keys only fills it."""
-    texts, keys, indent, deeper = [], None, "\n" + "  " * level, repeat(level + 1)
+    escaped with their ``%`` doubled, with one slot per value; each next dict with the same keys only fills it,
+    and a value that is the object of the dict before at its key reuses that one's text."""
+    texts, keys, indent, inner = [], None, "\n" + "  " * level, level + 1
     for item in values:
         if type(item) is not dict:
             texts.append(value(item, level))
@@ -70,11 +71,25 @@ def _texts(values, level: int) -> list[str]:
             slots = [_escape(k).replace("%", "%%") + ": %s" for k in names]
             layout = f"{{{indent}  {_joined(slots, level)}{indent}}}" if names else "{}"
             pick = itemgetter(*names) if len(names) > 1 else lambda r, names=names: tuple(map(r.__getitem__, names))
-        texts.append(layout % tuple(map(value, pick(item), deeper)))
+            last, cells = repeat(_UNSET), repeat("")
+        row = pick(item)
+        last, cells = row, [text if obj is old else value(obj, inner) for obj, old, text in zip(row, last, cells)]
+        texts.append(layout % tuple(cells))
     return texts
 
 
 def csv_lines(rows, end: str = "\r\n") -> list[str]:
-    """Each row as the csv module writes it under its default CRLF line end, but ended by ``end``."""
-    import csv  # with the first csv document; a writer whose ``write`` is ``str`` returns each row's text
-    return [line[:-2] + end for line in map(csv.writer(SimpleNamespace(write=str)).writerow, rows)]
+    """Each row as the csv module writes it under its default CRLF line end, but ended by ``end``: a cell's text
+    (a str, None as empty, any other its ``str``) holding ``,``, ``"``, CR or LF is quoted, each ``"`` doubled."""
+    lines, last, cells = [], (), ()
+    for row in rows:
+        if len(row) != len(cells):
+            last, cells = repeat(_UNSET), repeat("")
+        last, cells = row, [text if cell is old else _cell(cell) for cell, old, text in zip(row, last, cells)]
+        lines.append((",".join(cells) or '""' * len(cells)) + end)  # a lone empty cell is quoted, as csv does
+    return lines
+
+
+def _cell(cell) -> str:
+    text = cell if isinstance(cell, str) else "" if cell is None else str(cell)
+    return '"' + text.replace('"', '""') + '"' if '"' in text or "," in text or "\n" in text or "\r" in text else text

@@ -7,12 +7,14 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -399,6 +401,50 @@ def _sweep_points(*values: str) -> list[dict]:
     return [sweep_record("x", v, load_config(overrides=[f"x={v}"])) for v in values]
 
 
+def _swept_records(parameter: str, values: list[str]) -> list[dict]:
+    """The records of ``sweep parameter`` over ``values`` as the command builds them: each valid point after
+    a valid one is a copy of the last valid record, so many of its cells are that record's objects."""
+    sweep = report.Sweep(config.resolve_override(f"{parameter}={values[0]}")[0])
+    return [sweep_record(parameter, v, load_config(overrides=[f"{parameter}={v}"]), None, sweep) for v in values]
+
+
+# a shuffled x sweep over the benchmark's grid, -64..447: rejected (negative) and valid points mixed
+_X_SWEEP = _swept_records("x", [str(v) for v in random.Random(40).sample(range(-64, 448), 512)])
+
+# Python 3.10's csv module raises on a NUL ("need to escape, but no escapechar set"), which 3.11 and later
+# write as it is, as ``writers.csv_lines`` does on every version; there the csv oracles draw no NUL.
+_ORACLE_WRITES_NUL = sys.version_info >= (3, 11)
+
+
+def _oracle_writable(strategy):
+    return strategy.map(lambda v: v if _ORACLE_WRITES_NUL or type(v) is not str else v.replace("\0", ""))
+
+
+# one object each, so that records share them; and the values that equal one another but write apart
+_SHARED = ([0.5, {"b": [None], "a": "x"}], {"list": [1, True], "d": {}})
+_SWAPPED = _oracle_writable(st.one_of(st.sampled_from([1, 1.0, True, None, "1", *_SHARED]), _SCALARS))
+_KEYS = _oracle_writable(st.one_of(st.text(max_size=4), _NASTY))
+
+
+@st.composite
+def _copied_records(draw) -> list[dict]:
+    """Records, each after the first a copy of an earlier one with some cells replaced and, now and then, a
+    key dropped or added, so a writer meets the object of the record before at most slots."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=6, unique=True))
+    records = [{key: draw(_SWAPPED) for key in keys}]
+    for _ in range(draw(st.integers(0, 8))):
+        record = dict(draw(st.sampled_from(records)))
+        for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+            record[key] = draw(_SWAPPED)
+        change = draw(st.sampled_from(["", "", "", "drop", "add"]))
+        if change == "drop":
+            record.pop(draw(st.sampled_from(keys)), None)
+        elif change == "add":
+            record[draw(_KEYS)] = draw(_SWAPPED)
+        records.append(record)
+    return records
+
+
 class TestSweepWriters:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.dictionaries(st.one_of(st.text(), _NASTY), _SCALARS, max_size=8), max_size=6))
@@ -429,6 +475,35 @@ class TestSweepWriters:
     def test_csv_of_real_records(self):
         records = _sweep_points("-1", "0", "200")
         assert _sweep_csv(records) == _dictwriter_csv(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_copied_records())
+    @example(_X_SWEEP)
+    def test_a_cell_reused_from_the_record_before_is_written_as_a_fresh_one(self, records):
+        """Each writer reuses the text of a cell that holds the object of the record before; the bytes stay
+        those of ``json.dumps`` and, on the first record's keys, of ``csv.DictWriter``."""
+        assert writers.value(records) == json.dumps(records, indent=2, sort_keys=True, allow_nan=False)
+        fields = [*records[0]]
+        expected = io.StringIO()
+        writer = csv.DictWriter(expected, fieldnames=fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(records)
+        rows = [fields, *([record.get(field) for field in fields] for record in records)]
+        assert "".join(writers.csv_lines(rows)) == expected.getvalue()
+
+
+_CSV_CELLS = _oracle_writable(st.one_of(_SCALARS, st.sampled_from([",", '"', "\r", "\n", "\r\n", ' "a" ', "a,b"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.lists(_CSV_CELLS, max_size=1), st.lists(_CSV_CELLS, max_size=16)), max_size=5),
+       st.sampled_from(["\r\n", "\n"]))
+@example([[], [""], [None], [None, None], ["", ""], ["", None, ""]], "\r\n")
+@example([[""], [], [None]], "\n")
+def test_csv_lines_is_the_csv_module(rows, end):
+    """Each row as ``csv.writer`` writes it under its default CRLF line end, ended by ``end``."""
+    writer = csv.writer(SimpleNamespace(write=str))  # a writer whose ``write`` is ``str`` returns each row's text
+    assert writers.csv_lines(rows, end) == [writer.writerow(row)[:-2] + end for row in rows]
 
 
 def _bench_config_pool() -> dict:
@@ -698,6 +773,15 @@ class TestSimulate:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert {"time_s", "step", "qubit", "op", "resource"} == set(rows[0])
         assert any(r["op"] == "readout" for r in rows)
+
+    def test_a_nul_in_a_name_is_written_as_it_is(self, capsys, tmp_path):
+        """A NUL needs no csv quoting, on every version (the csv module of Python 3.10 raised on it)."""
+        table = tmp_path / "nul.steps"
+        table.write_text("1 one_qubit D\x001@op1:x\n")
+        code, out, _ = run(capsys, "simulate", "--table", str(table), "--format", "csv")
+        assert code == 0
+        assert out.split("\n") == ["time_s,step,qubit,op,resource", "0.0,1,D\x001,shuttle_out,D\x001~op1",
+                                   "2.5e-08,1,D\x001,1q_gate:x,op1", "5e-08,1,D\x001,shuttle_back,D\x001~op1", ""]
 
     def test_custom_table_conflict_exits_2(self, capsys, tmp_path, cold_caches):
         table = tmp_path / "bad.steps"

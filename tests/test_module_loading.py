@@ -142,9 +142,9 @@ _FORMAT_MODULES = {
     ("simulate",): "0",
     ("verify",): "0",
     ("report", "--set", "bogus=1"): "1",
-    ("report", "--format", "csv"): "0 csv",
-    ("simulate", "--format", "csv"): "0 csv",
-    ("sweep", "x", "0,1"): "0 csv",
+    ("report", "--format", "csv"): "0",
+    ("simulate", "--format", "csv"): "0",
+    ("sweep", "x", "0,1"): "0",
     ("report", "--format", "json"): "0 json",
     ("verify", "--json"): "0 json",
     ("simulate", "--format", "json"): "0 json",

@@ -145,12 +145,18 @@ def _dumps_owners(node: ast.AST, owner: str | None = None):
 
 def test_the_document_format_lives_in_the_writer_module():
     """Only ``writers`` escapes JSON strings itself, and outside it only ``dump-unitary``, whose key
-    order is a contract, calls ``json.dumps``; so each rule of the output formats has one home."""
+    order is a contract, calls ``json.dumps``; no module imports ``csv``, as ``writers`` quotes each csv
+    cell itself; so each rule of the output formats has one home."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in Path(spiderweb.__file__).parent.glob("*.py")}
     assert sorted(name for name, source in sources.items() if "encode_basestring" in source) == ["writers"]
     dumps = {(name, owner) for name, source in sources.items() if name != "writers"
              for owner in _dumps_owners(ast.parse(source))}
     assert dumps == {("cli", "_cmd_dump_unitary")}
+    imported = {(name, module.split(".")[0]) for name, source in sources.items() for node in ast.walk(ast.parse(source))
+                for module in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                               else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])}
+    assert {name for name, module in imported if module == "csv"} == set()
+    assert ("writers", "json") in imported  # the walk finds an import inside a function
 
 
 # The caches that keep a bound and never keep a failure, kept by hand; every other memo is a
